@@ -2,7 +2,7 @@
 
 from .data import FunctionalDataset, read_dataset_csv, write_dataset_csv
 from .orchestrator import FitConfig, VmpState, fit, initialize
-from .postprocess import FpcaFit, finalize, fitted_curves, sign_align
+from .postprocess import FpcaFit, finalize, sign_align
 from .simulate import SimConfig, generate, ise
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "initialize",
     "FpcaFit",
     "finalize",
-    "fitted_curves",
     "sign_align",
     "SimConfig",
     "generate",

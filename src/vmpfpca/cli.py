@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,13 +199,13 @@ def _config_from_args(args) -> FitConfig:
     )
 
 
-def _fit_payload(result: FpcaFit, raw_score_covs: np.ndarray) -> dict:
+def _fit_payload(result: FpcaFit) -> dict:
     return {
         "grid": result.grid.tolist(),
         "mean": result.mean_curve.tolist(),
         "eigenfunctions": result.eigenfunctions.T.tolist(),
         "scores": result.scores.tolist(),
-        "score_covariances": raw_score_covs.tolist(),
+        "score_covariances": result.score_covariances.tolist(),
         "eigenvalues": result.eigenvalues.tolist(),
         "noise_precision_mean": result.noise_precision_mean,
     }
@@ -218,13 +218,10 @@ def run_fit(
     rescale: tuple[float, float] | None = None,
 ) -> tuple[dict, RunManifest, FpcaFit]:
     """Fit, post-process and package the result with its manifest."""
-    from .postprocess import extract
-
     started = time.perf_counter()
     state = fit(dataset, config)
     result = finalize(state)
     elapsed = time.perf_counter() - started
-    raw = extract(state)
     manifest = RunManifest(
         version=__version__,
         dataset=dataset_label,
@@ -239,8 +236,7 @@ def run_fit(
         wall_clock_seconds=elapsed,
         time_rescale=rescale,
     )
-    payload = _fit_payload(result, raw.zeta_covs)
-    return payload, manifest, result
+    return _fit_payload(result), manifest, result
 
 
 def _write_long_format_csv(path: Path, result: FpcaFit) -> None:
@@ -401,8 +397,7 @@ def evaluate_fit_against_truth(fit_doc: dict, truth_doc: dict) -> dict:
 
 def _study_cell(task) -> dict:
     """One (replicate, n) cell of the study; runs in a worker process."""
-    replicate, num_curves, seed, config_dict = task
-    config = FitConfig(**config_dict, seed=seed)
+    replicate, num_curves, seed, config = task
     dataset, truth = generate(SimConfig(num_curves=num_curves, seed=seed))
     state = fit(dataset, config)
     result = finalize(state)
@@ -435,14 +430,15 @@ def run_study(
     base_seed: int = 0,
     workers: int = 1,
 ) -> list[dict]:
-    """Replicated simulation study; seeds are paired across curve counts."""
+    """Replicated simulation study; seeds are paired across curve counts.
+
+    Every cell fits with ``config``, its seed replaced by the cell's seed.
+    """
     tasks = []
-    config_dict = {
-        k: v for k, v in asdict(config).items() if k not in ("seed", "score_prior_cov", "freeze_scores_at_zero")
-    }
     for replicate in range(replicates):
+        seed = base_seed + replicate
         for num_curves in curve_counts:
-            tasks.append((replicate, num_curves, base_seed + replicate, config_dict))
+            tasks.append((replicate, num_curves, seed, replace(config, seed=seed)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_cell, tasks))

@@ -47,6 +47,8 @@ class FunctionalDataset:
     def validate(self) -> None:
         if self.num_curves == 0:
             raise ValueError("dataset has no curves")
+        if self.num_curves < 2:
+            raise ValueError("dataset has one curve; at least two are needed to fit")
         if not (len(self.curve_ids) == len(self.times) == len(self.values)):
             raise ValueError("curve_ids, times and values have mismatched lengths")
         if len(set(self.curve_ids)) != len(self.curve_ids):

@@ -142,21 +142,30 @@ class GaussianVecParams:
 
 @dataclass(frozen=True)
 class GaussianVechParams:
-    """Gaussian natural parameters against sufficient statistics (x, vech(xx'))."""
+    """Gaussian natural parameters against sufficient statistics (x, vech(xx')).
+
+    A stack of independent Gaussians keeps one row per member: eta1 of shape
+    (n, d) and eta2 of shape (n, d(d+1)/2).  Adding a single Gaussian to a
+    stack adds it to every row.
+    """
 
     eta1: np.ndarray
     eta2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eta1", np.asarray(self.eta1, dtype=float).reshape(-1))
-        object.__setattr__(self, "eta2", np.asarray(self.eta2, dtype=float).reshape(-1))
-        d = self.eta1.size
-        if self.eta2.size != d * (d + 1) // 2:
-            raise ValueError(f"eta2 has length {self.eta2.size}, expected {d * (d + 1) // 2}")
+        eta1 = np.asarray(self.eta1, dtype=float)
+        if eta1.ndim != 2:
+            eta1 = eta1.reshape(-1)
+        eta2 = np.asarray(self.eta2, dtype=float).reshape(*eta1.shape[:-1], -1)
+        d = eta1.shape[-1]
+        if eta2.shape[-1] != d * (d + 1) // 2:
+            raise ValueError(f"eta2 has length {eta2.shape[-1]}, expected {d * (d + 1) // 2}")
+        object.__setattr__(self, "eta1", eta1)
+        object.__setattr__(self, "eta2", eta2)
 
     @property
     def dim(self) -> int:
-        return self.eta1.size
+        return self.eta1.shape[-1]
 
     def __add__(self, other: "GaussianVechParams") -> "GaussianVechParams":
         if not isinstance(other, GaussianVechParams):
@@ -164,7 +173,7 @@ class GaussianVechParams:
         return GaussianVechParams(self.eta1 + other.eta1, self.eta2 + other.eta2)
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.eta1, self.eta2])
+        return np.concatenate([self.eta1, self.eta2], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -217,28 +226,28 @@ def gaussian_moments_to_vech(mean: np.ndarray, cov: np.ndarray) -> GaussianVechP
 
 
 def gaussian_vech_to_moments(params: GaussianVechParams) -> tuple[np.ndarray, np.ndarray]:
-    """Map vech-basis natural parameters back to (mean, covariance)."""
-    d = params.dim
-    prec = -2.0 * unvec(moore_penrose_duplication(d).T @ params.eta2)
-    cov = invert_spd(prec, context="vech-basis precision")
-    return cov @ params.eta1, cov
+    """Map vech-basis natural parameters back to (mean, covariance).
 
-
-def vec_to_vech_params(params: GaussianVecParams) -> GaussianVechParams:
-    """Re-express vec-basis Gaussian parameters in the vech basis."""
-    return GaussianVechParams(params.eta1, duplication_matrix(params.dim).T @ params.eta2)
-
-
-def vech_to_vec_params(params: GaussianVechParams) -> GaussianVecParams:
-    """Re-express vech-basis Gaussian parameters in the vec basis."""
-    return GaussianVecParams(params.eta1, moore_penrose_duplication(params.dim).T @ params.eta2)
-
-
-def invchisq_from_shape_scale(shape: float, scale: float) -> InvChiSqParams:
-    """Natural parameters of an inverse chi-squared density with given shape and scale."""
-    if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
-    return InvChiSqParams(-0.5 * (shape + 2.0), -0.5 * scale)
+    A stack of n Gaussians gives (n, d) means and (n, d, d) covariances, all
+    from one batched Cholesky factorization.
+    """
+    eta1, eta2 = np.atleast_2d(params.eta1), np.atleast_2d(params.eta2)
+    n, d = eta1.shape
+    full = eta2 @ moore_penrose_duplication(d)  # row-wise D_d^+' eta2 = vec of each matrix
+    precisions = -2.0 * full.reshape(n, d, d).transpose(0, 2, 1)
+    precisions = 0.5 * (precisions + precisions.transpose(0, 2, 1))
+    try:
+        covs = np.linalg.inv(np.linalg.cholesky(precisions))
+    except np.linalg.LinAlgError:
+        bad = np.flatnonzero(np.linalg.eigvalsh(precisions)[:, 0] <= 0).tolist()
+        raise DegenerateMessageError(
+            f"vech-basis precision is not positive definite (rows {bad})"
+        ) from None
+    covs = covs.transpose(0, 2, 1) @ covs
+    means = np.einsum("iab,ib->ia", covs, eta1)
+    if params.eta1.ndim == 2:
+        return means, covs
+    return means[0], covs[0]
 
 
 def invchisq_to_shape_scale(params: InvChiSqParams) -> tuple[float, float]:

@@ -6,12 +6,13 @@ the functional-principal-component Gaussian likelihood fragment and the
 Gaussian penalization fragment.  The likelihood fragment is fully batched
 across curves: the per-curve Gram matrices C_i'C_i and projections C_i'y_i
 are cached once per fit and every per-iteration quantity is an einsum over
-the curve axis.
+the curve axis.  Every fragment returns natural-parameter objects from
+:mod:`expfam`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,26 +27,27 @@ from .expfam import (
     invert_spd,
     vec,
 )
-from .graph import G_FULL, Message
 
 # ---------------------------------------------------------------------------
 # Prior fragments
 
 
-def gaussian_prior_message(mean: np.ndarray, cov: np.ndarray, basis: str = "vec") -> Message:
+def gaussian_prior_message(
+    mean: np.ndarray, cov: np.ndarray, basis: str = "vec"
+) -> GaussianVecParams | GaussianVechParams:
     """Constant message emitted by a Gaussian prior factor.
 
     ``basis`` selects the sufficient-statistic basis of the receiving node:
     "vec" for (x, vec(xx')), "vech" for (x, vech(xx')).
     """
     if basis == "vec":
-        return Message(gaussian_moments_to_vec(mean, cov))
+        return gaussian_moments_to_vec(mean, cov)
     if basis == "vech":
-        return Message(gaussian_moments_to_vech(mean, cov))
+        return gaussian_moments_to_vech(mean, cov)
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def igw_prior_message(scale_hyper: float) -> Message:
+def igw_prior_message(scale_hyper: float) -> InvChiSqParams:
     """Constant message of the scalar inverse G-Wishart prior with hyperparameter A.
 
     The auxiliary variable has an inverse chi-squared density with shape 1 and
@@ -53,14 +55,14 @@ def igw_prior_message(scale_hyper: float) -> Message:
     """
     if scale_hyper <= 0:
         raise ValueError("scale hyperparameter must be positive")
-    return Message(InvChiSqParams(-1.5, -0.5 / scale_hyper**2), graph_tag=G_FULL)
+    return InvChiSqParams(-1.5, -0.5 / scale_hyper**2)
 
 
 def iterated_igw_messages(
     npbf_sigsq: InvChiSqParams,
     npbf_a: InvChiSqParams,
     edge_name: str = "iterated inverse G-Wishart",
-) -> tuple[Message, Message]:
+) -> tuple[InvChiSqParams, InvChiSqParams]:
     """Scalar iterated inverse G-Wishart fragment for sigma^2 | a ~ Inv-chi^2(1, 1/a).
 
     Returns (message to sigma^2, message to a).  Each outgoing message uses the
@@ -72,9 +74,7 @@ def iterated_igw_messages(
         e_recip_sigsq = invchisq_mean_reciprocal(npbf_sigsq)
     except Exception as err:
         raise type(err)(f"{edge_name}: {err}") from err
-    to_sigsq = Message(InvChiSqParams(-1.5, -0.5 * e_recip_a), graph_tag=G_FULL)
-    to_a = Message(InvChiSqParams(-0.5, -0.5 * e_recip_sigsq), graph_tag=G_FULL)
-    return to_sigsq, to_a
+    return InvChiSqParams(-1.5, -0.5 * e_recip_a), InvChiSqParams(-0.5, -0.5 * e_recip_sigsq)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +120,27 @@ def build_likelihood_cache(design_matrices, responses) -> LikelihoodCache:
 
 @dataclass(frozen=True)
 class LikelihoodExpectations:
-    """Cached optimal-posterior expectations used by the likelihood messages."""
+    """Cached optimal-posterior expectations used by the likelihood messages.
+
+    The score moments (``zt_*``) and the spline-coefficient moments (the
+    rest) are independent blocks; :func:`with_score_moments` swaps the first
+    and keeps the second.
+    """
 
     zt_mean: np.ndarray  # (n, L+1); E(zeta-tilde_i) = (1, E(zeta_i)')'
-    zt_cov: np.ndarray  # (n, L+1, L+1); blockdiag(0, Cov(zeta_i))
     zt_second: np.ndarray  # (n, L+1, L+1); E(zeta-tilde zeta-tilde')
     v_mean: np.ndarray  # (P, L+1); columns E(nu_mu), E(nu_psi_1), ...
     vpsi_mean: np.ndarray  # (P, L)
     h_cross: np.ndarray  # (n, L); E of V_psi' C_i'C_i nu_mu
     h_psi: np.ndarray  # (n, L, L); E of V_psi' C_i'C_i V_psi
     h_full: np.ndarray  # (n, L+1, L+1); same with the mean-function column included
+
+
+def _score_moments(zeta_means: np.ndarray, zeta_covs: np.ndarray) -> dict[str, np.ndarray]:
+    zt_mean = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
+    zt_second = zt_mean[:, :, None] * zt_mean[:, None, :]
+    zt_second[:, 1:, 1:] += zeta_covs
+    return {"zt_mean": zt_mean, "zt_second": zt_second}
 
 
 def likelihood_expectations(
@@ -140,21 +151,14 @@ def likelihood_expectations(
     zeta_covs: np.ndarray,
 ) -> LikelihoodExpectations:
     """All moment summaries the likelihood messages need, batched over curves."""
-    n, num_coefs = cache.num_curves, cache.num_coefs
-    num_eigen = zeta_means.shape[1]
-    blocks = num_eigen + 1
+    num_coefs = cache.num_coefs
+    blocks = zeta_means.shape[1] + 1
     if nu_mean.size != blocks * num_coefs:
         raise ValueError(
             f"nu has length {nu_mean.size}, expected {blocks}*{num_coefs}"
         )
 
-    zt_mean = np.column_stack([np.ones(n), zeta_means])
-    zt_cov = np.zeros((n, blocks, blocks))
-    zt_cov[:, 1:, 1:] = zeta_covs
-    zt_second = zt_cov + zt_mean[:, :, None] * zt_mean[:, None, :]
-
     v_mean = nu_mean.reshape(blocks, num_coefs).T
-    vpsi_mean = v_mean[:, 1:]
 
     # E(H_i)[a, b] = tr{E(nu_b nu_a') C_i'C_i}; one einsum covers every curve
     # and block pair, with a = b = 0 giving the mean-function term.
@@ -164,20 +168,25 @@ def likelihood_expectations(
     h_full = 0.5 * (h_full + h_full.transpose(0, 2, 1))
 
     return LikelihoodExpectations(
-        zt_mean=zt_mean,
-        zt_cov=zt_cov,
-        zt_second=zt_second,
+        **_score_moments(zeta_means, zeta_covs),
         v_mean=v_mean,
-        vpsi_mean=vpsi_mean,
+        vpsi_mean=v_mean[:, 1:],
         h_cross=h_full[:, 1:, 0],
         h_psi=h_full[:, 1:, 1:],
         h_full=h_full,
     )
 
 
+def with_score_moments(
+    expectations: LikelihoodExpectations, zeta_means: np.ndarray, zeta_covs: np.ndarray
+) -> LikelihoodExpectations:
+    """The same expectations under new score moments; the nu-dependent part is reused."""
+    return replace(expectations, **_score_moments(zeta_means, zeta_covs))
+
+
 def likelihood_message_to_nu(
     cache: LikelihoodCache, expectations: LikelihoodExpectations, e_recip_eps: float
-) -> Message:
+) -> GaussianVecParams:
     """Likelihood message to the stacked spline coefficients, in the vec basis."""
     blocks = expectations.zt_mean.shape[1]
     num_coefs = cache.num_coefs
@@ -187,13 +196,13 @@ def likelihood_message_to_nu(
     ).reshape(dim)
     precision = np.einsum("iab,ipq->apbq", expectations.zt_second, cache.gram).reshape(dim, dim)
     eta2 = -0.5 * e_recip_eps * vec(precision)
-    return Message(GaussianVecParams(eta1, eta2))
+    return GaussianVecParams(eta1, eta2)
 
 
 def likelihood_messages_to_zeta(
     cache: LikelihoodCache, expectations: LikelihoodExpectations, e_recip_eps: float
-) -> list[Message]:
-    """Likelihood messages to each score vector, in the vech basis."""
+) -> GaussianVechParams:
+    """Likelihood message to the stacked score vectors, one vech-basis row per curve."""
     num_eigen = expectations.vpsi_mean.shape[1]
     eta1 = e_recip_eps * (
         np.einsum("pl,ip->il", expectations.vpsi_mean, cache.proj) - expectations.h_cross
@@ -201,9 +210,7 @@ def likelihood_messages_to_zeta(
     # Column-major vec of each (L, L) slice, then apply D_L'.
     vec_h = expectations.h_psi.transpose(0, 2, 1).reshape(-1, num_eigen * num_eigen)
     eta2 = -0.5 * e_recip_eps * vec_h @ duplication_matrix(num_eigen)
-    return [
-        Message(GaussianVechParams(eta1[i], eta2[i])) for i in range(cache.num_curves)
-    ]
+    return GaussianVechParams(eta1, eta2)
 
 
 def likelihood_expected_sq_norms(
@@ -220,11 +227,11 @@ def likelihood_expected_sq_norms(
 
 def likelihood_message_to_sigsq_eps(
     cache: LikelihoodCache, expectations: LikelihoodExpectations
-) -> Message:
-    """Likelihood message to the noise variance, tagged with the full graph."""
+) -> InvChiSqParams:
+    """Likelihood message to the noise variance."""
     eta1 = -0.5 * float(cache.counts.sum())
     eta2 = -0.5 * float(likelihood_expected_sq_norms(cache, expectations).sum())
-    return Message(InvChiSqParams(eta1, eta2), graph_tag=G_FULL)
+    return InvChiSqParams(eta1, eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,7 @@ def penalization_messages(
     nu_cov: np.ndarray,
     e_recip_mu: float,
     e_recip_psi: np.ndarray,
-) -> tuple[Message, Message, list[Message]]:
+) -> tuple[GaussianVecParams, InvChiSqParams, list[InvChiSqParams]]:
     """Messages to nu (vec basis), to sigma^2_mu and to each sigma^2_psi_l.
 
     The expected inverse prior covariance of nu is block diagonal: each block
@@ -275,19 +282,15 @@ def penalization_messages(
         spline = slice(start + 2, start + num_coefs)
         expected_prec[spline, spline] = e_recip * np.eye(num_splines)
 
-    to_nu = Message(
-        GaussianVecParams(expected_prec @ hyper.mean_vector(), -0.5 * vec(expected_prec))
-    )
+    to_nu = GaussianVecParams(expected_prec @ hyper.mean_vector(), -0.5 * vec(expected_prec))
 
-    def sq_norm_message(block: int) -> Message:
+    def sq_norm_message(block: int) -> InvChiSqParams:
         start = block * num_coefs + 2
         spline = slice(start, start + num_splines)
         expected_sq = float(
             nu_mean[spline] @ nu_mean[spline] + np.trace(nu_cov[spline, spline])
         )
-        return Message(
-            InvChiSqParams(-0.5 * num_splines, -0.5 * expected_sq), graph_tag=G_FULL
-        )
+        return InvChiSqParams(-0.5 * num_splines, -0.5 * expected_sq)
 
     to_sigsq_mu = sq_norm_message(0)
     to_sigsq_psi = [sq_norm_message(l + 1) for l in range(num_eigen)]

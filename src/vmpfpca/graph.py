@@ -1,20 +1,20 @@
-"""Factor-graph data model and the generic message-combination rules.
+"""The FPCA factor graph and its message-combination rules.
 
-Stochastic nodes and factors are identified by strings.  The message store is
-a keyed map (factor, node, direction) -> message with an explicit
-initialization phase; reading a key that was never written is a hard error
-rather than an implicit zero.
+Stochastic nodes and factors are identified by strings.  Every stochastic
+node of the FPCA graph has exactly two neighboring factors, so the message a
+node sends to one factor is the message it receives from the other.  The
+store therefore keeps factor-to-node messages only, and the node-to-factor
+half of an edge is formed on the fly when a fragment needs it.  The n score
+vectors form one stacked node whose likelihood message holds one row per
+curve.  Messages are the natural-parameter objects of :mod:`expfam`; reading
+an edge that was never written is a hard error rather than an implicit zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .expfam import NaturalParams
-
-G_FULL = "G_full"
-G_DIAG = "G_diag"
 
 
 class UninitializedMessageError(KeyError):
@@ -23,27 +23,6 @@ class UninitializedMessageError(KeyError):
 
 class TopologyError(ValueError):
     """A node or factor is not part of the graph, or an edge does not exist."""
-
-
-@dataclass(frozen=True)
-class Message:
-    """Directed edge payload: natural parameters plus an optional graph tag."""
-
-    params: NaturalParams
-    graph_tag: str | None = None
-
-    def __add__(self, other: "Message") -> "Message":
-        if not isinstance(other, Message):
-            return NotImplemented
-        if type(self.params) is not type(other.params):
-            raise TypeError(
-                f"cannot combine {type(self.params).__name__} with {type(other.params).__name__}"
-            )
-        if self.graph_tag is not None and other.graph_tag is not None:
-            if self.graph_tag != other.graph_tag:
-                raise ValueError(f"conflicting graph tags {self.graph_tag} and {other.graph_tag}")
-        tag = self.graph_tag if self.graph_tag is not None else other.graph_tag
-        return Message(self.params + other.params, tag)
 
 
 class FactorGraph:
@@ -82,16 +61,15 @@ class FactorGraph:
 
 
 class MessageStore:
-    """Holds the current message on every directed edge."""
+    """Holds the current message on every factor-to-node edge."""
 
     def __init__(self):
-        self._to_node: dict[tuple[str, str], Message] = {}
-        self._to_factor: dict[tuple[str, str], Message] = {}
+        self._to_node: dict[tuple[str, str], NaturalParams] = {}
 
-    def set_to_node(self, factor: str, node: str, message: Message) -> None:
+    def set_to_node(self, factor: str, node: str, message: NaturalParams) -> None:
         self._to_node[(factor, node)] = message
 
-    def get_to_node(self, factor: str, node: str) -> Message:
+    def get_to_node(self, factor: str, node: str) -> NaturalParams:
         try:
             return self._to_node[(factor, node)]
         except KeyError:
@@ -99,19 +77,8 @@ class MessageStore:
                 f"no message stored on edge {factor} -> {node}"
             ) from None
 
-    def set_to_factor(self, node: str, factor: str, message: Message) -> None:
-        self._to_factor[(node, factor)] = message
 
-    def get_to_factor(self, node: str, factor: str) -> Message:
-        try:
-            return self._to_factor[(node, factor)]
-        except KeyError:
-            raise UninitializedMessageError(
-                f"no message stored on edge {node} -> {factor}"
-            ) from None
-
-
-def _sum_messages(messages: list[Message], context: str) -> Message:
+def _sum_messages(messages: list[NaturalParams], context: str) -> NaturalParams:
     if not messages:
         raise TopologyError(f"no messages to combine for {context}")
     total = messages[0]
@@ -122,7 +89,7 @@ def _sum_messages(messages: list[Message], context: str) -> Message:
 
 def stochastic_to_factor(
     graph: FactorGraph, store: MessageStore, node: str, target: str
-) -> Message:
+) -> NaturalParams:
     """Message a stochastic node sends to one neighboring factor.
 
     Sum of the stored messages from all of the node's other neighboring
@@ -131,32 +98,25 @@ def stochastic_to_factor(
     if not graph.has_edge(target, node):
         raise TopologyError(f"factor {target!r} is not a neighbor of node {node!r}")
     others = [f for f in graph.node_neighbors(node) if f != target]
-    if not others:
-        # Empty product of incoming messages: a flat message of the right family.
-        reference = store.get_to_node(target, node)
-        zero = type(reference.params)(reference.params.eta1 * 0.0, reference.params.eta2 * 0.0)
-        return Message(zero, reference.graph_tag)
-    return _sum_messages(
-        [store.get_to_node(f, node) for f in others], f"{node} -> {target}"
-    )
+    return _sum_messages([store.get_to_node(f, node) for f in others], f"{node} -> {target}")
 
 
 def q_natural_params(graph: FactorGraph, store: MessageStore, node: str) -> NaturalParams:
     """Natural parameters of the optimal q-density: sum over all incident factor messages."""
     messages = [store.get_to_node(f, node) for f in graph.node_neighbors(node)]
-    return _sum_messages(messages, f"q({node})").params
+    return _sum_messages(messages, f"q({node})")
 
 
-def npbf(store: MessageStore, factor: str, node: str) -> NaturalParams:
+def npbf(graph: FactorGraph, store: MessageStore, factor: str, node: str) -> NaturalParams:
     """Combined natural parameters on one edge: factor-to-node plus node-to-factor."""
-    combined = store.get_to_node(factor, node) + store.get_to_factor(node, factor)
-    return combined.params
+    return store.get_to_node(factor, node) + stochastic_to_factor(graph, store, node, factor)
 
 
 # ---------------------------------------------------------------------------
 # Node and factor naming for the FPCA model topology.
 
 NU = "nu"
+ZETA = "zeta"  # all n score vectors, one row per curve
 SIGSQ_EPS = "sigsq_eps"
 A_EPS = "a_eps"
 SIGSQ_MU = "sigsq_mu"
@@ -164,18 +124,11 @@ A_MU = "a_mu"
 
 LIKELIHOOD = "likelihood"
 PENALIZATION = "penalization"
+PRIOR_ZETA = "prior_zeta"
 ITERATED_EPS = "iterated_eps"
 PRIOR_A_EPS = "prior_a_eps"
 ITERATED_MU = "iterated_mu"
 PRIOR_A_MU = "prior_a_mu"
-
-
-def zeta_node(i: int) -> str:
-    return f"zeta[{i}]"
-
-
-def zeta_prior_factor(i: int) -> str:
-    return f"prior_zeta[{i}]"
 
 
 def sigsq_psi_node(l: int) -> str:
@@ -194,20 +147,22 @@ def a_psi_prior_factor(l: int) -> str:
     return f"prior_a_psi[{l}]"
 
 
-def fpca_factor_graph(num_curves: int, num_eigen: int) -> FactorGraph:
-    """Factor graph for the FPCA model with ``num_curves`` curves and ``num_eigen`` components."""
-    if num_curves < 1 or num_eigen < 1:
-        raise ValueError("num_curves and num_eigen must be >= 1")
+def fpca_factor_graph(num_eigen: int) -> FactorGraph:
+    """Factor graph for the FPCA model with ``num_eigen`` components.
+
+    The curve count does not enter: the scores of all curves are one node.
+    """
+    if num_eigen < 1:
+        raise ValueError("num_eigen must be >= 1")
     factor_neighbors: dict[str, tuple[str, ...]] = {
-        LIKELIHOOD: (NU, *[zeta_node(i) for i in range(num_curves)], SIGSQ_EPS),
+        LIKELIHOOD: (NU, ZETA, SIGSQ_EPS),
         PENALIZATION: (NU, SIGSQ_MU, *[sigsq_psi_node(l) for l in range(num_eigen)]),
+        PRIOR_ZETA: (ZETA,),
         ITERATED_EPS: (SIGSQ_EPS, A_EPS),
         PRIOR_A_EPS: (A_EPS,),
         ITERATED_MU: (SIGSQ_MU, A_MU),
         PRIOR_A_MU: (A_MU,),
     }
-    for i in range(num_curves):
-        factor_neighbors[zeta_prior_factor(i)] = (zeta_node(i),)
     for l in range(num_eigen):
         factor_neighbors[iterated_psi_factor(l)] = (sigsq_psi_node(l), a_psi_node(l))
         factor_neighbors[a_psi_prior_factor(l)] = (a_psi_node(l),)

@@ -1,13 +1,14 @@
 """Initialization, the fixed-order fragment sweep and convergence detection.
 
-A sweep visits the fragments in a fixed order: likelihood; the iterated and
-prior fragments for the noise variance; penalization; the score priors; the
-iterated and prior fragments for the mean-function and eigenfunction
-smoothing variances.  Before a fragment update runs, the messages its
-stochastic nodes send to it are refreshed from the currently stored
-factor-to-node messages, so every update sees the freshest available
-moments.  Convergence is declared on the stability of the per-node
-q-density natural parameters.
+A sweep visits the fragments in a fixed order: the component-rotation snap;
+likelihood; the iterated fragment for the noise variance; penalization; the
+iterated fragments for the mean-function and eigenfunction smoothing
+variances.  The prior fragments emit constant messages, so they are written
+once at initialization.  A fragment reads the message each neighboring node
+sends it from the other factor's current message (see :mod:`graph`), so
+every update sees the freshest available moments.  Convergence is declared
+on the stability of the per-node q-density natural parameters, with each
+curve's score vector counted as its own node.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .expfam import (
     InvChiSqParams,
     duplication_matrix,
     gaussian_vec_to_moments,
+    gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
     moore_penrose_duplication,
     symmetrize,
@@ -44,8 +46,8 @@ from .fragments import (
     likelihood_message_to_sigsq_eps,
     likelihood_messages_to_zeta,
     penalization_messages,
+    with_score_moments,
 )
-from .graph import Message
 from .splines import SplineBasis, build_basis, design_matrix
 
 logger = logging.getLogger(__name__)
@@ -112,14 +114,6 @@ class VmpState:
     history: list[float] = field(default_factory=list)
 
 
-def _node_list(num_curves: int, num_eigen: int) -> list[str]:
-    nodes = [fg.NU, fg.SIGSQ_EPS, fg.A_EPS, fg.SIGSQ_MU, fg.A_MU]
-    nodes += [fg.zeta_node(i) for i in range(num_curves)]
-    for l in range(num_eigen):
-        nodes += [fg.sigsq_psi_node(l), fg.a_psi_node(l)]
-    return nodes
-
-
 def _initial_guess(
     cache: LikelihoodCache, num_eigen: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +149,7 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     n, L = dataset.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
     dim_nu = (L + 1) * num_coefs
-    graph = fg.fpca_factor_graph(n, L)
+    graph = fg.fpca_factor_graph(L)
     store = fg.MessageStore()
     hyper = PenalizationHyper(
         beta_mean=np.zeros(2),
@@ -167,34 +161,28 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
     nu_init_mean = np.concatenate([mean_coefs, component_coefs.T.ravel()])
     store.set_to_node(
-        fg.LIKELIHOOD,
-        fg.NU,
-        Message(GaussianVecParams(nu_init_mean, -0.5 * vec(np.eye(dim_nu)))),
+        fg.LIKELIHOOD, fg.NU, GaussianVecParams(nu_init_mean, -0.5 * vec(np.eye(dim_nu)))
     )
     store.set_to_node(
         fg.PENALIZATION,
         fg.NU,
-        Message(
-            GaussianVecParams(
-                np.zeros(dim_nu), -0.5 * vec(np.eye(dim_nu) / _INIT_GAUSS_VARIANCE)
-            )
-        ),
+        GaussianVecParams(np.zeros(dim_nu), -0.5 * vec(np.eye(dim_nu) / _INIT_GAUSS_VARIANCE)),
     )
 
+    # Unit covariance for every curve, so eta1 is the starting mean.
     zeta_eta2 = moore_penrose_duplication(L) @ (-0.5 * vec(np.eye(L)))
-    score_prior = gaussian_prior_message(
-        np.zeros(L), config.resolved_score_prior_cov(), basis="vech"
+    store.set_to_node(
+        fg.LIKELIHOOD, fg.ZETA, GaussianVechParams(score_guess, np.tile(zeta_eta2, (n, 1)))
     )
-    for i in range(n):
-        # unit covariance, so eta1 is the starting mean
-        store.set_to_node(
-            fg.LIKELIHOOD, fg.zeta_node(i), Message(GaussianVechParams(score_guess[i], zeta_eta2))
-        )
-        store.set_to_node(fg.zeta_prior_factor(i), fg.zeta_node(i), score_prior)
+    store.set_to_node(
+        fg.PRIOR_ZETA,
+        fg.ZETA,
+        gaussian_prior_message(np.zeros(L), config.resolved_score_prior_cov(), basis="vech"),
+    )
 
     # Every non-prior inverse chi-squared edge starts at the proper density with
     # unit reciprocal mean (shape 1, scale 1).
-    unit_invchisq = Message(InvChiSqParams(-1.5, -0.5), graph_tag=fg.G_FULL)
+    unit_invchisq = InvChiSqParams(-1.5, -0.5)
     store.set_to_node(fg.LIKELIHOOD, fg.SIGSQ_EPS, unit_invchisq)
     store.set_to_node(fg.ITERATED_EPS, fg.SIGSQ_EPS, unit_invchisq)
     store.set_to_node(fg.ITERATED_EPS, fg.A_EPS, unit_invchisq)
@@ -222,68 +210,25 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     )
 
 
-def _refresh_to_factor(state: VmpState, factor: str) -> None:
-    for node in state.graph.factor_neighbors(factor):
-        state.store.set_to_factor(
-            node, factor, fg.stochastic_to_factor(state.graph, state.store, node, factor)
-        )
-
-
 def _nu_moments(state: VmpState, factor: str) -> tuple[np.ndarray, np.ndarray]:
-    params = fg.npbf(state.store, factor, fg.NU)
+    params = fg.npbf(state.graph, state.store, factor, fg.NU)
     try:
         return gaussian_vec_to_moments(params)
     except DegenerateMessageError as err:
         raise DegenerateMessageError(f"edge ({factor}, {fg.NU}): {err}") from err
 
 
-def _zeta_q_arrays(state: VmpState) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked q natural parameters of every score node (vech basis).
-
-    Each q(zeta_i) combines exactly the likelihood and prior messages, so the
-    store is read directly instead of going through per-node message sums.
-    """
-    n = state.dataset.num_curves
-    L = state.config.num_eigen
-    eta1 = np.empty((n, L))
-    eta2 = np.empty((n, L * (L + 1) // 2))
-    store = state.store
-    for i in range(n):
-        node = fg.zeta_node(i)
-        lik = store.get_to_node(fg.LIKELIHOOD, node).params
-        prior = store.get_to_node(fg.zeta_prior_factor(i), node).params
-        eta1[i] = lik.eta1 + prior.eta1
-        eta2[i] = lik.eta2 + prior.eta2
-    return eta1, eta2
-
-
 def _zeta_moments(state: VmpState) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (means, covariances) of every q(zeta_i) from the vech parameters."""
-    n = state.dataset.num_curves
-    L = state.config.num_eigen
-    eta1, eta2 = _zeta_q_arrays(state)
-    full = eta2 @ moore_penrose_duplication(L)  # row-wise D_L^+' eta2 = vec of each matrix
-    precisions = -2.0 * full.reshape(n, L, L).transpose(0, 2, 1)
-    precisions = 0.5 * (precisions + precisions.transpose(0, 2, 1))
+    """(n, L) means and (n, L, L) covariances of every q(zeta_i)."""
+    params = fg.q_natural_params(state.graph, state.store, fg.ZETA)
     try:
-        covs = np.linalg.inv(np.linalg.cholesky(precisions))
-        covs = covs.transpose(0, 2, 1) @ covs
-    except np.linalg.LinAlgError:
-        bad = [
-            i
-            for i in range(n)
-            if np.linalg.eigvalsh(precisions[i])[0] <= 0
-        ]
-        raise DegenerateMessageError(
-            f"edge ({fg.LIKELIHOOD}, {fg.zeta_node(bad[0]) if bad else 'zeta'}): "
-            "score precision is not positive definite"
-        ) from None
-    means = np.einsum("iab,ib->ia", covs, eta1)
-    return means, covs
+        return gaussian_vech_to_moments(params)
+    except DegenerateMessageError as err:
+        raise DegenerateMessageError(f"edge ({fg.LIKELIHOOD}, {fg.ZETA}): {err}") from err
 
 
 def _reciprocal_mean(state: VmpState, factor: str, node: str) -> float:
-    params = fg.npbf(state.store, factor, node)
+    params = fg.npbf(state.graph, state.store, factor, node)
     try:
         return invchisq_mean_reciprocal(params)
     except DegenerateMessageError as err:
@@ -298,19 +243,15 @@ def _update_likelihood_fragment(state: VmpState) -> None:
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.
     """
-    _refresh_to_factor(state, fg.LIKELIHOOD)
     frozen = state.config.freeze_scores_at_zero
     n, L = state.dataset.num_curves, state.config.num_eigen
-
-    def current_zeta_moments():
-        if frozen:
-            return np.zeros((n, L)), np.zeros((n, L, L))
-        return _zeta_moments(state)
-
     e_recip_eps = _reciprocal_mean(state, fg.LIKELIHOOD, fg.SIGSQ_EPS)
 
     nu_mean, nu_cov = _nu_moments(state, fg.LIKELIHOOD)
-    zeta_means, zeta_covs = current_zeta_moments()
+    if frozen:
+        zeta_means, zeta_covs = np.zeros((n, L)), np.zeros((n, L, L))
+    else:
+        zeta_means, zeta_covs = _zeta_moments(state)
     expectations = likelihood_expectations(
         state.cache, nu_mean, nu_cov, zeta_means, zeta_covs
     )
@@ -319,26 +260,23 @@ def _update_likelihood_fragment(state: VmpState) -> None:
     )
 
     nu_mean, nu_cov = _nu_moments(state, fg.LIKELIHOOD)
-    if not frozen:
-        expectations = likelihood_expectations(
-            state.cache, nu_mean, nu_cov, zeta_means, zeta_covs
-        )
-        for i, message in enumerate(
-            likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps)
-        ):
-            state.store.set_to_node(fg.LIKELIHOOD, fg.zeta_node(i), message)
-        zeta_means, zeta_covs = current_zeta_moments()
-
     expectations = likelihood_expectations(
         state.cache, nu_mean, nu_cov, zeta_means, zeta_covs
     )
+    if not frozen:
+        state.store.set_to_node(
+            fg.LIKELIHOOD,
+            fg.ZETA,
+            likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps),
+        )
+        expectations = with_score_moments(expectations, *_zeta_moments(state))
+
     state.store.set_to_node(
         fg.LIKELIHOOD, fg.SIGSQ_EPS, likelihood_message_to_sigsq_eps(state.cache, expectations)
     )
 
 
 def _update_penalization_fragment(state: VmpState) -> None:
-    _refresh_to_factor(state, fg.PENALIZATION)
     e_recip_mu = _reciprocal_mean(state, fg.PENALIZATION, fg.SIGSQ_MU)
     e_recip_psi = np.array(
         [
@@ -384,7 +322,6 @@ def _align_component_rotation(state: VmpState) -> None:
     if state.config.score_prior_cov is not None:
         return  # a non-isotropic score prior is not rotation invariant
     num_coefs = 2 + state.config.num_splines
-    _refresh_to_factor(state, fg.LIKELIHOOD)
     nu_mean, nu_cov = _nu_moments(state, fg.LIKELIHOOD)
     gram = np.empty((L, L))
     for k in range(L):
@@ -407,45 +344,40 @@ def _align_component_rotation(state: VmpState) -> None:
         return
 
     store = state.store
-    duplication = duplication_matrix(L)
-    pinv_dup = moore_penrose_duplication(L)
-    for i in range(state.dataset.num_curves):
-        node = fg.zeta_node(i)
-        params = store.get_to_node(fg.LIKELIHOOD, node).params
-        precision = -2.0 * unvec(pinv_dup.T @ params.eta2)
-        precision = rotation.T @ symmetrize(precision) @ rotation
-        store.set_to_node(
-            fg.LIKELIHOOD,
-            node,
-            Message(
-                GaussianVechParams(
-                    rotation.T @ params.eta1, duplication.T @ (-0.5 * vec(precision))
-                )
-            ),
-        )
+    store.set_to_node(
+        fg.LIKELIHOOD, fg.ZETA, _rotate_scores(store.get_to_node(fg.LIKELIHOOD, fg.ZETA), rotation)
+    )
 
     block_rotation = np.zeros((L + 1, L + 1))
     block_rotation[0, 0] = 1.0
     block_rotation[1:, 1:] = rotation
     full_rotation = np.kron(block_rotation.T, np.eye(num_coefs))
     for factor in (fg.LIKELIHOOD, fg.PENALIZATION):
-        params = store.get_to_node(factor, fg.NU).params
+        params = store.get_to_node(factor, fg.NU)
         precision = -2.0 * symmetrize(unvec(params.eta2))
         precision = full_rotation @ precision @ full_rotation.T
         store.set_to_node(
-            factor,
-            fg.NU,
-            Message(
-                GaussianVecParams(full_rotation @ params.eta1, -0.5 * vec(precision))
-            ),
+            factor, fg.NU, GaussianVecParams(full_rotation @ params.eta1, -0.5 * vec(precision))
         )
 
 
+def _rotate_scores(params: GaussianVechParams, rotation: np.ndarray) -> GaussianVechParams:
+    """Stacked score message re-expressed for the rotated scores rotation' zeta_i."""
+    n, L = params.eta1.shape
+    precisions = -2.0 * (params.eta2 @ moore_penrose_duplication(L)).reshape(n, L, L)
+    precisions = precisions.transpose(0, 2, 1)  # row-wise unvec
+    precisions = rotation.T @ (0.5 * (precisions + precisions.transpose(0, 2, 1))) @ rotation
+    return GaussianVechParams(
+        # a stack of (L, 1) products rounds exactly like per-curve matrix-vector products
+        (rotation.T @ params.eta1[:, :, None])[:, :, 0],
+        (-0.5 * precisions.transpose(0, 2, 1).reshape(n, L * L)) @ duplication_matrix(L),
+    )
+
+
 def _update_iterated_fragment(state: VmpState, factor: str, sigsq: str, aux: str) -> None:
-    _refresh_to_factor(state, factor)
     to_sigsq, to_aux = iterated_igw_messages(
-        fg.npbf(state.store, factor, sigsq),
-        fg.npbf(state.store, factor, aux),
+        fg.npbf(state.graph, state.store, factor, sigsq),
+        fg.npbf(state.graph, state.store, factor, aux),
         edge_name=factor,
     )
     state.store.set_to_node(factor, sigsq, to_sigsq)
@@ -454,42 +386,38 @@ def _update_iterated_fragment(state: VmpState, factor: str, sigsq: str, aux: str
 
 def _sweep(state: VmpState) -> None:
     """One full pass through the fragments in the fixed update order."""
-    n, L = state.dataset.num_curves, state.config.num_eigen
     _align_component_rotation(state)
     _update_likelihood_fragment(state)
     _update_iterated_fragment(state, fg.ITERATED_EPS, fg.SIGSQ_EPS, fg.A_EPS)
-    # Prior fragments emit constant messages; refreshing their incoming
-    # messages keeps the store complete for fixed-point audits.
-    _refresh_to_factor(state, fg.PRIOR_A_EPS)
     _update_penalization_fragment(state)
-    for i in range(n):
-        _refresh_to_factor(state, fg.zeta_prior_factor(i))
     _update_iterated_fragment(state, fg.ITERATED_MU, fg.SIGSQ_MU, fg.A_MU)
-    _refresh_to_factor(state, fg.PRIOR_A_MU)
-    for l in range(L):
+    for l in range(state.config.num_eigen):
         _update_iterated_fragment(
             state, fg.iterated_psi_factor(l), fg.sigsq_psi_node(l), fg.a_psi_node(l)
         )
-        _refresh_to_factor(state, fg.a_psi_prior_factor(l))
 
 
 def _q_snapshot(state: VmpState) -> dict[str, np.ndarray]:
-    nodes = _node_list(state.dataset.num_curves, state.config.num_eigen)
     return {
         node: fg.q_natural_params(state.graph, state.store, node).as_vector()
-        for node in nodes
+        for node in state.graph.nodes
     }
 
 
 def convergence_metric(
     previous: dict[str, np.ndarray], current: dict[str, np.ndarray]
 ) -> float:
-    """Largest relative change, over nodes, of the q natural-parameter vectors."""
+    """Largest relative change, over nodes, of the q natural-parameter vectors.
+
+    A two-dimensional entry is a stacked node: each row counts as its own
+    node, so every curve's score vector is measured on its own scale.
+    """
     worst = 0.0
     for node, old in previous.items():
-        new = current[node]
-        change = np.max(np.abs(new - old)) / (1.0 + np.max(np.abs(old)))
-        worst = max(worst, float(change))
+        change = np.max(np.abs(current[node] - old), axis=-1) / (
+            1.0 + np.max(np.abs(old), axis=-1)
+        )
+        worst = max(worst, float(np.max(change)))
     return worst
 
 

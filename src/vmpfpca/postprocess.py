@@ -94,24 +94,20 @@ class FpcaFit:
     eigenvalues: np.ndarray  # (L,), descending
     noise_precision_mean: float  # E(1/sigma^2_eps)
     fitted: np.ndarray  # (n_g, n); column i is the i-th posterior curve estimate
+    score_covariances: np.ndarray | None = None  # (n, L, L), in the frame of ``scores``
 
 
 def extract(state: VmpState) -> RawSolution:
     """Read the optimal q-density moments for nu, the scores and the noise."""
-    nu_params = fg.q_natural_params(state.graph, state.store, fg.NU)
-    try:
-        nu_mean, nu_cov = gaussian_vec_to_moments(nu_params)
-    except DegenerateMessageError as err:
-        raise DegenerateMessageError(f"q({fg.NU}): {err}") from err
-    n, L = state.dataset.num_curves, state.config.num_eigen
-    zeta_means = np.empty((n, L))
-    zeta_covs = np.empty((n, L, L))
-    for i in range(n):
-        params = fg.q_natural_params(state.graph, state.store, fg.zeta_node(i))
+
+    def q_moments(node, to_moments):
         try:
-            zeta_means[i], zeta_covs[i] = gaussian_vech_to_moments(params)
+            return to_moments(fg.q_natural_params(state.graph, state.store, node))
         except DegenerateMessageError as err:
-            raise DegenerateMessageError(f"q({fg.zeta_node(i)}): {err}") from err
+            raise DegenerateMessageError(f"q({node}): {err}") from err
+
+    nu_mean, nu_cov = q_moments(fg.NU, gaussian_vec_to_moments)
+    zeta_means, zeta_covs = q_moments(fg.ZETA, gaussian_vech_to_moments)
     noise_params = fg.q_natural_params(state.graph, state.store, fg.SIGSQ_EPS)
     return RawSolution(
         nu_mean=nu_mean,
@@ -119,7 +115,7 @@ def extract(state: VmpState) -> RawSolution:
         zeta_means=zeta_means,
         zeta_covs=zeta_covs,
         noise_precision_mean=invchisq_mean_reciprocal(noise_params),
-        num_eigen=L,
+        num_eigen=state.config.num_eigen,
         num_splines=state.config.num_splines,
     )
 
@@ -151,13 +147,16 @@ def orthogonalize(
     scores: np.ndarray,
     grid: np.ndarray,
     noise_precision_mean: float = np.nan,
+    score_covs: np.ndarray | None = None,
 ) -> FpcaFit:
     """Rotate fitted functions and scores into the orthonormal representation.
 
     SVD the function matrix, shift the mean by the score sample mean, whiten
     the score sample covariance by its spectral decomposition, and normalize
     each resulting function column by its trapezoid L2 norm (transferring
-    the norm onto the scores).  Fitted curves are unchanged.
+    the norm onto the scores).  Fitted curves are unchanged.  The returned
+    scores are a linear map A of the centred input scores, so per-curve
+    posterior covariances ``score_covs`` are returned as A C_i A'.
 
     The SVD is taken under the trapezoid inner product of the grid, so the
     resulting function columns are orthonormal with respect to the same
@@ -213,6 +212,11 @@ def orthogonalize(
     eigenfunctions = funcs_rotated / norms
     final_scores = scores_rotated * norms
     fitted = mean_hat[:, None] + eigenfunctions @ final_scores.T
+    if score_covs is not None:
+        score_map = (eigvecs.T * (norms / np.sqrt(eigvals))[:, None]) @ (
+            singular[:, None] * right_t
+        )
+        score_covs = score_map @ np.asarray(score_covs, dtype=float) @ score_map.T
     return FpcaFit(
         grid=np.asarray(grid, dtype=float),
         mean_curve=mean_hat,
@@ -221,12 +225,8 @@ def orthogonalize(
         eigenvalues=norms**2,
         noise_precision_mean=float(noise_precision_mean),
         fitted=fitted,
+        score_covariances=score_covs,
     )
-
-
-def fitted_curves(fit: FpcaFit) -> np.ndarray:
-    """Posterior curve estimates; column i is mean_curve + sum_l scores[i, l] * psi_l."""
-    return fit.mean_curve[:, None] + fit.eigenfunctions @ fit.scores.T
 
 
 def finalize(state: VmpState, grid_size: int | None = None) -> FpcaFit:
@@ -235,26 +235,9 @@ def finalize(state: VmpState, grid_size: int | None = None) -> FpcaFit:
     grid, mean_curve, funcs, scores = evaluate_grid(
         raw, state.basis, grid_size or state.config.grid_size
     )
-    return orthogonalize(mean_curve, funcs, scores, grid, raw.noise_precision_mean)
-
-
-def gram_schmidt(columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Orthonormalize function columns under the trapezoid inner product.
-
-    Used as an independent check that the SVD construction spans the same
-    space as a direct orthogonalization.
-    """
-    columns = np.asarray(columns, dtype=float)
-    out = np.empty_like(columns)
-    for j in range(columns.shape[1]):
-        candidate = columns[:, j].copy()
-        for k in range(j):
-            candidate -= trapezoid_inner(out[:, k], columns[:, j], grid) * out[:, k]
-        norm = trapezoid_norm(candidate, grid)
-        if norm < 1e-12:
-            raise ValueError(f"column {j + 1} is linearly dependent on earlier columns")
-        out[:, j] = candidate / norm
-    return out
+    return orthogonalize(
+        mean_curve, funcs, scores, grid, raw.noise_precision_mean, raw.zeta_covs
+    )
 
 
 def sign_align(fit: FpcaFit, reference: np.ndarray) -> FpcaFit:
@@ -262,7 +245,7 @@ def sign_align(fit: FpcaFit, reference: np.ndarray) -> FpcaFit:
 
     The reference holds one column per component, evaluated on the fit grid.
     Fitted curves are unchanged because each flip negates a function and its
-    scores jointly.
+    scores jointly; score covariances flip with their scores.
     """
     reference = np.asarray(reference, dtype=float)
     if reference.shape != fit.eigenfunctions.shape:
@@ -279,8 +262,10 @@ def sign_align(fit: FpcaFit, reference: np.ndarray) -> FpcaFit:
             )
         if inner < 0:
             flips[l] = -1.0
+    covs = fit.score_covariances
     return replace(
         fit,
         eigenfunctions=fit.eigenfunctions * flips,
         scores=fit.scores * flips,
+        score_covariances=None if covs is None else covs * np.outer(flips, flips),
     )

@@ -166,6 +166,17 @@ class TestFit:
         # without the flag the same file is a validation error
         assert run_cli("fit", str(path), "--out", str(out)) == cli.EXIT_VALIDATION
 
+    def test_single_curve_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        rows = [f"only,{t!r},{float(np.sin(t))!r}" for t in np.linspace(0.0, 1.0, 20).tolist()]
+        path.write_text("curve_id,t,y\n" + "\n".join(rows) + "\n")
+        code = run_cli("fit", str(path), "--out", str(tmp_path / "fit.json"))
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "at least two" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_degeneracy_exit_code(self, sim_dir, tmp_path, monkeypatch):
         from vmpfpca.postprocess import DegenerateComponentError
 
@@ -308,6 +319,24 @@ class TestEval:
             run_cli("eval", "--study", "--replicates", "0", "--out", str(tmp_path / "s.json"))
             == cli.EXIT_VALIDATION
         )
+
+    def test_study_keeps_score_prior_cov(self):
+        from vmpfpca.orchestrator import FitConfig, fit
+        from vmpfpca.postprocess import finalize
+        from vmpfpca.simulate import SimConfig, generate
+
+        prior = np.diag([4.0, 0.25])
+        config = FitConfig(num_eigen=2, max_iter=2000, score_prior_cov=prior)
+        (row,) = cli.run_study(1, [10], config, base_seed=4, workers=1)
+        (identity_row,) = cli.run_study(
+            1, [10], FitConfig(num_eigen=2, max_iter=2000), base_seed=4, workers=1
+        )
+        dataset, _ = generate(SimConfig(num_curves=10, seed=4))
+        state = fit(dataset, FitConfig(num_eigen=2, max_iter=2000, score_prior_cov=prior, seed=4))
+        eigenvalues = finalize(state).eigenvalues
+        assert row["iterations"] == state.iterations
+        assert [row["eigenvalue_1"], row["eigenvalue_2"]] == eigenvalues.tolist()
+        assert row["eigenvalue_1"] != identity_row["eigenvalue_1"]
 
     def test_study_worker_pool_matches_serial(self, tmp_path):
         from vmpfpca.orchestrator import FitConfig

@@ -12,12 +12,15 @@ class TestDataset:
         assert np.array_equal(ds.values[0], [1.0, 2.0, 3.0])
 
     def test_validation_errors(self):
+        ok_t, ok_y = np.array([0.5]), np.array([1.0])
         with pytest.raises(ValueError, match="no curves"):
             FunctionalDataset([], [], []).validate()
+        with pytest.raises(ValueError, match="at least two"):
+            FunctionalDataset(["a"], [ok_t], [ok_y]).validate()
         with pytest.raises(ValueError, match="outside"):
-            FunctionalDataset(["a"], [np.array([1.5])], [np.array([0.0])]).validate()
+            FunctionalDataset(["a", "b"], [np.array([1.5]), ok_t], [np.array([0.0]), ok_y]).validate()
         with pytest.raises(ValueError, match="no observations"):
-            FunctionalDataset(["a"], [np.array([])], [np.array([])]).validate()
+            FunctionalDataset(["a", "b"], [np.array([]), ok_t], [np.array([]), ok_y]).validate()
         with pytest.raises(ValueError, match="duplicate"):
             FunctionalDataset(
                 ["a", "a"], [np.array([0.1]), np.array([0.2])], [np.array([1.0]), np.array([2.0])]

@@ -10,6 +10,7 @@ from vmpfpca.expfam import (
     vec,
 )
 from vmpfpca.fragments import (
+    LikelihoodExpectations,
     PenalizationHyper,
     build_likelihood_cache,
     gaussian_prior_message,
@@ -21,8 +22,8 @@ from vmpfpca.fragments import (
     likelihood_message_to_sigsq_eps,
     likelihood_messages_to_zeta,
     penalization_messages,
+    with_score_moments,
 )
-from vmpfpca.graph import G_FULL
 
 
 def random_spd(rng, d, scale=1.0):
@@ -49,14 +50,14 @@ class TestGaussianPrior:
     def test_score_prior_closed_form(self):
         num_eigen = 3
         message = gaussian_prior_message(np.zeros(num_eigen), np.eye(num_eigen), basis="vech")
-        assert np.array_equal(message.params.eta1, np.zeros(num_eigen))
+        assert np.array_equal(message.eta1, np.zeros(num_eigen))
         expected = duplication_matrix(num_eigen).T @ (-0.5 * vec(np.eye(num_eigen)))
-        assert np.allclose(message.params.eta2, expected)
+        assert np.allclose(message.eta2, expected)
 
     def test_scalar(self):
         message = gaussian_prior_message(np.zeros(1), np.ones((1, 1)), basis="vec")
-        assert np.allclose(message.params.eta1, [0.0])
-        assert np.allclose(message.params.eta2, [-0.5])
+        assert np.allclose(message.eta1, [0.0])
+        assert np.allclose(message.eta2, [-0.5])
 
     def test_density_ratio_oracle(self):
         # exp{T(x)' eta} must match the normal density up to one constant, so
@@ -71,7 +72,7 @@ class TestGaussianPrior:
 
         def log_kernel(x):
             stats_vec = np.concatenate([x, vec(np.outer(x, x))])
-            return stats_vec @ message.params.as_vector()
+            return stats_vec @ message.as_vector()
 
         for x in points[1:]:
             lhs = log_kernel(x) - log_kernel(base)
@@ -90,7 +91,7 @@ class TestGaussianPrior:
             outer = np.outer(x, x)
             # sufficient statistic is (x, vech(xx')); the duplication lives in eta
             stats_vec = np.concatenate([x, [outer[0, 0], outer[1, 0], outer[1, 1]]])
-            return stats_vec @ message.params.as_vector()
+            return stats_vec @ message.as_vector()
 
         base = points[0]
         for x in points[1:]:
@@ -102,18 +103,17 @@ class TestGaussianPrior:
 class TestIgwPrior:
     def test_unit_hyperparameter(self):
         message = igw_prior_message(1.0)
-        assert message.params == InvChiSqParams(-1.5, -0.5)
-        assert message.graph_tag == G_FULL
+        assert message == InvChiSqParams(-1.5, -0.5)
 
     def test_large_hyperparameter(self):
         message = igw_prior_message(1e5)
-        assert message.params.eta1 == -1.5
-        assert message.params.eta2 == pytest.approx(-5e-11)
+        assert message.eta1 == -1.5
+        assert message.eta2 == pytest.approx(-5e-11)
 
     def test_normalizes_to_inverse_chisq_density(self):
         scale_hyper = 2.0
         message = igw_prior_message(scale_hyper)
-        eta1, eta2 = message.params.eta1, message.params.eta2
+        eta1, eta2 = message.eta1, message.eta2
 
         def kernel(x):
             return np.exp(eta1 * np.log(x) + eta2 / x)
@@ -136,15 +136,14 @@ class TestIteratedIgw:
         to_sigsq, _ = iterated_igw_messages(
             InvChiSqParams(-5.0, -2.0), InvChiSqParams(-3.0, -2.0)
         )
-        assert to_sigsq.params == InvChiSqParams(-1.5, -0.5)
-        assert to_sigsq.graph_tag == G_FULL
+        assert to_sigsq == InvChiSqParams(-1.5, -0.5)
 
     def test_message_to_auxiliary(self):
         # npbf on the variance edge with reciprocal mean 2
         _, to_aux = iterated_igw_messages(
             InvChiSqParams(-5.0, -2.0), InvChiSqParams(-3.0, -2.0)
         )
-        assert to_aux.params == InvChiSqParams(-0.5, -1.0)
+        assert to_aux == InvChiSqParams(-0.5, -1.0)
 
     def test_fixed_point_matches_coordinate_ascent_oracle(self):
         # Two-node chain: a fixed synthetic likelihood message into sigma^2,
@@ -154,7 +153,7 @@ class TestIteratedIgw:
         #   E(1/a) = 2 / (E(1/sigma^2) + 1/A^2)
         count, sq_sum, scale_hyper = 17.0, 23.0, 1.5
         lik_message = InvChiSqParams(-count / 2.0, -sq_sum / 2.0)
-        prior_message = igw_prior_message(scale_hyper).params
+        prior_message = igw_prior_message(scale_hyper)
 
         e_recip_sigsq, e_recip_a = 1.0, 1.0
         for _ in range(400):
@@ -164,11 +163,8 @@ class TestIteratedIgw:
         to_sigsq = InvChiSqParams(-1.5, -0.5)
         to_aux = InvChiSqParams(-0.5, -0.5)
         for _ in range(400):
-            to_sigsq, to_aux = (
-                m.params
-                for m in iterated_igw_messages(
-                    to_sigsq + lik_message, to_aux + prior_message
-                )
+            to_sigsq, to_aux = iterated_igw_messages(
+                to_sigsq + lik_message, to_aux + prior_message
             )
         vmp_recip_sigsq = invchisq_mean_reciprocal(to_sigsq + lik_message)
         vmp_recip_a = invchisq_mean_reciprocal(to_aux + prior_message)
@@ -259,6 +255,19 @@ class TestLikelihoodExpectations:
             assert np.linalg.eigvalsh(exp.h_full[i])[0] > -1e-10
 
 
+    def test_score_update_reuses_nu_part(self):
+        rng = np.random.default_rng(36)
+        cache, _, _ = make_cache(rng, 3, [5, 6, 7], 5)
+        nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 5, 3)
+        _, _, new_means, new_covs = make_moments(rng, 2, 5, 3)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        updated = with_score_moments(exp, new_means, new_covs)
+        fresh = likelihood_expectations(cache, nu_mean, nu_cov, new_means, new_covs)
+        assert updated.h_full is exp.h_full
+        for name in LikelihoodExpectations.__dataclass_fields__:
+            assert np.array_equal(getattr(updated, name), getattr(fresh, name)), name
+
+
 class TestLikelihoodMessageToNu:
     def test_zero_response_zeroes_first_block(self):
         rng = np.random.default_rng(41)
@@ -268,8 +277,8 @@ class TestLikelihoodMessageToNu:
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
         message = likelihood_message_to_nu(cache, exp, 1.3)
-        assert np.allclose(message.params.eta1, 0.0)
-        assert not np.allclose(message.params.eta2, 0.0)
+        assert np.allclose(message.eta1, 0.0)
+        assert not np.allclose(message.eta2, 0.0)
 
     def test_kronecker_identity(self):
         # (zeta-tilde' kron C) nu equals C (nu_mu + sum_l zeta_l nu_psi_l)
@@ -305,8 +314,8 @@ class TestLikelihoodMessageToNu:
             stacked = np.kron(np.array([[1.0, zeta[i, 0]]]), designs[i])
             eta1 += e_recip * stacked.T @ responses[i]
             eta2 += -0.5 * e_recip * vec(stacked.T @ stacked)
-        assert np.allclose(message.params.eta1, eta1, atol=1e-12)
-        assert np.allclose(message.params.eta2, eta2, atol=1e-12)
+        assert np.allclose(message.eta1, eta1, atol=1e-12)
+        assert np.allclose(message.eta2, eta2, atol=1e-12)
 
     def test_point_mass_matches_scripted_expansion(self):
         # n=1, T=3, L=1, K=3 (so 2+K=5 columns); with point-mass moments the
@@ -328,8 +337,8 @@ class TestLikelihoodMessageToNu:
         design_full = np.kron(np.array([[1.0, zeta[0, 0]]]), design)  # (zt' kron C)
         eta1_expected = e_recip * design_full.T @ response
         eta2_expected = -0.5 * e_recip * vec(design_full.T @ design_full)
-        assert np.allclose(message.params.eta1, eta1_expected, atol=1e-12)
-        assert np.allclose(message.params.eta2, eta2_expected, atol=1e-12)
+        assert np.allclose(message.eta1, eta1_expected, atol=1e-12)
+        assert np.allclose(message.eta2, eta2_expected, atol=1e-12)
 
 
 class TestLikelihoodMessageToZeta:
@@ -338,12 +347,11 @@ class TestLikelihoodMessageToZeta:
         cache, _, _ = make_cache(rng, 2, [4, 5], 4)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 4, 2)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
-        messages = likelihood_messages_to_zeta(cache, exp, 0.0)
-        for message in messages:
-            assert np.allclose(message.params.as_vector(), 0.0)
-            # the flat message is flagged when a density is requested from it
-            with pytest.raises(Exception):
-                gaussian_vech_to_moments(message.params)
+        message = likelihood_messages_to_zeta(cache, exp, 0.0)
+        assert np.allclose(message.as_vector(), 0.0)
+        # the flat message is flagged when a density is requested from it
+        with pytest.raises(Exception):
+            gaussian_vech_to_moments(message)
 
     def test_point_mass_matches_conjugate_conditional(self):
         # With nu and sigma^2 fixed, q(zeta_i) must be the exact Gaussian
@@ -362,10 +370,10 @@ class TestLikelihoodMessageToZeta:
             np.zeros((1, num_eigen)),
             np.zeros((1, num_eigen, num_eigen)),
         )
-        message = likelihood_messages_to_zeta(cache, exp, e_recip)[0]
+        message = likelihood_messages_to_zeta(cache, exp, e_recip)
 
         prior = gaussian_prior_message(np.zeros(num_eigen), np.eye(num_eigen), basis="vech")
-        q_mean, q_cov = gaussian_vech_to_moments(message.params + prior.params)
+        (q_mean,), (q_cov,) = gaussian_vech_to_moments(message + prior)
 
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
         v_psi = blocks[1:].T
@@ -385,10 +393,10 @@ class TestLikelihoodMessageToZeta:
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         e_recip = 0.9
         exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
-        message = likelihood_messages_to_zeta(cache, exp, e_recip)[0]
+        message = likelihood_messages_to_zeta(cache, exp, e_recip)
         prior = gaussian_prior_message(np.zeros(1), np.eye(1), basis="vech")
-        q = message.params + prior.params
-        precision = -2.0 * q.eta2[0]
+        q = message + prior
+        precision = -2.0 * q.eta2[0, 0]
         # E(psi' C'C psi) includes the covariance correction
         psi_block = slice(num_coefs, 2 * num_coefs)
         expected = (
@@ -405,8 +413,7 @@ class TestLikelihoodMessageToSigsqEps:
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, 4, 2)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
         message = likelihood_message_to_sigsq_eps(cache, exp)
-        assert message.params.eta1 == -3.5
-        assert message.graph_tag == G_FULL
+        assert message.eta1 == -3.5
 
     def test_count_component_is_iteration_invariant(self):
         rng = np.random.default_rng(62)
@@ -417,8 +424,8 @@ class TestLikelihoodMessageToSigsqEps:
             exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
             message = likelihood_message_to_sigsq_eps(cache, exp)
             if first is None:
-                first = message.params.eta1
-            assert message.params.eta1 == first == -9.0
+                first = message.eta1
+            assert message.eta1 == first == -9.0
 
     def test_point_mass_residual(self):
         rng = np.random.default_rng(63)
@@ -439,7 +446,7 @@ class TestLikelihoodMessageToSigsqEps:
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
         fitted = designs[0] @ (blocks[0] + zeta[0] @ blocks[1:])
         residual = responses[0] - fitted
-        assert message.params.eta2 == pytest.approx(-0.5 * residual @ residual, rel=1e-12)
+        assert message.eta2 == pytest.approx(-0.5 * residual @ residual, rel=1e-12)
 
 
 class TestPenalizationFragment:
@@ -450,8 +457,7 @@ class TestPenalizationFragment:
         nu_mean[2] = nu_mean[3] = 1.0  # mean-block spline coefficients with u'u = 2
         nu_cov = np.zeros((24, 24))
         _, to_sigsq_mu, _ = penalization_messages(hyper, nu_mean, nu_cov, 1.0, np.array([1.0]))
-        assert to_sigsq_mu.params == InvChiSqParams(-5.0, -1.0)
-        assert to_sigsq_mu.graph_tag == G_FULL
+        assert to_sigsq_mu == InvChiSqParams(-5.0, -1.0)
 
     def test_identity_expected_precision(self):
         hyper = PenalizationHyper(np.zeros(2), np.eye(2), num_eigen=2, num_splines=3)
@@ -459,8 +465,8 @@ class TestPenalizationFragment:
         nu_mean = np.zeros(dim)
         nu_cov = np.eye(dim)
         to_nu, _, _ = penalization_messages(hyper, nu_mean, nu_cov, 1.0, np.array([1.0, 1.0]))
-        assert np.allclose(to_nu.params.eta1, hyper.mean_vector())
-        assert np.allclose(to_nu.params.eta2, -0.5 * vec(np.eye(dim)))
+        assert np.allclose(to_nu.eta1, hyper.mean_vector())
+        assert np.allclose(to_nu.eta2, -0.5 * vec(np.eye(dim)))
 
     def test_expected_sq_norm_monte_carlo(self):
         rng = np.random.default_rng(71)
@@ -477,8 +483,8 @@ class TestPenalizationFragment:
         for block, message in enumerate([to_sigsq_mu, *to_sigsq_psi]):
             spline = slice(block * num_coefs + 2, (block + 1) * num_coefs)
             mc = (draws[:, spline] ** 2).sum(axis=1).mean()
-            assert -2.0 * message.params.eta2 == pytest.approx(mc, rel=0.01)
-            assert message.params.eta1 == -0.5 * num_splines
+            assert -2.0 * message.eta2 == pytest.approx(mc, rel=0.01)
+            assert message.eta1 == -0.5 * num_splines
 
     def test_blockdiag_structure_of_expected_precision(self):
         hyper = PenalizationHyper(np.zeros(2), 4.0 * np.eye(2), num_eigen=1, num_splines=3)
@@ -486,7 +492,7 @@ class TestPenalizationFragment:
         to_nu, _, _ = penalization_messages(
             hyper, np.zeros(dim), np.eye(dim), 2.0, np.array([3.0])
         )
-        precision = -2.0 * to_nu.params.eta2.reshape(dim, dim, order="F")
+        precision = -2.0 * to_nu.eta2.reshape(dim, dim, order="F")
         expected = np.zeros((dim, dim))
         expected[:2, :2] = 0.25 * np.eye(2)
         expected[2:5, 2:5] = 2.0 * np.eye(3)
@@ -513,21 +519,19 @@ class TestShapeAudit:
         dim = (num_eigen + 1) * num_coefs
 
         to_nu = likelihood_message_to_nu(cache, exp, 1.0)
-        assert to_nu.params.eta1.shape == (dim,)
-        assert to_nu.params.eta2.shape == (dim * dim,)
+        assert to_nu.eta1.shape == (dim,)
+        assert to_nu.eta2.shape == (dim * dim,)
 
         to_zeta = likelihood_messages_to_zeta(cache, exp, 1.0)
-        assert len(to_zeta) == 2
-        for message in to_zeta:
-            assert message.params.eta1.shape == (num_eigen,)
-            assert message.params.eta2.shape == (num_eigen * (num_eigen + 1) // 2,)
+        assert to_zeta.eta1.shape == (2, num_eigen)
+        assert to_zeta.eta2.shape == (2, num_eigen * (num_eigen + 1) // 2)
 
         hyper = PenalizationHyper(np.zeros(2), np.eye(2), num_eigen, num_splines)
         to_nu_pen, to_mu, to_psi = penalization_messages(
             hyper, nu_mean, nu_cov, 1.0, np.ones(num_eigen)
         )
-        assert to_nu_pen.params.eta1.shape == (dim,)
-        assert to_nu_pen.params.eta2.shape == (dim * dim,)
+        assert to_nu_pen.eta1.shape == (dim,)
+        assert to_nu_pen.eta2.shape == (dim * dim,)
         assert len(to_psi) == num_eigen
 
         assert exp.zt_mean.shape == (2, num_eigen + 1)
@@ -542,9 +546,9 @@ class TestPriorConstancy:
     def test_prior_messages_bitwise_stable(self):
         a = igw_prior_message(12.5)
         b = igw_prior_message(12.5)
-        assert a.params == b.params
+        assert a== b
         mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
         first = gaussian_prior_message(mean, cov, basis="vec")
         second = gaussian_prior_message(mean, cov, basis="vec")
-        assert np.array_equal(first.params.eta1, second.params.eta1)
-        assert np.array_equal(first.params.eta2, second.params.eta2)
+        assert np.array_equal(first.eta1, second.eta1)
+        assert np.array_equal(first.eta2, second.eta2)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import vmpfpca.graph as fg
-from vmpfpca.expfam import GaussianVecParams, InvChiSqParams
+from vmpfpca.expfam import GaussianVecParams, GaussianVechParams, InvChiSqParams
 from vmpfpca.graph import (
     FactorGraph,
-    Message,
     MessageStore,
     UninitializedMessageError,
     fpca_factor_graph,
@@ -16,21 +15,17 @@ from vmpfpca.graph import (
 
 
 def invchisq_message(rng):
-    return Message(InvChiSqParams(-rng.uniform(1, 5), -rng.uniform(0.1, 5)))
+    return InvChiSqParams(-rng.uniform(1, 5), -rng.uniform(0.1, 5))
 
 
 class TestTopology:
     def test_fpca_graph_matches_model_structure(self):
-        n, L = 4, 2
-        graph = fpca_factor_graph(n, L)
+        L = 2
+        graph = fpca_factor_graph(L)
         degree = {node: len(graph.node_neighbors(node)) for node in graph.nodes}
         assert degree[fg.NU] == 2
         assert set(graph.node_neighbors(fg.NU)) == {fg.LIKELIHOOD, fg.PENALIZATION}
-        for i in range(n):
-            assert set(graph.node_neighbors(fg.zeta_node(i))) == {
-                fg.LIKELIHOOD,
-                fg.zeta_prior_factor(i),
-            }
+        assert set(graph.node_neighbors(fg.ZETA)) == {fg.LIKELIHOOD, fg.PRIOR_ZETA}
         assert set(graph.node_neighbors(fg.SIGSQ_EPS)) == {fg.LIKELIHOOD, fg.ITERATED_EPS}
         assert set(graph.node_neighbors(fg.A_EPS)) == {fg.ITERATED_EPS, fg.PRIOR_A_EPS}
         assert set(graph.node_neighbors(fg.SIGSQ_MU)) == {fg.PENALIZATION, fg.ITERATED_MU}
@@ -46,20 +41,16 @@ class TestTopology:
             }
         # every stochastic node in the model has degree 2
         assert all(d == 2 for d in degree.values())
+        assert len(graph.nodes) == 6 + 2 * L
         # bipartite: factor neighbor lists only contain stochastic nodes
         factor_names = set(graph.factors)
         for factor in graph.factors:
             assert factor_names.isdisjoint(graph.factor_neighbors(factor))
 
     def test_likelihood_touches_every_score(self):
-        graph = fpca_factor_graph(3, 1)
-        assert set(graph.factor_neighbors(fg.LIKELIHOOD)) == {
-            fg.NU,
-            fg.zeta_node(0),
-            fg.zeta_node(1),
-            fg.zeta_node(2),
-            fg.SIGSQ_EPS,
-        }
+        # all curves' scores are one stacked node
+        graph = fpca_factor_graph(1)
+        assert set(graph.factor_neighbors(fg.LIKELIHOOD)) == {fg.NU, fg.ZETA, fg.SIGSQ_EPS}
 
 
 class TestMessageRules:
@@ -76,15 +67,15 @@ class TestMessageRules:
         store.set_to_node("f1", "x", m1)
         store.set_to_node("f2", "x", m2)
         out = stochastic_to_factor(graph, store, "x", "f2")
-        assert out.params == m1.params
+        assert out == m1
 
     def test_three_neighbor_sum_matches_direct_summation(self):
         messages = {f: invchisq_message(self.rng) for f in ("f1", "f2", "f3")}
         for f, m in messages.items():
             self.store.set_to_node(f, "x", m)
         out = stochastic_to_factor(self.graph, self.store, "x", "f3")
-        expected = messages["f1"].params.as_vector() + messages["f2"].params.as_vector()
-        assert np.allclose(out.params.as_vector(), expected)
+        expected = messages["f1"].as_vector() + messages["f2"].as_vector()
+        assert np.allclose(out.as_vector(), expected)
 
     def test_missing_neighbor_message_is_hard_error(self):
         self.store.set_to_node("f1", "x", invchisq_message(self.rng))
@@ -94,41 +85,57 @@ class TestMessageRules:
     def test_q_params_single_neighbor_node(self):
         message = invchisq_message(self.rng)
         self.store.set_to_node("f3", "y", message)
-        assert q_natural_params(self.graph, self.store, "y") == message.params
+        assert q_natural_params(self.graph, self.store, "y") == message
 
     def test_q_params_sum_all_neighbors(self):
         messages = {f: invchisq_message(self.rng) for f in ("f1", "f2", "f3")}
         for f, m in messages.items():
             self.store.set_to_node(f, "x", m)
         total = q_natural_params(self.graph, self.store, "x")
-        expected = sum(m.params.as_vector() for m in messages.values())
+        expected = sum(m.as_vector() for m in messages.values())
         assert np.allclose(total.as_vector(), expected)
 
     def test_npbf_is_directional_sum(self):
-        to_node = invchisq_message(self.rng)
-        to_factor = invchisq_message(self.rng)
-        self.store.set_to_node("f3", "y", to_node)
-        self.store.set_to_factor("y", "f3", to_factor)
-        combined = npbf(self.store, "f3", "y")
-        assert combined.eta1 == to_node.params.eta1 + to_factor.params.eta1
-        assert combined.eta2 == to_node.params.eta2 + to_factor.params.eta2
+        # factor-to-node message plus the node-to-factor message formed on the fly
+        messages = {f: invchisq_message(self.rng) for f in ("f1", "f2", "f3")}
+        for f, m in messages.items():
+            self.store.set_to_node(f, "x", m)
+        combined = npbf(self.graph, self.store, "f3", "x")
+        to_factor = stochastic_to_factor(self.graph, self.store, "x", "f3")
+        assert combined.eta1 == messages["f3"].eta1 + to_factor.eta1
+        assert combined.eta2 == messages["f3"].eta2 + to_factor.eta2
 
     def test_npbf_zero_messages(self):
-        zero = Message(InvChiSqParams(0.0, 0.0))
-        self.store.set_to_node("f3", "y", zero)
-        self.store.set_to_factor("y", "f3", zero)
-        assert npbf(self.store, "f3", "y").as_vector().tolist() == [0.0, 0.0]
+        graph = FactorGraph({"f1": ("x",), "f2": ("x",)})
+        store = MessageStore()
+        store.set_to_node("f1", "x", InvChiSqParams(0.0, 0.0))
+        store.set_to_node("f2", "x", InvChiSqParams(0.0, 0.0))
+        assert npbf(graph, store, "f2", "x").as_vector().tolist() == [0.0, 0.0]
 
     def test_npbf_equals_q_for_two_neighbor_node(self):
         graph = FactorGraph({"f1": ("x",), "f2": ("x",)})
         store = MessageStore()
         store.set_to_node("f1", "x", invchisq_message(self.rng))
         store.set_to_node("f2", "x", invchisq_message(self.rng))
-        store.set_to_factor("x", "f2", stochastic_to_factor(graph, store, "x", "f2"))
-        assert np.allclose(
-            npbf(store, "f2", "x").as_vector(),
-            q_natural_params(graph, store, "x").as_vector(),
-        )
+        for factor in ("f1", "f2"):
+            assert np.array_equal(
+                npbf(graph, store, factor, "x").as_vector(),
+                q_natural_params(graph, store, "x").as_vector(),
+            )
+
+    def test_stacked_node_adds_shared_message_to_every_row(self):
+        # The score node: one likelihood row per curve plus one shared prior.
+        graph = FactorGraph({"lik": ("z",), "prior": ("z",)})
+        store = MessageStore()
+        rows = GaussianVechParams(self.rng.standard_normal((4, 2)), self.rng.standard_normal((4, 3)))
+        prior = GaussianVechParams(np.zeros(2), np.array([-0.5, 0.0, -0.5]))
+        store.set_to_node("lik", "z", rows)
+        store.set_to_node("prior", "z", prior)
+        q = q_natural_params(graph, store, "z")
+        assert q.eta1.shape == (4, 2) and q.eta2.shape == (4, 3)
+        for i in range(4):
+            single = GaussianVechParams(rows.eta1[i], rows.eta2[i]) + prior
+            assert np.array_equal(q.as_vector()[i], single.as_vector())
 
     def test_consistency_of_rules(self):
         # q(node) = message(node -> f) + message(f -> node) for every neighbor f
@@ -138,7 +145,7 @@ class TestMessageRules:
         q_vec = q_natural_params(self.graph, self.store, "x").as_vector()
         for f in ("f1", "f2", "f3"):
             partial = stochastic_to_factor(self.graph, self.store, "x", f)
-            total = partial.params.as_vector() + messages[f].params.as_vector()
+            total = partial.as_vector() + messages[f].as_vector()
             assert np.allclose(total, q_vec)
 
     def test_summation_order_independent(self):
@@ -159,7 +166,7 @@ class TestMessageRules:
                 rng.integers(-100, 100, size=4).astype(float),
             )
             params.append(p)
-            store.set_to_node(f, "x", Message(p))
+            store.set_to_node(f, "x", p)
         total = q_natural_params(graph, store, "x").as_vector()
         for _ in range(5):
             order = rng.permutation(len(params))
@@ -171,19 +178,7 @@ class TestMessageRules:
 
 class TestMessageCombination:
     def test_family_mismatch_rejected(self):
-        gauss = Message(GaussianVecParams(np.zeros(1), -0.5 * np.ones(1)))
-        invchisq = Message(InvChiSqParams(-1.5, -0.5))
+        gauss = GaussianVecParams(np.zeros(1), -0.5 * np.ones(1))
+        invchisq = InvChiSqParams(-1.5, -0.5)
         with pytest.raises(TypeError):
             gauss + invchisq
-
-    def test_conflicting_graph_tags_rejected(self):
-        a = Message(InvChiSqParams(-1.5, -0.5), graph_tag=fg.G_FULL)
-        b = Message(InvChiSqParams(-1.5, -0.5), graph_tag=fg.G_DIAG)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_tag_propagates_through_sum(self):
-        a = Message(InvChiSqParams(-1.5, -0.5), graph_tag=fg.G_FULL)
-        b = Message(InvChiSqParams(-1.0, -1.0))
-        assert (a + b).graph_tag == fg.G_FULL
-        assert (b + a).graph_tag == fg.G_FULL

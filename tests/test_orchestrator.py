@@ -3,12 +3,21 @@ import pytest
 
 import vmpfpca.graph as fg
 from vmpfpca.data import FunctionalDataset
-from vmpfpca.expfam import DegenerateMessageError, GaussianVecParams, vec
+from vmpfpca.expfam import (
+    DegenerateMessageError,
+    GaussianVecParams,
+    GaussianVechParams,
+    duplication_matrix,
+    moore_penrose_duplication,
+    symmetrize,
+    unvec,
+    vec,
+)
 from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
-from vmpfpca.graph import Message
 from vmpfpca.orchestrator import (
     FitConfig,
     _q_snapshot,
+    _rotate_scores,
     _sweep,
     convergence_metric,
     fit,
@@ -72,22 +81,30 @@ class TestInitialize:
         expected_score_prior = gaussian_prior_message(
             np.zeros(3), np.eye(3), basis="vech"
         )
-        for i in range(reference_dataset.num_curves):
-            stored = state.store.get_to_node(fg.zeta_prior_factor(i), fg.zeta_node(i))
-            assert np.array_equal(stored.params.eta1, expected_score_prior.params.eta1)
-            assert np.array_equal(stored.params.eta2, expected_score_prior.params.eta2)
+        # one prior message shared by every curve's scores
+        stored = state.store.get_to_node(fg.PRIOR_ZETA, fg.ZETA)
+        assert np.array_equal(stored.eta1, expected_score_prior.eta1)
+        assert np.array_equal(stored.eta2, expected_score_prior.eta2)
         expected_aux_prior = igw_prior_message(config.hyper_a_eps)
         stored = state.store.get_to_node(fg.PRIOR_A_EPS, fg.A_EPS)
-        assert stored.params == expected_aux_prior.params
-        assert stored.graph_tag == fg.G_FULL
+        assert stored == expected_aux_prior
+
+    def test_score_likelihood_message_has_one_row_per_curve(self, reference_dataset):
+        state = initialize(reference_dataset, FitConfig())
+        n = reference_dataset.num_curves
+        stored = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
+        assert stored.eta1.shape == (n, 3)
+        assert stored.eta2.shape == (n, 6)
+        snapshot = _q_snapshot(state)
+        assert snapshot[fg.ZETA].shape == (n, 3 + 6)
 
     def test_initialization_deterministic(self, reference_dataset):
         state_a = initialize(reference_dataset, FitConfig(seed=4))
         state_b = initialize(reference_dataset, FitConfig(seed=4))
         for factor in state_a.graph.factors:
             for node in state_a.graph.factor_neighbors(factor):
-                m_a = state_a.store.get_to_node(factor, node).params.as_vector()
-                m_b = state_b.store.get_to_node(factor, node).params.as_vector()
+                m_a = state_a.store.get_to_node(factor, node).as_vector()
+                m_b = state_b.store.get_to_node(factor, node).as_vector()
                 assert np.array_equal(m_a, m_b)
 
     def test_empty_dataset_rejected(self):
@@ -131,7 +148,7 @@ class TestFit:
     def test_degenerate_message_names_edge_and_iteration(self, reference_dataset):
         state = initialize(reference_dataset, FitConfig())
         dim = 4 * 12
-        bad = Message(GaussianVecParams(np.zeros(dim), 0.5 * vec(np.eye(dim))))
+        bad = GaussianVecParams(np.zeros(dim), 0.5 * vec(np.eye(dim)))
         state.store.set_to_node(fg.LIKELIHOOD, fg.NU, bad)
         state.store.set_to_node(fg.PENALIZATION, fg.NU, bad)
         with pytest.raises(DegenerateMessageError, match=r"iteration 1.*nu"):
@@ -141,6 +158,26 @@ class TestFit:
         dataset, _ = generate(SimConfig(num_curves=20, seed=6))
         state = fit(dataset, FitConfig(num_eigen=1, max_iter=1000))
         assert state.converged
+
+
+class TestRotateScores:
+    @pytest.mark.parametrize("num_eigen", [2, 3, 4, 6])
+    def test_matches_per_curve_loop_bitwise(self, num_eigen):
+        rng = np.random.default_rng(num_eigen)
+        n, L = 200, num_eigen
+        a = rng.standard_normal((n, L, L))
+        precisions = a @ a.transpose(0, 2, 1) + np.eye(L)
+        eta2 = np.stack([duplication_matrix(L).T @ (-0.5 * vec(p)) for p in precisions])
+        params = GaussianVechParams(rng.standard_normal((n, L)), eta2)
+        rotation, _ = np.linalg.qr(rng.standard_normal((L, L)))
+        rotated = _rotate_scores(params, rotation)
+        for i in range(n):
+            precision = -2.0 * unvec(moore_penrose_duplication(L).T @ params.eta2[i])
+            precision = rotation.T @ symmetrize(precision) @ rotation
+            assert np.array_equal(rotated.eta1[i], rotation.T @ params.eta1[i])
+            assert np.array_equal(
+                rotated.eta2[i], duplication_matrix(L).T @ (-0.5 * vec(precision))
+            )
 
 
 class TestConvergenceMetric:
@@ -155,6 +192,14 @@ class TestConvergenceMetric:
         prev = {"x": np.array([1.0]), "y": np.array([3.0])}
         curr = {"x": np.array([1.1]), "y": np.array([7.0])}
         assert convergence_metric(prev, curr) == pytest.approx(1.0)
+
+    def test_stacked_rows_count_as_nodes(self):
+        # Row 0 changes by half its own scale; pooled with row 1 it would be ~1%.
+        prev = {"zeta": np.array([[1.0, 1.0], [100.0, 100.0]])}
+        curr = {"zeta": np.array([[2.0, 1.0], [100.0, 100.0]])}
+        assert convergence_metric(prev, curr) == 0.5
+        rows = {f"zeta[{i}]": prev["zeta"][i] for i in range(2)}
+        assert convergence_metric(rows, {f"zeta[{i}]": curr["zeta"][i] for i in range(2)}) == 0.5
 
 
 class TestFullModelOracle:

@@ -11,8 +11,6 @@ from vmpfpca.postprocess import (
     evaluation_grid,
     extract,
     finalize,
-    fitted_curves,
-    gram_schmidt,
     orthogonalize,
     sign_align,
     trapezoid_inner,
@@ -21,6 +19,7 @@ from vmpfpca.postprocess import (
 )
 from vmpfpca.simulate import SimConfig, generate, true_eigenfunctions
 from vmpfpca.splines import build_basis
+from tests_oracle_support import gram_schmidt
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +65,52 @@ class TestExtract:
             assert np.linalg.eigvalsh(cov)[0] > 0
         assert raw.noise_precision_mean > 0
 
+    def test_score_moments_match_per_curve_inversion(self, small_fit_state):
+        # Reference: each curve's q(zeta_i) inverted on its own.
+        import vmpfpca.graph as fg
+        from vmpfpca.expfam import invert_spd, moore_penrose_duplication, unvec
+
+        raw = extract(small_fit_state)
+        q = fg.q_natural_params(small_fit_state.graph, small_fit_state.store, fg.ZETA)
+        for i in range(q.eta1.shape[0]):
+            precision = -2.0 * unvec(moore_penrose_duplication(3).T @ q.eta2[i])
+            cov = invert_spd(precision)
+            assert np.allclose(raw.zeta_covs[i], cov, rtol=1e-12, atol=1e-15)
+            assert np.allclose(raw.zeta_means[i], cov @ q.eta1[i], rtol=1e-12, atol=1e-15)
+
     def test_partition_accessors(self, small_fit_state):
         raw = extract(small_fit_state)
         assert np.array_equal(raw.nu_mu(), raw.nu_mean[:12])
         assert np.array_equal(raw.nu_psi(2), raw.nu_mean[36:48])
+
+
+class TestScoreCovariances:
+    def test_exported_in_frame_of_scores(self):
+        # Recover the linear map A from the centred pre-rotation score means to
+        # the final scores by least squares; the covariances must be A C_i A'.
+        dataset, _ = generate(SimConfig(num_curves=20, seed=3))
+        state = fit(dataset, FitConfig(num_eigen=2, max_iter=2000))
+        result = finalize(state)
+        raw = extract(state)
+        centred = raw.zeta_means - raw.zeta_means.mean(axis=0)
+        a_t, *_ = np.linalg.lstsq(centred, result.scores, rcond=None)
+        assert np.abs(centred @ a_t - result.scores).max() < 1e-10 * np.abs(result.scores).max()
+        expected = a_t.T @ raw.zeta_covs @ a_t
+        assert result.score_covariances.shape == (20, 2, 2)
+        assert np.allclose(result.score_covariances, expected, rtol=1e-8, atol=1e-14)
+        assert not np.allclose(result.score_covariances, raw.zeta_covs, rtol=1e-2)
+
+    def test_sign_flip_carries_covariances(self):
+        rng = np.random.default_rng(18)
+        grid, mean_curve, funcs, scores = random_inputs(rng)
+        a = rng.standard_normal((scores.shape[0], 2, 2))
+        covs = a @ a.transpose(0, 2, 1)
+        fit_out = orthogonalize(mean_curve, funcs, scores, grid, score_covs=covs)
+        aligned = sign_align(fit_out, fit_out.eigenfunctions * [-1.0, 1.0])
+        flipped = aligned.score_covariances
+        assert np.array_equal(flipped[:, 0, 1], -fit_out.score_covariances[:, 0, 1])
+        assert np.array_equal(np.diagonal(flipped, axis1=1, axis2=2),
+                              np.diagonal(fit_out.score_covariances, axis1=1, axis2=2))
 
 
 class TestEvaluateGrid:
@@ -216,32 +257,24 @@ class TestOrthogonalize:
 
 
 class TestFittedCurves:
-    def _make_fit(self, scores):
-        grid = np.linspace(0.0, 1.0, 101)
-        funcs = np.column_stack([np.sin(2 * np.pi * grid), np.cos(2 * np.pi * grid)])
-        mean_curve = 1.0 + grid
-        fitted = mean_curve[:, None] + funcs @ scores.T
-        return FpcaFit(
-            grid=grid,
-            mean_curve=mean_curve,
-            eigenfunctions=funcs,
-            scores=scores,
-            eigenvalues=np.array([1.0, 0.5]),
-            noise_precision_mean=1.0,
-            fitted=fitted,
-        )
-
     def test_zero_scores_reproduce_mean(self):
-        fit_out = self._make_fit(np.zeros((4, 2)))
-        curves = fitted_curves(fit_out)
-        assert curves.shape == (101, 4)
-        for i in range(4):
-            assert np.array_equal(curves[:, i], fit_out.mean_curve)
+        # Curves 0-3 cancel, so curve 4 sits at the score sample mean.
+        rng = np.random.default_rng(16)
+        grid, mean_curve, funcs, _ = random_inputs(rng)
+        half = rng.standard_normal((2, 2))
+        scores = np.vstack([half, -half, np.zeros((1, 2))])
+        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        assert fit_out.fitted.shape == (grid.size, 5)
+        assert np.allclose(fit_out.fitted[:, 4], fit_out.mean_curve, atol=1e-12)
+        assert np.allclose(fit_out.fitted[:, 4], mean_curve, atol=1e-12)
 
     def test_unit_score_single_curve(self):
-        fit_out = self._make_fit(np.array([[1.0, 0.0]]))
-        curves = fitted_curves(fit_out)
-        assert np.allclose(curves[:, 0], fit_out.mean_curve + fit_out.eigenfunctions[:, 0])
+        rng = np.random.default_rng(17)
+        grid, mean_curve, funcs, scores = random_inputs(rng)
+        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        for i in range(scores.shape[0]):
+            expected = fit_out.mean_curve + fit_out.eigenfunctions @ fit_out.scores[i]
+            assert np.allclose(fit_out.fitted[:, i], expected, atol=1e-12)
 
     def test_matches_pre_rotation_fits_on_real_run(self, small_fit_state):
         result = finalize(small_fit_state)
@@ -250,7 +283,7 @@ class TestFittedCurves:
             raw, small_fit_state.basis, small_fit_state.config.grid_size
         )
         pre_rotation = mean_curve[:, None] + funcs @ scores.T
-        assert np.abs(pre_rotation - fitted_curves(result)).max() < 1e-8
+        assert np.abs(pre_rotation - result.fitted).max() < 1e-8
 
 
 class TestGramSchmidt:
@@ -333,7 +366,8 @@ class TestSignAlign:
         aligned = sign_align(fit_out, -fit_out.eigenfunctions)
         assert np.array_equal(aligned.eigenfunctions, -fit_out.eigenfunctions)
         assert np.array_equal(aligned.scores, -fit_out.scores)
-        assert np.abs(fitted_curves(aligned) - fitted_curves(fit_out)).max() < 1e-12
+        refit = aligned.mean_curve[:, None] + aligned.eigenfunctions @ aligned.scores.T
+        assert np.abs(refit - fit_out.fitted).max() < 1e-12
 
     def test_true_eigenfunction_reference(self, small_fit_state):
         result = finalize(small_fit_state)

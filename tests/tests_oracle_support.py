@@ -6,7 +6,51 @@ coordinate ascent and direct linear algebra only.
 
 import numpy as np
 
+from vmpfpca.expfam import (
+    GaussianVecParams,
+    GaussianVechParams,
+    InvChiSqParams,
+    duplication_matrix,
+    moore_penrose_duplication,
+)
+from vmpfpca.postprocess import trapezoid_inner, trapezoid_norm
 from vmpfpca.splines import build_basis, design_matrix
+
+
+def vec_to_vech_params(params: GaussianVecParams) -> GaussianVechParams:
+    """Re-express vec-basis Gaussian parameters in the vech basis."""
+    return GaussianVechParams(params.eta1, duplication_matrix(params.dim).T @ params.eta2)
+
+
+def vech_to_vec_params(params: GaussianVechParams) -> GaussianVecParams:
+    """Re-express vech-basis Gaussian parameters in the vec basis."""
+    return GaussianVecParams(params.eta1, moore_penrose_duplication(params.dim).T @ params.eta2)
+
+
+def invchisq_from_shape_scale(shape: float, scale: float) -> InvChiSqParams:
+    """Natural parameters of an inverse chi-squared density with given shape and scale."""
+    if shape <= 0 or scale <= 0:
+        raise ValueError("shape and scale must be positive")
+    return InvChiSqParams(-0.5 * (shape + 2.0), -0.5 * scale)
+
+
+def gram_schmidt(columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Orthonormalize function columns under the trapezoid inner product.
+
+    Used as an independent check that the SVD construction spans the same
+    space as a direct orthogonalization.
+    """
+    columns = np.asarray(columns, dtype=float)
+    out = np.empty_like(columns)
+    for j in range(columns.shape[1]):
+        candidate = columns[:, j].copy()
+        for k in range(j):
+            candidate -= trapezoid_inner(out[:, k], columns[:, j], grid) * out[:, k]
+        norm = trapezoid_norm(candidate, grid)
+        if norm < 1e-12:
+            raise ValueError(f"column {j + 1} is linearly dependent on earlier columns")
+        out[:, j] = candidate / norm
+    return out
 
 
 def full_model_mfvb_oracle(dataset, config, sweeps=4000):
