@@ -199,6 +199,14 @@ def _config_from_args(args) -> FitConfig:
     )
 
 
+def _config_from_manifest(config: dict) -> FitConfig:
+    config = dict(config)
+    if config.pop("score_prior_cov", None) is not None:
+        raise ValueError("score_prior_cov was removed; the score prior is fixed at N(0, I)")
+    config.pop("freeze_scores_at_zero", None)
+    return FitConfig(**config)
+
+
 def _fit_payload(result: FpcaFit) -> dict:
     return {
         "grid": result.grid.tolist(),
@@ -225,10 +233,7 @@ def run_fit(
     manifest = RunManifest(
         version=__version__,
         dataset=dataset_label,
-        config={
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in asdict(config).items()
-        },
+        config=asdict(config),
         seed=config.seed,
         iterations=state.iterations,
         converged=state.converged,
@@ -259,16 +264,18 @@ def _cmd_fit(args) -> int:
     if args.from_manifest:
         try:
             manifest = _read_json(Path(args.from_manifest))
+            config = _config_from_manifest(manifest["config"])
+            dataset_path = Path(args.dataset or manifest["dataset"])
+            rescale_requested = manifest.get("time_rescale") is not None
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_IO
-        config_dict = dict(manifest["config"])
-        if config_dict.get("score_prior_cov") is not None:
-            config_dict["score_prior_cov"] = np.asarray(config_dict["score_prior_cov"])
-        config_dict.pop("freeze_scores_at_zero", None)
-        config = FitConfig(**config_dict)
-        dataset_path = Path(args.dataset or manifest["dataset"])
-        rescale_requested = manifest.get("time_rescale") is not None
+        except (KeyError, TypeError, ValueError) as err:
+            print(
+                f"error: invalid manifest {args.from_manifest}: {type(err).__name__}: {err}",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
     else:
         if not args.dataset:
             print("error: dataset path is required", file=sys.stderr)
@@ -291,9 +298,9 @@ def _cmd_fit(args) -> int:
         return EXIT_VALIDATION
 
     rescale = None
-    if rescale_requested:
-        dataset, rescale = dataset.rescale_times()
     try:
+        if rescale_requested:
+            dataset, rescale = dataset.rescale_times()
         dataset.validate()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

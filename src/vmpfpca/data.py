@@ -65,6 +65,8 @@ class FunctionalDataset:
                     f"curve {cid!r} has time values outside [0, 1]; "
                     "rescale before fitting"
                 )
+        if np.ptp(np.concatenate(self.values)) == 0.0:
+            raise ValueError("the response has zero variance: every y value is equal")
 
     def rescale_times(self) -> tuple["FunctionalDataset", tuple[float, float]]:
         """Affinely map all observation times onto [0, 1].

@@ -14,11 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
-
-# Relative eigenvalue floor below which a precision matrix is treated as
-# numerically singular rather than pseudo-invertible.
-_PRECISION_RTOL = 1e-10
 
 
 class DegenerateMessageError(ValueError):
@@ -86,31 +81,42 @@ def moore_penrose_duplication(d: int) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose to absorb round-off asymmetry."""
-    return 0.5 * (a + a.T)
+    """Average a matrix, or each matrix of a stack, with its transpose."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _factorizes(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def invert_spd(matrix: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Invert a symmetric positive definite matrix.
+    """Invert a symmetric positive definite matrix, or a stack of them.
 
-    Uses a Cholesky factorization and falls back to a pseudo-inverse when the
-    factorization fails but the spectrum is still numerically positive.  Raises
-    :class:`DegenerateMessageError` when the smallest eigenvalue is below
-    ``1e-10`` times the largest.
+    The inverse of A = LL' is inv(L)' inv(L), batched over any leading axes.
+    Raises :class:`DegenerateMessageError` with the eigenvalue range when the
+    Cholesky factorization fails; for a stack, the message also names the
+    (flattened) rows that failed.
     """
     matrix = symmetrize(np.asarray(matrix, dtype=float))
     try:
-        cho = linalg.cho_factor(matrix, lower=True, check_finite=False)
-        return symmetrize(linalg.cho_solve(cho, np.eye(matrix.shape[0]), check_finite=False))
-    except linalg.LinAlgError:
-        pass
-    eigvals = linalg.eigvalsh(matrix)
-    if eigvals[0] <= _PRECISION_RTOL * max(eigvals[-1], 0.0):
+        inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
+    except np.linalg.LinAlgError:
+        d = matrix.shape[-1]
+        stack = matrix.reshape(-1, d, d)
+        where = ""
+        if matrix.ndim > 2:
+            failed = [i for i, m in enumerate(stack) if not _factorizes(m)]
+            stack, where = stack[failed], f" in rows {failed}"
+        eigvals = np.linalg.eigvalsh(stack)
         raise DegenerateMessageError(
-            f"{context} is not positive definite "
-            f"(eigenvalue range [{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
-        )
-    return symmetrize(linalg.pinvh(matrix))
+            f"{context} is not positive definite{where} "
+            f"(eigenvalue range [{eigvals[:, 0].min():.3e}, {eigvals[:, -1].max():.3e}])"
+        ) from None
+    return np.swapaxes(inv_factor, -1, -2) @ inv_factor
 
 
 @dataclass(frozen=True)
@@ -229,21 +235,13 @@ def gaussian_vech_to_moments(params: GaussianVechParams) -> tuple[np.ndarray, np
     """Map vech-basis natural parameters back to (mean, covariance).
 
     A stack of n Gaussians gives (n, d) means and (n, d, d) covariances, all
-    from one batched Cholesky factorization.
+    from one batched :func:`invert_spd`.
     """
     eta1, eta2 = np.atleast_2d(params.eta1), np.atleast_2d(params.eta2)
     n, d = eta1.shape
     full = eta2 @ moore_penrose_duplication(d)  # row-wise D_d^+' eta2 = vec of each matrix
     precisions = -2.0 * full.reshape(n, d, d).transpose(0, 2, 1)
-    precisions = 0.5 * (precisions + precisions.transpose(0, 2, 1))
-    try:
-        covs = np.linalg.inv(np.linalg.cholesky(precisions))
-    except np.linalg.LinAlgError:
-        bad = np.flatnonzero(np.linalg.eigvalsh(precisions)[:, 0] <= 0).tolist()
-        raise DegenerateMessageError(
-            f"vech-basis precision is not positive definite (rows {bad})"
-        ) from None
-    covs = covs.transpose(0, 2, 1) @ covs
+    covs = invert_spd(precisions, context="vech-basis precision")
     means = np.einsum("iab,ib->ia", covs, eta1)
     if params.eta1.ndim == 2:
         return means, covs

@@ -6,8 +6,13 @@ the functional-principal-component Gaussian likelihood fragment and the
 Gaussian penalization fragment.  The likelihood fragment is fully batched
 across curves: the per-curve Gram matrices C_i'C_i and projections C_i'y_i
 are cached once per fit and every per-iteration quantity is an einsum over
-the curve axis.  Every fragment returns natural-parameter objects from
-:mod:`expfam`.
+the curve axis.  The fragments are specialised to the model's fixed priors.
+The Gaussian prior fragment emits the N(0, I) score prior in the vech
+basis.  The penalization fragment's message to nu depends only on the
+N(0, sigma^2_beta I) prior of the linear parts and on the smoothing
+variances, so it needs no q(nu) moments; a second function forms the
+variance messages from q(nu).  Every fragment returns natural-parameter
+objects from :mod:`expfam`.
 """
 
 from __future__ import annotations
@@ -21,10 +26,8 @@ from .expfam import (
     GaussianVechParams,
     InvChiSqParams,
     duplication_matrix,
-    gaussian_moments_to_vec,
     gaussian_moments_to_vech,
     invchisq_mean_reciprocal,
-    invert_spd,
     vec,
 )
 
@@ -32,19 +35,9 @@ from .expfam import (
 # Prior fragments
 
 
-def gaussian_prior_message(
-    mean: np.ndarray, cov: np.ndarray, basis: str = "vec"
-) -> GaussianVecParams | GaussianVechParams:
-    """Constant message emitted by a Gaussian prior factor.
-
-    ``basis`` selects the sufficient-statistic basis of the receiving node:
-    "vec" for (x, vec(xx')), "vech" for (x, vech(xx')).
-    """
-    if basis == "vec":
-        return gaussian_moments_to_vec(mean, cov)
-    if basis == "vech":
-        return gaussian_moments_to_vech(mean, cov)
-    raise ValueError(f"unknown basis {basis!r}")
+def gaussian_prior_message(dim: int) -> GaussianVechParams:
+    """Constant message of the N(0, I) score prior, in the vech basis (x, vech(xx'))."""
+    return gaussian_moments_to_vech(np.zeros(dim), np.eye(dim))
 
 
 def igw_prior_message(scale_hyper: float) -> InvChiSqParams:
@@ -238,60 +231,34 @@ def likelihood_message_to_sigsq_eps(
 # Penalization fragment
 
 
-@dataclass(frozen=True)
-class PenalizationHyper:
-    """Fixed prior structure of the spline-coefficient blocks."""
-
-    beta_mean: np.ndarray  # (2,) shared by the mean-function and eigenfunction blocks
-    beta_cov: np.ndarray  # (2, 2)
-    num_eigen: int
-    num_splines: int
-
-    def mean_vector(self) -> np.ndarray:
-        block = np.concatenate([self.beta_mean, np.zeros(self.num_splines)])
-        return np.tile(block, self.num_eigen + 1)
-
-
 def penalization_messages(
-    hyper: PenalizationHyper,
-    nu_mean: np.ndarray,
-    nu_cov: np.ndarray,
-    e_recip_mu: float,
-    e_recip_psi: np.ndarray,
-) -> tuple[GaussianVecParams, InvChiSqParams, list[InvChiSqParams]]:
-    """Messages to nu (vec basis), to sigma^2_mu and to each sigma^2_psi_l.
+    prior_beta_var: float, e_recip_sigsq: np.ndarray, num_splines: int
+) -> GaussianVecParams:
+    """Message to nu (vec basis) from the N(0, sigma^2_beta I) linear parts and penalties.
 
-    The expected inverse prior covariance of nu is block diagonal: each block
-    stacks the fixed 2x2 inverse of the linear-part covariance on top of
-    E(1/sigma^2) times the identity on the spline part.
+    ``e_recip_sigsq`` holds E(1/sigma^2_mu) followed by each E(1/sigma^2_psi_l).
+    The expected prior precision of nu is diagonal: 1/sigma^2_beta on the two
+    linear coefficients of every block and the block's E(1/sigma^2) on its
+    spline coefficients.  The prior mean is zero, so eta1 is zero.
     """
-    num_eigen, num_splines = hyper.num_eigen, hyper.num_splines
+    diagonal = np.empty((len(e_recip_sigsq), 2 + num_splines))
+    diagonal[:, :2] = 1.0 / prior_beta_var
+    diagonal[:, 2:] = np.asarray(e_recip_sigsq, dtype=float)[:, None]
+    return GaussianVecParams(np.zeros(diagonal.size), -0.5 * vec(np.diag(diagonal.ravel())))
+
+
+def penalization_messages_to_variances(
+    nu_mean: np.ndarray, nu_cov: np.ndarray, num_splines: int
+) -> list[InvChiSqParams]:
+    """Messages to sigma^2_mu and to each sigma^2_psi_l, in block order.
+
+    Each carries the expected squared norm of its block's spline coefficients.
+    """
     num_coefs = 2 + num_splines
-    dim = (num_eigen + 1) * num_coefs
-    if nu_mean.size != dim:
-        raise ValueError(f"nu has length {nu_mean.size}, expected {dim}")
-    e_recip_psi = np.asarray(e_recip_psi, dtype=float).reshape(-1)
-    if e_recip_psi.size != num_eigen:
-        raise ValueError("need one reciprocal-variance expectation per eigenfunction")
-
-    beta_prec = invert_spd(hyper.beta_cov, context="linear-part prior covariance")
-    expected_prec = np.zeros((dim, dim))
-    for block, e_recip in enumerate(np.concatenate([[e_recip_mu], e_recip_psi])):
-        start = block * num_coefs
-        expected_prec[start : start + 2, start : start + 2] = beta_prec
-        spline = slice(start + 2, start + num_coefs)
-        expected_prec[spline, spline] = e_recip * np.eye(num_splines)
-
-    to_nu = GaussianVecParams(expected_prec @ hyper.mean_vector(), -0.5 * vec(expected_prec))
-
-    def sq_norm_message(block: int) -> InvChiSqParams:
-        start = block * num_coefs + 2
-        spline = slice(start, start + num_splines)
-        expected_sq = float(
-            nu_mean[spline] @ nu_mean[spline] + np.trace(nu_cov[spline, spline])
-        )
-        return InvChiSqParams(-0.5 * num_splines, -0.5 * expected_sq)
-
-    to_sigsq_mu = sq_norm_message(0)
-    to_sigsq_psi = [sq_norm_message(l + 1) for l in range(num_eigen)]
-    return to_nu, to_sigsq_mu, to_sigsq_psi
+    blocks = nu_mean.size // num_coefs
+    spline_means = nu_mean.reshape(blocks, num_coefs)[:, 2:]
+    spline_vars = np.diagonal(nu_cov).reshape(blocks, num_coefs)[:, 2:]
+    return [
+        InvChiSqParams(-0.5 * num_splines, -0.5 * float(mean @ mean + var.sum()))
+        for mean, var in zip(spline_means, spline_vars)
+    ]

@@ -30,13 +30,10 @@ from .expfam import (
     gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
     moore_penrose_duplication,
-    symmetrize,
-    unvec,
     vec,
 )
 from .fragments import (
     LikelihoodCache,
-    PenalizationHyper,
     build_likelihood_cache,
     gaussian_prior_message,
     igw_prior_message,
@@ -46,6 +43,7 @@ from .fragments import (
     likelihood_message_to_sigsq_eps,
     likelihood_messages_to_zeta,
     penalization_messages,
+    penalization_messages_to_variances,
     with_score_moments,
 )
 from .splines import SplineBasis, build_basis, design_matrix
@@ -68,11 +66,13 @@ class FitConfig:
     hyper_a_eps: float = 1e5
     hyper_a_mu: float = 1e5
     hyper_a_psi: float = 1e5
-    score_prior_cov: np.ndarray | None = None  # defaults to the identity
     seed: int | None = None  # provenance only; initialization is deterministic
     freeze_scores_at_zero: bool = False  # diagnostic mode: clamp every score at 0
 
     def __post_init__(self):
+        for name in ("num_eigen", "num_splines", "max_iter", "grid_size"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.num_eigen < 1:
             raise ValueError("num_eigen must be >= 1")
         if self.num_splines < 3:
@@ -86,16 +86,6 @@ class FitConfig:
         for name in ("prior_beta_var", "hyper_a_eps", "hyper_a_mu", "hyper_a_psi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.score_prior_cov is not None:
-            cov = np.asarray(self.score_prior_cov, dtype=float)
-            if cov.shape != (self.num_eigen, self.num_eigen):
-                raise ValueError("score_prior_cov must be num_eigen x num_eigen")
-            object.__setattr__(self, "score_prior_cov", cov)
-
-    def resolved_score_prior_cov(self) -> np.ndarray:
-        if self.score_prior_cov is None:
-            return np.eye(self.num_eigen)
-        return self.score_prior_cov
 
 
 @dataclass
@@ -108,7 +98,6 @@ class VmpState:
     graph: fg.FactorGraph
     store: fg.MessageStore
     cache: LikelihoodCache
-    hyper: PenalizationHyper
     iterations: int = 0
     converged: bool = False
     history: list[float] = field(default_factory=list)
@@ -151,12 +140,6 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     dim_nu = (L + 1) * num_coefs
     graph = fg.fpca_factor_graph(L)
     store = fg.MessageStore()
-    hyper = PenalizationHyper(
-        beta_mean=np.zeros(2),
-        beta_cov=config.prior_beta_var * np.eye(2),
-        num_eigen=L,
-        num_splines=config.num_splines,
-    )
 
     mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
     nu_init_mean = np.concatenate([mean_coefs, component_coefs.T.ravel()])
@@ -177,7 +160,7 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     store.set_to_node(
         fg.PRIOR_ZETA,
         fg.ZETA,
-        gaussian_prior_message(np.zeros(L), config.resolved_score_prior_cov(), basis="vech"),
+        gaussian_prior_message(L),
     )
 
     # Every non-prior inverse chi-squared edge starts at the proper density with
@@ -206,7 +189,6 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
         graph=graph,
         store=store,
         cache=cache,
-        hyper=hyper,
     )
 
 
@@ -277,88 +259,74 @@ def _update_likelihood_fragment(state: VmpState) -> None:
 
 
 def _update_penalization_fragment(state: VmpState) -> None:
-    e_recip_mu = _reciprocal_mean(state, fg.PENALIZATION, fg.SIGSQ_MU)
-    e_recip_psi = np.array(
-        [
-            _reciprocal_mean(state, fg.PENALIZATION, fg.sigsq_psi_node(l))
-            for l in range(state.config.num_eigen)
-        ]
+    """Write the message to nu, then the variance messages from the q(nu) it implies."""
+    config = state.config
+    variances = [fg.SIGSQ_MU] + [fg.sigsq_psi_node(l) for l in range(config.num_eigen)]
+    e_recip = np.array(
+        [_reciprocal_mean(state, fg.PENALIZATION, node) for node in variances]
+    )
+    state.store.set_to_node(
+        fg.PENALIZATION,
+        fg.NU,
+        penalization_messages(config.prior_beta_var, e_recip, config.num_splines),
     )
     nu_mean, nu_cov = _nu_moments(state, fg.PENALIZATION)
-    to_nu, _, _ = penalization_messages(
-        state.hyper, nu_mean, nu_cov, e_recip_mu, e_recip_psi
-    )
-    state.store.set_to_node(fg.PENALIZATION, fg.NU, to_nu)
-    # The spline-coefficient squared norms feeding the variance messages use
-    # the moments implied by the message just written.
-    nu_mean, nu_cov = _nu_moments(state, fg.PENALIZATION)
-    _, to_sigsq_mu, to_sigsq_psi = penalization_messages(
-        state.hyper, nu_mean, nu_cov, e_recip_mu, e_recip_psi
-    )
-    state.store.set_to_node(fg.PENALIZATION, fg.SIGSQ_MU, to_sigsq_mu)
-    for l, message in enumerate(to_sigsq_psi):
-        state.store.set_to_node(fg.PENALIZATION, fg.sigsq_psi_node(l), message)
-
-
-_ALIGN_SKIP_RTOL = 1e-9  # relative off-diagonal mass below which the frame is left alone
+    messages = penalization_messages_to_variances(nu_mean, nu_cov, config.num_splines)
+    for node, message in zip(variances, messages):
+        state.store.set_to_node(fg.PENALIZATION, node, message)
 
 
 def _align_component_rotation(state: VmpState) -> None:
     """Snap the internal component rotation to its stationary frame.
 
     The likelihood is invariant under jointly rotating the scores and the
-    eigenfunction coefficient blocks, and so is the isotropic score prior, so
+    eigenfunction coefficient blocks, and so is the N(0, I) score prior, so
     this changes no fitted curve.  Along that rotation orbit the objective
     varies only through the component-specific smoothing priors, and its
     stationary points diagonalize the second-moment Gram of the per-component
     spline coefficients; the coordinate updates reach that frame arbitrarily
     slowly when component scales are close, so it is snapped directly.  An
-    aligned, fragment-stationary state is a fixed point of the plain sweep,
-    and a state that is already aligned is left untouched.
+    aligned, fragment-stationary state is a fixed point of the plain sweep.
+    The snap runs on every sweep; at an aligned state its rotation is the
+    identity up to round-off.
     """
     L = state.config.num_eigen
     if L < 2 or state.config.freeze_scores_at_zero:
         return
-    if state.config.score_prior_cov is not None:
-        return  # a non-isotropic score prior is not rotation invariant
     num_coefs = 2 + state.config.num_splines
     nu_mean, nu_cov = _nu_moments(state, fg.LIKELIHOOD)
-    gram = np.empty((L, L))
-    for k in range(L):
-        uk = slice((k + 1) * num_coefs + 2, (k + 2) * num_coefs)
-        for l in range(k, L):
-            ul = slice((l + 1) * num_coefs + 2, (l + 2) * num_coefs)
-            gram[k, l] = gram[l, k] = nu_mean[uk] @ nu_mean[ul] + np.trace(
-                nu_cov[uk, ul]
-            )
-    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram))) + 1e-300
-    relative_off = np.abs(gram / scale - np.eye(L)).max()
-    if relative_off <= _ALIGN_SKIP_RTOL:
-        return
-    eigvals, rotation = np.linalg.eigh(gram)
+    second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
+    gram = np.einsum("kplp->kl", second[1:, 2:, 1:, 2:])
+    _, rotation = np.linalg.eigh(gram)
     rotation = rotation[:, ::-1]
     # Deterministic column signs keep the rotation from flapping between sweeps.
     anchor = np.argmax(np.abs(rotation), axis=0)
     rotation = rotation * np.sign(rotation[anchor, np.arange(L)])
-    if np.allclose(rotation, np.eye(L), atol=1e-12):
-        return
 
     store = state.store
     store.set_to_node(
         fg.LIKELIHOOD, fg.ZETA, _rotate_scores(store.get_to_node(fg.LIKELIHOOD, fg.ZETA), rotation)
     )
-
-    block_rotation = np.zeros((L + 1, L + 1))
-    block_rotation[0, 0] = 1.0
-    block_rotation[1:, 1:] = rotation
-    full_rotation = np.kron(block_rotation.T, np.eye(num_coefs))
     for factor in (fg.LIKELIHOOD, fg.PENALIZATION):
-        params = store.get_to_node(factor, fg.NU)
-        precision = -2.0 * symmetrize(unvec(params.eta2))
-        precision = full_rotation @ precision @ full_rotation.T
         store.set_to_node(
-            factor, fg.NU, GaussianVecParams(full_rotation @ params.eta1, -0.5 * vec(precision))
+            factor, fg.NU, _rotate_coefficients(store.get_to_node(factor, fg.NU), rotation)
         )
+
+
+def _rotate_coefficients(params: GaussianVecParams, rotation: np.ndarray) -> GaussianVecParams:
+    """nu message re-expressed for eigenfunction blocks mixed by ``rotation``.
+
+    The mean-function block is fixed and block l of the rotated nu is
+    sum_k rotation[k, l] nu_psi_k; the (L+1) x (L+1) block rotation acts on
+    both block axes of the (L+1, P, L+1, P) view of eta2.
+    """
+    blocks = rotation.shape[0] + 1
+    block_rotation = np.eye(blocks)
+    block_rotation[1:, 1:] = rotation
+    eta1 = block_rotation.T @ params.eta1.reshape(blocks, -1)
+    eta2 = params.eta2.reshape(blocks, eta1.shape[1], blocks, eta1.shape[1])
+    eta2 = np.einsum("ba,bpdq,dc->apcq", block_rotation, eta2, block_rotation, optimize=True)
+    return GaussianVecParams(eta1.ravel(), eta2.ravel())
 
 
 def _rotate_scores(params: GaussianVechParams, rotation: np.ndarray) -> GaussianVechParams:

@@ -184,11 +184,15 @@ def orthogonalize(
 
     rotated = (singular[:, None] * right_t) @ scores.T  # (L, n)
     score_shift = rotated.mean(axis=1)
-    mean_hat = np.asarray(mean_curve, dtype=float) + left @ score_shift
+    centered = rotated - score_shift[:, None]
+    # A second pass removes the round-off the first leaves when the shift
+    # dwarfs the spread of the scores.
+    residual_shift = centered.mean(axis=1)
+    centered -= residual_shift[:, None]
+    mean_hat = np.asarray(mean_curve, dtype=float) + left @ (score_shift + residual_shift)
 
     # Spectral decomposition of the score sample covariance, computed through
     # an SVD of the centered scores so the eigenvalues cannot round negative.
-    centered = rotated - score_shift[:, None]
     eigvecs, cov_singular, _ = linalg.svd(centered / np.sqrt(num_curves - 1.0))
     eigvals = np.zeros(num_eigen)
     eigvals[: cov_singular.size] = cov_singular**2

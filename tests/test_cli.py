@@ -213,6 +213,90 @@ class TestFit:
         assert "fit_1" in series
 
 
+def write_csv(path, rows):
+    path.write_text("curve_id,t,y\n" + "".join(f"{c},{t!r},{y!r}\n" for c, t, y in rows))
+    return path
+
+
+def valid_rows():
+    rng = np.random.default_rng(5)
+    return [(c, t, float(rng.standard_normal())) for c in "abc" for t in (0.0, 0.3, 0.6, 0.9)]
+
+
+def _equal_times(tmp_path):
+    rows = [(c, 5.0, y) for c, _, y in valid_rows()]
+    return ["fit", str(write_csv(tmp_path / "d.csv", rows)), "--rescale-time"]
+
+
+def _manifest(text):
+    def build(tmp_path):
+        dataset = write_csv(tmp_path / "d.csv", valid_rows())
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text.replace("DATASET", json.dumps(str(dataset))))
+        return ["fit", "--from-manifest", str(manifest)]
+
+    return build
+
+
+class TestFitInputErrors:
+    """Bad inputs to ``fit`` print one error line and exit 2, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (_equal_times, "cannot rescale"),
+            (_manifest("{not json"), "JSONDecodeError"),
+            (_manifest('{"dataset": DATASET, "config": {"num_eigen": 0}}'), "num_eigen"),
+            (_manifest('{"dataset": DATASET, "config": {"bogus": 1}}'), "bogus"),
+            (_manifest('{"dataset": DATASET, "config": {"num_eigen": 2.5}}'), "integer"),
+            (_manifest('{"dataset": DATASET}'), "config"),
+            (_manifest('{"config": {}}'), "dataset"),
+            (_manifest('[1, 2]'), "TypeError"),
+            (
+                _manifest('{"dataset": DATASET, "config": {"score_prior_cov": [[1.0]]}}'),
+                "score_prior_cov was removed",
+            ),
+        ],
+        ids=[
+            "rescale-equal-times",
+            "manifest-malformed-json",
+            "manifest-invalid-config",
+            "manifest-unknown-key",
+            "manifest-non-integer-size",
+            "manifest-missing-config",
+            "manifest-missing-dataset",
+            "manifest-not-an-object",
+            "manifest-score-prior-cov",
+        ],
+    )
+    def test_exits_2_with_error_line(self, build, message, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code = run_cli(*build(tmp_path), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_constant_response_is_validation_error(self, tmp_path, capsys):
+        rows = [(c, t, 2.5) for c, t, _ in valid_rows()]
+        path = write_csv(tmp_path / "d.csv", rows)
+        code = run_cli("fit", str(path), "--out", str(tmp_path / "f.json"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert "zero variance" in err and "Traceback" not in err
+
+    def test_manifest_with_null_score_prior_cov_reruns(self, fit_paths, tmp_path):
+        _, fit_path = fit_paths
+        manifest = json.loads((fit_path.parent / "fit.manifest.json").read_text())
+        manifest["config"]["score_prior_cov"] = None
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        out = tmp_path / "rerun.json"
+        assert run_cli("fit", "--from-manifest", str(old), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["fit"] == json.loads(fit_path.read_text())["fit"]
+
+
 class TestEval:
     def test_self_evaluation_is_zero(self, fit_paths, tmp_path):
         _, fit_path = fit_paths
@@ -319,24 +403,6 @@ class TestEval:
             run_cli("eval", "--study", "--replicates", "0", "--out", str(tmp_path / "s.json"))
             == cli.EXIT_VALIDATION
         )
-
-    def test_study_keeps_score_prior_cov(self):
-        from vmpfpca.orchestrator import FitConfig, fit
-        from vmpfpca.postprocess import finalize
-        from vmpfpca.simulate import SimConfig, generate
-
-        prior = np.diag([4.0, 0.25])
-        config = FitConfig(num_eigen=2, max_iter=2000, score_prior_cov=prior)
-        (row,) = cli.run_study(1, [10], config, base_seed=4, workers=1)
-        (identity_row,) = cli.run_study(
-            1, [10], FitConfig(num_eigen=2, max_iter=2000), base_seed=4, workers=1
-        )
-        dataset, _ = generate(SimConfig(num_curves=10, seed=4))
-        state = fit(dataset, FitConfig(num_eigen=2, max_iter=2000, score_prior_cov=prior, seed=4))
-        eigenvalues = finalize(state).eigenvalues
-        assert row["iterations"] == state.iterations
-        assert [row["eigenvalue_1"], row["eigenvalue_2"]] == eigenvalues.tolist()
-        assert row["eigenvalue_1"] != identity_row["eigenvalue_1"]
 
     def test_study_worker_pool_matches_serial(self, tmp_path):
         from vmpfpca.orchestrator import FitConfig

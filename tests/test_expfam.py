@@ -12,6 +12,7 @@ from vmpfpca.expfam import (
     gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
     invchisq_to_shape_scale,
+    invert_spd,
     moore_penrose_duplication,
     unvec,
     vec,
@@ -150,6 +151,38 @@ class TestGaussianVech:
         back = vech_to_vec_params(vech_params)
         assert np.array_equal(back.eta1, vec_params.eta1)
         assert np.array_equal(back.eta2, vec_params.eta2)
+
+
+class TestInvertSpd:
+    @pytest.mark.parametrize("shape", [(5,), (7, 3), (2, 4, 6)])
+    def test_batched_matches_per_matrix_inverse(self, shape):
+        rng = np.random.default_rng(len(shape))
+        *lead, d = shape
+        stack = np.stack([random_spd(rng, d) for _ in range(int(np.prod(lead, dtype=int)))])
+        stack = stack.reshape(*lead, d, d)
+        inverse = invert_spd(stack)
+        assert inverse.shape == stack.shape
+        for idx in np.ndindex(*lead):
+            expected = np.linalg.inv(stack[idx])
+            assert np.abs(inverse[idx] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_ill_conditioned_still_inverted(self):
+        # Eigenvalues spanning 1e-12 relative factorize: no fallback is needed.
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        matrix = q @ np.diag([1.0, 1e-4, 1e-8, 1e-12]) @ q.T
+        inverse = invert_spd(matrix)
+        assert np.abs(inverse @ matrix - np.eye(4)).max() < 1e-3
+
+    def test_indefinite_raises_with_eigenvalue_range(self):
+        matrix = np.diag([2.0, -1.0, 3.0])
+        with pytest.raises(DegenerateMessageError, match=r"q\(x\).*\[-1\.000e\+00, 3\.000e\+00\]"):
+            invert_spd(matrix, context="q(x)")
+
+    def test_stack_names_failed_rows(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2), -np.eye(2)])
+        with pytest.raises(DegenerateMessageError, match=r"rows \[1, 3\]"):
+            invert_spd(stack)
 
 
 class TestInvChiSq:

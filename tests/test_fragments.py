@@ -5,13 +5,14 @@ from scipy import integrate, stats
 from vmpfpca.expfam import (
     InvChiSqParams,
     duplication_matrix,
+    gaussian_moments_to_vec,
+    gaussian_moments_to_vech,
     gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
     vec,
 )
 from vmpfpca.fragments import (
     LikelihoodExpectations,
-    PenalizationHyper,
     build_likelihood_cache,
     gaussian_prior_message,
     igw_prior_message,
@@ -22,8 +23,10 @@ from vmpfpca.fragments import (
     likelihood_message_to_sigsq_eps,
     likelihood_messages_to_zeta,
     penalization_messages,
+    penalization_messages_to_variances,
     with_score_moments,
 )
+from tests_oracle_support import dense_penalization_precision
 
 
 def random_spd(rng, d, scale=1.0):
@@ -49,13 +52,13 @@ def make_moments(rng, num_eigen, num_coefs, num_curves):
 class TestGaussianPrior:
     def test_score_prior_closed_form(self):
         num_eigen = 3
-        message = gaussian_prior_message(np.zeros(num_eigen), np.eye(num_eigen), basis="vech")
+        message = gaussian_prior_message(num_eigen)
         assert np.array_equal(message.eta1, np.zeros(num_eigen))
         expected = duplication_matrix(num_eigen).T @ (-0.5 * vec(np.eye(num_eigen)))
         assert np.allclose(message.eta2, expected)
 
     def test_scalar(self):
-        message = gaussian_prior_message(np.zeros(1), np.ones((1, 1)), basis="vec")
+        message = gaussian_prior_message(1)
         assert np.allclose(message.eta1, [0.0])
         assert np.allclose(message.eta2, [-0.5])
 
@@ -65,7 +68,7 @@ class TestGaussianPrior:
         rng = np.random.default_rng(21)
         mean = rng.standard_normal(3)
         cov = random_spd(rng, 3)
-        message = gaussian_prior_message(mean, cov, basis="vec")
+        message = gaussian_moments_to_vec(mean, cov)
         dist = stats.multivariate_normal(mean, cov)
         points = rng.standard_normal((100, 3))
         base = points[0]
@@ -83,7 +86,7 @@ class TestGaussianPrior:
         rng = np.random.default_rng(22)
         mean = rng.standard_normal(2)
         cov = random_spd(rng, 2)
-        message = gaussian_prior_message(mean, cov, basis="vech")
+        message = gaussian_moments_to_vech(mean, cov)
         dist = stats.multivariate_normal(mean, cov)
         points = rng.standard_normal((50, 2))
 
@@ -372,7 +375,7 @@ class TestLikelihoodMessageToZeta:
         )
         message = likelihood_messages_to_zeta(cache, exp, e_recip)
 
-        prior = gaussian_prior_message(np.zeros(num_eigen), np.eye(num_eigen), basis="vech")
+        prior = gaussian_prior_message(num_eigen)
         (q_mean,), (q_cov,) = gaussian_vech_to_moments(message + prior)
 
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
@@ -394,7 +397,7 @@ class TestLikelihoodMessageToZeta:
         e_recip = 0.9
         exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
         message = likelihood_messages_to_zeta(cache, exp, e_recip)
-        prior = gaussian_prior_message(np.zeros(1), np.eye(1), basis="vech")
+        prior = gaussian_prior_message(1)
         q = message + prior
         precision = -2.0 * q.eta2[0, 0]
         # E(psi' C'C psi) includes the covariance correction
@@ -452,46 +455,37 @@ class TestLikelihoodMessageToSigsqEps:
 class TestPenalizationFragment:
     def test_variance_message_arithmetic(self):
         # K = 10, E(u'u) = 2 for the mean-function block
-        hyper = PenalizationHyper(np.zeros(2), np.eye(2), num_eigen=1, num_splines=10)
         nu_mean = np.zeros(24)
         nu_mean[2] = nu_mean[3] = 1.0  # mean-block spline coefficients with u'u = 2
         nu_cov = np.zeros((24, 24))
-        _, to_sigsq_mu, _ = penalization_messages(hyper, nu_mean, nu_cov, 1.0, np.array([1.0]))
+        to_sigsq_mu, _ = penalization_messages_to_variances(nu_mean, nu_cov, 10)
         assert to_sigsq_mu == InvChiSqParams(-5.0, -1.0)
 
     def test_identity_expected_precision(self):
-        hyper = PenalizationHyper(np.zeros(2), np.eye(2), num_eigen=2, num_splines=3)
         dim = 15
-        nu_mean = np.zeros(dim)
-        nu_cov = np.eye(dim)
-        to_nu, _, _ = penalization_messages(hyper, nu_mean, nu_cov, 1.0, np.array([1.0, 1.0]))
-        assert np.allclose(to_nu.eta1, hyper.mean_vector())
-        assert np.allclose(to_nu.eta2, -0.5 * vec(np.eye(dim)))
+        to_nu = penalization_messages(1.0, np.ones(3), num_splines=3)
+        assert np.array_equal(to_nu.eta1, np.zeros(dim))
+        assert np.array_equal(to_nu.eta2, -0.5 * vec(np.eye(dim)))
 
     def test_expected_sq_norm_monte_carlo(self):
         rng = np.random.default_rng(71)
         num_eigen, num_splines = 2, 4
-        hyper = PenalizationHyper(np.zeros(2), 10.0 * np.eye(2), num_eigen, num_splines)
         dim = (num_eigen + 1) * (2 + num_splines)
         nu_mean = rng.standard_normal(dim)
         nu_cov = random_spd(rng, dim, scale=0.05)
-        _, to_sigsq_mu, to_sigsq_psi = penalization_messages(
-            hyper, nu_mean, nu_cov, 0.8, np.array([1.1, 0.4])
-        )
+        messages = penalization_messages_to_variances(nu_mean, nu_cov, num_splines)
+        assert len(messages) == num_eigen + 1
         draws = rng.multivariate_normal(nu_mean, nu_cov, size=200_000)
         num_coefs = 2 + num_splines
-        for block, message in enumerate([to_sigsq_mu, *to_sigsq_psi]):
+        for block, message in enumerate(messages):
             spline = slice(block * num_coefs + 2, (block + 1) * num_coefs)
             mc = (draws[:, spline] ** 2).sum(axis=1).mean()
             assert -2.0 * message.eta2 == pytest.approx(mc, rel=0.01)
             assert message.eta1 == -0.5 * num_splines
 
     def test_blockdiag_structure_of_expected_precision(self):
-        hyper = PenalizationHyper(np.zeros(2), 4.0 * np.eye(2), num_eigen=1, num_splines=3)
         dim = 10
-        to_nu, _, _ = penalization_messages(
-            hyper, np.zeros(dim), np.eye(dim), 2.0, np.array([3.0])
-        )
+        to_nu = penalization_messages(4.0, np.array([2.0, 3.0]), num_splines=3)
         precision = -2.0 * to_nu.eta2.reshape(dim, dim, order="F")
         expected = np.zeros((dim, dim))
         expected[:2, :2] = 0.25 * np.eye(2)
@@ -500,10 +494,17 @@ class TestPenalizationFragment:
         expected[7:10, 7:10] = 3.0 * np.eye(3)
         assert np.allclose(precision, expected)
 
-    def test_singular_beta_cov_rejected(self):
-        hyper = PenalizationHyper(np.zeros(2), np.zeros((2, 2)), num_eigen=1, num_splines=3)
-        with pytest.raises(Exception):
-            penalization_messages(hyper, np.zeros(10), np.eye(10), 1.0, np.array([1.0]))
+    @pytest.mark.parametrize("num_eigen, num_splines", [(1, 3), (3, 10), (4, 7)])
+    def test_matches_dense_expected_precision(self, num_eigen, num_splines):
+        rng = np.random.default_rng(72 + num_eigen)
+        prior_beta_var = 1e10
+        e_recip = rng.uniform(0.1, 5.0, num_eigen + 1)
+        precision = dense_penalization_precision(
+            prior_beta_var * np.eye(2), e_recip, num_splines
+        )
+        to_nu = penalization_messages(prior_beta_var, e_recip, num_splines)
+        assert np.array_equal(to_nu.eta1, np.zeros(precision.shape[0]))
+        assert np.allclose(to_nu.eta2, -0.5 * vec(precision), rtol=1e-14, atol=0.0)
 
 
 class TestShapeAudit:
@@ -526,13 +527,11 @@ class TestShapeAudit:
         assert to_zeta.eta1.shape == (2, num_eigen)
         assert to_zeta.eta2.shape == (2, num_eigen * (num_eigen + 1) // 2)
 
-        hyper = PenalizationHyper(np.zeros(2), np.eye(2), num_eigen, num_splines)
-        to_nu_pen, to_mu, to_psi = penalization_messages(
-            hyper, nu_mean, nu_cov, 1.0, np.ones(num_eigen)
-        )
+        to_nu_pen = penalization_messages(1e10, np.ones(num_eigen + 1), num_splines)
         assert to_nu_pen.eta1.shape == (dim,)
         assert to_nu_pen.eta2.shape == (dim * dim,)
-        assert len(to_psi) == num_eigen
+        to_variances = penalization_messages_to_variances(nu_mean, nu_cov, num_splines)
+        assert len(to_variances) == num_eigen + 1
 
         assert exp.zt_mean.shape == (2, num_eigen + 1)
         assert exp.zt_second.shape == (2, num_eigen + 1, num_eigen + 1)
@@ -547,8 +546,7 @@ class TestPriorConstancy:
         a = igw_prior_message(12.5)
         b = igw_prior_message(12.5)
         assert a== b
-        mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
-        first = gaussian_prior_message(mean, cov, basis="vec")
-        second = gaussian_prior_message(mean, cov, basis="vec")
+        first = gaussian_prior_message(2)
+        second = gaussian_prior_message(2)
         assert np.array_equal(first.eta1, second.eta1)
         assert np.array_equal(first.eta2, second.eta2)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from vmpfpca.expfam import (
 from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
 from vmpfpca.orchestrator import (
     FitConfig,
+    _align_component_rotation,
     _q_snapshot,
+    _rotate_coefficients,
     _rotate_scores,
     _sweep,
     convergence_metric,
@@ -25,6 +29,7 @@ from vmpfpca.orchestrator import (
     initialize,
 )
 from vmpfpca.simulate import SimConfig, generate
+from tests_oracle_support import kronecker_rotate_nu
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +62,13 @@ class TestFitConfig:
             {"grid_size": 100},
             {"hyper_a_eps": 0.0},
             {"prior_beta_var": -1.0},
+            {"num_eigen": 2.5},
+            {"max_iter": 1e3},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
-
-    def test_score_prior_cov_shape_checked(self):
-        with pytest.raises(ValueError):
-            FitConfig(num_eigen=2, score_prior_cov=np.eye(3))
 
 
 class TestInitialize:
@@ -78,9 +81,7 @@ class TestInitialize:
     def test_prior_messages_match_closed_forms(self, reference_dataset):
         config = FitConfig()
         state = initialize(reference_dataset, config)
-        expected_score_prior = gaussian_prior_message(
-            np.zeros(3), np.eye(3), basis="vech"
-        )
+        expected_score_prior = gaussian_prior_message(3)
         # one prior message shared by every curve's scores
         stored = state.store.get_to_node(fg.PRIOR_ZETA, fg.ZETA)
         assert np.array_equal(stored.eta1, expected_score_prior.eta1)
@@ -178,6 +179,40 @@ class TestRotateScores:
             assert np.array_equal(
                 rotated.eta2[i], duplication_matrix(L).T @ (-0.5 * vec(precision))
             )
+
+
+class TestRotateCoefficients:
+    @pytest.mark.parametrize("num_eigen, num_splines", [(2, 3), (3, 10), (4, 6)])
+    def test_matches_kronecker_rotation(self, num_eigen, num_splines):
+        rng = np.random.default_rng(10 * num_eigen + num_splines)
+        dim = (num_eigen + 1) * (2 + num_splines)
+        a = rng.standard_normal((dim, dim))
+        precision = a @ a.T + np.eye(dim)
+        params = GaussianVecParams(rng.standard_normal(dim), -0.5 * vec(precision))
+        rotation, _ = np.linalg.qr(rng.standard_normal((num_eigen, num_eigen)))
+        rotated = _rotate_coefficients(params, rotation)
+        expected = kronecker_rotate_nu(params, rotation)
+        scale = np.abs(expected.as_vector()).max()
+        assert np.abs(rotated.as_vector() - expected.as_vector()).max() <= 1e-12 * scale
+        # the mean-function block is left alone
+        num_coefs = 2 + num_splines
+        assert np.array_equal(rotated.eta1[:num_coefs], params.eta1[:num_coefs])
+
+    def test_snap_at_aligned_state_is_near_identity(self, converged_state):
+        # The snap always writes both nu messages; at a converged state the
+        # frame is aligned up to the convergence tolerance, so the messages
+        # move by far less than the tolerance.
+        state = copy.deepcopy(converged_state)
+        before = {
+            factor: state.store.get_to_node(factor, fg.NU)
+            for factor in (fg.LIKELIHOOD, fg.PENALIZATION)
+        }
+        _align_component_rotation(state)
+        for factor, old in before.items():
+            new = state.store.get_to_node(factor, fg.NU)
+            assert new is not old
+            change = np.abs(new.as_vector() - old.as_vector()).max()
+            assert change / (1.0 + np.abs(old.as_vector()).max()) < 1e-2 * state.config.tol
 
 
 class TestConvergenceMetric:

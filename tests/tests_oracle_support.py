@@ -34,6 +34,42 @@ def invchisq_from_shape_scale(shape: float, scale: float) -> InvChiSqParams:
     return InvChiSqParams(-0.5 * (shape + 2.0), -0.5 * scale)
 
 
+def kronecker_rotate_nu(params: GaussianVecParams, rotation: np.ndarray) -> GaussianVecParams:
+    """Rotate the eigenfunction blocks of a nu message through the full Kronecker map.
+
+    With B = blockdiag(1, rotation) and F = B' kron I_P, the rotated message
+    has eta1 = F eta1 and precision F Lambda F'.
+    """
+    blocks = rotation.shape[0] + 1
+    block_rotation = np.eye(blocks)
+    block_rotation[1:, 1:] = rotation
+    full_rotation = np.kron(block_rotation.T, np.eye(params.dim // blocks))
+    precision = -2.0 * params.eta2.reshape(params.dim, params.dim, order="F")
+    precision = full_rotation @ precision @ full_rotation.T
+    return GaussianVecParams(
+        full_rotation @ params.eta1, -0.5 * precision.reshape(-1, order="F")
+    )
+
+
+def dense_penalization_precision(
+    beta_cov: np.ndarray, e_recip: np.ndarray, num_splines: int
+) -> np.ndarray:
+    """Expected prior precision of nu, assembled block by block as a dense matrix.
+
+    Each block stacks inv(beta_cov) on its two linear coefficients on top of
+    E(1/sigma^2) times the identity on its spline coefficients.
+    """
+    num_coefs = 2 + num_splines
+    dim = len(e_recip) * num_coefs
+    precision = np.zeros((dim, dim))
+    for block, value in enumerate(e_recip):
+        start = block * num_coefs
+        precision[start : start + 2, start : start + 2] = np.linalg.inv(beta_cov)
+        spline = slice(start + 2, start + num_coefs)
+        precision[spline, spline] = value * np.eye(num_splines)
+    return precision
+
+
 def gram_schmidt(columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Orthonormalize function columns under the trapezoid inner product.
 
