@@ -74,6 +74,9 @@ class FunctionalDataset:
         Returns the rescaled dataset and the (offset, scale) of the original
         times, so that original = offset + scale * rescaled.
         """
+        for cid, t in zip(self.curve_ids, self.times):
+            if not np.all(np.isfinite(t)):
+                raise ValueError(f"curve {cid!r} contains non-finite entries")
         lo = min(float(t.min()) for t in self.times)
         hi = max(float(t.max()) for t in self.times)
         if not hi > lo:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from . import graph as fg
 from .expfam import (
@@ -173,7 +172,7 @@ def orthogonalize(
         raise ValueError("need at least two curves to form a score covariance")
 
     sqrt_weights = np.sqrt(trapezoid_weights(grid))
-    weighted_left, singular, right_t = linalg.svd(
+    weighted_left, singular, right_t = np.linalg.svd(
         sqrt_weights[:, None] * funcs, full_matrices=False
     )
     if singular[-1] <= _RANK_ATOL:
@@ -193,7 +192,7 @@ def orthogonalize(
 
     # Spectral decomposition of the score sample covariance, computed through
     # an SVD of the centered scores so the eigenvalues cannot round negative.
-    eigvecs, cov_singular, _ = linalg.svd(centered / np.sqrt(num_curves - 1.0))
+    eigvecs, cov_singular, _ = np.linalg.svd(centered / np.sqrt(num_curves - 1.0))
     eigvals = np.zeros(num_eigen)
     eigvals[: cov_singular.size] = cov_singular**2
     for l, value in enumerate(eigvals):

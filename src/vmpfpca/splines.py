@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.interpolate import BSpline
 
 _SPLINE_DEGREE = 3
 # Simpson subintervals per inter-knot segment.  The integrand (product of two
@@ -37,13 +35,34 @@ class SplineBasis:
         lo, hi = self.boundary
         if times.size and (times.min() < lo or times.max() > hi):
             raise ValueError(f"evaluation points outside [{lo}, {hi}]")
-        raw = _raw_bspline(self._knot_vector)(times)
-        return raw @ self.transform
+        return _bspline_values(self._knot_vector, times) @ self.transform
 
 
-def _raw_bspline(knot_vector: np.ndarray) -> BSpline:
-    num_raw = knot_vector.size - _SPLINE_DEGREE - 1
-    return BSpline(knot_vector, np.eye(num_raw), _SPLINE_DEGREE, extrapolate=True)
+def _bspline_values(knot_vector: np.ndarray, times: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """Raw cubic B-splines (``deriv`` = 0) or their ``deriv``-th derivative at ``times``.
+
+    Cox-de Boor recursion from the degree-0 span indicators, vectorised over
+    points and functions; the top ``deriv`` levels use the derivative
+    recurrence in place of the value recurrence.  A point at the upper
+    boundary belongs to the last non-empty span.  Returns an array of shape
+    (len(times), len(knot_vector) - 4).
+    """
+    points = times[:, None]
+    values = ((knot_vector[:-1] <= points) & (points < knot_vector[1:])).astype(float)
+    values[times == knot_vector[-1], -_SPLINE_DEGREE - 1] = 1.0  # last non-empty span
+    for degree in range(1, _SPLINE_DEGREE + 1):
+        start, stop = knot_vector[: -degree - 1], knot_vector[degree + 1 :]
+        lower = knot_vector[degree:-1] - start
+        upper = stop - knot_vector[1:-degree]
+        # An empty support means a zero function; an infinite width zeroes its weight.
+        lower[lower == 0.0] = np.inf
+        upper[upper == 0.0] = np.inf
+        if degree > _SPLINE_DEGREE - deriv:
+            rise, fall = degree, -degree
+        else:
+            rise, fall = points - start, stop - points
+        values = rise / lower * values[:, :-1] + fall / upper * values[:, 1:]
+    return values
 
 
 def _second_derivative_penalty(knot_vector: np.ndarray) -> np.ndarray:
@@ -52,18 +71,14 @@ def _second_derivative_penalty(knot_vector: np.ndarray) -> np.ndarray:
     Composite Simpson per inter-knot segment; exact because the integrand is
     piecewise quadratic between knots.
     """
-    deriv2 = _raw_bspline(knot_vector).derivative(2)
-    breaks = np.unique(knot_vector)
-    num_raw = knot_vector.size - _SPLINE_DEGREE - 1
-    penalty = np.zeros((num_raw, num_raw))
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        grid = np.linspace(left, right, _SIMPSON_SUBINTERVALS + 1)
-        weights = np.ones(grid.size)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        weights *= (right - left) / (3.0 * _SIMPSON_SUBINTERVALS)
-        values = deriv2(grid)
-        penalty += values.T @ (weights[:, None] * values)
+    breaks = knot_vector[_SPLINE_DEGREE:-_SPLINE_DEGREE]  # the distinct knots
+    grid = np.linspace(breaks[:-1], breaks[1:], _SIMPSON_SUBINTERVALS + 1, axis=1)
+    simpson = np.ones(_SIMPSON_SUBINTERVALS + 1)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    weights = np.diff(breaks)[:, None] * simpson / (3.0 * _SIMPSON_SUBINTERVALS)
+    values = _bspline_values(knot_vector, grid.reshape(-1), deriv=2)
+    penalty = values.T @ (weights.reshape(-1, 1) * values)
     return 0.5 * (penalty + penalty.T)
 
 
@@ -87,7 +102,7 @@ def build_basis(num_basis: int, interval: tuple[float, float] = (0.0, 1.0)) -> S
     knot_vector = np.r_[[lo] * (_SPLINE_DEGREE + 1), interior, [hi] * (_SPLINE_DEGREE + 1)]
 
     penalty = _second_derivative_penalty(knot_vector)
-    eigvals, eigvecs = linalg.eigh(penalty)
+    eigvals, eigvecs = np.linalg.eigh(penalty)
     positive = eigvals > eigvals[-1] * 1e-10
     if int(positive.sum()) != num_basis:
         raise ValueError(

@@ -228,6 +228,11 @@ def _equal_times(tmp_path):
     return ["fit", str(write_csv(tmp_path / "d.csv", rows)), "--rescale-time"]
 
 
+def _nan_time(tmp_path):
+    rows = [*valid_rows(), ("a", float("nan"), 2.0)]
+    return ["fit", str(write_csv(tmp_path / "d.csv", rows)), "--rescale-time"]
+
+
 def _manifest(text):
     def build(tmp_path):
         dataset = write_csv(tmp_path / "d.csv", valid_rows())
@@ -245,6 +250,7 @@ class TestFitInputErrors:
         "build, message",
         [
             (_equal_times, "cannot rescale"),
+            (_nan_time, "curve 'a' contains non-finite entries"),
             (_manifest("{not json"), "JSONDecodeError"),
             (_manifest('{"dataset": DATASET, "config": {"num_eigen": 0}}'), "num_eigen"),
             (_manifest('{"dataset": DATASET, "config": {"bogus": 1}}'), "bogus"),
@@ -259,6 +265,7 @@ class TestFitInputErrors:
         ],
         ids=[
             "rescale-equal-times",
+            "rescale-nan-time",
             "manifest-malformed-json",
             "manifest-invalid-config",
             "manifest-unknown-key",

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from vmpfpca.splines import build_basis, design_matrix
+from vmpfpca.splines import (
+    _bspline_values,
+    _second_derivative_penalty,
+    build_basis,
+    design_matrix,
+)
+
+# Basis sizes for the scipy oracle: the smallest allowed, a few typical, a wide one.
+ORACLE_SIZES = (3, 4, 10, 25, 40)
 
 
 class TestBuildBasis:
@@ -80,3 +88,49 @@ class TestDesignMatrix:
             design_matrix(np.array([1.2]), basis)
         with pytest.raises(ValueError):
             design_matrix(np.array([-0.1]), basis)
+
+
+def _oracle_points(knots):
+    """A dense grid on [0, 1], boundaries included, plus every knot."""
+    return np.r_[np.linspace(0.0, 1.0, 2001), knots]
+
+
+def _scipy_penalty(knots):
+    """Second-derivative Gram matrix by composite Simpson on scipy's derivative spline."""
+    deriv2 = BSpline(knots, np.eye(knots.size - 4), 3).derivative(2)
+    breaks = np.unique(knots)
+    penalty = np.zeros((knots.size - 4,) * 2)
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        grid = np.linspace(left, right, 9)
+        weights = np.array([1.0, 4, 2, 4, 2, 4, 2, 4, 1]) * (right - left) / 24.0
+        values = deriv2(grid)
+        penalty += values.T @ (weights[:, None] * values)
+    return 0.5 * (penalty + penalty.T)
+
+
+class TestScipyOracle:
+    """The numpy Cox-de Boor basis against scipy's B-splines (scipy is a test-only dependency)."""
+
+    @pytest.mark.parametrize("deriv", [0, 2])
+    @pytest.mark.parametrize("num_basis", ORACLE_SIZES)
+    def test_bspline_values(self, num_basis, deriv):
+        knots = build_basis(num_basis)._knot_vector
+        times = _oracle_points(knots)
+        oracle = BSpline(knots, np.eye(knots.size - 4), 3)(times, nu=deriv)
+        values = _bspline_values(knots, times, deriv=deriv)
+        assert values.shape == oracle.shape
+        assert np.abs(values - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+
+    @pytest.mark.parametrize("num_basis", ORACLE_SIZES)
+    def test_second_derivative_penalty(self, num_basis):
+        knots = build_basis(num_basis)._knot_vector
+        oracle = _scipy_penalty(knots)
+        penalty = _second_derivative_penalty(knots)
+        assert np.abs(penalty - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("num_basis", ORACLE_SIZES)
+    def test_whitened_penalty_is_identity(self, num_basis):
+        basis = build_basis(num_basis)
+        penalty = _second_derivative_penalty(basis._knot_vector)
+        whitened = basis.transform.T @ penalty @ basis.transform
+        assert np.allclose(whitened, np.eye(num_basis), rtol=0.0, atol=1e-9)
