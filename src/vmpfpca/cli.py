@@ -8,6 +8,7 @@ to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -413,6 +414,42 @@ def _study_cell(task) -> dict:
     return row
 
 
+def _openblas_function(name: str):
+    """OpenBLAS's ``openblas_<name>`` in the library numpy loaded, or None.
+
+    Looked up by its plain, 64-bit-suffixed and scipy-openblas symbol names
+    in the OpenBLAS mapped into this process (Linux only).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for library in sorted(libraries):
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for symbol in (f"openblas_{name}", f"openblas_{name}64_", f"scipy_openblas_{name}64_"):
+            if hasattr(handle, symbol):
+                return getattr(handle, symbol)
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Study worker initializer: run this worker's BLAS on one thread.
+
+    A forked worker inherits numpy's OpenBLAS already loaded, with the
+    parent's thread count, so OPENBLAS_NUM_THREADS would be read too late;
+    OpenBLAS's own setter is called instead.  The parent's threads and
+    environment are left alone, and other BLAS builds keep their default.
+    """
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def run_study(
     replicates: int,
     curve_counts: list[int],
@@ -423,6 +460,8 @@ def run_study(
     """Replicated simulation study; seeds are paired across curve counts.
 
     Every cell fits with ``config``, its seed replaced by the cell's seed.
+    With ``workers`` > 1 the cells run in that many processes, each on one
+    BLAS thread, so the workers do not oversubscribe the cores.
     """
     tasks = []
     for replicate in range(replicates):
@@ -430,7 +469,7 @@ def run_study(
         for num_curves in curve_counts:
             tasks.append((replicate, num_curves, seed, replace(config, seed=seed)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_study_cell, tasks))
     else:
         rows = [_study_cell(task) for task in tasks]

@@ -6,7 +6,8 @@ the functional-principal-component Gaussian likelihood fragment and the
 Gaussian penalization fragment.  The likelihood fragment is fully batched
 across curves: the per-curve Gram matrices C_i'C_i and projections C_i'y_i
 are cached once per fit and every per-iteration quantity is an einsum over
-the curve axis.  The fragments are specialised to the model's fixed priors.
+the curve axis.  Its message to nu needs the score moments only, not q(nu).
+The fragments are specialised to the model's fixed priors.
 The Gaussian prior fragment emits the N(0, I) score prior in the vech
 basis.  The penalization fragment's message to nu depends only on the
 N(0, sigma^2_beta I) prior of the linear parts and on the smoothing
@@ -112,7 +113,23 @@ def build_likelihood_cache(design_matrices, responses) -> LikelihoodCache:
 
 
 @dataclass(frozen=True)
-class LikelihoodExpectations:
+class ScoreMoments:
+    """Moments of the augmented scores zeta-tilde_i = (1, zeta_i')', batched over curves."""
+
+    zt_mean: np.ndarray  # (n, L+1); E(zeta-tilde_i) = (1, E(zeta_i)')'
+    zt_second: np.ndarray  # (n, L+1, L+1); E(zeta-tilde zeta-tilde')
+
+
+def score_moments(zeta_means: np.ndarray, zeta_covs: np.ndarray) -> ScoreMoments:
+    """Augmented-score moments from the (n, L) means and (n, L, L) covariances."""
+    zt_mean = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
+    zt_second = zt_mean[:, :, None] * zt_mean[:, None, :]
+    zt_second[:, 1:, 1:] += zeta_covs
+    return ScoreMoments(zt_mean, zt_second)
+
+
+@dataclass(frozen=True)
+class LikelihoodExpectations(ScoreMoments):
     """Cached optimal-posterior expectations used by the likelihood messages.
 
     The score moments (``zt_*``) and the spline-coefficient moments (the
@@ -120,29 +137,19 @@ class LikelihoodExpectations:
     and keeps the second.
     """
 
-    zt_mean: np.ndarray  # (n, L+1); E(zeta-tilde_i) = (1, E(zeta_i)')'
-    zt_second: np.ndarray  # (n, L+1, L+1); E(zeta-tilde zeta-tilde')
     v_mean: np.ndarray  # (P, L+1); columns E(nu_mu), E(nu_psi_1), ...
     h_full: np.ndarray  # (n, L+1, L+1); E of V' C_i'C_i V, V = (nu_mu, nu_psi_1, ...)
-
-
-def _score_moments(zeta_means: np.ndarray, zeta_covs: np.ndarray) -> dict[str, np.ndarray]:
-    zt_mean = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
-    zt_second = zt_mean[:, :, None] * zt_mean[:, None, :]
-    zt_second[:, 1:, 1:] += zeta_covs
-    return {"zt_mean": zt_mean, "zt_second": zt_second}
 
 
 def likelihood_expectations(
     cache: LikelihoodCache,
     nu_mean: np.ndarray,
     nu_cov: np.ndarray,
-    zeta_means: np.ndarray,
-    zeta_covs: np.ndarray,
+    scores: ScoreMoments,
 ) -> LikelihoodExpectations:
     """All moment summaries the likelihood messages need, batched over curves."""
     num_coefs = cache.num_coefs
-    blocks = zeta_means.shape[1] + 1
+    blocks = scores.zt_mean.shape[1]
     if nu_mean.size != blocks * num_coefs:
         raise ValueError(
             f"nu has length {nu_mean.size}, expected {blocks}*{num_coefs}"
@@ -157,31 +164,28 @@ def likelihood_expectations(
     h_full = np.einsum("bqap,ipq->iab", block_tensor, cache.gram)
     h_full = 0.5 * (h_full + h_full.transpose(0, 2, 1))
 
-    return LikelihoodExpectations(
-        **_score_moments(zeta_means, zeta_covs),
-        v_mean=v_mean,
-        h_full=h_full,
-    )
+    return LikelihoodExpectations(scores.zt_mean, scores.zt_second, v_mean, h_full)
 
 
 def with_score_moments(
-    expectations: LikelihoodExpectations, zeta_means: np.ndarray, zeta_covs: np.ndarray
+    expectations: LikelihoodExpectations, scores: ScoreMoments
 ) -> LikelihoodExpectations:
     """The same expectations under new score moments; the nu-dependent part is reused."""
-    return replace(expectations, **_score_moments(zeta_means, zeta_covs))
+    return replace(expectations, zt_mean=scores.zt_mean, zt_second=scores.zt_second)
 
 
 def likelihood_message_to_nu(
-    cache: LikelihoodCache, expectations: LikelihoodExpectations, e_recip_eps: float
+    cache: LikelihoodCache, scores: ScoreMoments, e_recip_eps: float
 ) -> GaussianVecParams:
-    """Likelihood message to the stacked spline coefficients, in the vec basis."""
-    blocks = expectations.zt_mean.shape[1]
+    """Likelihood message to the stacked spline coefficients, in the vec basis.
+
+    It depends on the score moments only, not on q(nu).
+    """
+    blocks = scores.zt_mean.shape[1]
     num_coefs = cache.num_coefs
     dim = blocks * num_coefs
-    eta1 = e_recip_eps * np.einsum(
-        "ia,ip->ap", expectations.zt_mean, cache.proj
-    ).reshape(dim)
-    precision = np.einsum("iab,ipq->apbq", expectations.zt_second, cache.gram).reshape(dim, dim)
+    eta1 = e_recip_eps * np.einsum("ia,ip->ap", scores.zt_mean, cache.proj).reshape(dim)
+    precision = np.einsum("iab,ipq->apbq", scores.zt_second, cache.gram).reshape(dim, dim)
     eta2 = -0.5 * e_recip_eps * vec(precision)
     return GaussianVecParams(eta1, eta2)
 

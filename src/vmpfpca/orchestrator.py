@@ -7,8 +7,14 @@ the iterated fragments of the mean-function and eigenfunction chains (see
 so they are written once at initialization.  A fragment reads the message
 each neighboring node sends it from the other factor's current message (see
 :mod:`graph`), so every update sees the freshest available moments.
-Convergence is declared on the stability of the per-node q-density natural
-parameters, with each curve's score vector counted as its own node.
+
+q(nu) is inverted once after each of the two writes to nu: the likelihood
+fragment's message to nu needs only the score moments, and the snap at the
+start of the next sweep reuses the moments the penalization fragment read,
+since nothing writes nu in between.  Convergence is declared on the
+stability of the per-node q-density natural parameters, with each curve's
+score vector and each of the 2(2 + L) variance and auxiliary nodes counted
+as its own node.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .fragments import (
     likelihood_messages_to_zeta,
     penalization_messages,
     penalization_messages_to_variances,
+    score_moments,
     with_score_moments,
 )
 from .splines import SplineBasis, build_basis, design_matrix
@@ -200,30 +207,25 @@ def _update_likelihood_fragment(state: VmpState) -> None:
     Each message is computed from moments that reflect all messages written
     before it (exact coordinate ascent).  Writing the nu, score and noise
     messages simultaneously from one stale snapshot couples the bilinear
-    nu/score blocks into a two-cycle instead of a fixed point.
+    nu/score blocks into a two-cycle instead of a fixed point.  The message
+    to nu needs only the score moments, so q(nu) is read once, after it.
     """
     frozen = state.config.freeze_scores_at_zero
     n, L = state.dataset.num_curves, state.config.num_eigen
     e_recip_eps = _edge_moments(state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal)
 
-    nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
     if frozen:
-        zeta_means, zeta_covs = np.zeros((n, L)), np.zeros((n, L, L))
+        scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
     else:
-        zeta_means, zeta_covs = _edge_moments(
-            state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
+        scores = score_moments(
+            *_edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
         )
-    expectations = likelihood_expectations(
-        state.cache, nu_mean, nu_cov, zeta_means, zeta_covs
-    )
     state.store.set_to_node(
-        fg.LIKELIHOOD, fg.NU, likelihood_message_to_nu(state.cache, expectations, e_recip_eps)
+        fg.LIKELIHOOD, fg.NU, likelihood_message_to_nu(state.cache, scores, e_recip_eps)
     )
 
     nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
-    expectations = likelihood_expectations(
-        state.cache, nu_mean, nu_cov, zeta_means, zeta_covs
-    )
+    expectations = likelihood_expectations(state.cache, nu_mean, nu_cov, scores)
     if not frozen:
         state.store.set_to_node(
             fg.LIKELIHOOD,
@@ -231,7 +233,10 @@ def _update_likelihood_fragment(state: VmpState) -> None:
             likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps),
         )
         expectations = with_score_moments(
-            expectations, *_edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
+            expectations,
+            score_moments(
+                *_edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
+            ),
         )
 
     state.store.set_to_node(
@@ -239,10 +244,13 @@ def _update_likelihood_fragment(state: VmpState) -> None:
     )
 
 
-def _update_penalization_fragment(state: VmpState, chains: list[fg.VarianceChain]) -> None:
+def _update_penalization_fragment(
+    state: VmpState, chains: list[fg.VarianceChain]
+) -> tuple[np.ndarray, np.ndarray]:
     """Write the message to nu, then the variance messages from the q(nu) it implies.
 
-    ``chains`` are the mean-function and eigenfunction chains, in nu's block order.
+    ``chains`` are the mean-function and eigenfunction chains, in nu's block
+    order.  Returns that q(nu)'s (mean, covariance).
     """
     config = state.config
     e_recip = np.array(
@@ -260,9 +268,10 @@ def _update_penalization_fragment(state: VmpState, chains: list[fg.VarianceChain
     messages = penalization_messages_to_variances(nu_mean, nu_cov, config.num_splines)
     for chain, message in zip(chains, messages):
         state.store.set_to_node(fg.PENALIZATION, chain.sigsq, message)
+    return nu_mean, nu_cov
 
 
-def _align_component_rotation(state: VmpState) -> None:
+def _align_component_rotation(state: VmpState, nu_mean: np.ndarray, nu_cov: np.ndarray) -> None:
     """Snap the internal component rotation to its stationary frame.
 
     The likelihood is invariant under jointly rotating the scores and the
@@ -274,13 +283,13 @@ def _align_component_rotation(state: VmpState) -> None:
     slowly when component scales are close, so it is snapped directly.  An
     aligned, fragment-stationary state is a fixed point of the plain sweep.
     The snap runs on every sweep; at an aligned state its rotation is the
-    identity up to round-off.
+    identity up to round-off.  ``nu_mean`` and ``nu_cov`` are the current
+    q(nu) moments.
     """
     L = state.config.num_eigen
     if L < 2 or state.config.freeze_scores_at_zero:
         return
     num_coefs = 2 + state.config.num_splines
-    nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
     second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
     gram = np.einsum("kplp->kl", second[1:, 2:, 1:, 2:])
     _, rotation = np.linalg.eigh(gram)
@@ -304,14 +313,16 @@ def _rotate_coefficients(params: GaussianVecParams, rotation: np.ndarray) -> Gau
 
     The mean-function block is fixed and block l of the rotated nu is
     sum_k rotation[k, l] nu_psi_k; the (L+1) x (L+1) block rotation acts on
-    both block axes of the (L+1, P, L+1, P) view of eta2.
+    both block axes of the (L+1, P, L+1, P) view of eta2, first on the
+    leading one, then on the inner one.
     """
     blocks = rotation.shape[0] + 1
     block_rotation = np.eye(blocks)
     block_rotation[1:, 1:] = rotation
     eta1 = block_rotation.T @ params.eta1.reshape(blocks, -1)
-    eta2 = params.eta2.reshape(blocks, eta1.shape[1], blocks, eta1.shape[1])
-    eta2 = np.einsum("ba,bpdq,dc->apcq", block_rotation, eta2, block_rotation, optimize=True)
+    num_coefs = eta1.shape[1]
+    eta2 = block_rotation.T @ params.eta2.reshape(blocks, -1)
+    eta2 = block_rotation.T @ eta2.reshape(blocks * num_coefs, blocks, num_coefs)
     return GaussianVecParams(eta1.ravel(), eta2.ravel())
 
 
@@ -339,21 +350,44 @@ def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
     state.store.set_to_node(factor, chain.aux, to_aux)
 
 
-def _sweep(state: VmpState) -> None:
-    """One full pass through the fragments in the fixed update order."""
+def _sweep(
+    state: VmpState, nu_moments: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One full pass through the fragments in the fixed update order.
+
+    ``nu_moments`` is q(nu)'s (mean, covariance) as the sweep starts; the
+    return value is the same at its end, read by the penalization fragment
+    after the last write to nu.
+    """
     noise, *smoothing = fg.variance_chains(state.config.num_eigen)
-    _align_component_rotation(state)
+    _align_component_rotation(state, *nu_moments)
     _update_likelihood_fragment(state)
     _update_iterated_fragment(state, noise)
-    _update_penalization_fragment(state, smoothing)
+    nu_moments = _update_penalization_fragment(state, smoothing)
     for chain in smoothing:
         _update_iterated_fragment(state, chain)
+    return nu_moments
+
+
+VARIANCES = "variances"  # snapshot key of the stacked inverse chi-squared q-densities
 
 
 def _q_snapshot(state: VmpState) -> dict[str, np.ndarray]:
+    """The q natural parameters the convergence check compares.
+
+    nu and the stacked scores have one entry each; the 2(2 + L) variance and
+    auxiliary q-densities are the rows of one array.
+    """
+    graph, store = state.graph, state.store
+    variances = []
+    for chain in fg.variance_chains(state.config.num_eigen):
+        for node in (chain.sigsq, chain.aux):
+            first, second = (store.get_to_node(factor, node) for factor in graph[node])
+            variances.append((first.eta1 + second.eta1, first.eta2 + second.eta2))
     return {
-        node: fg.q_natural_params(state.graph, state.store, node).as_vector()
-        for node in state.graph
+        fg.NU: fg.q_natural_params(graph, store, fg.NU).as_vector(),
+        fg.ZETA: fg.q_natural_params(graph, store, fg.ZETA).as_vector(),
+        VARIANCES: np.array(variances),
     }
 
 
@@ -380,9 +414,14 @@ def fit_state(state: VmpState) -> VmpState:
     if state.history and state.history[-1] < state.config.tol:
         state.converged = True
         return state
+    # q(nu) is read here once; each sweep then hands on the read it ends with.
+    # It stays a local: a caller may write the store between fit_state calls.
+    nu_moments = None
     for _ in range(state.config.max_iter - len(state.history)):
         try:
-            _sweep(state)
+            if nu_moments is None:
+                nu_moments = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
+            nu_moments = _sweep(state, nu_moments)
         except DegenerateMessageError as err:
             raise DegenerateMessageError(
                 f"iteration {state.iterations + 1}: {err}"

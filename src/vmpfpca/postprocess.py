@@ -16,12 +16,11 @@ import numpy as np
 
 from . import graph as fg
 from .expfam import (
-    DegenerateMessageError,
     gaussian_vec_to_moments,
     gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
 )
-from .orchestrator import VmpState
+from .orchestrator import VmpState, _edge_moments
 from .splines import SplineBasis, design_matrix
 
 # Components pruned by the variational shrinkage legitimately reach arbitrarily
@@ -98,22 +97,18 @@ class FpcaFit:
 
 def extract(state: VmpState) -> RawSolution:
     """Read the optimal q-density moments for nu, the scores and the noise."""
-
-    def q_moments(node, to_moments):
-        try:
-            return to_moments(fg.q_natural_params(state.graph, state.store, node))
-        except DegenerateMessageError as err:
-            raise DegenerateMessageError(f"q({node}): {err}") from err
-
-    nu_mean, nu_cov = q_moments(fg.NU, gaussian_vec_to_moments)
-    zeta_means, zeta_covs = q_moments(fg.ZETA, gaussian_vech_to_moments)
-    noise_params = fg.q_natural_params(state.graph, state.store, fg.SIGSQ_EPS)
+    nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
+    zeta_means, zeta_covs = _edge_moments(
+        state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
+    )
     return RawSolution(
         nu_mean=nu_mean,
         nu_cov=nu_cov,
         zeta_means=zeta_means,
         zeta_covs=zeta_covs,
-        noise_precision_mean=invchisq_mean_reciprocal(noise_params),
+        noise_precision_mean=_edge_moments(
+            state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal
+        ),
         num_eigen=state.config.num_eigen,
         num_splines=state.config.num_splines,
     )

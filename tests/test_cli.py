@@ -1,5 +1,7 @@
 import csv
+import ctypes
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from vmpfpca.orchestrator import FitConfig
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def _blas_threads(_):
+    getter = cli._openblas_function("get_num_threads")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
 
 
 @pytest.fixture(scope="module")
@@ -412,13 +420,30 @@ class TestEval:
             == cli.EXIT_VALIDATION
         )
 
-    def test_study_worker_pool_matches_serial(self, tmp_path):
+    def test_study_worker_pool_matches_serial(self, monkeypatch):
         from vmpfpca.orchestrator import FitConfig
 
+        initializers = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         config = FitConfig(max_iter=2000)
-        serial = cli.run_study(2, [10], config, base_seed=4, workers=1)
-        pooled = cli.run_study(2, [10], config, base_seed=4, workers=2)
+        serial = cli.run_study(2, [10, 20], config, base_seed=4, workers=1)
+        pooled = cli.run_study(2, [10, 20], config, base_seed=4, workers=2)
         assert serial == pooled
+        assert initializers == [cli._one_blas_thread]
+
+    def test_study_workers_run_one_blas_thread(self):
+        if cli._openblas_function("get_num_threads") is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        parent_threads = _blas_threads(None)
+        with ProcessPoolExecutor(max_workers=2, initializer=cli._one_blas_thread) as pool:
+            assert list(pool.map(_blas_threads, range(2))) == [1, 1]
+        assert _blas_threads(None) == parent_threads
 
 
 class TestParser:

@@ -24,6 +24,7 @@ from vmpfpca.fragments import (
     likelihood_messages_to_zeta,
     penalization_messages,
     penalization_messages_to_variances,
+    score_moments,
     with_score_moments,
 )
 from tests_oracle_support import dense_penalization_precision
@@ -190,7 +191,7 @@ class TestLikelihoodExpectations:
         cache, _, _ = make_cache(rng, 3, [4, 6, 5], num_coefs)
         nu_mean, nu_cov, zeta_means, _ = make_moments(rng, num_eigen, num_coefs, 3)
         zeta_covs = np.zeros((3, num_eigen, num_eigen))
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         for i in range(3):
             zt = np.concatenate([[1.0], zeta_means[i]])
             assert np.allclose(exp.zt_second[i], np.outer(zt, zt))
@@ -203,7 +204,7 @@ class TestLikelihoodExpectations:
         nu_cov = np.zeros(((num_eigen + 1) * num_coefs,) * 2)
         zeta_means = rng.standard_normal((2, num_eigen))
         zeta_covs = np.zeros((2, num_eigen, num_eigen))
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         v_psi = nu_mean.reshape(num_eigen + 1, num_coefs).T[:, 1:]
         for i in range(2):
             gram = cache.gram[i]
@@ -219,7 +220,7 @@ class TestLikelihoodExpectations:
         num_eigen, num_coefs, count = 2, 5, 4
         cache, designs, responses = make_cache(rng, 1, [count], num_coefs)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, num_eigen, num_coefs, 1)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
 
         draws = 100_000
         nu_draws = rng.multivariate_normal(nu_mean, nu_cov, size=draws)
@@ -244,15 +245,14 @@ class TestLikelihoodExpectations:
                 cache,
                 np.zeros(7),
                 np.zeros((7, 7)),
-                np.zeros((1, 2)),
-                np.zeros((1, 2, 2)),
+                score_moments(np.zeros((1, 2)), np.zeros((1, 2, 2))),
             )
 
     def test_h_full_symmetric_psd(self):
         rng = np.random.default_rng(35)
         cache, _, _ = make_cache(rng, 4, [5, 6, 7, 8], 6)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 6, 4)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         for i in range(4):
             assert np.allclose(exp.h_full[i], exp.h_full[i].T)
             assert np.linalg.eigvalsh(exp.h_full[i])[0] > -1e-10
@@ -263,9 +263,9 @@ class TestLikelihoodExpectations:
         cache, _, _ = make_cache(rng, 3, [5, 6, 7], 5)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 5, 3)
         _, _, new_means, new_covs = make_moments(rng, 2, 5, 3)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
-        updated = with_score_moments(exp, new_means, new_covs)
-        fresh = likelihood_expectations(cache, nu_mean, nu_cov, new_means, new_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
+        updated = with_score_moments(exp, score_moments(new_means, new_covs))
+        fresh = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(new_means, new_covs))
         assert updated.h_full is exp.h_full
         for name in LikelihoodExpectations.__dataclass_fields__:
             assert np.array_equal(getattr(updated, name), getattr(fresh, name)), name
@@ -278,7 +278,7 @@ class TestLikelihoodMessageToNu:
         designs = [rng.standard_normal((5, num_coefs))]
         cache = build_likelihood_cache(designs, [np.zeros(5)])
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         message = likelihood_message_to_nu(cache, exp, 1.3)
         assert np.allclose(message.eta1, 0.0)
         assert not np.allclose(message.eta2, 0.0)
@@ -308,7 +308,7 @@ class TestLikelihoodMessageToNu:
         nu_mean = rng.standard_normal(2 * num_coefs)
         e_recip = 1.9
         exp = likelihood_expectations(
-            cache, nu_mean, np.zeros((10, 10)), zeta, np.zeros((2, 1, 1))
+            cache, nu_mean, np.zeros((10, 10)), score_moments(zeta, np.zeros((2, 1, 1)))
         )
         message = likelihood_message_to_nu(cache, exp, e_recip)
         eta1 = np.zeros(2 * num_coefs)
@@ -333,7 +333,7 @@ class TestLikelihoodMessageToNu:
         nu_mean = rng.standard_normal(2 * num_coefs)
         e_recip = 0.7
         exp = likelihood_expectations(
-            cache, nu_mean, np.zeros((10, 10)), zeta, np.zeros((1, 1, 1))
+            cache, nu_mean, np.zeros((10, 10)), score_moments(zeta, np.zeros((1, 1, 1)))
         )
         message = likelihood_message_to_nu(cache, exp, e_recip)
 
@@ -349,7 +349,7 @@ class TestLikelihoodMessageToZeta:
         rng = np.random.default_rng(51)
         cache, _, _ = make_cache(rng, 2, [4, 5], 4)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 4, 2)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         message = likelihood_messages_to_zeta(cache, exp, 0.0)
         assert np.allclose(message.as_vector(), 0.0)
         # the flat message is flagged when a density is requested from it
@@ -370,8 +370,7 @@ class TestLikelihoodMessageToZeta:
             cache,
             nu_mean,
             np.zeros((nu_mean.size, nu_mean.size)),
-            np.zeros((1, num_eigen)),
-            np.zeros((1, num_eigen, num_eigen)),
+            score_moments(np.zeros((1, num_eigen)), np.zeros((1, num_eigen, num_eigen))),
         )
         message = likelihood_messages_to_zeta(cache, exp, e_recip)
 
@@ -395,7 +394,7 @@ class TestLikelihoodMessageToZeta:
         cache = build_likelihood_cache([design], [rng.standard_normal(count)])
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         e_recip = 0.9
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         message = likelihood_messages_to_zeta(cache, exp, e_recip)
         prior = gaussian_prior_message(1)
         q = message + prior
@@ -414,7 +413,7 @@ class TestLikelihoodMessageToSigsqEps:
         rng = np.random.default_rng(61)
         cache, _, _ = make_cache(rng, 2, [3, 4], 4)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, 4, 2)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         message = likelihood_message_to_sigsq_eps(cache, exp)
         assert message.eta1 == -3.5
 
@@ -424,7 +423,7 @@ class TestLikelihoodMessageToSigsqEps:
         first = None
         for trial in range(3):
             nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 4, 3)
-            exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+            exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
             message = likelihood_message_to_sigsq_eps(cache, exp)
             if first is None:
                 first = message.eta1
@@ -442,8 +441,7 @@ class TestLikelihoodMessageToSigsqEps:
             cache,
             nu_mean,
             np.zeros((nu_mean.size, nu_mean.size)),
-            zeta,
-            np.zeros((1, num_eigen, num_eigen)),
+            score_moments(zeta, np.zeros((1, num_eigen, num_eigen))),
         )
         message = likelihood_message_to_sigsq_eps(cache, exp)
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
@@ -516,7 +514,7 @@ class TestShapeAudit:
         counts = [4, 7]
         cache, _, _ = make_cache(rng, 2, counts, num_coefs)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, num_eigen, num_coefs, 2)
-        exp = likelihood_expectations(cache, nu_mean, nu_cov, zeta_means, zeta_covs)
+        exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         dim = (num_eigen + 1) * num_coefs
 
         to_nu = likelihood_message_to_nu(cache, exp, 1.0)

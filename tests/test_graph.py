@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import vmpfpca.graph as fg
-from vmpfpca.expfam import GaussianVecParams, GaussianVechParams, InvChiSqParams
+from vmpfpca.expfam import (
+    GaussianVecParams,
+    GaussianVechParams,
+    InvChiSqParams,
+    gaussian_vec_to_moments,
+)
 from vmpfpca.graph import (
     MessageStore,
     TopologyError,
@@ -13,7 +18,7 @@ from vmpfpca.graph import (
     stochastic_to_factor,
     variance_chains,
 )
-from vmpfpca.orchestrator import FitConfig, _sweep, initialize
+from vmpfpca.orchestrator import FitConfig, _edge_moments, _sweep, initialize
 from vmpfpca.simulate import SimConfig, generate
 
 
@@ -179,8 +184,9 @@ class TestFpcaEdges:
     def test_npbf_equals_q_on_every_edge_after_sweeps(self):
         dataset, _ = generate(SimConfig(num_curves=12, seed=3))
         state = initialize(dataset, FitConfig(num_eigen=3))
+        nu_moments = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
         for _ in range(3):
-            _sweep(state)
+            nu_moments = _sweep(state, nu_moments)
         for node, factors in state.graph.items():
             q = q_natural_params(state.graph, state.store, node).as_vector()
             for factor in factors:

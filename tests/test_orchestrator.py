@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import vmpfpca.graph as fg
+import vmpfpca.orchestrator as orchestrator
 from vmpfpca.data import FunctionalDataset
 from vmpfpca.expfam import (
     DegenerateMessageError,
     GaussianVecParams,
     GaussianVechParams,
     duplication_matrix,
+    gaussian_vec_to_moments,
     moore_penrose_duplication,
     symmetrize,
     unvec,
@@ -17,8 +19,10 @@ from vmpfpca.expfam import (
 )
 from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
 from vmpfpca.orchestrator import (
+    VARIANCES,
     FitConfig,
     _align_component_rotation,
+    _edge_moments,
     _q_snapshot,
     _rotate_coefficients,
     _rotate_scores,
@@ -30,6 +34,10 @@ from vmpfpca.orchestrator import (
 )
 from vmpfpca.simulate import SimConfig, generate
 from tests_oracle_support import kronecker_rotate_nu
+
+
+def fresh_nu_moments(state):
+    return _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +149,7 @@ class TestFit:
 
     def test_fixed_point_under_one_more_sweep(self, converged_state):
         snapshot = _q_snapshot(converged_state)
-        _sweep(converged_state)
+        _sweep(converged_state, fresh_nu_moments(converged_state))
         after = _q_snapshot(converged_state)
         assert convergence_metric(snapshot, after) < converged_state.config.tol
 
@@ -163,6 +171,65 @@ class TestFit:
         dataset, _ = generate(SimConfig(num_curves=20, seed=6))
         state = fit(dataset, FitConfig(num_eigen=1, max_iter=1000))
         assert state.converged
+
+
+class TestSnapshot:
+    def test_variance_rows_are_q_of_every_variance_node(self, reference_dataset):
+        state = initialize(reference_dataset, FitConfig())
+        for _ in range(3):
+            _sweep(state, fresh_nu_moments(state))
+        snapshot = _q_snapshot(state)
+        assert set(snapshot) == {fg.NU, fg.ZETA, VARIANCES}
+        expected = [
+            fg.q_natural_params(state.graph, state.store, node).as_vector()
+            for chain in fg.variance_chains(3)
+            for node in (chain.sigsq, chain.aux)
+        ]
+        assert np.array_equal(snapshot[VARIANCES], np.array(expected))
+        for node in (fg.NU, fg.ZETA):
+            q = fg.q_natural_params(state.graph, state.store, node).as_vector()
+            assert np.array_equal(snapshot[node], q)
+
+
+class TestSweepWork:
+    SWEEPS = 6
+
+    def test_q_nu_read_twice_and_expectations_once_per_sweep(self, reference_dataset, monkeypatch):
+        calls = {"gaussian_vec_to_moments": 0, "likelihood_expectations": 0}
+        for name in calls:
+            original = getattr(orchestrator, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(orchestrator, name, counted)
+        state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
+        assert state.iterations == self.SWEEPS
+        assert calls["gaussian_vec_to_moments"] == 2 * self.SWEEPS + 1
+        assert calls["likelihood_expectations"] == self.SWEEPS
+
+    def test_snap_gets_current_q_nu(self, reference_dataset, monkeypatch):
+        original = orchestrator._align_component_rotation
+        checked = []
+
+        def checking(state, nu_mean, nu_cov):
+            fresh_mean, fresh_cov = fresh_nu_moments(state)
+            checked.append(
+                np.array_equal(nu_mean, fresh_mean) and np.array_equal(nu_cov, fresh_cov)
+            )
+            return original(state, nu_mean, nu_cov)
+
+        monkeypatch.setattr(orchestrator, "_align_component_rotation", checking)
+        state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
+        # a second call resumes from the store, which a caller may have changed
+        moved = state.store.get_to_node(fg.PENALIZATION, fg.NU)
+        state.store.set_to_node(
+            fg.PENALIZATION, fg.NU, GaussianVecParams(1.01 * moved.eta1, 1.01 * moved.eta2)
+        )
+        state.config = FitConfig(max_iter=2 * self.SWEEPS)
+        fit_state(state)
+        assert checked == [True] * 2 * self.SWEEPS
 
 
 class TestRotateScores:
@@ -211,7 +278,7 @@ class TestRotateCoefficients:
             factor: state.store.get_to_node(factor, fg.NU)
             for factor in (fg.LIKELIHOOD, fg.PENALIZATION)
         }
-        _align_component_rotation(state)
+        _align_component_rotation(state, *fresh_nu_moments(state))
         for factor, old in before.items():
             new = state.store.get_to_node(factor, fg.NU)
             assert new is not old

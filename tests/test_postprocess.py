@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
+import vmpfpca.graph as fg
+from vmpfpca.expfam import DegenerateMessageError, GaussianVecParams, InvChiSqParams, vec
 from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import (
     DegenerateComponentError,
@@ -82,6 +86,20 @@ class TestExtract:
         raw = extract(small_fit_state)
         assert np.array_equal(raw.nu_mu(), raw.nu_mean[:12])
         assert np.array_equal(raw.nu_psi(2), raw.nu_mean[36:48])
+
+    @pytest.mark.parametrize(
+        "node, bad",
+        [
+            (fg.NU, GaussianVecParams(np.zeros(48), 0.5 * vec(np.eye(48)))),
+            (fg.SIGSQ_EPS, InvChiSqParams(-1.0, 0.0)),
+        ],
+    )
+    def test_degenerate_read_names_the_edge(self, small_fit_state, node, bad):
+        state = copy.deepcopy(small_fit_state)
+        for factor in state.graph[node]:
+            state.store.set_to_node(factor, node, bad)
+        with pytest.raises(DegenerateMessageError, match=rf"^edge \(likelihood, {node}\): "):
+            extract(state)
 
 
 class TestScoreCovariances:
