@@ -1,7 +1,14 @@
 """Command-line surface: simulate datasets, fit the model, evaluate against truth.
 
 Exit codes: 0 success, 2 invalid inputs or flags, 3 I/O failure,
-4 non-convergence, 5 numerical degeneracy.  Set VMPFPCA_LOG=debug|info|...
+4 non-convergence, 5 numerical degeneracy.  Handlers raise; :func:`main`
+alone maps an exception to its code and prints ``error: ...``.  Each handler
+checks its inputs in one ``with _inputs():`` block, where a ValueError
+becomes an :class:`InputError` (exit 2): bad flags, datasets or manifests,
+hyperparameters whose prior precision over- or underflows, non-finite
+simulation variances, study curve counts below 2 and malformed ``eval``
+documents.  Any other exception, such as a ValueError raised inside a fit,
+is a program fault and keeps its traceback.  Set VMPFPCA_LOG=debug|info|...
 to control log verbosity.
 """
 
@@ -15,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -24,12 +32,7 @@ from . import __version__
 from .data import FunctionalDataset, read_dataset_csv, write_dataset_csv
 from .expfam import DegenerateMessageError
 from .orchestrator import FitConfig, fit
-from .postprocess import (
-    DegenerateComponentError,
-    FpcaFit,
-    RankDeficiencyError,
-    finalize,
-)
+from .postprocess import DegenerateComponentError, FpcaFit, RankDeficiencyError, finalize
 from .simulate import SimConfig, generate, ise, true_eigenfunctions, true_mean
 
 logger = logging.getLogger(__name__)
@@ -39,6 +42,19 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_DEGENERACY = 5
+
+
+class InputError(ValueError):
+    """Invalid inputs or flags, found before any work starts."""
+
+
+@contextmanager
+def _inputs():
+    """Reading and checking a command's inputs: a ValueError here is the user's."""
+    try:
+        yield
+    except ValueError as err:
+        raise InputError(str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,7 @@ def _add_simulate_parser(subparsers) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    try:
+    with _inputs():
         variances = tuple(float(v) for v in args.score_variances.split(","))
         if len(variances) != 2:
             raise ValueError("score-variances must have exactly two entries")
@@ -108,9 +124,6 @@ def _cmd_simulate(args) -> int:
         )
         if args.grid_size < 101:
             raise ValueError("grid-size must be >= 101")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     dataset, truth = generate(config)
     truth_payload = {
@@ -121,13 +134,9 @@ def _cmd_simulate(args) -> int:
         "seed": truth.seed,
     }
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_dataset_csv(dataset, out / "dataset.csv")
-        _write_json(out / "truth.json", truth_payload)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    write_dataset_csv(dataset, out / "dataset.csv")
+    _write_json(out / "truth.json", truth_payload)
     print(f"wrote {out / 'dataset.csv'} ({dataset.num_observations} rows) and {out / 'truth.json'}")
     return EXIT_OK
 
@@ -240,68 +249,41 @@ def _write_long_format_csv(path: Path, result: FpcaFit) -> None:
                 writer.writerow([f"fit_{i + 1}", repr(float(t)), repr(float(v))])
 
 
-def _cmd_fit(args) -> int:
-    if args.from_manifest:
-        try:
-            manifest = _read_json(Path(args.from_manifest))
-            config = _config_from_manifest(manifest["config"])
-            dataset_path = Path(args.dataset or manifest["dataset"])
-            rescale_requested = manifest.get("time_rescale") is not None
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_IO
-        except (KeyError, TypeError, ValueError) as err:
-            print(
-                f"error: invalid manifest {args.from_manifest}: {type(err).__name__}: {err}",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
-    else:
+def _fit_request(args) -> tuple[FitConfig, Path, bool]:
+    """The config, dataset path and rescale request, from the flags or from the manifest."""
+    if not args.from_manifest:
         if not args.dataset:
-            print("error: dataset path is required", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            config = _config_from_args(args)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
-        dataset_path = Path(args.dataset)
-        rescale_requested = args.rescale_time
-
+            raise ValueError("dataset path is required")
+        return _config_from_args(args), Path(args.dataset), args.rescale_time
     try:
+        manifest = _read_json(Path(args.from_manifest))
+        return (
+            _config_from_manifest(manifest["config"]),
+            Path(args.dataset or manifest["dataset"]),
+            manifest.get("time_rescale") is not None,
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(
+            f"invalid manifest {args.from_manifest}: {type(err).__name__}: {err}"
+        ) from err
+
+
+def _cmd_fit(args) -> int:
+    with _inputs():
+        config, dataset_path, rescale_requested = _fit_request(args)
         dataset = read_dataset_csv(dataset_path)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    rescale = None
-    try:
+        rescale = None
         if rescale_requested:
             dataset, rescale = dataset.rescale_times()
         dataset.validate()
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.json")
-    try:
-        payload, manifest, result = run_fit(dataset, config, str(dataset_path), rescale)
-    except (DegenerateMessageError, RankDeficiencyError, DegenerateComponentError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERACY
-
-    try:
-        _write_json(out, {"fit": payload, "manifest": asdict(manifest)})
-        _write_json(manifest_path, asdict(manifest))
-        if args.export_curves:
-            _write_long_format_csv(Path(args.export_curves), result)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    payload, manifest, result = run_fit(dataset, config, str(dataset_path), rescale)
+    _write_json(out, {"fit": payload, "manifest": asdict(manifest)})
+    _write_json(manifest_path, asdict(manifest))
+    if args.export_curves:
+        _write_long_format_csv(Path(args.export_curves), result)
 
     if not manifest.converged:
         print(
@@ -337,10 +319,6 @@ def _add_eval_parser(subparsers) -> None:
     _add_fit_flags(parser)
 
 
-def _interp_columns(grid_src, values, grid_dst):
-    return np.interp(grid_dst, grid_src, values)
-
-
 def _truth_curves(grid: np.ndarray) -> dict:
     """The true mean and eigenfunctions on ``grid``, in the layout of ``truth.json``."""
     return {
@@ -353,42 +331,29 @@ def _truth_curves(grid: np.ndarray) -> dict:
 def evaluate_fit_against_truth(fit_doc: dict, truth_doc: dict) -> dict:
     """Sign-align the fitted components to truth and compute the error metrics."""
     grid = np.asarray(fit_doc["grid"])
-    mean_curve = np.asarray(fit_doc["mean"])
     funcs = np.asarray(fit_doc["eigenfunctions"]).T
-    eigenvalues = np.asarray(fit_doc["eigenvalues"])
-
     truth_grid = np.asarray(truth_doc["grid"])
     truth_mean = np.asarray(truth_doc["mean"])
     truth_funcs = np.asarray(truth_doc["eigenfunctions"]).T
     if truth_grid.shape != grid.shape or not np.allclose(truth_grid, grid):
         logger.warning("truth grid differs from fit grid; resampling truth onto fit grid")
-        truth_mean = _interp_columns(truth_grid, truth_mean, grid)
-        truth_funcs = np.column_stack(
-            [_interp_columns(truth_grid, truth_funcs[:, l], grid) for l in range(truth_funcs.shape[1])]
-        )
+        truth_mean = np.interp(grid, truth_grid, truth_mean)
+        truth_funcs = np.column_stack([np.interp(grid, truth_grid, f) for f in truth_funcs.T])
 
-    num_fit = funcs.shape[1]
-    num_truth = truth_funcs.shape[1]
+    num_aligned = min(funcs.shape[1], truth_funcs.shape[1])
     aligned = funcs.copy()
-    for l in range(min(num_fit, num_truth)):
-        inner = np.trapezoid(aligned[:, l] * truth_funcs[:, l], grid)
-        if inner < 0:
+    for l in range(num_aligned):
+        if np.trapezoid(aligned[:, l] * truth_funcs[:, l], grid) < 0:
             aligned[:, l] = -aligned[:, l]
-
-    metrics = {
-        "ise_mean": ise(truth_mean, mean_curve, grid),
+    precision = fit_doc.get("noise_precision_mean")
+    return {
+        "ise_mean": ise(truth_mean, np.asarray(fit_doc["mean"]), grid),
         "ise_eigenfunctions": [
-            ise(truth_funcs[:, l], aligned[:, l], grid)
-            for l in range(min(num_fit, num_truth))
+            ise(truth_funcs[:, l], aligned[:, l], grid) for l in range(num_aligned)
         ],
-        "eigenvalues": eigenvalues.tolist(),
-        "noise_variance_estimate": (
-            1.0 / fit_doc["noise_precision_mean"]
-            if fit_doc.get("noise_precision_mean")
-            else None
-        ),
+        "eigenvalues": np.asarray(fit_doc["eigenvalues"]).tolist(),
+        "noise_variance_estimate": 1.0 / precision if precision else None,
     }
-    return metrics
 
 
 def _study_cell(task) -> dict:
@@ -476,51 +441,70 @@ def run_study(
     return rows
 
 
+_CURVE_KEYS = ("grid", "mean", "eigenfunctions")
+
+
+def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
+    """Raise a ValueError naming ``label`` unless ``doc`` holds what eval reads.
+
+    ``doc`` must be a JSON object with every key in ``keys``, and its ``mean``
+    and each ``eigenfunctions`` row must hold one number per ``grid`` point;
+    the grid must increase, as resampling onto the fit grid assumes.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{label}: expected a JSON object, not a {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{label}: missing {', '.join(missing)}")
+    try:
+        grid, mean, funcs = (np.asarray(doc[key], dtype=float) for key in _CURVE_KEYS)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{label}: grid, mean and each eigenfunction must be lists of numbers of one length"
+        ) from None
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{label}: grid must be a nonempty, increasing list of numbers")
+    if mean.shape != grid.shape or funcs.ndim != 2 or funcs.shape[1:] != grid.shape:
+        raise ValueError(
+            f"{label}: mean and each eigenfunction need one value per grid point ({grid.size})"
+        )
+    precision = doc.get("noise_precision_mean")
+    if precision is not None and not isinstance(precision, (int, float)):
+        raise ValueError(f"{label}: noise_precision_mean must be a number")
+
+
 def _cmd_eval(args) -> int:
     if args.study:
-        try:
+        with _inputs():
             curve_counts = [int(v) for v in args.n_grid.split(",") if v]
             if args.replicates < 1 or not curve_counts:
                 raise ValueError("need at least one replicate and one curve count")
+            if min(curve_counts) < 2:
+                raise ValueError("every --n-grid curve count must be >= 2")
+            base_seed = args.seed if args.seed is not None else 0
+            if base_seed < 0:
+                raise ValueError("--seed must be nonnegative in study mode")
             config = _config_from_args(args)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
         rows = run_study(
-            args.replicates,
-            curve_counts,
-            config,
-            base_seed=args.seed if args.seed is not None else 0,
-            workers=max(1, args.workers),
+            args.replicates, curve_counts, config, base_seed=base_seed, workers=max(1, args.workers)
         )
         out = Path(args.out or "study.json")
-        try:
-            _write_json(out, rows)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_IO
+        _write_json(out, rows)
         print(f"wrote {len(rows)} study rows to {out}")
         return EXIT_OK
 
-    if not args.fit or not args.truth:
-        print("error: eval requires --fit and --truth (or --study)", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    with _inputs():
+        if not args.fit or not args.truth:
+            raise ValueError("eval requires --fit and --truth (or --study)")
         fit_doc = _read_json(Path(args.fit))
         truth_doc = _read_json(Path(args.truth))
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    metrics = evaluate_fit_against_truth(fit_doc.get("fit", fit_doc), truth_doc)
+        if isinstance(fit_doc, dict) and "fit" in fit_doc:
+            fit_doc = fit_doc["fit"]
+        _check_curves(fit_doc, f"fit document {args.fit}", (*_CURVE_KEYS, "eigenvalues"))
+        _check_curves(truth_doc, f"truth document {args.truth}")
+    metrics = evaluate_fit_against_truth(fit_doc, truth_doc)
     out = Path(args.out or "metrics.json")
-    try:
-        _write_json(out, metrics)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(out, metrics)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -541,11 +525,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one map from an exception to an exit code; any other exception is a fault.
+_EXIT_CODES = {
+    InputError: EXIT_VALIDATION,
+    OSError: EXIT_IO,
+    DegenerateMessageError: EXIT_DEGENERACY,
+    RankDeficiencyError: EXIT_DEGENERACY,
+    DegenerateComponentError: EXIT_DEGENERACY,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "fit": _cmd_fit, "eval": _cmd_eval}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except tuple(_EXIT_CODES) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

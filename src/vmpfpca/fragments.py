@@ -28,7 +28,6 @@ from .expfam import (
     InvChiSqParams,
     duplication_matrix,
     gaussian_moments_to_vech,
-    invchisq_mean_reciprocal,
     vec,
 )
 
@@ -53,21 +52,14 @@ def igw_prior_message(scale_hyper: float) -> InvChiSqParams:
 
 
 def iterated_igw_messages(
-    npbf_sigsq: InvChiSqParams,
-    npbf_a: InvChiSqParams,
-    edge_name: str = "iterated inverse G-Wishart",
+    e_recip_sigsq: float, e_recip_a: float
 ) -> tuple[InvChiSqParams, InvChiSqParams]:
     """Scalar iterated inverse G-Wishart fragment for sigma^2 | a ~ Inv-chi^2(1, 1/a).
 
     Returns (message to sigma^2, message to a).  Each outgoing message uses the
-    reciprocal mean computed from the combined natural parameters on the
-    opposite edge.
+    reciprocal mean on the opposite edge: E(1/a) for the message to sigma^2,
+    E(1/sigma^2) for the message to a.
     """
-    try:
-        e_recip_a = invchisq_mean_reciprocal(npbf_a)
-        e_recip_sigsq = invchisq_mean_reciprocal(npbf_sigsq)
-    except Exception as err:
-        raise type(err)(f"{edge_name}: {err}") from err
     return InvChiSqParams(-1.5, -0.5 * e_recip_a), InvChiSqParams(-0.5, -0.5 * e_recip_sigsq)
 
 

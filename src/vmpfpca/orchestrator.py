@@ -90,9 +90,15 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if self.grid_size < 101:
             raise ValueError("grid_size must be >= 101")
+        # The fragments use the prior precisions 1/prior_beta_var and 1/hyper_a_*^2.
         for name in ("prior_beta_var", "hyper_a_eps", "hyper_a_mu", "hyper_a_psi"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            try:
+                precision = 1.0 / (value if name == "prior_beta_var" else value**2)
+            except (OverflowError, ZeroDivisionError):
+                precision = 0.0
+            if not (value > 0 and 0.0 < precision < np.inf):
+                raise ValueError(f"{name} must be positive, with a finite, nonzero precision")
 
 
 @dataclass
@@ -342,9 +348,8 @@ def _rotate_scores(params: GaussianVechParams, rotation: np.ndarray) -> Gaussian
 def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
     factor = chain.iterated
     to_sigsq, to_aux = iterated_igw_messages(
-        fg.npbf(state.graph, state.store, factor, chain.sigsq),
-        fg.npbf(state.graph, state.store, factor, chain.aux),
-        edge_name=factor,
+        _edge_moments(state, factor, chain.sigsq, invchisq_mean_reciprocal),
+        _edge_moments(state, factor, chain.aux, invchisq_mean_reciprocal),
     )
     state.store.set_to_node(factor, chain.sigsq, to_sigsq)
     state.store.set_to_node(factor, chain.aux, to_aux)

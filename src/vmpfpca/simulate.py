@@ -48,11 +48,13 @@ class SimConfig:
         lo, hi = self.obs_range
         if lo < 2 or hi > 10_000 or lo > hi:
             raise ValueError("obs_range must satisfy 2 <= lo <= hi <= 10000")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be finite and nonnegative")
         v1, v2 = self.score_variances
-        if not (v1 >= v2 > 0):
-            raise ValueError("score variances must be positive and descending")
+        if not (np.inf > v1 >= v2 > 0):
+            raise ValueError("score variances must be finite, positive and descending")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

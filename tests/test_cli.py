@@ -252,6 +252,13 @@ def _manifest(text):
     return build
 
 
+def _flag(flag, value):
+    def build(tmp_path):
+        return ["fit", str(write_csv(tmp_path / "d.csv", valid_rows())), flag, value]
+
+    return build
+
+
 class TestFitInputErrors:
     """Bad inputs to ``fit`` print one error line and exit 2, without a traceback."""
 
@@ -271,6 +278,9 @@ class TestFitInputErrors:
                 _manifest('{"dataset": DATASET, "config": {"score_prior_cov": [[1.0]]}}'),
                 "score_prior_cov was removed",
             ),
+            (_flag("--hyper-a-psi", "1e-300"), "hyper_a_psi"),
+            (_flag("--hyper-a-eps", "1e200"), "hyper_a_eps"),
+            (_flag("--prior-beta-var", "1e-320"), "prior_beta_var"),
         ],
         ids=[
             "rescale-equal-times",
@@ -283,6 +293,9 @@ class TestFitInputErrors:
             "manifest-missing-dataset",
             "manifest-not-an-object",
             "manifest-score-prior-cov",
+            "precision-underflow",
+            "precision-overflow",
+            "precision-infinite",
         ],
     )
     def test_exits_2_with_error_line(self, build, message, tmp_path, capsys):
@@ -293,6 +306,15 @@ class TestFitInputErrors:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_value_error_inside_fit_propagates(self, tmp_path, monkeypatch):
+        def fault(*args, **kwargs):
+            raise ValueError("synthetic fault")
+
+        monkeypatch.setattr(cli, "run_fit", fault)
+        path = write_csv(tmp_path / "d.csv", valid_rows())
+        with pytest.raises(ValueError, match="synthetic fault"):
+            run_cli("fit", str(path), "--out", str(tmp_path / "f.json"))
 
     def test_constant_response_is_validation_error(self, tmp_path, capsys):
         rows = [(c, t, 2.5) for c, t, _ in valid_rows()]
@@ -481,3 +503,106 @@ class TestParser:
     def test_no_flag_freezes_scores(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["fit", "data.csv", "--freeze-scores-at-zero"])
+
+
+def _document(kind, mutate):
+    """``eval`` arguments whose ``kind`` document ("fit" or "truth") is mutated."""
+
+    def build(tmp_path):
+        grid = [0.0, 0.5, 1.0]
+        curves = {"grid": grid, "mean": [0.0, 1.0, 0.0], "eigenfunctions": [[1.0, 0.0, -1.0]]}
+        docs = {"fit": {**curves, "eigenvalues": [1.0]}, "truth": dict(curves)}
+        docs[kind] = mutate(docs[kind])
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        return ["eval", "--fit", str(tmp_path / "fit.json"), "--truth", str(tmp_path / "truth.json")]
+
+    return build
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+class TestOtherInputErrors:
+    """Bad inputs to ``simulate`` and ``eval`` print one error line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--noise-variance", "inf"], "noise_variance"),
+            (["simulate", "--noise-variance", "nan"], "noise_variance"),
+            (["simulate", "--score-variances", "inf,1"], "score variances"),
+            (["simulate", "--seed", "-1"], "seed"),
+            (["eval", "--study", "--n-grid", "1"], "curve count"),
+            (["eval", "--study", "--n-grid", "0"], "curve count"),
+            (["eval", "--study", "--n-grid", "10,-3"], "curve count"),
+            (["eval", "--study", "--seed", "-1"], "seed"),
+        ],
+        ids=[
+            "simulate-inf-noise",
+            "simulate-nan-noise",
+            "simulate-inf-score-variance",
+            "simulate-negative-seed",
+            "study-one-curve",
+            "study-zero-curves",
+            "study-negative-curves",
+            "study-negative-seed",
+        ],
+    )
+    def test_flags_exit_2(self, args, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(*args, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (_document("fit", lambda doc: {}), "fit document"),
+            (_document("fit", lambda doc: [doc]), "expected a JSON object"),
+            (_document("fit", lambda doc: {"fit": [doc]}), "expected a JSON object"),
+            (_document("fit", _without("eigenvalues")), "missing eigenvalues"),
+            (_document("truth", lambda doc: {}), "truth document"),
+            (_document("truth", lambda doc: [doc]), "expected a JSON object"),
+            (_document("truth", _without("grid")), "missing grid"),
+            (_document("truth", lambda doc: {**doc, "mean": doc["mean"][:2]}), "per grid point"),
+            (
+                _document("fit", lambda doc: {**doc, "eigenfunctions": [[1.0, 0.0]]}),
+                "per grid point",
+            ),
+            (_document("fit", lambda doc: {**doc, "grid": []}), "nonempty"),
+            (_document("truth", lambda doc: {**doc, "grid": doc["grid"][::-1]}), "increasing"),
+            (_document("fit", lambda doc: {**doc, "noise_precision_mean": "x"}), "noise_precision"),
+        ],
+        ids=[
+            "fit-empty",
+            "fit-list",
+            "fit-wrapped-list",
+            "fit-no-eigenvalues",
+            "truth-empty",
+            "truth-list",
+            "truth-no-grid",
+            "truth-truncated-mean",
+            "fit-truncated-eigenfunction",
+            "fit-empty-grid",
+            "truth-decreasing-grid",
+            "fit-string-precision",
+        ],
+    )
+    def test_eval_documents_exit_2(self, build, message, tmp_path, capsys):
+        out = tmp_path / "metrics.json"
+        code = run_cli(*build(tmp_path), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_well_formed_documents_evaluate(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        assert run_cli(*_document("fit", dict)(tmp_path), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["ise_mean"] == 0.0

@@ -10,6 +10,7 @@ from vmpfpca.expfam import (
     DegenerateMessageError,
     GaussianVecParams,
     GaussianVechParams,
+    InvChiSqParams,
     duplication_matrix,
     gaussian_vec_to_moments,
     moore_penrose_duplication,
@@ -72,6 +73,10 @@ class TestFitConfig:
             {"prior_beta_var": -1.0},
             {"num_eigen": 2.5},
             {"max_iter": 1e3},
+            {"hyper_a_psi": 1e-300},
+            {"hyper_a_eps": 1e200},
+            {"prior_beta_var": 1e-320},
+            {"hyper_a_mu": -1.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -158,13 +163,30 @@ class TestFit:
         assert not state.converged
         assert state.iterations == 3
 
-    def test_degenerate_message_names_edge_and_iteration(self, reference_dataset):
+    @pytest.mark.parametrize(
+        "edges, bad, message",
+        [
+            (
+                [(fg.LIKELIHOOD, fg.NU), (fg.PENALIZATION, fg.NU)],
+                GaussianVecParams(np.zeros(48), 0.5 * vec(np.eye(48))),
+                r"iteration 1: edge \(likelihood, nu\)",
+            ),
+            (
+                # a prior that cancels the scale of q(a_eps)
+                [("prior_a_eps", "a_eps")],
+                InvChiSqParams(-1.5, 0.5),
+                r"iteration 1: edge \(iterated_eps, a_eps\): .*eta2 = 0",
+            ),
+        ],
+        ids=["nu", "iterated"],
+    )
+    def test_degenerate_message_names_edge_and_iteration(
+        self, reference_dataset, edges, bad, message
+    ):
         state = initialize(reference_dataset, FitConfig())
-        dim = 4 * 12
-        bad = GaussianVecParams(np.zeros(dim), 0.5 * vec(np.eye(dim)))
-        state.store.set_to_node(fg.LIKELIHOOD, fg.NU, bad)
-        state.store.set_to_node(fg.PENALIZATION, fg.NU, bad)
-        with pytest.raises(DegenerateMessageError, match=r"iteration 1.*nu"):
+        for factor, node in edges:
+            state.store.set_to_node(factor, node, bad)
+        with pytest.raises(DegenerateMessageError, match=message):
             fit_state(state)
 
     def test_misspecified_single_component_still_converges(self):

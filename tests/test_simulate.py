@@ -68,6 +68,19 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SimConfig(score_variances=(0.25, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"noise_variance": float("inf")},
+            {"noise_variance": float("nan")},
+            {"score_variances": (float("inf"), 1.0)},
+            {"seed": -1},
+        ],
+    )
+    def test_non_finite_variances_and_negative_seed_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
 
 class TestTrueFunctions:
     def test_eigenfunctions_orthonormal_by_quadrature(self):
