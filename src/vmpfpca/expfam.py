@@ -96,14 +96,17 @@ def _factorizes(matrix: np.ndarray) -> bool:
 def invert_spd(matrix: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Invert a symmetric positive definite matrix, or a stack of them.
 
-    The inverse of A = LL' is inv(L)' inv(L), batched over any leading axes.
-    Raises :class:`DegenerateMessageError` with the eigenvalue range when the
-    Cholesky factorization fails; for a stack, the message also names the
-    (flattened) rows that failed.
+    The Cholesky factorization is the definiteness check; the inverse is one
+    batched ``np.linalg.inv`` of the matrix, which is cheaper than inverting
+    the triangular factor with the same general routine and multiplying it
+    out.  The inverse is symmetric up to round-off.  Raises
+    :class:`DegenerateMessageError` with the eigenvalue range when the
+    factorization fails; for a stack, the message also names the (flattened)
+    rows that failed.
     """
     matrix = symmetrize(np.asarray(matrix, dtype=float))
     try:
-        inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
+        np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         d = matrix.shape[-1]
         stack = matrix.reshape(-1, d, d)
@@ -116,7 +119,7 @@ def invert_spd(matrix: np.ndarray, context: str = "matrix") -> np.ndarray:
             f"{context} is not positive definite{where} "
             f"(eigenvalue range [{eigvals[:, 0].min():.3e}, {eigvals[:, -1].max():.3e}])"
         ) from None
-    return np.swapaxes(inv_factor, -1, -2) @ inv_factor
+    return np.linalg.inv(matrix)
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ NaturalParams = GaussianVecParams | GaussianVechParams | InvChiSqParams
 def gaussian_moments_to_vec(mean: np.ndarray, cov: np.ndarray) -> GaussianVecParams:
     """Map (mean, covariance) to vec-basis natural parameters."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    prec = invert_spd(cov, context="covariance")
+    prec = symmetrize(invert_spd(cov, context="covariance"))
     return GaussianVecParams(prec @ mean, -0.5 * vec(prec))
 
 
@@ -226,7 +229,7 @@ def gaussian_vec_to_moments(params: GaussianVecParams) -> tuple[np.ndarray, np.n
 def gaussian_moments_to_vech(mean: np.ndarray, cov: np.ndarray) -> GaussianVechParams:
     """Map (mean, covariance) to vech-basis natural parameters."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    prec = invert_spd(cov, context="covariance")
+    prec = symmetrize(invert_spd(cov, context="covariance"))
     d = mean.size
     return GaussianVechParams(prec @ mean, duplication_matrix(d).T @ (-0.5 * vec(prec)))
 

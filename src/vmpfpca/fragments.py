@@ -251,6 +251,11 @@ def penalization_messages_to_variances(
     spline_means = nu_mean.reshape(blocks, num_coefs)[:, 2:]
     spline_vars = np.diagonal(nu_cov).reshape(blocks, num_coefs)[:, 2:]
     return [
-        InvChiSqParams(-0.5 * num_splines, -0.5 * float(mean @ mean + var.sum()))
+        penalization_message_to_variance(float(mean @ mean + var.sum()), num_splines)
         for mean, var in zip(spline_means, spline_vars)
     ]
+
+
+def penalization_message_to_variance(spline_sq: float, num_splines: int) -> InvChiSqParams:
+    """Message to one sigma^2 from its block's expected squared spline-coefficient norm."""
+    return InvChiSqParams(-0.5 * num_splines, -0.5 * spline_sq)

@@ -1,25 +1,37 @@
 """Initialization, the fixed-order fragment sweep and convergence detection.
 
-A sweep visits the fragments in a fixed order: the component-rotation snap;
-likelihood; the iterated fragment of the noise-variance chain; penalization;
-the iterated fragments of the mean-function and eigenfunction chains (see
+A sweep visits the fragments in a fixed order: the snap; likelihood; the
+iterated fragment of the noise-variance chain; penalization; the iterated
+fragments of the mean-function and eigenfunction chains (see
 :func:`graph.variance_chains`).  The prior fragments emit constant messages,
 so they are written once at initialization.  A fragment reads the message
 each neighboring node sends it from the other factor's current message (see
 :mod:`graph`), so every update sees the freshest available moments.
 
+The snap (:func:`_align_component_rotation`) moves the fit along three
+directions that change no curve: it rotates the components into their
+stationary frame, moves mass between the scores and the mean function, and
+trades each component's score scale against its eigenfunction scale, the
+last two to the highest objective along their directions, from a fit's
+second sweep on.  Plain sweeps crawl along these directions; at a fixed
+point of the plain sweep all three moves are the identity, so the sweeps
+reach the same fixed point in fewer steps.
+
 q(nu) is inverted once after each of the two writes to nu: the likelihood
 fragment's message to nu needs only the score moments, and the snap at the
 start of the next sweep reuses the moments the penalization fragment read,
-since nothing writes nu in between.  Convergence is declared on the
-stability of the per-node q-density natural parameters, with each curve's
-score vector and each of the 2(2 + L) variance and auxiliary nodes counted
-as its own node.
+since nothing writes nu in between.  q(zeta) is read once by the snap,
+which hands the moved score moments to the likelihood fragment, and once
+after the likelihood fragment writes the scores.  Convergence is declared
+on the stability of the per-node q-density natural parameters, with each
+curve's score vector and each of the 2(2 + L) variance and auxiliary nodes
+counted as its own node.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +52,7 @@ from .expfam import (
 )
 from .fragments import (
     LikelihoodCache,
+    ScoreMoments,
     build_likelihood_cache,
     gaussian_prior_message,
     igw_prior_message,
@@ -48,6 +61,7 @@ from .fragments import (
     likelihood_message_to_nu,
     likelihood_message_to_sigsq_eps,
     likelihood_messages_to_zeta,
+    penalization_message_to_variance,
     penalization_messages,
     penalization_messages_to_variances,
     score_moments,
@@ -58,6 +72,11 @@ from .splines import SplineBasis, build_basis, design_matrix
 logger = logging.getLogger(__name__)
 
 _INIT_GAUSS_VARIANCE = 100.0  # weakly informative N(0, 10^2 I) starting messages
+# The snap's scale step alternates with its chain until the next step would
+# move c^2 by less than _SCALE_RTOL_PER_TOL times the convergence tolerance,
+# relative; _SCALE_STEPS only bounds the loop.
+_SCALE_STEPS = 100
+_SCALE_RTOL_PER_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -207,32 +226,24 @@ def _edge_moments(state: VmpState, factor: str, node: str, to_moments):
         raise DegenerateMessageError(f"edge ({factor}, {node}): {err}") from err
 
 
-def _update_likelihood_fragment(state: VmpState) -> None:
+def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments) -> None:
     """Update the likelihood messages one block at a time.
 
     Each message is computed from moments that reflect all messages written
     before it (exact coordinate ascent).  Writing the nu, score and noise
     messages simultaneously from one stale snapshot couples the bilinear
-    nu/score blocks into a two-cycle instead of a fixed point.  The message
-    to nu needs only the score moments, so q(nu) is read once, after it.
+    nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
+    are the current q(zeta) moments, which the snap hands on; the message to
+    nu needs only those, so q(nu) is read once, after it.
     """
-    frozen = state.config.freeze_scores_at_zero
-    n, L = state.dataset.num_curves, state.config.num_eigen
     e_recip_eps = _edge_moments(state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal)
-
-    if frozen:
-        scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
-    else:
-        scores = score_moments(
-            *_edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
-        )
     state.store.set_to_node(
         fg.LIKELIHOOD, fg.NU, likelihood_message_to_nu(state.cache, scores, e_recip_eps)
     )
 
     nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov, scores)
-    if not frozen:
+    if not state.config.freeze_scores_at_zero:
         state.store.set_to_node(
             fg.LIKELIHOOD,
             fg.ZETA,
@@ -277,72 +288,207 @@ def _update_penalization_fragment(
     return nu_mean, nu_cov
 
 
-def _align_component_rotation(state: VmpState, nu_mean: np.ndarray, nu_cov: np.ndarray) -> None:
-    """Snap the internal component rotation to its stationary frame.
+def _align_component_rotation(
+    state: VmpState, nu_mean: np.ndarray, nu_cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reparameterize the fit along three directions that leave every curve unchanged.
 
-    The likelihood is invariant under jointly rotating the scores and the
-    eigenfunction coefficient blocks, and so is the N(0, I) score prior, so
-    this changes no fitted curve.  Along that rotation orbit the objective
-    varies only through the component-specific smoothing priors, and its
-    stationary points diagonalize the second-moment Gram of the per-component
-    spline coefficients; the coordinate updates reach that frame arbitrarily
-    slowly when component scales are close, so it is snapped directly.  An
-    aligned, fragment-stationary state is a fixed point of the plain sweep.
-    The snap runs on every sweep; at an aligned state its rotation is the
-    identity up to round-off.  ``nu_mean`` and ``nu_cov`` are the current
-    q(nu) moments.
+    Each curve is V (1, zeta_i')' with V = (nu_mu, nu_psi_1, ...), so a
+    change of frame that maps the augmented scores by N and the coefficient
+    blocks by inv(N) leaves the likelihood alone.  Under mean field each
+    move maps q(nu) and every q(zeta_i) through a fixed linear map, so the
+    expected log-likelihood is unchanged too, and the objective changes only
+    through the N(0, I) score prior, the smoothing priors, their chains and
+    the two entropies.  The snap applies, in this order:
+
+    1. the rotation that diagonalizes the second-moment Gram of the
+       components' spline coefficients, largest first: the stationary frames
+       of the smoothing priors, which coordinate updates reach arbitrarily
+       slowly when component scales are close;
+    2. the objective-optimal translation zeta_i -> zeta_i - b,
+       nu_mu -> nu_mu + sum_l b_l nu_psi_l, with (n I + G) b =
+       sum_i E(zeta_i) - g, where G and g are the second moments of the
+       component blocks with each other and with the mean block, weighted
+       by the mean function's penalty;
+    3. per component, the objective-optimal scale zeta_il -> c_l zeta_il,
+       nu_psi_l -> nu_psi_l / c_l, jointly with q(sigma^2_psi_l) and
+       q(a_psi_l) (see :func:`_scale_component`), whose messages the snap
+       writes.
+
+    The translation and the scale maximize the objective along their
+    directions, so at a fixed point of the plain sweep both are the
+    identity; so is the rotation once the frame is aligned.  The sweeps
+    therefore reach the same fixed point, in fewer steps.  Both optimize the
+    model's smoothing penalty, which the N(0, 100 I) starting message to nu
+    is not, so in a fit's first sweep (``state.iterations`` is 0, and the
+    penalization fragment has not yet written nu) only the rotation runs.
+    The moves rewrite the penalization message to nu and the likelihood
+    message to the scores; the likelihood message to nu is rewritten before
+    anything reads it, so it is left alone.  ``nu_mean`` and ``nu_cov`` are
+    the current q(nu) moments.  q(zeta) is read once; the return value is
+    its (means, covariances) in the new frame.
     """
-    L = state.config.num_eigen
-    if L < 2 or state.config.freeze_scores_at_zero:
-        return
-    num_coefs = 2 + state.config.num_splines
+    config = state.config
+    n, L = state.dataset.num_curves, config.num_eigen
+    num_coefs = 2 + config.num_splines
+    zeta_means, zeta_covs = _edge_moments(
+        state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
+    )
     second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
-    gram = np.einsum("kplp->kl", second[1:, 2:, 1:, 2:])
-    _, rotation = np.linalg.eigh(gram)
+    # (L+1) x (L+1) block Grams over the linear and the spline coefficients
+    by_coef = np.einsum("apbp->pab", second)
+    linear_gram, spline_gram = by_coef[:2].sum(axis=0), by_coef[2:].sum(axis=0)
+
+    _, rotation = np.linalg.eigh(spline_gram[1:, 1:])
     rotation = rotation[:, ::-1]
     # Deterministic column signs keep the rotation from flapping between sweeps.
     anchor = np.argmax(np.abs(rotation), axis=0)
     rotation = rotation * np.sign(rotation[anchor, np.arange(L)])
+    block_rotation = np.eye(L + 1)
+    block_rotation[1:, 1:] = rotation
+    linear_gram = block_rotation.T @ linear_gram @ block_rotation
+    spline_gram = block_rotation.T @ spline_gram @ block_rotation
+    zeta_means = zeta_means @ rotation
+    zeta_covs = rotation.T @ zeta_covs @ rotation
 
-    store = state.store
-    store.set_to_node(
-        fg.LIKELIHOOD, fg.ZETA, _rotate_scores(store.get_to_node(fg.LIKELIHOOD, fg.ZETA), rotation)
-    )
-    for factor in (fg.LIKELIHOOD, fg.PENALIZATION):
-        store.set_to_node(
-            factor, fg.NU, _rotate_coefficients(store.get_to_node(factor, fg.NU), rotation)
+    shift, scale = np.zeros(L), np.ones(L)
+    if state.iterations > 0:  # the penalization fragment has written nu
+        _, mean_chain, *component_chains = fg.variance_chains(L)
+        mean_weighted = linear_gram / config.prior_beta_var + spline_gram * _edge_moments(
+            state, fg.PENALIZATION, mean_chain.sigsq, invchisq_mean_reciprocal
+        )
+        shift = np.linalg.solve(
+            n * np.eye(L) + mean_weighted[1:, 1:], zeta_means.sum(axis=0) - mean_weighted[1:, 0]
+        )
+        zeta_means = zeta_means - shift
+
+        score_sq = np.einsum("il,il->l", zeta_means, zeta_means) + np.einsum("ill->l", zeta_covs)
+        scale = np.array(
+            [
+                _scale_component(
+                    state,
+                    chain,
+                    score_sq[l],
+                    n - num_coefs,
+                    linear_gram[l + 1, l + 1] / config.prior_beta_var,
+                    spline_gram[l + 1, l + 1],
+                )
+                for l, chain in enumerate(component_chains)
+            ]
         )
 
+    score_map = np.eye(L + 1)
+    score_map[1:, 0] = -scale * shift
+    score_map[1:, 1:] = scale[:, None] * rotation.T
+    store = state.store
+    store.set_to_node(
+        fg.LIKELIHOOD,
+        fg.ZETA,
+        _transform_scores(store.get_to_node(fg.LIKELIHOOD, fg.ZETA), score_map),
+    )
+    store.set_to_node(
+        fg.PENALIZATION,
+        fg.NU,
+        _transform_coefficients(store.get_to_node(fg.PENALIZATION, fg.NU), score_map),
+    )
+    return zeta_means * scale, scale[:, None] * zeta_covs * scale
 
-def _rotate_coefficients(params: GaussianVecParams, rotation: np.ndarray) -> GaussianVecParams:
-    """nu message re-expressed for eigenfunction blocks mixed by ``rotation``.
 
-    The mean-function block is fixed and block l of the rotated nu is
-    sum_k rotation[k, l] nu_psi_k; the (L+1) x (L+1) block rotation acts on
-    both block axes of the (L+1, P, L+1, P) view of eta2, first on the
-    leading one, then on the inner one.
+def _scale_component(
+    state: VmpState,
+    chain: fg.VarianceChain,
+    score_sq: float,
+    excess: float,
+    linear_sq: float,
+    spline_sq: float,
+) -> float:
+    """Scale c of one component, alternated with its smoothing chain; writes the chain.
+
+    With x = c^2 the objective along the move is
+    -S x/2 - K/(2x) + (n - P) log(x)/2, where S = ``score_sq``,
+    n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq`` is
+    the block's expected penalty; it is concave in log x and peaks at the
+    positive root of S x^2 - (n - P) x - K.  Each x step is followed by the
+    closed-form q(sigma^2) and q(a) updates, and each step raises the
+    objective.  The alternation stops before a step that would move x by
+    less than a tenth of the convergence tolerance, relative, and the source
+    and iterated messages of the chain are written for the last x taken.
+    So a component already at its scale to that precision, or whose
+    objective has no maximum at a positive finite x (S = 0 with n >= P, or
+    K = 0 with n <= P), is left as it is, with its chain and c = 1.
     """
-    blocks = rotation.shape[0] + 1
-    block_rotation = np.eye(blocks)
-    block_rotation[1:, 1:] = rotation
-    eta1 = block_rotation.T @ params.eta1.reshape(blocks, -1)
+    if not score_sq > 0.0 and excess >= 0:
+        return 1.0
+    store = state.store
+    num_splines = state.config.num_splines
+    prior = store.get_to_node(chain.prior, chain.aux)
+    e_recip = _edge_moments(state, chain.source, chain.sigsq, invchisq_mean_reciprocal)
+    e_recip_aux = _edge_moments(state, chain.iterated, chain.aux, invchisq_mean_reciprocal)
+    rtol = _SCALE_RTOL_PER_TOL * state.config.tol
+    x = 1.0
+    for _ in range(_SCALE_STEPS):
+        penalty = linear_sq + e_recip * spline_sq
+        root = math.sqrt(excess * excess + 4.0 * score_sq * penalty)
+        # the cancellation-free form of the positive root for each sign of n - P
+        if excess >= 0:
+            new = (excess + root) / (2.0 * score_sq)
+        else:
+            new = 2.0 * penalty / (root - excess)
+        if not 0.0 < new < math.inf:
+            return 1.0
+        if abs(new - x) <= rtol * new:
+            break
+        x = new
+        # the coordinate updates of q(sigma^2), then of q(a), at the new scale
+        source = penalization_message_to_variance(spline_sq / x, num_splines)
+        to_sigsq, _ = iterated_igw_messages(e_recip, e_recip_aux)
+        e_recip = invchisq_mean_reciprocal(source + to_sigsq)
+        _, to_aux = iterated_igw_messages(e_recip, e_recip_aux)
+        e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
+    if x == 1.0:
+        return 1.0
+    store.set_to_node(chain.source, chain.sigsq, source)
+    store.set_to_node(chain.iterated, chain.sigsq, to_sigsq)
+    store.set_to_node(chain.iterated, chain.aux, to_aux)
+    return math.sqrt(x)
+
+
+def _transform_coefficients(
+    params: GaussianVecParams, score_map: np.ndarray
+) -> GaussianVecParams:
+    """nu message re-expressed in the frame whose augmented scores are ``score_map`` (1, zeta')'.
+
+    The coefficient blocks V = (nu_mu, nu_psi_1, ...) become V inv(score_map),
+    so the message's precision becomes (N kron I) Lambda (N' kron I) and its
+    eta1 (N kron I) eta1, with N = ``score_map``: N acts on both block axes of
+    the (L+1, P, L+1, P) view of eta2, first on the leading one, then on the
+    inner one.
+    """
+    blocks = score_map.shape[0]
+    eta1 = score_map @ params.eta1.reshape(blocks, -1)
     num_coefs = eta1.shape[1]
-    eta2 = block_rotation.T @ params.eta2.reshape(blocks, -1)
-    eta2 = block_rotation.T @ eta2.reshape(blocks * num_coefs, blocks, num_coefs)
+    eta2 = score_map @ params.eta2.reshape(blocks, -1)
+    eta2 = score_map @ eta2.reshape(blocks * num_coefs, blocks, num_coefs)
     return GaussianVecParams(eta1.ravel(), eta2.ravel())
 
 
-def _rotate_scores(params: GaussianVechParams, rotation: np.ndarray) -> GaussianVechParams:
-    """Stacked score message re-expressed for the rotated scores rotation' zeta_i."""
+def _transform_scores(params: GaussianVechParams, score_map: np.ndarray) -> GaussianVechParams:
+    """Stacked score likelihood message for the new scores A zeta_i + a.
+
+    ``score_map`` is [[1, 0], [a, A]].  q(zeta_i) is this message plus the
+    fixed N(0, I) prior, so the message takes up the change of both: q's
+    precision becomes inv(A)' Lambda inv(A) and its eta1
+    inv(A)' eta1 + (that precision) a.
+    """
     n, L = params.eta1.shape
+    offset, inverse = score_map[1:, 0], np.linalg.inv(score_map[1:, 1:])
+    # D_L^+' eta2 is the vec of each (symmetric) -Lambda/2, so no transpose is needed.
     precisions = -2.0 * (params.eta2 @ moore_penrose_duplication(L)).reshape(n, L, L)
-    precisions = precisions.transpose(0, 2, 1)  # row-wise unvec
-    precisions = rotation.T @ (0.5 * (precisions + precisions.transpose(0, 2, 1))) @ rotation
-    return GaussianVechParams(
-        # a stack of (L, 1) products rounds exactly like per-curve matrix-vector products
-        (rotation.T @ params.eta1[:, :, None])[:, :, 0],
-        (-0.5 * precisions.transpose(0, 2, 1).reshape(n, L * L)) @ duplication_matrix(L),
-    )
+    q_precisions = inverse.T @ (precisions + np.eye(L)) @ inverse
+    # a stack of (L, 1) products rounds exactly like per-curve matrix-vector products
+    eta1 = (inverse.T @ params.eta1[:, :, None] + q_precisions @ offset[:, None])[:, :, 0]
+    precisions = (q_precisions - np.eye(L)).reshape(n, L * L)
+    return GaussianVechParams(eta1, (-0.5 * precisions) @ duplication_matrix(L))
 
 
 def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
@@ -364,9 +510,13 @@ def _sweep(
     return value is the same at its end, read by the penalization fragment
     after the last write to nu.
     """
-    noise, *smoothing = fg.variance_chains(state.config.num_eigen)
-    _align_component_rotation(state, *nu_moments)
-    _update_likelihood_fragment(state)
+    n, L = state.dataset.num_curves, state.config.num_eigen
+    noise, *smoothing = fg.variance_chains(L)
+    if state.config.freeze_scores_at_zero:
+        scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
+    else:
+        scores = score_moments(*_align_component_rotation(state, *nu_moments))
+    _update_likelihood_fragment(state, scores)
     _update_iterated_fragment(state, noise)
     nu_moments = _update_penalization_fragment(state, smoothing)
     for chain in smoothing:

@@ -13,8 +13,8 @@ from vmpfpca.expfam import (
     InvChiSqParams,
     duplication_matrix,
     gaussian_vec_to_moments,
+    gaussian_vech_to_moments,
     moore_penrose_duplication,
-    symmetrize,
     unvec,
     vec,
 )
@@ -25,16 +25,16 @@ from vmpfpca.orchestrator import (
     _align_component_rotation,
     _edge_moments,
     _q_snapshot,
-    _rotate_coefficients,
-    _rotate_scores,
     _sweep,
+    _transform_coefficients,
+    _transform_scores,
     convergence_metric,
     fit,
     fit_state,
     initialize,
 )
 from vmpfpca.simulate import SimConfig, generate
-from tests_oracle_support import kronecker_rotate_nu
+from tests_oracle_support import kronecker_transform_nu
 
 
 def fresh_nu_moments(state):
@@ -231,6 +231,21 @@ class TestSweepWork:
         assert calls["gaussian_vec_to_moments"] == 2 * self.SWEEPS + 1
         assert calls["likelihood_expectations"] == self.SWEEPS
 
+    def test_q_zeta_read_twice_per_sweep(self, reference_dataset, monkeypatch):
+        # once by the snap, whose moved moments the likelihood fragment uses,
+        # and once after the likelihood fragment writes the scores
+        calls = []
+        original = orchestrator.gaussian_vech_to_moments
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(orchestrator, "gaussian_vech_to_moments", counted)
+        state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
+        assert state.iterations == self.SWEEPS
+        assert len(calls) == 2 * self.SWEEPS
+
     def test_snap_gets_current_q_nu(self, reference_dataset, monkeypatch):
         original = orchestrator._align_component_rotation
         checked = []
@@ -254,24 +269,59 @@ class TestSweepWork:
         assert checked == [True] * 2 * self.SWEEPS
 
 
+def random_score_map(rng, num_eigen, moved=True):
+    """A snap's score map [[1, 0], [-c b, diag(c) R']]: rotation only, or with shift and scale."""
+    rotation, _ = np.linalg.qr(rng.standard_normal((num_eigen, num_eigen)))
+    shift = rng.standard_normal(num_eigen) if moved else np.zeros(num_eigen)
+    scale = rng.uniform(0.5, 2.0, num_eigen) if moved else np.ones(num_eigen)
+    score_map = np.eye(num_eigen + 1)
+    score_map[1:, 0] = -scale * shift
+    score_map[1:, 1:] = scale[:, None] * rotation.T
+    return score_map
+
+
+def random_score_message(rng, n, num_eigen):
+    a = rng.standard_normal((n, num_eigen, num_eigen))
+    precisions = a @ a.transpose(0, 2, 1) + np.eye(num_eigen)
+    eta2 = np.stack(
+        [duplication_matrix(num_eigen).T @ (-0.5 * vec(p)) for p in precisions]
+    )
+    return GaussianVechParams(rng.standard_normal((n, num_eigen)), eta2)
+
+
 class TestRotateScores:
     @pytest.mark.parametrize("num_eigen", [2, 3, 4, 6])
     def test_matches_per_curve_loop_bitwise(self, num_eigen):
         rng = np.random.default_rng(num_eigen)
         n, L = 200, num_eigen
-        a = rng.standard_normal((n, L, L))
-        precisions = a @ a.transpose(0, 2, 1) + np.eye(L)
-        eta2 = np.stack([duplication_matrix(L).T @ (-0.5 * vec(p)) for p in precisions])
-        params = GaussianVechParams(rng.standard_normal((n, L)), eta2)
-        rotation, _ = np.linalg.qr(rng.standard_normal((L, L)))
-        rotated = _rotate_scores(params, rotation)
+        params = random_score_message(rng, n, L)
+        score_map = random_score_map(rng, L)
+        moved = _transform_scores(params, score_map)
+        inverse = np.linalg.inv(score_map[1:, 1:])
         for i in range(n):
             precision = -2.0 * unvec(moore_penrose_duplication(L).T @ params.eta2[i])
-            precision = rotation.T @ symmetrize(precision) @ rotation
-            assert np.array_equal(rotated.eta1[i], rotation.T @ params.eta1[i])
+            q_precision = inverse.T @ (precision + np.eye(L)) @ inverse
             assert np.array_equal(
-                rotated.eta2[i], duplication_matrix(L).T @ (-0.5 * vec(precision))
+                moved.eta1[i], inverse.T @ params.eta1[i] + q_precision @ score_map[1:, 0]
             )
+            assert np.array_equal(
+                moved.eta2[i], duplication_matrix(L).T @ (-0.5 * vec(q_precision - np.eye(L)))
+            )
+
+    @pytest.mark.parametrize("num_eigen", [1, 3])
+    def test_q_zeta_is_the_pushforward(self, num_eigen):
+        # With the N(0, I) prior added, q(zeta_i) becomes the law of A zeta_i + a.
+        rng = np.random.default_rng(10 + num_eigen)
+        L = num_eigen
+        params = random_score_message(rng, 30, L)
+        score_map = random_score_map(rng, L)
+        prior = gaussian_prior_message(L)
+        means, covs = gaussian_vech_to_moments(params + prior)
+        moved = _transform_scores(params, score_map)
+        new_means, new_covs = gaussian_vech_to_moments(moved + prior)
+        linear, offset = score_map[1:, 1:], score_map[1:, 0]
+        assert np.allclose(new_means, means @ linear.T + offset, rtol=1e-12, atol=1e-12)
+        assert np.allclose(new_covs, linear @ covs @ linear.T, rtol=1e-12, atol=1e-12)
 
 
 class TestRotateCoefficients:
@@ -282,28 +332,30 @@ class TestRotateCoefficients:
         a = rng.standard_normal((dim, dim))
         precision = a @ a.T + np.eye(dim)
         params = GaussianVecParams(rng.standard_normal(dim), -0.5 * vec(precision))
-        rotation, _ = np.linalg.qr(rng.standard_normal((num_eigen, num_eigen)))
-        rotated = _rotate_coefficients(params, rotation)
-        expected = kronecker_rotate_nu(params, rotation)
-        scale = np.abs(expected.as_vector()).max()
-        assert np.abs(rotated.as_vector() - expected.as_vector()).max() <= 1e-12 * scale
-        # the mean-function block is left alone
         num_coefs = 2 + num_splines
-        assert np.array_equal(rotated.eta1[:num_coefs], params.eta1[:num_coefs])
+        for moved in (False, True):
+            score_map = random_score_map(rng, num_eigen, moved)
+            transformed = _transform_coefficients(params, score_map)
+            expected = kronecker_transform_nu(params, score_map)
+            scale = np.abs(expected.as_vector()).max()
+            assert np.abs(transformed.as_vector() - expected.as_vector()).max() <= 1e-12 * scale
+            if not moved:  # a rotation leaves the mean-function block alone
+                assert np.array_equal(transformed.eta1[:num_coefs], params.eta1[:num_coefs])
 
     def test_snap_at_aligned_state_is_near_identity(self, converged_state):
-        # The snap always writes both nu messages; at a converged state the
-        # frame is aligned up to the convergence tolerance, so the messages
-        # move by far less than the tolerance.
+        # The snap writes the penalization message to nu; at a converged state
+        # the frame is aligned up to the convergence tolerance, so the messages
+        # move by far less than the tolerance.  The likelihood message to nu is
+        # rewritten before it is read, so the snap leaves it.
         state = copy.deepcopy(converged_state)
         before = {
             factor: state.store.get_to_node(factor, fg.NU)
             for factor in (fg.LIKELIHOOD, fg.PENALIZATION)
         }
         _align_component_rotation(state, *fresh_nu_moments(state))
+        assert state.store.get_to_node(fg.PENALIZATION, fg.NU) is not before[fg.PENALIZATION]
         for factor, old in before.items():
             new = state.store.get_to_node(factor, fg.NU)
-            assert new is not old
             change = np.abs(new.as_vector() - old.as_vector()).max()
             assert change / (1.0 + np.abs(old.as_vector()).max()) < 1e-2 * state.config.tol
 

@@ -1,0 +1,283 @@
+"""The snap's translation and scale moves: objective, invariance, fixed point, sweep counts.
+
+The snap (``orchestrator._align_component_rotation``) rotates, translates
+and scales the internal frame of the fit.  These tests check that the
+translation and scale moves never lower the objective they optimize, that
+no move changes the likelihood's expectations or any expected curve, that
+the sweeps still reach the plain coordinate-ascent fixed point, that the
+first snap of a fit only rotates, and the sweep counts the moves buy on the
+benchmark's dense inputs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vmpfpca.graph as fg
+import vmpfpca.orchestrator as orchestrator
+from vmpfpca import cli
+from vmpfpca.data import read_dataset_csv, write_dataset_csv
+from vmpfpca.expfam import gaussian_vech_to_moments
+from vmpfpca.fragments import (
+    likelihood_expectations,
+    likelihood_expected_sq_norms,
+    score_moments,
+)
+from vmpfpca.orchestrator import FitConfig, fit
+from vmpfpca.postprocess import extract, finalize, trapezoid_inner
+from vmpfpca.simulate import SimConfig, generate
+from vmpfpca.splines import design_matrix
+from tests_oracle_support import full_model_mfvb_oracle, snap_objective, transform_nu_moments
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_benchmark_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_dataset(tmp_path, num_curves, obs):
+    """Dataset 0 of the benchmark's generator with seed 1, read back from its CSV."""
+    path = tmp_path / f"bench-{num_curves}-{obs[0]}-{obs[1]}.csv"
+    inputs = _load_benchmark_inputs()
+    inputs.write_dataset(path, seed=1, index=0, num_curves=num_curves, obs=obs)
+    return read_dataset_csv(path)
+
+
+BENCHMARK_CONFIG = dict(num_eigen=3, num_splines=10)  # the benchmark's fit flags
+
+
+def capture_score_maps(monkeypatch):
+    """Record the score map [[1, 0], [-c b, diag(c) R']] of every snap."""
+    maps = []
+    original = orchestrator._transform_scores
+
+    def capturing(params, score_map):
+        maps.append(score_map.copy())
+        return original(params, score_map)
+
+    monkeypatch.setattr(orchestrator, "_transform_scores", capturing)
+    return maps
+
+
+def split_moves(score_map):
+    """(rotation R, shift b, scale c) of a score map, in the order the snap applies them."""
+    linear = score_map[1:, 1:]
+    scale = np.linalg.norm(linear, axis=1)
+    return (linear / scale[:, None]).T, -score_map[1:, 0] / scale, scale
+
+
+def stage_maps(score_map):
+    """Score maps after the rotation, after the translation and after the scale move."""
+    rotation, shift, _ = split_moves(score_map)
+    L = rotation.shape[0]
+    rotated = np.eye(L + 1)
+    rotated[1:, 1:] = rotation.T
+    translated = rotated.copy()
+    translated[1:, 0] = -shift
+    return rotated, translated, score_map
+
+
+def moved_scores(zeta_means, zeta_covs, score_map):
+    linear, offset = score_map[1:, 1:], score_map[1:, 0]
+    return zeta_means @ linear.T + offset, linear @ zeta_covs @ linear.T
+
+
+def chain_densities(state):
+    """q(sigma^2) and q(a) of the mean-function and eigenfunction chains, in block order."""
+    _, *smoothing = fg.variance_chains(state.config.num_eigen)
+    return (
+        [fg.q_natural_params(state.graph, state.store, chain.sigsq) for chain in smoothing],
+        [fg.q_natural_params(state.graph, state.store, chain.aux) for chain in smoothing],
+    )
+
+
+def curve_expectations(state, nu_mean, nu_cov, zeta_means, zeta_covs):
+    """Per-curve E||y_i - C_i V zeta-tilde_i||^2 and the expected curves at the observations."""
+    expectations = likelihood_expectations(
+        state.cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs)
+    )
+    coefs = expectations.zt_mean @ expectations.v_mean.T  # (n, P): E(V) E(zeta-tilde_i)
+    curves = np.concatenate(
+        [design_matrix(t, state.basis) @ c for t, c in zip(state.dataset.times, coefs)]
+    )
+    return likelihood_expected_sq_norms(state.cache, expectations), curves
+
+
+def assert_same(after, before, rtol=1e-10):
+    assert np.abs(after - before).max() <= rtol * np.abs(before).max()
+
+
+class TestSnapObjective:
+    def test_moves_raise_objective_and_keep_every_curve(self, monkeypatch):
+        dataset, _ = generate(SimConfig(num_curves=36, seed=1))
+        maps = capture_score_maps(monkeypatch)
+        original = orchestrator._align_component_rotation
+        snaps = []
+
+        def checked(state, nu_mean, nu_cov):
+            config = state.config
+            zeta = orchestrator._edge_moments(
+                state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
+            )
+            chains_before = chain_densities(state)
+            result = original(state, nu_mean, nu_cov)
+            chains_after = chain_densities(state)
+
+            objective = [snap_objective(config, nu_mean, nu_cov, *zeta, *chains_before)]
+            for stage, score_map in enumerate(stage_maps(maps[-1])):
+                moved = (
+                    *transform_nu_moments(nu_mean, nu_cov, score_map),
+                    *moved_scores(*zeta, score_map),
+                )
+                chains = chains_after if stage == 2 else chains_before
+                objective.append(snap_objective(config, *moved, *chains))
+            _, rotated, translated, scaled = objective
+            assert translated >= rotated - 1e-10 * abs(rotated)
+            assert scaled >= translated - 1e-10 * abs(translated)
+
+            # the snap's own score moments and q(zeta) are the moved ones
+            stored = orchestrator._edge_moments(
+                state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
+            )
+            for mine, theirs, expected in zip(result, stored, moved[2:]):
+                assert_same(mine, expected)
+                assert_same(theirs, expected)
+            for after, before in zip(
+                curve_expectations(state, *moved),
+                curve_expectations(state, nu_mean, nu_cov, *zeta),
+            ):
+                assert_same(after, before)
+            snaps.append(result)
+            return result
+
+        monkeypatch.setattr(orchestrator, "_align_component_rotation", checked)
+        state = fit(dataset, FitConfig())
+        assert state.converged
+        assert len(snaps) == state.iterations
+
+
+class TestFirstSweep:
+    def test_first_snap_only_rotates(self, monkeypatch):
+        # The starting message to nu is a vague N(0, 100 I), not the model's
+        # penalty, so the translation and the scale wait for penalization.
+        dataset, _ = generate(SimConfig(num_curves=10, seed=3))
+        maps = capture_score_maps(monkeypatch)
+        fit(dataset, FitConfig(max_iter=2))
+        (_, first_shift, first_scale), (_, shift, scale) = map(split_moves, maps)
+        assert np.all(first_shift == 0.0) and np.abs(first_scale - 1.0).max() < 1e-14
+        assert np.abs(shift).max() > 1e-6 and np.abs(scale - 1.0).max() > 1e-6
+
+    def test_tiny_linear_prior_variance_stays_nonconvergent(self, tmp_path):
+        # Against the N(0, 100 I) start, a linear-part penalty of about 1e300
+        # would scale every component by about 7e74 and collapse the scores.
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(generate(SimConfig(num_curves=10, seed=3))[0], path)
+        hyper = ["--hyper-a-eps", "1", "--hyper-a-mu", "1", "--hyper-a-psi", "1"]
+        code = cli.main(
+            [
+                "fit", str(path), "--prior-beta-var", "1e-300", *hyper,
+                "--max-iter", "50", "--grid-size", "101", "--out", str(tmp_path / "fit.json"),
+            ]
+        )  # fmt: skip
+        assert code == cli.EXIT_NONCONVERGENCE
+
+
+class TestSingleComponent:
+    def test_translation_and_scale_run_and_finalize_holds(self, monkeypatch):
+        # With one component the rotation is the identity; the other two moves are not.
+        dataset, _ = generate(SimConfig(num_curves=20, seed=6))
+        maps = capture_score_maps(monkeypatch)
+        state = fit(dataset, FitConfig(num_eigen=1, max_iter=1000))
+        assert state.converged
+        assert len(maps) == state.iterations
+        rotations, shifts, scales = (np.array(m) for m in zip(*map(split_moves, maps)))
+        assert np.all(rotations == 1.0)
+        assert np.all(np.isfinite(shifts)) and np.abs(shifts).max() > 1e-3
+        assert np.all(scales > 0) and np.abs(scales - 1.0).max() > 1e-3
+
+        result = finalize(state)
+        func = result.eigenfunctions[:, 0]
+        assert trapezoid_inner(func, func, result.grid) == pytest.approx(1.0, abs=1e-3)
+        assert abs(result.scores.mean()) <= 1e-8 * np.abs(result.scores).max()
+        assert result.eigenvalues[0] > 0
+        assert np.all(np.isfinite(result.fitted))
+
+
+class TestSweepCounts:
+    def test_dense_fit_takes_at_most_half_the_plain_sweeps(self, tmp_path):
+        # half the 765 sweeps that the rotation alone takes
+        dataset = benchmark_dataset(tmp_path, 20, (150, 300))
+        state = fit(dataset, FitConfig(**BENCHMARK_CONFIG, max_iter=3000))
+        assert state.converged
+        assert state.iterations <= 382
+
+    def test_dense_curve_stall_converges(self, tmp_path):
+        # the rotation alone does not converge within 3000 sweeps
+        dataset = benchmark_dataset(tmp_path, 20, (1000, 2000))
+        state = fit(dataset, FitConfig(**BENCHMARK_CONFIG, max_iter=3000))
+        assert state.converged
+
+
+class TestDenseFixedPoint:
+    def test_matches_direct_coordinate_ascent(self, tmp_path):
+        # The oracle runs plain moment-form coordinate ascent, with no snap,
+        # so agreement at a tight tolerance shows the moves keep its fixed
+        # point.  The quantities compared are rotation-invariant.
+        dataset = benchmark_dataset(tmp_path, 8, (150, 300))
+        config = FitConfig(num_eigen=2, num_splines=5, tol=1e-11, max_iter=6000)
+        state = fit(dataset, config)
+        assert state.converged
+        _, _, oracle_noise_prec, oracle_fitted = full_model_mfvb_oracle(
+            dataset, config, sweeps=6000
+        )
+        raw = extract(state)
+        _, fitted = curve_expectations(
+            state, raw.nu_mean, raw.nu_cov, raw.zeta_means, raw.zeta_covs
+        )
+        assert np.abs(fitted - np.concatenate(oracle_fitted)).max() < 1e-6
+        assert raw.noise_precision_mean == pytest.approx(oracle_noise_prec, rel=1e-7)
+
+
+class TestScaleComponent:
+    """The scale root at the edges: no score mass, no penalty, n < P."""
+
+    @staticmethod
+    def chain_state():
+        dataset, _ = generate(SimConfig(num_curves=10, seed=3))
+        state = orchestrator.initialize(dataset, FitConfig())
+        return state, fg.variance_chains(3)[2]
+
+    @pytest.mark.parametrize(
+        "score_sq, excess, penalty",
+        [(0.0, 40, 1.0), (5.0, -2, 0.0)],
+        ids=["no-score-mass", "no-penalty"],
+    )
+    def test_degenerate_root_keeps_component_and_chain(self, score_sq, excess, penalty):
+        # Neither objective has a maximum at a positive finite scale.
+        state, chain = self.chain_state()
+        edges = [
+            (chain.source, chain.sigsq),
+            (chain.iterated, chain.sigsq),
+            (chain.iterated, chain.aux),
+        ]
+        before = [state.store.get_to_node(*edge) for edge in edges]
+        scale = orchestrator._scale_component(state, chain, score_sq, excess, penalty, penalty)
+        assert scale == 1.0
+        assert [state.store.get_to_node(*edge) for edge in edges] == before
+
+    @pytest.mark.parametrize(
+        "score_sq, excess", [(5.0, -2), (5.0, 0), (5.0, 40), (0.0, -2)]
+    )
+    def test_tiny_penalty_gives_a_positive_scale(self, score_sq, excess):
+        # n - P = -2 is the study's n = 10 fits with P = 12 coefficients a block
+        state, chain = self.chain_state()
+        scale = orchestrator._scale_component(state, chain, score_sq, excess, 1e-30, 1e-30)
+        assert 0.0 < scale < np.inf

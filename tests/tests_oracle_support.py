@@ -5,6 +5,7 @@ coordinate ascent and direct linear algebra only.
 """
 
 import numpy as np
+from scipy.special import digamma, gammaln
 
 from vmpfpca.expfam import (
     GaussianVecParams,
@@ -34,21 +35,69 @@ def invchisq_from_shape_scale(shape: float, scale: float) -> InvChiSqParams:
     return InvChiSqParams(-0.5 * (shape + 2.0), -0.5 * scale)
 
 
-def kronecker_rotate_nu(params: GaussianVecParams, rotation: np.ndarray) -> GaussianVecParams:
-    """Rotate the eigenfunction blocks of a nu message through the full Kronecker map.
+def kronecker_transform_nu(params: GaussianVecParams, score_map: np.ndarray) -> GaussianVecParams:
+    """Re-express a nu message for new augmented scores ``score_map`` (1, zeta')'.
 
-    With B = blockdiag(1, rotation) and F = B' kron I_P, the rotated message
-    has eta1 = F eta1 and precision F Lambda F'.
+    The coefficient blocks V become V inv(score_map), so nu becomes F nu with
+    F = inv(score_map)' kron I_P, and the message has eta1 = inv(F)' eta1 and
+    precision inv(F)' Lambda inv(F), with inv(F)' = score_map kron I_P.
     """
-    blocks = rotation.shape[0] + 1
-    block_rotation = np.eye(blocks)
-    block_rotation[1:, 1:] = rotation
-    full_rotation = np.kron(block_rotation.T, np.eye(params.dim // blocks))
+    back = np.kron(score_map, np.eye(params.dim // score_map.shape[0]))
     precision = -2.0 * params.eta2.reshape(params.dim, params.dim, order="F")
-    precision = full_rotation @ precision @ full_rotation.T
-    return GaussianVecParams(
-        full_rotation @ params.eta1, -0.5 * precision.reshape(-1, order="F")
-    )
+    precision = back @ precision @ back.T
+    return GaussianVecParams(back @ params.eta1, -0.5 * precision.reshape(-1, order="F"))
+
+
+def transform_nu_moments(
+    nu_mean: np.ndarray, nu_cov: np.ndarray, score_map: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """q(nu) moments in the frame with augmented scores ``score_map`` (1, zeta')'."""
+    forward = np.kron(np.linalg.inv(score_map).T, np.eye(nu_mean.size // score_map.shape[0]))
+    return forward @ nu_mean, forward @ nu_cov @ forward.T
+
+
+def _invchisq_terms(params: InvChiSqParams) -> tuple[float, float, float]:
+    """E(1/x), E(log x) and the entropy of an inverse chi-squared q-density."""
+    shape, rate = -params.eta1 - 1.0, -params.eta2  # the inverse-gamma form
+    entropy = shape + np.log(rate) + gammaln(shape) - (1.0 + shape) * digamma(shape)
+    return shape / rate, np.log(rate) - digamma(shape), entropy
+
+
+def snap_objective(
+    config, nu_mean, nu_cov, zeta_means, zeta_covs, q_sigsq, q_aux
+) -> float:
+    """The mean-field ELBO terms the snap's moves change, up to constants.
+
+    The score prior and the q(zeta_i) entropies; the penalization (the
+    N(0, prior_beta_var I) linear parts and the N(0, sigma^2 I) spline parts of
+    every nu block) and the q(nu) entropy; and, for the mean-function chain
+    and each eigenfunction chain, E log p(sigma^2 | a) + E log p(a) plus the
+    entropies of q(sigma^2) and q(a).  ``q_sigsq`` and ``q_aux`` hold those
+    inverse chi-squared q-densities in nu's block order.  The expected
+    log-likelihood and the noise chain are left out: no move changes them.
+    Written from the model's densities, not from the fragments.
+    """
+    num_splines = config.num_splines
+    blocks = len(q_sigsq)
+    total = -0.5 * (np.sum(zeta_means**2) + np.trace(zeta_covs, axis1=1, axis2=2).sum())
+    total += 0.5 * np.linalg.slogdet(zeta_covs)[1].sum()
+
+    second = (nu_mean**2 + np.diag(nu_cov)).reshape(blocks, 2 + num_splines)
+    total += 0.5 * np.linalg.slogdet(nu_cov)[1]
+    hypers = [config.hyper_a_mu] + [config.hyper_a_psi] * (blocks - 1)
+    for block, (sigsq, aux, hyper) in enumerate(zip(q_sigsq, q_aux, hypers)):
+        e_recip, e_log, entropy = _invchisq_terms(sigsq)
+        e_recip_aux, e_log_aux, entropy_aux = _invchisq_terms(aux)
+        total += (
+            -0.5 * second[block, :2].sum() / config.prior_beta_var
+            - 0.5 * num_splines * e_log
+            - 0.5 * e_recip * second[block, 2:].sum()
+        )
+        # sigma^2 | a ~ Inv-chi^2(1, 1/a) and a ~ Inv-chi^2(1, 1/A^2)
+        total += -0.5 * e_log_aux - 1.5 * e_log - 0.5 * e_recip_aux * e_recip
+        total += -1.5 * e_log_aux - 0.5 * e_recip_aux / hyper**2
+        total += entropy + entropy_aux
+    return float(total)
 
 
 def dense_penalization_precision(
