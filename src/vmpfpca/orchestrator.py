@@ -17,15 +17,16 @@ second sweep on.  Plain sweeps crawl along these directions; at a fixed
 point of the plain sweep all three moves are the identity, so the sweeps
 reach the same fixed point in fewer steps.
 
-q(nu) is inverted once after each of the two writes to nu: the likelihood
-fragment's message to nu needs only the score moments, and the snap at the
-start of the next sweep reuses the moments the penalization fragment read,
-since nothing writes nu in between.  q(zeta) is read once by the snap,
-which hands the moved score moments to the likelihood fragment, and once
-after the likelihood fragment writes the scores.  Convergence is declared
-on the stability of the per-node q-density natural parameters, with each
-curve's score vector and each of the 2(2 + L) variance and auxiliary nodes
-counted as its own node.
+q(nu) is inverted once after each of the two writes to nu, and q(zeta)
+once per sweep, after the likelihood fragment writes the scores: the
+likelihood fragment's message to nu needs only the score moments, and the
+snap at the start of the next sweep reuses the q(nu) the penalization
+fragment read and the q(zeta) the likelihood fragment read, since nothing
+writes nu or the scores in between.  The snap hands the moved score moments
+to the likelihood fragment and writes only the penalization message to nu
+and the chains it moves.  Convergence is declared on the stability of the
+per-node q-density natural parameters, with each curve's score vector and
+each of the 2(2 + L) variance and auxiliary nodes counted as its own node.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ from .expfam import (
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
-    duplication_matrix,
     gaussian_vec_to_moments,
     gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
-    moore_penrose_duplication,
     vec,
 )
 from .fragments import (
@@ -185,15 +184,13 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     )
 
     # Unit covariance for every curve, so eta1 is the starting mean.
-    zeta_eta2 = moore_penrose_duplication(L) @ (-0.5 * vec(np.eye(L)))
+    score_prior = gaussian_prior_message(L)
     store.set_to_node(
-        fg.LIKELIHOOD, fg.ZETA, GaussianVechParams(score_guess, np.tile(zeta_eta2, (n, 1)))
-    )
-    store.set_to_node(
-        fg.PRIOR_ZETA,
+        fg.LIKELIHOOD,
         fg.ZETA,
-        gaussian_prior_message(L),
+        GaussianVechParams(score_guess, np.tile(score_prior.eta2, (n, 1))),
     )
+    store.set_to_node(fg.PRIOR_ZETA, fg.ZETA, score_prior)
 
     # Every non-prior inverse chi-squared edge starts at the proper density with
     # unit reciprocal mean (shape 1, scale 1).
@@ -226,7 +223,9 @@ def _edge_moments(state: VmpState, factor: str, node: str, to_moments):
         raise DegenerateMessageError(f"edge ({factor}, {node}): {err}") from err
 
 
-def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments) -> None:
+def _update_likelihood_fragment(
+    state: VmpState, scores: ScoreMoments
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Update the likelihood messages one block at a time.
 
     Each message is computed from moments that reflect all messages written
@@ -234,7 +233,9 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments) -> None:
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
     are the current q(zeta) moments, which the snap hands on; the message to
-    nu needs only those, so q(nu) is read once, after it.
+    nu needs only those, so q(nu) is read once, after it.  Returns q(zeta)'s
+    (means, covariances), read once after the scores are written, or None
+    when the scores are frozen at zero.
     """
     e_recip_eps = _edge_moments(state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal)
     state.store.set_to_node(
@@ -243,22 +244,20 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments) -> None:
 
     nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov, scores)
+    zeta_moments = None
     if not state.config.freeze_scores_at_zero:
         state.store.set_to_node(
             fg.LIKELIHOOD,
             fg.ZETA,
             likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps),
         )
-        expectations = with_score_moments(
-            expectations,
-            score_moments(
-                *_edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
-            ),
-        )
+        zeta_moments = _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
+        expectations = with_score_moments(expectations, score_moments(*zeta_moments))
 
     state.store.set_to_node(
         fg.LIKELIHOOD, fg.SIGSQ_EPS, likelihood_message_to_sigsq_eps(state.cache, expectations)
     )
+    return zeta_moments
 
 
 def _update_penalization_fragment(
@@ -289,7 +288,11 @@ def _update_penalization_fragment(
 
 
 def _align_component_rotation(
-    state: VmpState, nu_mean: np.ndarray, nu_cov: np.ndarray
+    state: VmpState,
+    nu_mean: np.ndarray,
+    nu_cov: np.ndarray,
+    zeta_means: np.ndarray,
+    zeta_covs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reparameterize the fit along three directions that leave every curve unchanged.
 
@@ -322,18 +325,16 @@ def _align_component_rotation(
     model's smoothing penalty, which the N(0, 100 I) starting message to nu
     is not, so in a fit's first sweep (``state.iterations`` is 0, and the
     penalization fragment has not yet written nu) only the rotation runs.
-    The moves rewrite the penalization message to nu and the likelihood
-    message to the scores; the likelihood message to nu is rewritten before
-    anything reads it, so it is left alone.  ``nu_mean`` and ``nu_cov`` are
-    the current q(nu) moments.  q(zeta) is read once; the return value is
-    its (means, covariances) in the new frame.
+    ``nu_mean``, ``nu_cov``, ``zeta_means`` and ``zeta_covs`` are the
+    current q(nu) and q(zeta) moments; the return value is q(zeta)'s (means,
+    covariances) in the new frame.  The snap writes only the penalization
+    message to nu and the messages of the chains it scales: the likelihood
+    fragment rewrites its messages to nu and to the scores from the moved
+    moments before anything reads them, so they are left alone.
     """
     config = state.config
     n, L = state.dataset.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
-    zeta_means, zeta_covs = _edge_moments(
-        state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
-    )
     second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
     # (L+1) x (L+1) block Grams over the linear and the spline coefficients
     by_coef = np.einsum("apbp->pab", second)
@@ -381,11 +382,6 @@ def _align_component_rotation(
     score_map[1:, 0] = -scale * shift
     score_map[1:, 1:] = scale[:, None] * rotation.T
     store = state.store
-    store.set_to_node(
-        fg.LIKELIHOOD,
-        fg.ZETA,
-        _transform_scores(store.get_to_node(fg.LIKELIHOOD, fg.ZETA), score_map),
-    )
     store.set_to_node(
         fg.PENALIZATION,
         fg.NU,
@@ -472,25 +468,6 @@ def _transform_coefficients(
     return GaussianVecParams(eta1.ravel(), eta2.ravel())
 
 
-def _transform_scores(params: GaussianVechParams, score_map: np.ndarray) -> GaussianVechParams:
-    """Stacked score likelihood message for the new scores A zeta_i + a.
-
-    ``score_map`` is [[1, 0], [a, A]].  q(zeta_i) is this message plus the
-    fixed N(0, I) prior, so the message takes up the change of both: q's
-    precision becomes inv(A)' Lambda inv(A) and its eta1
-    inv(A)' eta1 + (that precision) a.
-    """
-    n, L = params.eta1.shape
-    offset, inverse = score_map[1:, 0], np.linalg.inv(score_map[1:, 1:])
-    # D_L^+' eta2 is the vec of each (symmetric) -Lambda/2, so no transpose is needed.
-    precisions = -2.0 * (params.eta2 @ moore_penrose_duplication(L)).reshape(n, L, L)
-    q_precisions = inverse.T @ (precisions + np.eye(L)) @ inverse
-    # a stack of (L, 1) products rounds exactly like per-curve matrix-vector products
-    eta1 = (inverse.T @ params.eta1[:, :, None] + q_precisions @ offset[:, None])[:, :, 0]
-    precisions = (q_precisions - np.eye(L)).reshape(n, L * L)
-    return GaussianVechParams(eta1, (-0.5 * precisions) @ duplication_matrix(L))
-
-
 def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
     factor = chain.iterated
     to_sigsq, to_aux = iterated_igw_messages(
@@ -502,26 +479,29 @@ def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
 
 
 def _sweep(
-    state: VmpState, nu_moments: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+    state: VmpState,
+    nu_moments: tuple[np.ndarray, np.ndarray],
+    zeta_moments: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """One full pass through the fragments in the fixed update order.
 
-    ``nu_moments`` is q(nu)'s (mean, covariance) as the sweep starts; the
-    return value is the same at its end, read by the penalization fragment
-    after the last write to nu.
+    ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
+    covariance) as the sweep starts; the return value is the same pair at
+    its end, read by the penalization fragment after the last write to nu
+    and by the likelihood fragment after the write to the scores.
     """
     n, L = state.dataset.num_curves, state.config.num_eigen
     noise, *smoothing = fg.variance_chains(L)
     if state.config.freeze_scores_at_zero:
         scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
     else:
-        scores = score_moments(*_align_component_rotation(state, *nu_moments))
-    _update_likelihood_fragment(state, scores)
+        scores = score_moments(*_align_component_rotation(state, *nu_moments, *zeta_moments))
+    zeta_moments = _update_likelihood_fragment(state, scores)
     _update_iterated_fragment(state, noise)
     nu_moments = _update_penalization_fragment(state, smoothing)
     for chain in smoothing:
         _update_iterated_fragment(state, chain)
-    return nu_moments
+    return nu_moments, zeta_moments
 
 
 VARIANCES = "variances"  # snapshot key of the stacked inverse chi-squared q-densities
@@ -569,14 +549,18 @@ def fit_state(state: VmpState) -> VmpState:
     if state.history and state.history[-1] < state.config.tol:
         state.converged = True
         return state
-    # q(nu) is read here once; each sweep then hands on the read it ends with.
-    # It stays a local: a caller may write the store between fit_state calls.
-    nu_moments = None
+    # q(nu) and q(zeta) are read here once; each sweep then hands on the reads
+    # it ends with.  They stay locals: a caller may write the store between
+    # fit_state calls.
+    moments = None
     for _ in range(state.config.max_iter - len(state.history)):
         try:
-            if nu_moments is None:
-                nu_moments = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
-            nu_moments = _sweep(state, nu_moments)
+            if moments is None:
+                moments = (
+                    _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
+                    _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
+                )
+            moments = _sweep(state, *moments)
         except DegenerateMessageError as err:
             raise DegenerateMessageError(
                 f"iteration {state.iterations + 1}: {err}"

@@ -7,6 +7,7 @@ from vmpfpca.expfam import (
     GaussianVechParams,
     InvChiSqParams,
     gaussian_vec_to_moments,
+    gaussian_vech_to_moments,
 )
 from vmpfpca.graph import (
     MessageStore,
@@ -184,9 +185,12 @@ class TestFpcaEdges:
     def test_npbf_equals_q_on_every_edge_after_sweeps(self):
         dataset, _ = generate(SimConfig(num_curves=12, seed=3))
         state = initialize(dataset, FitConfig(num_eigen=3))
-        nu_moments = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
+        moments = (
+            _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
+            _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
+        )
         for _ in range(3):
-            nu_moments = _sweep(state, nu_moments)
+            moments = _sweep(state, *moments)
         for node, factors in state.graph.items():
             q = q_natural_params(state.graph, state.store, node).as_vector()
             for factor in factors:

@@ -11,11 +11,8 @@ from vmpfpca.expfam import (
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
-    duplication_matrix,
     gaussian_vec_to_moments,
     gaussian_vech_to_moments,
-    moore_penrose_duplication,
-    unvec,
     vec,
 )
 from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
@@ -27,7 +24,6 @@ from vmpfpca.orchestrator import (
     _q_snapshot,
     _sweep,
     _transform_coefficients,
-    _transform_scores,
     convergence_metric,
     fit,
     fit_state,
@@ -37,8 +33,12 @@ from vmpfpca.simulate import SimConfig, generate
 from tests_oracle_support import kronecker_transform_nu
 
 
-def fresh_nu_moments(state):
-    return _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
+def fresh_moments(state):
+    """q(nu)'s and q(zeta)'s (mean, covariance), read from the store."""
+    return (
+        _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
+        _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +153,11 @@ class TestFit:
         assert again.history == before
 
     def test_fixed_point_under_one_more_sweep(self, converged_state):
-        snapshot = _q_snapshot(converged_state)
-        _sweep(converged_state, fresh_nu_moments(converged_state))
-        after = _q_snapshot(converged_state)
-        assert convergence_metric(snapshot, after) < converged_state.config.tol
+        state = copy.deepcopy(converged_state)  # the fixture is shared
+        snapshot = _q_snapshot(state)
+        _sweep(state, *fresh_moments(state))
+        after = _q_snapshot(state)
+        assert convergence_metric(snapshot, after) < state.config.tol
 
     def test_nonconvergence_flagged_not_raised(self, reference_dataset):
         state = fit(reference_dataset, FitConfig(max_iter=3))
@@ -199,7 +200,7 @@ class TestSnapshot:
     def test_variance_rows_are_q_of_every_variance_node(self, reference_dataset):
         state = initialize(reference_dataset, FitConfig())
         for _ in range(3):
-            _sweep(state, fresh_nu_moments(state))
+            _sweep(state, *fresh_moments(state))
         snapshot = _q_snapshot(state)
         assert set(snapshot) == {fg.NU, fg.ZETA, VARIANCES}
         expected = [
@@ -232,8 +233,8 @@ class TestSweepWork:
         assert calls["likelihood_expectations"] == self.SWEEPS
 
     def test_q_zeta_read_twice_per_sweep(self, reference_dataset, monkeypatch):
-        # once by the snap, whose moved moments the likelihood fragment uses,
-        # and once after the likelihood fragment writes the scores
+        # once when fit_state starts, then once per sweep, after the likelihood
+        # fragment writes the scores; the next sweep's snap reuses that read
         calls = []
         original = orchestrator.gaussian_vech_to_moments
 
@@ -244,18 +245,17 @@ class TestSweepWork:
         monkeypatch.setattr(orchestrator, "gaussian_vech_to_moments", counted)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
         assert state.iterations == self.SWEEPS
-        assert len(calls) == 2 * self.SWEEPS
+        assert len(calls) == self.SWEEPS + 1
 
     def test_snap_gets_current_q_nu(self, reference_dataset, monkeypatch):
+        # both q(nu) and q(zeta), as handed on, equal a fresh read of the store
         original = orchestrator._align_component_rotation
         checked = []
 
-        def checking(state, nu_mean, nu_cov):
-            fresh_mean, fresh_cov = fresh_nu_moments(state)
-            checked.append(
-                np.array_equal(nu_mean, fresh_mean) and np.array_equal(nu_cov, fresh_cov)
-            )
-            return original(state, nu_mean, nu_cov)
+        def checking(state, *moments):
+            fresh = [array for pair in fresh_moments(state) for array in pair]
+            checked.append(all(map(np.array_equal, moments, fresh)))
+            return original(state, *moments)
 
         monkeypatch.setattr(orchestrator, "_align_component_rotation", checking)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
@@ -263,6 +263,10 @@ class TestSweepWork:
         moved = state.store.get_to_node(fg.PENALIZATION, fg.NU)
         state.store.set_to_node(
             fg.PENALIZATION, fg.NU, GaussianVecParams(1.01 * moved.eta1, 1.01 * moved.eta2)
+        )
+        scores = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
+        state.store.set_to_node(
+            fg.LIKELIHOOD, fg.ZETA, GaussianVechParams(1.01 * scores.eta1, scores.eta2)
         )
         state.config = FitConfig(max_iter=2 * self.SWEEPS)
         fit_state(state)
@@ -278,50 +282,6 @@ def random_score_map(rng, num_eigen, moved=True):
     score_map[1:, 0] = -scale * shift
     score_map[1:, 1:] = scale[:, None] * rotation.T
     return score_map
-
-
-def random_score_message(rng, n, num_eigen):
-    a = rng.standard_normal((n, num_eigen, num_eigen))
-    precisions = a @ a.transpose(0, 2, 1) + np.eye(num_eigen)
-    eta2 = np.stack(
-        [duplication_matrix(num_eigen).T @ (-0.5 * vec(p)) for p in precisions]
-    )
-    return GaussianVechParams(rng.standard_normal((n, num_eigen)), eta2)
-
-
-class TestRotateScores:
-    @pytest.mark.parametrize("num_eigen", [2, 3, 4, 6])
-    def test_matches_per_curve_loop_bitwise(self, num_eigen):
-        rng = np.random.default_rng(num_eigen)
-        n, L = 200, num_eigen
-        params = random_score_message(rng, n, L)
-        score_map = random_score_map(rng, L)
-        moved = _transform_scores(params, score_map)
-        inverse = np.linalg.inv(score_map[1:, 1:])
-        for i in range(n):
-            precision = -2.0 * unvec(moore_penrose_duplication(L).T @ params.eta2[i])
-            q_precision = inverse.T @ (precision + np.eye(L)) @ inverse
-            assert np.array_equal(
-                moved.eta1[i], inverse.T @ params.eta1[i] + q_precision @ score_map[1:, 0]
-            )
-            assert np.array_equal(
-                moved.eta2[i], duplication_matrix(L).T @ (-0.5 * vec(q_precision - np.eye(L)))
-            )
-
-    @pytest.mark.parametrize("num_eigen", [1, 3])
-    def test_q_zeta_is_the_pushforward(self, num_eigen):
-        # With the N(0, I) prior added, q(zeta_i) becomes the law of A zeta_i + a.
-        rng = np.random.default_rng(10 + num_eigen)
-        L = num_eigen
-        params = random_score_message(rng, 30, L)
-        score_map = random_score_map(rng, L)
-        prior = gaussian_prior_message(L)
-        means, covs = gaussian_vech_to_moments(params + prior)
-        moved = _transform_scores(params, score_map)
-        new_means, new_covs = gaussian_vech_to_moments(moved + prior)
-        linear, offset = score_map[1:, 1:], score_map[1:, 0]
-        assert np.allclose(new_means, means @ linear.T + offset, rtol=1e-12, atol=1e-12)
-        assert np.allclose(new_covs, linear @ covs @ linear.T, rtol=1e-12, atol=1e-12)
 
 
 class TestRotateCoefficients:
@@ -345,14 +305,18 @@ class TestRotateCoefficients:
     def test_snap_at_aligned_state_is_near_identity(self, converged_state):
         # The snap writes the penalization message to nu; at a converged state
         # the frame is aligned up to the convergence tolerance, so the messages
-        # move by far less than the tolerance.  The likelihood message to nu is
-        # rewritten before it is read, so the snap leaves it.
+        # move by far less than the tolerance.  The likelihood messages to nu
+        # and to the scores are rewritten before they are read, so the snap
+        # leaves them.
         state = copy.deepcopy(converged_state)
         before = {
             factor: state.store.get_to_node(factor, fg.NU)
             for factor in (fg.LIKELIHOOD, fg.PENALIZATION)
         }
-        _align_component_rotation(state, *fresh_nu_moments(state))
+        scores = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
+        (nu_mean, nu_cov), (zeta_means, zeta_covs) = fresh_moments(state)
+        _align_component_rotation(state, nu_mean, nu_cov, zeta_means, zeta_covs)
+        assert state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA) is scores
         assert state.store.get_to_node(fg.PENALIZATION, fg.NU) is not before[fg.PENALIZATION]
         for factor, old in before.items():
             new = state.store.get_to_node(factor, fg.NU)

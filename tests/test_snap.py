@@ -19,7 +19,6 @@ import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
 from vmpfpca import cli
 from vmpfpca.data import read_dataset_csv, write_dataset_csv
-from vmpfpca.expfam import gaussian_vech_to_moments
 from vmpfpca.fragments import (
     likelihood_expectations,
     likelihood_expected_sq_norms,
@@ -57,13 +56,13 @@ BENCHMARK_CONFIG = dict(num_eigen=3, num_splines=10)  # the benchmark's fit flag
 def capture_score_maps(monkeypatch):
     """Record the score map [[1, 0], [-c b, diag(c) R']] of every snap."""
     maps = []
-    original = orchestrator._transform_scores
+    original = orchestrator._transform_coefficients
 
     def capturing(params, score_map):
         maps.append(score_map.copy())
         return original(params, score_map)
 
-    monkeypatch.setattr(orchestrator, "_transform_scores", capturing)
+    monkeypatch.setattr(orchestrator, "_transform_coefficients", capturing)
     return maps
 
 
@@ -122,13 +121,11 @@ class TestSnapObjective:
         original = orchestrator._align_component_rotation
         snaps = []
 
-        def checked(state, nu_mean, nu_cov):
+        def checked(state, nu_mean, nu_cov, *zeta):
             config = state.config
-            zeta = orchestrator._edge_moments(
-                state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
-            )
+            score_message = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
             chains_before = chain_densities(state)
-            result = original(state, nu_mean, nu_cov)
+            result = original(state, nu_mean, nu_cov, *zeta)
             chains_after = chain_densities(state)
 
             objective = [snap_objective(config, nu_mean, nu_cov, *zeta, *chains_before)]
@@ -143,13 +140,11 @@ class TestSnapObjective:
             assert translated >= rotated - 1e-10 * abs(rotated)
             assert scaled >= translated - 1e-10 * abs(translated)
 
-            # the snap's own score moments and q(zeta) are the moved ones
-            stored = orchestrator._edge_moments(
-                state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
-            )
-            for mine, theirs, expected in zip(result, stored, moved[2:]):
+            # the snap returns the moved score moments and leaves the score
+            # message, which the likelihood fragment rewrites from them
+            for mine, expected in zip(result, moved[2:]):
                 assert_same(mine, expected)
-                assert_same(theirs, expected)
+            assert state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA) is score_message
             for after, before in zip(
                 curve_expectations(state, *moved),
                 curve_expectations(state, nu_mean, nu_cov, *zeta),
