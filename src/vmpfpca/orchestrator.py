@@ -305,7 +305,9 @@ def _align_component_rotation(
     the two entropies.  The snap applies, in this order:
 
     1. the rotation that diagonalizes the second-moment Gram of the
-       components' spline coefficients, largest first: the stationary frames
+       components' spline coefficients, with the largest eigenvalue under the
+       smallest penalty weight E(1/sigma^2_psi_l), and so on in order, which
+       maximizes the expected penalty over rotations: the stationary frames
        of the smoothing priors, which coordinate updates reach arbitrarily
        slowly when component scales are close;
     2. the objective-optimal translation zeta_i -> zeta_i - b,
@@ -335,13 +337,20 @@ def _align_component_rotation(
     config = state.config
     n, L = state.dataset.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
+    _, *smoothing = fg.variance_chains(L)
+    # E(1/sigma^2) of the mean function and of each component, in nu's block order
+    e_recip = [
+        _edge_moments(state, chain.source, chain.sigsq, invchisq_mean_reciprocal)
+        for chain in smoothing
+    ]
     second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
     # (L+1) x (L+1) block Grams over the linear and the spline coefficients
     by_coef = np.einsum("apbp->pab", second)
     linear_gram, spline_gram = by_coef[:2].sum(axis=0), by_coef[2:].sum(axis=0)
 
-    _, rotation = np.linalg.eigh(spline_gram[1:, 1:])
-    rotation = rotation[:, ::-1]
+    _, eigvecs = np.linalg.eigh(spline_gram[1:, 1:])
+    rotation = np.empty_like(eigvecs)
+    rotation[:, np.argsort(e_recip[1:], kind="stable")] = eigvecs[:, ::-1]
     # Deterministic column signs keep the rotation from flapping between sweeps.
     anchor = np.argmax(np.abs(rotation), axis=0)
     rotation = rotation * np.sign(rotation[anchor, np.arange(L)])
@@ -354,10 +363,7 @@ def _align_component_rotation(
 
     shift, scale = np.zeros(L), np.ones(L)
     if state.iterations > 0:  # the penalization fragment has written nu
-        _, mean_chain, *component_chains = fg.variance_chains(L)
-        mean_weighted = linear_gram / config.prior_beta_var + spline_gram * _edge_moments(
-            state, fg.PENALIZATION, mean_chain.sigsq, invchisq_mean_reciprocal
-        )
+        mean_weighted = linear_gram / config.prior_beta_var + spline_gram * e_recip[0]
         shift = np.linalg.solve(
             n * np.eye(L) + mean_weighted[1:, 1:], zeta_means.sum(axis=0) - mean_weighted[1:, 0]
         )
@@ -369,12 +375,13 @@ def _align_component_rotation(
                 _scale_component(
                     state,
                     chain,
+                    e_recip[l + 1],
                     score_sq[l],
                     n - num_coefs,
                     linear_gram[l + 1, l + 1] / config.prior_beta_var,
                     spline_gram[l + 1, l + 1],
                 )
-                for l, chain in enumerate(component_chains)
+                for l, chain in enumerate(smoothing[1:])
             ]
         )
 
@@ -393,6 +400,7 @@ def _align_component_rotation(
 def _scale_component(
     state: VmpState,
     chain: fg.VarianceChain,
+    e_recip: float,
     score_sq: float,
     excess: float,
     linear_sq: float,
@@ -403,7 +411,8 @@ def _scale_component(
     With x = c^2 the objective along the move is
     -S x/2 - K/(2x) + (n - P) log(x)/2, where S = ``score_sq``,
     n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq`` is
-    the block's expected penalty; it is concave in log x and peaks at the
+    the block's expected penalty, with E(1/sigma^2) = ``e_recip`` as the
+    snap starts; it is concave in log x and peaks at the
     positive root of S x^2 - (n - P) x - K.  Each x step is followed by the
     closed-form q(sigma^2) and q(a) updates, and each step raises the
     objective.  The alternation stops before a step that would move x by
@@ -418,7 +427,6 @@ def _scale_component(
     store = state.store
     num_splines = state.config.num_splines
     prior = store.get_to_node(chain.prior, chain.aux)
-    e_recip = _edge_moments(state, chain.source, chain.sigsq, invchisq_mean_reciprocal)
     e_recip_aux = _edge_moments(state, chain.iterated, chain.aux, invchisq_mean_reciprocal)
     rtol = _SCALE_RTOL_PER_TOL * state.config.tol
     x = 1.0

@@ -1,12 +1,12 @@
 """The snap's translation and scale moves: objective, invariance, fixed point, sweep counts.
 
 The snap (``orchestrator._align_component_rotation``) rotates, translates
-and scales the internal frame of the fit.  These tests check that the
-translation and scale moves never lower the objective they optimize, that
-no move changes the likelihood's expectations or any expected curve, that
-the sweeps still reach the plain coordinate-ascent fixed point, that the
-first snap of a fit only rotates, and the sweep counts the moves buy on the
-benchmark's dense inputs.
+and scales the internal frame of the fit.  These tests check that no move
+lowers the objective the moves optimize, that no move changes the
+likelihood's expectations or any expected curve, that the sweeps still
+reach the plain coordinate-ascent fixed point, that the first snap of a fit
+only rotates, and the sweep counts the moves buy on the benchmark's dense
+inputs.
 """
 
 import importlib.util
@@ -19,6 +19,7 @@ import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
 from vmpfpca import cli
 from vmpfpca.data import read_dataset_csv, write_dataset_csv
+from vmpfpca.expfam import invchisq_mean_reciprocal
 from vmpfpca.fragments import (
     likelihood_expectations,
     likelihood_expected_sq_norms,
@@ -136,7 +137,8 @@ class TestSnapObjective:
                 )
                 chains = chains_after if stage == 2 else chains_before
                 objective.append(snap_objective(config, *moved, *chains))
-            _, rotated, translated, scaled = objective
+            initial, rotated, translated, scaled = objective
+            assert rotated >= initial - 1e-10 * abs(initial)
             assert translated >= rotated - 1e-10 * abs(rotated)
             assert scaled >= translated - 1e-10 * abs(translated)
 
@@ -246,9 +248,14 @@ class TestScaleComponent:
 
     @staticmethod
     def chain_state():
+        """A fresh state, one eigenfunction chain and its E(1/sigma^2)."""
         dataset, _ = generate(SimConfig(num_curves=10, seed=3))
         state = orchestrator.initialize(dataset, FitConfig())
-        return state, fg.variance_chains(3)[2]
+        chain = fg.variance_chains(3)[2]
+        e_recip = orchestrator._edge_moments(
+            state, chain.source, chain.sigsq, invchisq_mean_reciprocal
+        )
+        return state, chain, e_recip
 
     @pytest.mark.parametrize(
         "score_sq, excess, penalty",
@@ -257,14 +264,16 @@ class TestScaleComponent:
     )
     def test_degenerate_root_keeps_component_and_chain(self, score_sq, excess, penalty):
         # Neither objective has a maximum at a positive finite scale.
-        state, chain = self.chain_state()
+        state, chain, e_recip = self.chain_state()
         edges = [
             (chain.source, chain.sigsq),
             (chain.iterated, chain.sigsq),
             (chain.iterated, chain.aux),
         ]
         before = [state.store.get_to_node(*edge) for edge in edges]
-        scale = orchestrator._scale_component(state, chain, score_sq, excess, penalty, penalty)
+        scale = orchestrator._scale_component(
+            state, chain, e_recip, score_sq, excess, penalty, penalty
+        )
         assert scale == 1.0
         assert [state.store.get_to_node(*edge) for edge in edges] == before
 
@@ -273,6 +282,8 @@ class TestScaleComponent:
     )
     def test_tiny_penalty_gives_a_positive_scale(self, score_sq, excess):
         # n - P = -2 is the study's n = 10 fits with P = 12 coefficients a block
-        state, chain = self.chain_state()
-        scale = orchestrator._scale_component(state, chain, score_sq, excess, 1e-30, 1e-30)
+        state, chain, e_recip = self.chain_state()
+        scale = orchestrator._scale_component(
+            state, chain, e_recip, score_sq, excess, 1e-30, 1e-30
+        )
         assert 0.0 < scale < np.inf
