@@ -412,15 +412,15 @@ def _scale_component(
     -S x/2 - K/(2x) + (n - P) log(x)/2, where S = ``score_sq``,
     n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq`` is
     the block's expected penalty, with E(1/sigma^2) = ``e_recip`` as the
-    snap starts; it is concave in log x and peaks at the
-    positive root of S x^2 - (n - P) x - K.  Each x step is followed by the
-    closed-form q(sigma^2) and q(a) updates, and each step raises the
-    objective.  The alternation stops before a step that would move x by
-    less than a tenth of the convergence tolerance, relative, and the source
-    and iterated messages of the chain are written for the last x taken.
-    So a component already at its scale to that precision, or whose
-    objective has no maximum at a positive finite x (S = 0 with n >= P, or
-    K = 0 with n <= P), is left as it is, with its chain and c = 1.
+    snap starts; it is concave in log x and peaks at the positive root of
+    S x^2 - (n - P) x - K.  Each x step is followed by the closed-form
+    q(sigma^2) and q(a) updates, and each step raises the objective.  The
+    alternation stops before a step that would move x by less than a tenth
+    of the convergence tolerance, relative, and the source and iterated
+    messages of the chain are written for the last x taken.  So a component
+    already at its scale to that precision, or whose objective has no
+    maximum at a positive finite x (S = 0 with n >= P, or K = 0 with
+    n <= P), is left as it is, with its chain and c = 1.
     """
     if not score_sq > 0.0 and excess >= 0:
         return 1.0
