@@ -425,14 +425,16 @@ def run_study(
     """Replicated simulation study; seeds are paired across curve counts.
 
     Every cell fits with ``config``, its seed replaced by the cell's seed.
-    With ``workers`` > 1 the cells run in that many processes, each on one
-    BLAS thread, so the workers do not oversubscribe the cores.
+    With ``workers`` > 1 the cells run in that many processes, at most one
+    per cell, each on one BLAS thread, so the workers do not oversubscribe
+    the cores.
     """
     tasks = []
     for replicate in range(replicates):
         seed = base_seed + replicate
         for num_curves in curve_counts:
             tasks.append((replicate, num_curves, seed, replace(config, seed=seed)))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_study_cell, tasks))
@@ -469,7 +471,9 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
             f"{label}: mean and each eigenfunction need one value per grid point ({grid.size})"
         )
     precision = doc.get("noise_precision_mean")
-    if precision is not None and not isinstance(precision, (int, float)):
+    if precision is not None and (
+        isinstance(precision, bool) or not isinstance(precision, (int, float))
+    ):
         raise ValueError(f"{label}: noise_precision_mean must be a number")
 
 

@@ -23,10 +23,11 @@ likelihood fragment's message to nu needs only the score moments, and the
 snap at the start of the next sweep reuses the q(nu) the penalization
 fragment read and the q(zeta) the likelihood fragment read, since nothing
 writes nu or the scores in between.  The snap hands the moved score moments
-to the likelihood fragment and writes only the penalization message to nu
-and the chains it moves.  Convergence is declared on the stability of the
-per-node q-density natural parameters, with each curve's score vector and
-each of the 2(2 + L) variance and auxiliary nodes counted as its own node.
+to the likelihood fragment and writes only the chains it scales: only the
+likelihood and penalization fragments write nu.  Convergence is declared on
+the stability of the per-node q-density natural parameters, with each
+curve's score vector and each of the 2(2 + L) variance and auxiliary nodes
+counted as its own node.
 """
 
 from __future__ import annotations
@@ -329,10 +330,11 @@ def _align_component_rotation(
     penalization fragment has not yet written nu) only the rotation runs.
     ``nu_mean``, ``nu_cov``, ``zeta_means`` and ``zeta_covs`` are the
     current q(nu) and q(zeta) moments; the return value is q(zeta)'s (means,
-    covariances) in the new frame.  The snap writes only the penalization
-    message to nu and the messages of the chains it scales: the likelihood
-    fragment rewrites its messages to nu and to the scores from the moved
-    moments before anything reads them, so they are left alone.
+    covariances) in the new frame.  The snap writes only the messages of the
+    chains it scales, and no message to nu or to the scores: the likelihood
+    fragment writes its messages to both from the moved moments, and the
+    penalization message to nu stays as that fragment sent it until the
+    fragment runs again later in the sweep.
     """
     config = state.config
     n, L = state.dataset.num_curves, config.num_eigen
@@ -385,15 +387,6 @@ def _align_component_rotation(
             ]
         )
 
-    score_map = np.eye(L + 1)
-    score_map[1:, 0] = -scale * shift
-    score_map[1:, 1:] = scale[:, None] * rotation.T
-    store = state.store
-    store.set_to_node(
-        fg.PENALIZATION,
-        fg.NU,
-        _transform_coefficients(store.get_to_node(fg.PENALIZATION, fg.NU), score_map),
-    )
     return zeta_means * scale, scale[:, None] * zeta_covs * scale
 
 
@@ -455,25 +448,6 @@ def _scale_component(
     store.set_to_node(chain.iterated, chain.sigsq, to_sigsq)
     store.set_to_node(chain.iterated, chain.aux, to_aux)
     return math.sqrt(x)
-
-
-def _transform_coefficients(
-    params: GaussianVecParams, score_map: np.ndarray
-) -> GaussianVecParams:
-    """nu message re-expressed in the frame whose augmented scores are ``score_map`` (1, zeta')'.
-
-    The coefficient blocks V = (nu_mu, nu_psi_1, ...) become V inv(score_map),
-    so the message's precision becomes (N kron I) Lambda (N' kron I) and its
-    eta1 (N kron I) eta1, with N = ``score_map``: N acts on both block axes of
-    the (L+1, P, L+1, P) view of eta2, first on the leading one, then on the
-    inner one.
-    """
-    blocks = score_map.shape[0]
-    eta1 = score_map @ params.eta1.reshape(blocks, -1)
-    num_coefs = eta1.shape[1]
-    eta2 = score_map @ params.eta2.reshape(blocks, -1)
-    eta2 = score_map @ eta2.reshape(blocks * num_coefs, blocks, num_coefs)
-    return GaussianVecParams(eta1.ravel(), eta2.ravel())
 
 
 def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:

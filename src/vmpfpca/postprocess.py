@@ -47,10 +47,6 @@ def trapezoid_inner(f: np.ndarray, g: np.ndarray, grid: np.ndarray) -> float:
     return float(np.trapezoid(np.asarray(f) * np.asarray(g), np.asarray(grid)))
 
 
-def trapezoid_norm(f: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.sqrt(trapezoid_inner(f, f, grid)))
-
-
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     """Quadrature weights w with sum(w * f * g) = trapezoid inner product."""
     grid = np.asarray(grid, dtype=float)
@@ -145,12 +141,11 @@ def orthogonalize(
 ) -> FpcaFit:
     """Rotate fitted functions and scores into the orthonormal representation.
 
-    SVD the function matrix, shift the mean by the score sample mean, whiten
-    the score sample covariance by its spectral decomposition, and normalize
-    each resulting function column by its trapezoid L2 norm (transferring
-    the norm onto the scores).  Fitted curves are unchanged.  The returned
-    scores are a linear map A of the centred input scores, so per-curve
-    posterior covariances ``score_covs`` are returned as A C_i A'.
+    SVD the function matrix, shift the mean by the score sample mean and
+    rotate by the spectral decomposition of the score sample covariance,
+    whose eigenvalues are the returned ones.  Fitted curves are unchanged.
+    The returned scores are a linear map A of the centred input scores, so
+    per-curve posterior covariances ``score_covs`` are returned as A C_i A'.
 
     The SVD is taken under the trapezoid inner product of the grid, so the
     resulting function columns are orthonormal with respect to the same
@@ -159,7 +154,7 @@ def orthogonalize(
     """
     funcs = np.asarray(funcs, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    num_grid, num_eigen = funcs.shape
+    num_eigen = funcs.shape[1]
     num_curves = scores.shape[0]
     if scores.shape[1] != num_eigen:
         raise ValueError("scores and function matrix disagree on the component count")
@@ -203,24 +198,19 @@ def orthogonalize(
             RuntimeWarning,
         )
 
-    funcs_rotated = (left @ eigvecs) * np.sqrt(eigvals)  # (n_g, L)
-    scores_rotated = (centered.T @ eigvecs) / np.sqrt(eigvals)  # (n, L)
-
-    norms = np.array([trapezoid_norm(funcs_rotated[:, l], grid) for l in range(num_eigen)])
-    eigenfunctions = funcs_rotated / norms
-    final_scores = scores_rotated * norms
+    # left has trapezoid-orthonormal columns, and so does left @ eigvecs.
+    eigenfunctions = left @ eigvecs  # (n_g, L)
+    final_scores = centered.T @ eigvecs  # (n, L)
     fitted = mean_hat[:, None] + eigenfunctions @ final_scores.T
     if score_covs is not None:
-        score_map = (eigvecs.T * (norms / np.sqrt(eigvals))[:, None]) @ (
-            singular[:, None] * right_t
-        )
+        score_map = eigvecs.T @ (singular[:, None] * right_t)
         score_covs = score_map @ np.asarray(score_covs, dtype=float) @ score_map.T
     return FpcaFit(
         grid=np.asarray(grid, dtype=float),
         mean_curve=mean_hat,
         eigenfunctions=eigenfunctions,
         scores=final_scores,
-        eigenvalues=norms**2,
+        eigenvalues=eigvals,
         noise_precision_mean=float(noise_precision_mean),
         fitted=fitted,
         score_covariances=score_covs,

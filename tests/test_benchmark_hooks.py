@@ -4,7 +4,8 @@ The benchmark wraps package functions by module and attribute name
 (``perfbench/tracer.py``) and its launcher patches a few more
 (``perfbench/launch.py``).  A refactor that renames or removes one of them
 turns a per-layer metric of ``BENCHMARK.json`` into null or breaks the
-launcher, so these checks resolve every such name.  Nothing is fitted.
+launcher, so these checks resolve every such name.  One small fit checks
+that the launcher's post-processing check still runs.
 """
 
 import dataclasses
@@ -21,14 +22,14 @@ PERFBENCH = ROOT / "perfbench"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 def _traced_path(layer: str, metric: str):
@@ -92,3 +93,16 @@ def test_hooked_results_keep_their_fields():
     assert {"iterations", "basis"} <= {f.name for f in dataclasses.fields(orchestrator.VmpState)}
     assert {"grid", "fitted"} <= {f.name for f in dataclasses.fields(postprocess.FpcaFit)}
     assert isinstance(data.FunctionalDataset.num_observations, property)
+
+
+def test_rotation_check_runs():
+    # launch.py reports "skipped" when extract or evaluate_grid no longer fit
+    # its call, which would switch the check off without failing anything.
+    from vmpfpca.orchestrator import FitConfig, fit
+    from vmpfpca.postprocess import finalize
+    from vmpfpca.simulate import SimConfig, generate
+
+    dataset, _ = generate(SimConfig(num_curves=10, seed=3))
+    state = fit(dataset, FitConfig(grid_size=101))
+    check = _load("launch")._rotation_check([(state, finalize(state))])
+    assert check.get("max_rel_dev", 1.0) <= 1e-6, check

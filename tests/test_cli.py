@@ -459,6 +459,32 @@ class TestEval:
         assert serial == pooled
         assert initializers == [cli._one_blas_thread]
 
+    def test_study_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        # A stand-in pool records its size and runs the cells in this process.
+        from vmpfpca.orchestrator import FitConfig
+
+        sizes = []
+
+        class SizedPool:
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        config = FitConfig(max_iter=20, grid_size=101)
+        assert len(cli.run_study(1, [10, 12], config, workers=500)) == 2
+        assert sizes == [2]
+        assert len(cli.run_study(1, [10], config, workers=500)) == 1
+        assert sizes == [2]  # one cell runs in this process
+
     def test_study_workers_run_one_blas_thread(self):
         if cli._openblas_function("get_num_threads") is None:
             pytest.skip("numpy is not linked against OpenBLAS")
@@ -577,6 +603,7 @@ class TestOtherInputErrors:
             (_document("fit", lambda doc: {**doc, "grid": []}), "nonempty"),
             (_document("truth", lambda doc: {**doc, "grid": doc["grid"][::-1]}), "increasing"),
             (_document("fit", lambda doc: {**doc, "noise_precision_mean": "x"}), "noise_precision"),
+            (_document("fit", lambda doc: {**doc, "noise_precision_mean": True}), "noise_precision"),
         ],
         ids=[
             "fit-empty",
@@ -591,6 +618,7 @@ class TestOtherInputErrors:
             "fit-empty-grid",
             "truth-decreasing-grid",
             "fit-string-precision",
+            "fit-boolean-precision",
         ],
     )
     def test_eval_documents_exit_2(self, build, message, tmp_path, capsys):

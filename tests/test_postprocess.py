@@ -18,12 +18,11 @@ from vmpfpca.postprocess import (
     orthogonalize,
     sign_align,
     trapezoid_inner,
-    trapezoid_norm,
     trapezoid_weights,
 )
 from vmpfpca.simulate import SimConfig, generate, true_eigenfunctions
 from vmpfpca.splines import build_basis
-from tests_oracle_support import gram_schmidt
+from tests_oracle_support import gram_schmidt, trapezoid_norm
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from vmpfpca.expfam import (
     duplication_matrix,
     moore_penrose_duplication,
 )
-from vmpfpca.postprocess import trapezoid_inner, trapezoid_norm
+from vmpfpca.postprocess import trapezoid_inner
 from vmpfpca.splines import build_basis, design_matrix
 
 
@@ -28,24 +28,16 @@ def vech_to_vec_params(params: GaussianVechParams) -> GaussianVecParams:
     return GaussianVecParams(params.eta1, moore_penrose_duplication(params.dim).T @ params.eta2)
 
 
+def trapezoid_norm(f: np.ndarray, grid: np.ndarray) -> float:
+    """Composite-trapezoid approximation of the L2 norm on the grid."""
+    return float(np.sqrt(trapezoid_inner(f, f, grid)))
+
+
 def invchisq_from_shape_scale(shape: float, scale: float) -> InvChiSqParams:
     """Natural parameters of an inverse chi-squared density with given shape and scale."""
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
     return InvChiSqParams(-0.5 * (shape + 2.0), -0.5 * scale)
-
-
-def kronecker_transform_nu(params: GaussianVecParams, score_map: np.ndarray) -> GaussianVecParams:
-    """Re-express a nu message for new augmented scores ``score_map`` (1, zeta')'.
-
-    The coefficient blocks V become V inv(score_map), so nu becomes F nu with
-    F = inv(score_map)' kron I_P, and the message has eta1 = inv(F)' eta1 and
-    precision inv(F)' Lambda inv(F), with inv(F)' = score_map kron I_P.
-    """
-    back = np.kron(score_map, np.eye(params.dim // score_map.shape[0]))
-    precision = -2.0 * params.eta2.reshape(params.dim, params.dim, order="F")
-    precision = back @ precision @ back.T
-    return GaussianVecParams(back @ params.eta1, -0.5 * precision.reshape(-1, order="F"))
 
 
 def transform_nu_moments(
