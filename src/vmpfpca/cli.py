@@ -21,7 +21,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -436,6 +435,9 @@ def run_study(
             tasks.append((replicate, num_curves, seed, replace(config, seed=seed)))
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here: multiprocessing costs every other command its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_study_cell, tasks))
     else:

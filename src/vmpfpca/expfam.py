@@ -185,16 +185,20 @@ class GaussianVechParams:
         return np.concatenate([self.eta1, self.eta2], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvChiSqParams:
-    """Inverse chi-squared natural parameters against sufficient statistics (log x, 1/x)."""
+    """Inverse chi-squared natural parameters against sufficient statistics (log x, 1/x).
+
+    A sweep builds dozens of these, so the constructor sets the two floats
+    itself rather than through a generated ``__init__`` and ``__post_init__``.
+    """
 
     eta1: float
     eta2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta1", float(self.eta1))
-        object.__setattr__(self, "eta2", float(self.eta2))
+    def __init__(self, eta1: float, eta2: float):
+        object.__setattr__(self, "eta1", float(eta1))
+        object.__setattr__(self, "eta2", float(eta2))
 
     def __add__(self, other: "InvChiSqParams") -> "InvChiSqParams":
         if not isinstance(other, InvChiSqParams):

@@ -5,8 +5,10 @@ prior, scalar iterated inverse G-Wishart); the other two carry the model:
 the functional-principal-component Gaussian likelihood fragment and the
 Gaussian penalization fragment.  The likelihood fragment is fully batched
 across curves: the per-curve Gram matrices C_i'C_i and projections C_i'y_i
-are cached once per fit and every per-iteration quantity is an einsum over
-the curve axis.  Its message to nu needs the score moments only, not q(nu).
+are cached once per fit and every per-iteration quantity is batched over
+the curve axis; the two contractions of the Grams with the (L+1)^2 block
+pairs are one matrix product each, which runs on BLAS where numpy's einsum
+does not.  Its message to nu needs the score moments only, not q(nu).
 The fragments are specialised to the model's fixed priors.
 The Gaussian prior fragment emits the N(0, I) score prior in the vech
 basis.  The penalization fragment's message to nu depends only on the
@@ -18,7 +20,7 @@ objects from :mod:`expfam`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +116,9 @@ class ScoreMoments:
 
 def score_moments(zeta_means: np.ndarray, zeta_covs: np.ndarray) -> ScoreMoments:
     """Augmented-score moments from the (n, L) means and (n, L, L) covariances."""
-    zt_mean = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
+    zt_mean = np.empty((zeta_means.shape[0], zeta_means.shape[1] + 1))
+    zt_mean[:, 0] = 1.0
+    zt_mean[:, 1:] = zeta_means
     zt_second = zt_mean[:, :, None] * zt_mean[:, None, :]
     zt_second[:, 1:, 1:] += zeta_covs
     return ScoreMoments(zt_mean, zt_second)
@@ -149,11 +153,19 @@ def likelihood_expectations(
 
     v_mean = nu_mean.reshape(blocks, num_coefs).T
 
-    # E(H_i)[a, b] = tr{E(nu_b nu_a') C_i'C_i}; one einsum covers every curve
-    # and block pair, with a = b = 0 giving the mean-function term.
+    # E(H_i)[a, b] = tr{E(nu_b nu_a') C_i'C_i}; one matrix product of the
+    # flattened Grams with E(nu nu') in (p, q) x (a, b) order covers every
+    # curve and block pair, with a = b = 0 giving the mean-function term.
     second_moment = nu_cov + np.outer(nu_mean, nu_mean)
-    block_tensor = second_moment.reshape(blocks, num_coefs, blocks, num_coefs)
-    h_full = np.einsum("bqap,ipq->iab", block_tensor, cache.gram)
+    by_coef_pair = (
+        second_moment.reshape(blocks, num_coefs, blocks, num_coefs)
+        .transpose(3, 1, 2, 0)
+        .reshape(num_coefs * num_coefs, blocks * blocks)
+    )
+    num_curves = cache.num_curves
+    h_full = (cache.gram.reshape(num_curves, -1) @ by_coef_pair).reshape(
+        num_curves, blocks, blocks
+    )
     h_full = 0.5 * (h_full + h_full.transpose(0, 2, 1))
 
     return LikelihoodExpectations(scores.zt_mean, scores.zt_second, v_mean, h_full)
@@ -163,7 +175,9 @@ def with_score_moments(
     expectations: LikelihoodExpectations, scores: ScoreMoments
 ) -> LikelihoodExpectations:
     """The same expectations under new score moments; the nu-dependent part is reused."""
-    return replace(expectations, zt_mean=scores.zt_mean, zt_second=scores.zt_second)
+    return LikelihoodExpectations(
+        scores.zt_mean, scores.zt_second, expectations.v_mean, expectations.h_full
+    )
 
 
 def likelihood_message_to_nu(
@@ -173,11 +187,20 @@ def likelihood_message_to_nu(
 
     It depends on the score moments only, not on q(nu).
     """
-    blocks = scores.zt_mean.shape[1]
+    num_curves, blocks = scores.zt_mean.shape
     num_coefs = cache.num_coefs
     dim = blocks * num_coefs
-    eta1 = e_recip_eps * np.einsum("ia,ip->ap", scores.zt_mean, cache.proj).reshape(dim)
-    precision = np.einsum("iab,ipq->apbq", scores.zt_second, cache.gram).reshape(dim, dim)
+    eta1 = e_recip_eps * (scores.zt_mean.T @ cache.proj).reshape(dim)
+    # sum_i E(zeta-tilde zeta-tilde')[a, b] C_i'C_i[p, q] as one (a, b) x (p, q)
+    # product over the curves, reordered to (a, p) x (b, q)
+    by_block_pair = scores.zt_second.reshape(num_curves, -1).T @ cache.gram.reshape(
+        num_curves, -1
+    )
+    precision = (
+        by_block_pair.reshape(blocks, blocks, num_coefs, num_coefs)
+        .transpose(0, 2, 1, 3)
+        .reshape(dim, dim)
+    )
     eta2 = -0.5 * e_recip_eps * vec(precision)
     return GaussianVecParams(eta1, eta2)
 
@@ -189,8 +212,7 @@ def likelihood_messages_to_zeta(
     h_psi = expectations.h_full[:, 1:, 1:]
     num_eigen = h_psi.shape[1]
     eta1 = e_recip_eps * (
-        np.einsum("pl,ip->il", expectations.v_mean[:, 1:], cache.proj)
-        - expectations.h_full[:, 1:, 0]
+        cache.proj @ expectations.v_mean[:, 1:] - expectations.h_full[:, 1:, 0]
     )
     # Column-major vec of each (L, L) slice, then apply D_L'.
     vec_h = h_psi.transpose(0, 2, 1).reshape(-1, num_eigen * num_eigen)
@@ -202,7 +224,7 @@ def likelihood_expected_sq_norms(
     cache: LikelihoodCache, expectations: LikelihoodExpectations
 ) -> np.ndarray:
     """Per-curve E||y_i - C_i V zeta-tilde_i||^2 under the optimal posterior."""
-    cross = np.einsum("pa,ip->ia", expectations.v_mean, cache.proj)
+    cross = cache.proj @ expectations.v_mean
     return (
         cache.sq_norm
         - 2.0 * np.einsum("ia,ia->i", expectations.zt_mean, cross)
@@ -250,10 +272,8 @@ def penalization_messages_to_variances(
     blocks = nu_mean.size // num_coefs
     spline_means = nu_mean.reshape(blocks, num_coefs)[:, 2:]
     spline_vars = np.diagonal(nu_cov).reshape(blocks, num_coefs)[:, 2:]
-    return [
-        penalization_message_to_variance(float(mean @ mean + var.sum()), num_splines)
-        for mean, var in zip(spline_means, spline_vars)
-    ]
+    spline_sq = np.einsum("lk,lk->l", spline_means, spline_means) + spline_vars.sum(axis=1)
+    return [penalization_message_to_variance(sq, num_splines) for sq in spline_sq.tolist()]
 
 
 def penalization_message_to_variance(spline_sq: float, num_splines: int) -> InvChiSqParams:

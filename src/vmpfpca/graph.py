@@ -14,6 +14,7 @@ implicit zero.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .expfam import NaturalParams
@@ -122,8 +123,12 @@ _NOISE_CHAIN = _chain("eps", LIKELIHOOD)
 SIGSQ_EPS = _NOISE_CHAIN.sigsq
 
 
+@lru_cache(maxsize=None)
 def variance_chains(num_eigen: int) -> tuple[VarianceChain, ...]:
-    """The 2 + L chains in update order: noise, mean function, then each eigenfunction."""
+    """The 2 + L chains in update order: noise, mean function, then each eigenfunction.
+
+    Built once per ``num_eigen``; every sweep reads the same tuple.
+    """
     return (
         _NOISE_CHAIN,
         _chain("mu", PENALIZATION),

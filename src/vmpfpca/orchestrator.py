@@ -216,10 +216,11 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
 def _edge_moments(state: VmpState, factor: str, node: str, to_moments):
     """``to_moments`` of the combined density on one edge, which names the edge if it fails.
 
-    Every node has two factors, so this is also q(node).
+    Every node has two factors, so the combined density on either edge is
+    q(node), the sum of the node's two stored messages.
     """
     try:
-        return to_moments(fg.npbf(state.graph, state.store, factor, node))
+        return to_moments(fg.q_natural_params(state.graph, state.store, node))
     except DegenerateMessageError as err:
         raise DegenerateMessageError(f"edge ({factor}, {node}): {err}") from err
 
@@ -345,14 +346,19 @@ def _align_component_rotation(
         _edge_moments(state, chain.source, chain.sigsq, invchisq_mean_reciprocal)
         for chain in smoothing
     ]
-    second = (nu_cov + np.outer(nu_mean, nu_mean)).reshape(L + 1, num_coefs, L + 1, num_coefs)
-    # (L+1) x (L+1) block Grams over the linear and the spline coefficients
-    by_coef = np.einsum("apbp->pab", second)
-    linear_gram, spline_gram = by_coef[:2].sum(axis=0), by_coef[2:].sum(axis=0)
+    # (L+1) x (L+1) block Grams of E(nu nu') over the linear and the spline
+    # coefficients: the block diagonals of the covariance plus the mean's products
+    cov_diagonals = np.diagonal(
+        nu_cov.reshape(L + 1, num_coefs, L + 1, num_coefs), axis1=1, axis2=3
+    )
+    mean_blocks = nu_mean.reshape(L + 1, num_coefs)
+    linear, spline = mean_blocks[:, :2], mean_blocks[:, 2:]
+    linear_gram = cov_diagonals[..., :2].sum(axis=-1) + linear @ linear.T
+    spline_gram = cov_diagonals[..., 2:].sum(axis=-1) + spline @ spline.T
 
     _, eigvecs = np.linalg.eigh(spline_gram[1:, 1:])
     rotation = np.empty_like(eigvecs)
-    rotation[:, np.argsort(e_recip[1:], kind="stable")] = eigvecs[:, ::-1]
+    rotation[:, sorted(range(L), key=e_recip[1:].__getitem__)] = eigvecs[:, ::-1]
     # Deterministic column signs keep the rotation from flapping between sweeps.
     anchor = np.argmax(np.abs(rotation), axis=0)
     rotation = rotation * np.sign(rotation[anchor, np.arange(L)])
@@ -361,9 +367,8 @@ def _align_component_rotation(
     linear_gram = block_rotation.T @ linear_gram @ block_rotation
     spline_gram = block_rotation.T @ spline_gram @ block_rotation
     zeta_means = zeta_means @ rotation
-    zeta_covs = rotation.T @ zeta_covs @ rotation
 
-    shift, scale = np.zeros(L), np.ones(L)
+    scale = np.ones(L)
     if state.iterations > 0:  # the penalization fragment has written nu
         mean_weighted = linear_gram / config.prior_beta_var + spline_gram * e_recip[0]
         shift = np.linalg.solve(
@@ -371,7 +376,12 @@ def _align_component_rotation(
         )
         zeta_means = zeta_means - shift
 
-        score_sq = np.einsum("il,il->l", zeta_means, zeta_means) + np.einsum("ill->l", zeta_covs)
+        # the rotated covariances enter through their sum; the scale loop runs
+        # in plain floats
+        cov_sum = rotation.T @ zeta_covs.sum(axis=0) @ rotation
+        score_sq = (np.einsum("il,il->l", zeta_means, zeta_means) + np.diagonal(cov_sum)).tolist()
+        linear_sq = (np.diagonal(linear_gram)[1:] / config.prior_beta_var).tolist()
+        spline_sq = np.diagonal(spline_gram)[1:].tolist()
         scale = np.array(
             [
                 _scale_component(
@@ -380,14 +390,16 @@ def _align_component_rotation(
                     e_recip[l + 1],
                     score_sq[l],
                     n - num_coefs,
-                    linear_gram[l + 1, l + 1] / config.prior_beta_var,
-                    spline_gram[l + 1, l + 1],
+                    linear_sq[l],
+                    spline_sq[l],
                 )
                 for l, chain in enumerate(smoothing[1:])
             ]
         )
 
-    return zeta_means * scale, scale[:, None] * zeta_covs * scale
+    # the covariances move once, by the rotation and the scale together
+    score_map = rotation * scale
+    return zeta_means * scale, score_map.T @ zeta_covs @ score_map
 
 
 def _scale_component(
@@ -413,7 +425,9 @@ def _scale_component(
     messages of the chain are written for the last x taken.  So a component
     already at its scale to that precision, or whose objective has no
     maximum at a positive finite x (S = 0 with n >= P, or K = 0 with
-    n <= P), is left as it is, with its chain and c = 1.
+    n <= P), is left as it is, with its chain and c = 1.  The loop runs in
+    plain floats, so the arguments must be Python floats: with numpy scalars
+    a zero eta2 would give inf instead of a :class:`DegenerateMessageError`.
     """
     if not score_sq > 0.0 and excess >= 0:
         return 1.0
@@ -422,6 +436,12 @@ def _scale_component(
     prior = store.get_to_node(chain.prior, chain.aux)
     e_recip_aux = _edge_moments(state, chain.iterated, chain.aux, invchisq_mean_reciprocal)
     rtol = _SCALE_RTOL_PER_TOL * state.config.tol
+    # The chain's updates in plain floats.  As messages (see
+    # penalization_message_to_variance and iterated_igw_messages), q(sigma^2)
+    # sums (-K/2, -spline_sq/(2x)) and (-3/2, -E(1/a)/2), and q(a) sums the
+    # prior with (-1/2, -E(1/sigma^2)/2); E(1/.) of each sum is (eta1 + 1)/eta2.
+    sigsq_shape = -0.5 * num_splines + -1.5 + 1.0
+    aux_shape = prior.eta1 + -0.5 + 1.0
     x = 1.0
     for _ in range(_SCALE_STEPS):
         penalty = linear_sq + e_recip * spline_sq
@@ -437,14 +457,18 @@ def _scale_component(
             break
         x = new
         # the coordinate updates of q(sigma^2), then of q(a), at the new scale
-        source = penalization_message_to_variance(spline_sq / x, num_splines)
-        to_sigsq, _ = iterated_igw_messages(e_recip, e_recip_aux)
-        e_recip = invchisq_mean_reciprocal(source + to_sigsq)
-        _, to_aux = iterated_igw_messages(e_recip, e_recip_aux)
-        e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
+        e_recip_aux_sent = e_recip_aux
+        try:
+            e_recip = sigsq_shape / (-0.5 * (spline_sq / x) + -0.5 * e_recip_aux)
+            e_recip_aux = aux_shape / (prior.eta2 + -0.5 * e_recip)
+        except ZeroDivisionError:
+            raise DegenerateMessageError("inverse chi-squared parameters with eta2 = 0") from None
     if x == 1.0:
         return 1.0
-    store.set_to_node(chain.source, chain.sigsq, source)
+    to_sigsq, to_aux = iterated_igw_messages(e_recip, e_recip_aux_sent)
+    store.set_to_node(
+        chain.source, chain.sigsq, penalization_message_to_variance(spline_sq / x, num_splines)
+    )
     store.set_to_node(chain.iterated, chain.sigsq, to_sigsq)
     store.set_to_node(chain.iterated, chain.aux, to_aux)
     return math.sqrt(x)
@@ -489,40 +513,48 @@ def _sweep(
 VARIANCES = "variances"  # snapshot key of the stacked inverse chi-squared q-densities
 
 
-def _q_snapshot(state: VmpState) -> dict[str, np.ndarray]:
+def _q_snapshot(state: VmpState) -> dict:
     """The q natural parameters the convergence check compares.
 
-    nu and the stacked scores have one entry each; the 2(2 + L) variance and
-    auxiliary q-densities are the rows of one array.
+    nu and the stacked scores have one array entry each; the 2(2 + L)
+    variance and auxiliary q-densities are one list of (eta1, eta2) floats,
+    read in one pass.
     """
-    graph, store = state.graph, state.store
+    graph, get = state.graph, state.store.get_to_node
     variances = []
     for chain in fg.variance_chains(state.config.num_eigen):
         for node in (chain.sigsq, chain.aux):
-            first, second = (store.get_to_node(factor, node) for factor in graph[node])
+            first_factor, second_factor = graph[node]
+            first, second = get(first_factor, node), get(second_factor, node)
             variances.append((first.eta1 + second.eta1, first.eta2 + second.eta2))
     return {
-        fg.NU: fg.q_natural_params(graph, store, fg.NU).as_vector(),
-        fg.ZETA: fg.q_natural_params(graph, store, fg.ZETA).as_vector(),
-        VARIANCES: np.array(variances),
+        fg.NU: fg.q_natural_params(graph, state.store, fg.NU).as_vector(),
+        fg.ZETA: fg.q_natural_params(graph, state.store, fg.ZETA).as_vector(),
+        VARIANCES: variances,
     }
 
 
-def convergence_metric(
-    previous: dict[str, np.ndarray], current: dict[str, np.ndarray]
-) -> float:
+def convergence_metric(previous: dict, current: dict) -> float:
     """Largest relative change, over nodes, of the q natural-parameter vectors.
 
-    A two-dimensional entry is a stacked node: each row counts as its own
-    node, so every curve's score vector is measured on its own scale.
+    A two-dimensional array entry is a stacked node: each row counts as its
+    own node, so every curve's score vector is measured on its own scale.  A
+    list entry holds scalar nodes as (eta1, eta2) pairs of floats, one node
+    each, compared in a plain loop.
     """
     worst = 0.0
     for node, old in previous.items():
-        change = np.max(np.abs(current[node] - old), axis=-1) / (
-            1.0 + np.max(np.abs(old), axis=-1)
-        )
-        worst = max(worst, float(np.max(change)))
-    return worst
+        new = current[node]
+        if isinstance(old, list):
+            for (old1, old2), (new1, new2) in zip(old, new):
+                change = max(abs(new1 - old1), abs(new2 - old2)) / (
+                    1.0 + max(abs(old1), abs(old2))
+                )
+                worst = max(worst, change)
+        else:
+            change = np.abs(new - old).max(axis=-1) / (1.0 + np.abs(old).max(axis=-1))
+            worst = max(worst, change.max())
+    return float(worst)
 
 
 def fit_state(state: VmpState) -> VmpState:

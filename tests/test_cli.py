@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import concurrent.futures
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -452,7 +453,7 @@ class TestEval:
                 initializers.append(kwargs.get("initializer"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = FitConfig(max_iter=2000)
         serial = cli.run_study(2, [10, 20], config, base_seed=4, workers=1)
         pooled = cli.run_study(2, [10, 20], config, base_seed=4, workers=2)
@@ -478,7 +479,7 @@ class TestEval:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
         config = FitConfig(max_iter=20, grid_size=101)
         assert len(cli.run_study(1, [10, 12], config, workers=500)) == 2
         assert sizes == [2]

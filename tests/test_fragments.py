@@ -333,6 +333,53 @@ class TestLikelihoodMessageToNu:
         assert np.allclose(message.eta2, eta2_expected, atol=1e-12)
 
 
+class TestContractionOracle:
+    """The two per-curve contractions, with non-diagonal q(nu) and random q(zeta).
+
+    The fragments compute both as one matrix product over all curves and
+    block pairs; the oracle loops over curves and (a, b) block pairs.
+    """
+
+    @pytest.mark.parametrize("num_splines", [3, 8])
+    @pytest.mark.parametrize("num_eigen", [1, 4])
+    @pytest.mark.parametrize("num_curves", [1, 7])
+    def test_matches_per_curve_loop(self, num_curves, num_eigen, num_splines):
+        rng = np.random.default_rng([num_curves, num_eigen, num_splines])
+        num_coefs, blocks = 2 + num_splines, num_eigen + 1
+        counts = rng.integers(num_coefs, 3 * num_coefs, size=num_curves)
+        cache, _, _ = make_cache(rng, num_curves, counts, num_coefs)
+        nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(
+            rng, num_eigen, num_coefs, num_curves
+        )
+        assert np.abs(nu_cov - np.diag(np.diag(nu_cov))).max() > 0.1
+        scores = score_moments(zeta_means, zeta_covs)
+        e_recip = 0.7
+
+        second = nu_cov + np.outer(nu_mean, nu_mean)
+        h_full = np.empty((num_curves, blocks, blocks))
+        precision = np.zeros((blocks * num_coefs, blocks * num_coefs))
+        for i, gram in enumerate(cache.gram):
+            for a in range(blocks):
+                rows = slice(a * num_coefs, (a + 1) * num_coefs)
+                for b in range(blocks):
+                    cols = slice(b * num_coefs, (b + 1) * num_coefs)
+                    # E(nu_b nu_a') is the (b, a) block of E(nu nu')
+                    h_full[i, a, b] = np.trace(second[cols, rows] @ gram)
+                    precision[rows, cols] += scores.zt_second[i, a, b] * gram
+
+        def rel(actual, expected):
+            return np.abs(actual - expected).max() / np.abs(expected).max()
+
+        expectations = likelihood_expectations(cache, nu_mean, nu_cov, scores)
+        assert rel(expectations.h_full, h_full) < 1e-12
+        message = likelihood_message_to_nu(cache, scores, e_recip)
+        assert rel(message.eta2, -0.5 * e_recip * vec(precision)) < 1e-12
+        eta1 = e_recip * sum(
+            np.kron(zt, proj) for zt, proj in zip(scores.zt_mean, cache.proj)
+        )
+        assert rel(message.eta1, eta1) < 1e-12
+
+
 class TestLikelihoodMessageToZeta:
     def test_zero_noise_precision_gives_flat_message(self):
         rng = np.random.default_rng(51)

@@ -1,4 +1,8 @@
-"""The package runs on numpy and the standard library alone; scipy is a test oracle only."""
+"""The package runs on numpy and the standard library alone; scipy is a test oracle only.
+
+A fit also leaves the process pool's modules unimported: only a study with
+more than one worker needs them.
+"""
 
 import json
 import os
@@ -6,6 +10,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,21 +24,35 @@ codes = [
     cli.main(["fit", work + "/dataset.csv", "--num-eigen", "2", "--num-splines", "8",
               "--max-iter", "2000", "--out", work + "/fit.json"]),
 ]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "process_pool": "concurrent.futures.process" in sys.modules,
+}))
 """
 
 
-def test_full_fit_leaves_scipy_unimported(tmp_path):
+@pytest.fixture(scope="module")
+def fit_report(tmp_path_factory):
+    """Exit codes and imported modules of a simulate + fit run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", FIT_THEN_LIST_SCIPY, str(tmp_path)],
+        [sys.executable, "-c", FIT_THEN_LIST_SCIPY, str(tmp_path_factory.mktemp("fit"))],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0, 0]
-    assert report["scipy"] == []
+    return report
+
+
+def test_full_fit_leaves_scipy_unimported(fit_report):
+    assert fit_report["scipy"] == []
+
+
+def test_full_fit_leaves_process_pool_unimported(fit_report):
+    assert fit_report["process_pool"] is False
 
 
 def test_no_module_imports_scipy():

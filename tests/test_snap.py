@@ -9,17 +9,22 @@ only rotates, and the sweep counts the moves buy on the benchmark's dense
 inputs.
 """
 
+import copy
+import functools
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
 from vmpfpca import cli
 from vmpfpca.data import read_dataset_csv, write_dataset_csv
-from vmpfpca.expfam import invchisq_mean_reciprocal
+from vmpfpca.expfam import DegenerateMessageError, InvChiSqParams, invchisq_mean_reciprocal
 from vmpfpca.fragments import (
     likelihood_expectations,
     likelihood_expected_sq_norms,
@@ -29,7 +34,12 @@ from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import extract, finalize, trapezoid_inner
 from vmpfpca.simulate import SimConfig, generate
 from vmpfpca.splines import design_matrix
-from tests_oracle_support import full_model_mfvb_oracle, snap_objective, transform_nu_moments
+from tests_oracle_support import (
+    full_model_mfvb_oracle,
+    reference_scale_alternation,
+    snap_objective,
+    transform_nu_moments,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,15 +274,24 @@ class TestDenseFixedPoint:
         assert raw.noise_precision_mean == pytest.approx(oracle_noise_prec, rel=1e-7)
 
 
-class TestScaleComponent:
-    """The scale root at the edges: no score mass, no penalty, n < P."""
+@functools.cache
+def _initial_state():
+    """The initialized state of a 10-curve fit; copy its store before writing."""
+    dataset, _ = generate(SimConfig(num_curves=10, seed=3))
+    return orchestrator.initialize(dataset, FitConfig())
 
-    @staticmethod
-    def chain_state():
+
+_POSITIVE = st.floats(-8.0, 8.0).map(lambda exponent: 10.0**exponent)
+
+
+class TestScaleComponent:
+    """The scale root at the edges (no score mass, no penalty, n < P), and the
+    float loop against the same alternation in message objects."""
+
+    @classmethod
+    def chain_state(cls):
         """A fresh state, one eigenfunction chain and its E(1/sigma^2)."""
-        dataset, _ = generate(SimConfig(num_curves=10, seed=3))
-        state = orchestrator.initialize(dataset, FitConfig())
-        chain = fg.variance_chains(3)[2]
+        state, chain = cls.copied_state()
         e_recip = orchestrator._edge_moments(
             state, chain.source, chain.sigsq, invchisq_mean_reciprocal
         )
@@ -286,11 +305,7 @@ class TestScaleComponent:
     def test_degenerate_root_keeps_component_and_chain(self, score_sq, excess, penalty):
         # Neither objective has a maximum at a positive finite scale.
         state, chain, e_recip = self.chain_state()
-        edges = [
-            (chain.source, chain.sigsq),
-            (chain.iterated, chain.sigsq),
-            (chain.iterated, chain.aux),
-        ]
+        edges = self.chain_edges(chain)
         before = [state.store.get_to_node(*edge) for edge in edges]
         scale = orchestrator._scale_component(
             state, chain, e_recip, score_sq, excess, penalty, penalty
@@ -308,3 +323,78 @@ class TestScaleComponent:
             state, chain, e_recip, score_sq, excess, 1e-30, 1e-30
         )
         assert 0.0 < scale < np.inf
+
+    @staticmethod
+    def chain_edges(chain):
+        """The three edges the scale step writes."""
+        return [
+            (chain.source, chain.sigsq),
+            (chain.iterated, chain.sigsq),
+            (chain.iterated, chain.aux),
+        ]
+
+    @staticmethod
+    def copied_state(tol=1e-5):
+        """The initialized state with its own store, one eigenfunction chain."""
+        base = _initial_state()
+        state = replace(
+            base, store=copy.deepcopy(base.store), config=replace(base.config, tol=tol)
+        )
+        return state, fg.variance_chains(3)[2]
+
+    def outcomes(self, state, chain, *args):
+        """(c, chain messages) of the float loop and of the reference, or each one's error."""
+        store = state.store
+        prior = store.get_to_node(chain.prior, chain.aux)
+        e_recip_aux = invchisq_mean_reciprocal(
+            prior + store.get_to_node(chain.iterated, chain.aux)
+        )
+        before = [store.get_to_node(*edge) for edge in self.chain_edges(chain)]
+        try:
+            scale, messages = reference_scale_alternation(
+                prior,
+                e_recip_aux,
+                *args,
+                state.config.num_splines,
+                orchestrator._SCALE_RTOL_PER_TOL * state.config.tol,
+                orchestrator._SCALE_STEPS,
+            )
+            expected = (scale, before if messages is None else list(messages))
+        except DegenerateMessageError as err:
+            expected = str(err)
+        try:
+            scale = orchestrator._scale_component(state, chain, *args)
+            actual = (scale, [store.get_to_node(*edge) for edge in self.chain_edges(chain)])
+        except DegenerateMessageError as err:
+            actual = str(err)
+        return actual, expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e_recip=_POSITIVE,
+        score_sq=st.one_of(st.just(0.0), _POSITIVE),
+        excess=st.integers(-40, 400),
+        linear_sq=st.one_of(st.just(0.0), _POSITIVE),
+        spline_sq=st.one_of(st.just(0.0), _POSITIVE),
+        aux_recip=_POSITIVE,
+        tol=st.sampled_from([1e-3, 1e-5, 1e-9]),
+    )
+    def test_float_loop_matches_message_alternation(
+        self, e_recip, score_sq, excess, linear_sq, spline_sq, aux_recip, tol
+    ):
+        # bit for bit: the same c and the same three chain messages
+        state, chain = self.copied_state(tol)
+        state.store.set_to_node(chain.iterated, chain.aux, InvChiSqParams(-0.5, -0.5 * aux_recip))
+        actual, expected = self.outcomes(
+            state, chain, e_recip, score_sq, excess, linear_sq, spline_sq
+        )
+        assert actual == expected
+
+    def test_zero_scale_sum_raises_like_the_messages(self):
+        # With eta2 = 0 in the prior on a and E(1/a) = inf, the first step's
+        # E(1/sigma^2) is 0, so q(a)'s eta2 sums to 0.
+        state, chain = self.copied_state()
+        state.store.set_to_node(chain.prior, chain.aux, InvChiSqParams(-1.5, 0.0))
+        state.store.set_to_node(chain.iterated, chain.aux, InvChiSqParams(-0.5, -5e-324))
+        actual, expected = self.outcomes(state, chain, 1.0, 5.0, 40, 1.0, 1.0)
+        assert actual == expected == "inverse chi-squared parameters with eta2 = 0"

@@ -1,8 +1,12 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the message-passing code paths: plain moment-form
-coordinate ascent and direct linear algebra only.
+coordinate ascent and direct linear algebra only.  The one exception is
+:func:`reference_scale_alternation`, which replays the snap's scale loop with
+the fragments' message objects, to check the float loop against them.
 """
+
+import math
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -12,8 +16,10 @@ from vmpfpca.expfam import (
     GaussianVechParams,
     InvChiSqParams,
     duplication_matrix,
+    invchisq_mean_reciprocal,
     moore_penrose_duplication,
 )
+from vmpfpca.fragments import iterated_igw_messages, penalization_message_to_variance
 from vmpfpca.postprocess import trapezoid_inner
 from vmpfpca.splines import build_basis, design_matrix
 
@@ -46,6 +52,54 @@ def transform_nu_moments(
     """q(nu) moments in the frame with augmented scores ``score_map`` (1, zeta')'."""
     forward = np.kron(np.linalg.inv(score_map).T, np.eye(nu_mean.size // score_map.shape[0]))
     return forward @ nu_mean, forward @ nu_cov @ forward.T
+
+
+def reference_scale_alternation(
+    prior: InvChiSqParams,
+    e_recip_aux: float,
+    e_recip: float,
+    score_sq: float,
+    excess: int,
+    linear_sq: float,
+    spline_sq: float,
+    num_splines: int,
+    rtol: float,
+    steps: int,
+):
+    """The snap's scale step for one component, alternated with its chain in messages.
+
+    Each x step is followed by the chain's coordinate updates, formed as the
+    fragments' messages: the penalization message to sigma^2, the iterated
+    fragment's messages, and E(1/.) of each q-density as the reciprocal mean
+    of a message sum.  ``prior`` is the constant message to the auxiliary
+    node and ``e_recip_aux`` its E(1/a) as the loop starts.  Returns c and
+    the (source, iterated -> sigma^2, iterated -> a) messages of the last step
+    taken, or (1.0, None) when the component and its chain are left as they
+    are.
+    """
+    if not score_sq > 0.0 and excess >= 0:
+        return 1.0, None
+    x = 1.0
+    for _ in range(steps):
+        penalty = linear_sq + e_recip * spline_sq
+        root = math.sqrt(excess * excess + 4.0 * score_sq * penalty)
+        if excess >= 0:
+            new = (excess + root) / (2.0 * score_sq)
+        else:
+            new = 2.0 * penalty / (root - excess)
+        if not 0.0 < new < math.inf:
+            return 1.0, None
+        if abs(new - x) <= rtol * new:
+            break
+        x = new
+        source = penalization_message_to_variance(spline_sq / x, num_splines)
+        to_sigsq, _ = iterated_igw_messages(e_recip, e_recip_aux)
+        e_recip = invchisq_mean_reciprocal(source + to_sigsq)
+        _, to_aux = iterated_igw_messages(e_recip, e_recip_aux)
+        e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
+    if x == 1.0:
+        return 1.0, None
+    return math.sqrt(x), (source, to_sigsq, to_aux)
 
 
 def _invchisq_terms(params: InvChiSqParams) -> tuple[float, float, float]:
