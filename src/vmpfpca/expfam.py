@@ -1,11 +1,12 @@
 """Exponential-family natural parameters and matrix reshaping operators.
 
-Every message passed on the factor graph is a natural-parameter vector of
-either a multivariate Gaussian (in a vec- or vech-based sufficient-statistic
-basis) or an inverse chi-squared density.  This module provides those
-representations, the mappings between natural parameters and conventional
-moments, and the vec/vech/duplication-matrix algebra that relates the two
-Gaussian bases.
+Every message on the factor graph holds the natural parameters of either a
+multivariate Gaussian (in a vec- or vech-based sufficient-statistic basis)
+or an inverse chi-squared density.  This module provides those
+representations, through which the message store is read and written
+outside the sweep, the mappings between natural parameters and conventional
+moments, the SPD inverse the sweep uses, and the vec/vech/duplication-matrix
+algebra that relates the two Gaussian bases.
 """
 
 from __future__ import annotations
@@ -185,20 +186,12 @@ class GaussianVechParams:
         return np.concatenate([self.eta1, self.eta2], axis=-1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class InvChiSqParams:
-    """Inverse chi-squared natural parameters against sufficient statistics (log x, 1/x).
-
-    A sweep builds dozens of these, so the constructor sets the two floats
-    itself rather than through a generated ``__init__`` and ``__post_init__``.
-    """
+    """Inverse chi-squared natural parameters against sufficient statistics (log x, 1/x)."""
 
     eta1: float
     eta2: float
-
-    def __init__(self, eta1: float, eta2: float):
-        object.__setattr__(self, "eta1", float(eta1))
-        object.__setattr__(self, "eta2", float(eta2))
 
     def __add__(self, other: "InvChiSqParams") -> "InvChiSqParams":
         if not isinstance(other, InvChiSqParams):
@@ -223,11 +216,19 @@ def gaussian_moments_to_vec(mean: np.ndarray, cov: np.ndarray) -> GaussianVecPar
     return GaussianVecParams(prec @ mean, -0.5 * vec(prec))
 
 
+def gaussian_precision_to_moments(eta1: np.ndarray, precision: np.ndarray, context: str):
+    """(mean, covariance) from eta1 and the precision matrix; a stack of n, with eta1 of
+    shape (n, d), gives (n, d) means and (n, d, d) covariances from one :func:`invert_spd`."""
+    cov = invert_spd(precision, context=context)
+    if eta1.ndim == 1:
+        return cov @ eta1, cov
+    return np.einsum("iab,ib->ia", cov, eta1), cov
+
+
 def gaussian_vec_to_moments(params: GaussianVecParams) -> tuple[np.ndarray, np.ndarray]:
     """Map vec-basis natural parameters back to (mean, covariance)."""
     prec = -2.0 * unvec(params.eta2)
-    cov = invert_spd(prec, context="vec-basis precision")
-    return cov @ params.eta1, cov
+    return gaussian_precision_to_moments(params.eta1, prec, "vec-basis precision")
 
 
 def gaussian_moments_to_vech(mean: np.ndarray, cov: np.ndarray) -> GaussianVechParams:
@@ -239,17 +240,12 @@ def gaussian_moments_to_vech(mean: np.ndarray, cov: np.ndarray) -> GaussianVechP
 
 
 def gaussian_vech_to_moments(params: GaussianVechParams) -> tuple[np.ndarray, np.ndarray]:
-    """Map vech-basis natural parameters back to (mean, covariance).
-
-    A stack of n Gaussians gives (n, d) means and (n, d, d) covariances, all
-    from one batched :func:`invert_spd`.
-    """
+    """Map vech-basis natural parameters, or a stack of them, back to (mean, covariance)."""
     eta1, eta2 = np.atleast_2d(params.eta1), np.atleast_2d(params.eta2)
     n, d = eta1.shape
     full = eta2 @ moore_penrose_duplication(d)  # row-wise D_d^+' eta2 = vec of each matrix
     precisions = -2.0 * full.reshape(n, d, d).transpose(0, 2, 1)
-    covs = invert_spd(precisions, context="vech-basis precision")
-    means = np.einsum("iab,ib->ia", covs, eta1)
+    means, covs = gaussian_precision_to_moments(eta1, precisions, "vech-basis precision")
     if params.eta1.ndim == 2:
         return means, covs
     return means[0], covs[0]

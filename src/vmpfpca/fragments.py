@@ -3,19 +3,16 @@
 Three are standard building blocks (Gaussian prior, scalar inverse G-Wishart
 prior, scalar iterated inverse G-Wishart); the other two carry the model:
 the functional-principal-component Gaussian likelihood fragment and the
-Gaussian penalization fragment.  The likelihood fragment is fully batched
-across curves: the per-curve Gram matrices C_i'C_i and projections C_i'y_i
-are cached once per fit and every per-iteration quantity is batched over
-the curve axis; the two contractions of the Grams with the (L+1)^2 block
-pairs are one matrix product each, which runs on BLAS where numpy's einsum
-does not.  Its message to nu needs the score moments only, not q(nu).
-The fragments are specialised to the model's fixed priors.
-The Gaussian prior fragment emits the N(0, I) score prior in the vech
-basis.  The penalization fragment's message to nu depends only on the
-N(0, sigma^2_beta I) prior of the linear parts and on the smoothing
-variances, so it needs no q(nu) moments; a second function forms the
-variance messages from q(nu).  Every fragment returns natural-parameter
-objects from :mod:`expfam`.
+Gaussian penalization fragment, specialised to the model's fixed priors.
+The likelihood fragment is batched over curves: the per-curve Grams C_i'C_i
+and projections C_i'y_i are cached once per fit, and its two contractions
+with the (L+1)^2 block pairs are one BLAS matrix product each.  Its message
+to nu needs the score moments only, and the penalization fragment's message
+to nu only the smoothing variances; neither needs q(nu).  The fragments
+return the sweep's messages in the store's form: to nu and to the scores as
+(eta1, precision) array pairs (the streamlined form of Wand, 2017), to a
+variance as an (eta1, eta2) pair of floats.  The two constant prior
+messages are natural-parameter objects from :mod:`expfam`.
 """
 
 from __future__ import annotations
@@ -24,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import (
-    GaussianVecParams,
-    GaussianVechParams,
-    InvChiSqParams,
-    duplication_matrix,
-    gaussian_moments_to_vech,
-    vec,
-)
+from .expfam import GaussianVechParams, InvChiSqParams, gaussian_moments_to_vech
 
 # ---------------------------------------------------------------------------
 # Prior fragments
@@ -55,14 +45,14 @@ def igw_prior_message(scale_hyper: float) -> InvChiSqParams:
 
 def iterated_igw_messages(
     e_recip_sigsq: float, e_recip_a: float
-) -> tuple[InvChiSqParams, InvChiSqParams]:
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """Scalar iterated inverse G-Wishart fragment for sigma^2 | a ~ Inv-chi^2(1, 1/a).
 
-    Returns (message to sigma^2, message to a).  Each outgoing message uses the
-    reciprocal mean on the opposite edge: E(1/a) for the message to sigma^2,
-    E(1/sigma^2) for the message to a.
+    Returns (message to sigma^2, message to a), each as (eta1, eta2).  Each
+    outgoing message uses the reciprocal mean on the opposite edge: E(1/a)
+    for the message to sigma^2, E(1/sigma^2) for the message to a.
     """
-    return InvChiSqParams(-1.5, -0.5 * e_recip_a), InvChiSqParams(-0.5, -0.5 * e_recip_sigsq)
+    return (-1.5, -0.5 * e_recip_a), (-0.5, -0.5 * e_recip_sigsq)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def likelihood_expectations(
     # E(H_i)[a, b] = tr{E(nu_b nu_a') C_i'C_i}; one matrix product of the
     # flattened Grams with E(nu nu') in (p, q) x (a, b) order covers every
     # curve and block pair, with a = b = 0 giving the mean-function term.
-    second_moment = nu_cov + np.outer(nu_mean, nu_mean)
+    second_moment = nu_cov + nu_mean[:, None] * nu_mean
     by_coef_pair = (
         second_moment.reshape(blocks, num_coefs, blocks, num_coefs)
         .transpose(3, 1, 2, 0)
@@ -182,8 +172,8 @@ def with_score_moments(
 
 def likelihood_message_to_nu(
     cache: LikelihoodCache, scores: ScoreMoments, e_recip_eps: float
-) -> GaussianVecParams:
-    """Likelihood message to the stacked spline coefficients, in the vec basis.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihood message to the stacked spline coefficients, as (eta1, precision).
 
     It depends on the score moments only, not on q(nu).
     """
@@ -201,23 +191,15 @@ def likelihood_message_to_nu(
         .transpose(0, 2, 1, 3)
         .reshape(dim, dim)
     )
-    eta2 = -0.5 * e_recip_eps * vec(precision)
-    return GaussianVecParams(eta1, eta2)
+    return eta1, e_recip_eps * precision
 
 
 def likelihood_messages_to_zeta(
     cache: LikelihoodCache, expectations: LikelihoodExpectations, e_recip_eps: float
-) -> GaussianVechParams:
-    """Likelihood message to the stacked score vectors, one vech-basis row per curve."""
-    h_psi = expectations.h_full[:, 1:, 1:]
-    num_eigen = h_psi.shape[1]
-    eta1 = e_recip_eps * (
-        cache.proj @ expectations.v_mean[:, 1:] - expectations.h_full[:, 1:, 0]
-    )
-    # Column-major vec of each (L, L) slice, then apply D_L'.
-    vec_h = h_psi.transpose(0, 2, 1).reshape(-1, num_eigen * num_eigen)
-    eta2 = -0.5 * e_recip_eps * vec_h @ duplication_matrix(num_eigen)
-    return GaussianVechParams(eta1, eta2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihood message to the stacked score vectors: (n, L) eta1, (n, L, L) precisions."""
+    eta1 = cache.proj @ expectations.v_mean[:, 1:] - expectations.h_full[:, 1:, 0]
+    return e_recip_eps * eta1, e_recip_eps * expectations.h_full[:, 1:, 1:]
 
 
 def likelihood_expected_sq_norms(
@@ -234,11 +216,11 @@ def likelihood_expected_sq_norms(
 
 def likelihood_message_to_sigsq_eps(
     cache: LikelihoodCache, expectations: LikelihoodExpectations
-) -> InvChiSqParams:
-    """Likelihood message to the noise variance."""
+) -> tuple[float, float]:
+    """Likelihood message to the noise variance, as (eta1, eta2)."""
     eta1 = -0.5 * float(cache.counts.sum())
     eta2 = -0.5 * float(likelihood_expected_sq_norms(cache, expectations).sum())
-    return InvChiSqParams(eta1, eta2)
+    return eta1, eta2
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +228,9 @@ def likelihood_message_to_sigsq_eps(
 
 
 def penalization_messages(
-    prior_beta_var: float, e_recip_sigsq: np.ndarray, num_splines: int
-) -> GaussianVecParams:
-    """Message to nu (vec basis) from the N(0, sigma^2_beta I) linear parts and penalties.
+    prior_beta_var: float, e_recip_sigsq, num_splines: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Message to nu, as (eta1, precision), from the linear parts' prior and the penalties.
 
     ``e_recip_sigsq`` holds E(1/sigma^2_mu) followed by each E(1/sigma^2_psi_l).
     The expected prior precision of nu is diagonal: 1/sigma^2_beta on the two
@@ -258,13 +240,13 @@ def penalization_messages(
     diagonal = np.empty((len(e_recip_sigsq), 2 + num_splines))
     diagonal[:, :2] = 1.0 / prior_beta_var
     diagonal[:, 2:] = np.asarray(e_recip_sigsq, dtype=float)[:, None]
-    return GaussianVecParams(np.zeros(diagonal.size), -0.5 * vec(np.diag(diagonal.ravel())))
+    return np.zeros(diagonal.size), np.diag(diagonal.ravel())
 
 
 def penalization_messages_to_variances(
     nu_mean: np.ndarray, nu_cov: np.ndarray, num_splines: int
-) -> list[InvChiSqParams]:
-    """Messages to sigma^2_mu and to each sigma^2_psi_l, in block order.
+) -> list[tuple[float, float]]:
+    """Messages to sigma^2_mu and to each sigma^2_psi_l, in block order, as (eta1, eta2).
 
     Each carries the expected squared norm of its block's spline coefficients.
     """
@@ -276,6 +258,7 @@ def penalization_messages_to_variances(
     return [penalization_message_to_variance(sq, num_splines) for sq in spline_sq.tolist()]
 
 
-def penalization_message_to_variance(spline_sq: float, num_splines: int) -> InvChiSqParams:
-    """Message to one sigma^2 from its block's expected squared spline-coefficient norm."""
-    return InvChiSqParams(-0.5 * num_splines, -0.5 * spline_sq)
+def penalization_message_to_variance(spline_sq: float, num_splines: int) -> tuple[float, float]:
+    """Message to one sigma^2, as (eta1, eta2), from its block's expected squared
+    spline-coefficient norm."""
+    return -0.5 * num_splines, -0.5 * spline_sq

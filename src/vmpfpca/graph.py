@@ -1,15 +1,15 @@
-"""The FPCA factor graph and its message-combination rules.
+"""The FPCA factor graph and its message store.
 
-Stochastic nodes and factors are identified by strings.  Every stochastic
-node of the FPCA graph has exactly two neighboring factors, so the graph is a
-table from each node to its two factors: the message a node sends to one
-factor is the stored message from the other, and its q-density is the sum of
-the two.  The store therefore keeps factor-to-node messages only, and the
-node-to-factor half of an edge is formed on the fly when a fragment needs it.
-The n score vectors form one stacked node whose likelihood message holds one
-row per curve.  Messages are the natural-parameter objects of :mod:`expfam`;
-reading an edge that was never written is a hard error rather than an
-implicit zero.
+Every stochastic node has exactly two neighboring factors, so the graph is a
+table from each node (a string) to its two factors: the message a node sends
+to one factor is the stored message from the other, and its q-density is the
+sum of the two.  The store keeps the factor-to-node messages in fixed array
+slots that the sweep reads and writes directly: a Gaussian message as eta1
+and a precision matrix (the streamlined form of Wand, 2017), the n score
+vectors as one stacked node with one likelihood row per curve, and an
+inverse chi-squared message as an (eta1, eta2) pair of floats.
+``get_to_node`` and ``set_to_node`` view the slots as the natural-parameter
+objects of :mod:`expfam`; reading an edge never written is a hard error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .expfam import NaturalParams
+import numpy as np
+
+from .expfam import (
+    GaussianVecParams,
+    GaussianVechParams,
+    InvChiSqParams,
+    NaturalParams,
+    duplication_matrix,
+    moore_penrose_duplication,
+    unvec,
+    vec,
+)
 
 
 class UninitializedMessageError(KeyError):
@@ -33,21 +44,89 @@ Neighbors = dict[str, tuple[str, str]]
 
 
 class MessageStore:
-    """Holds the current message on every factor-to-node edge."""
+    """The current message on every factor-to-node edge of the FPCA graph.
 
-    def __init__(self):
-        self._to_node: dict[tuple[str, str], NaturalParams] = {}
+    With D = (L + 1)(2 + K): ``nu_eta1`` (2, D) and ``nu_precision``
+    (2, D, D) hold the likelihood and the penalization message to nu;
+    ``zeta_eta1`` (n, L) and ``zeta_precision`` (n, L, L) the likelihood
+    message to the scores; ``prior_eta1`` and ``prior_precision`` the score
+    prior every row shares; ``chains[c]`` the (eta1, eta2) pairs of chain c
+    of :func:`variance_chains` on source -> sigsq, iterated -> sigsq,
+    iterated -> aux and prior -> aux.
+    """
+
+    def __init__(self, num_curves: int, num_eigen: int, num_coefs: int):
+        dim = (num_eigen + 1) * num_coefs
+        self.nu_eta1, self.nu_precision = np.zeros((2, dim)), np.zeros((2, dim, dim))
+        self.zeta_eta1 = np.zeros((num_curves, num_eigen))
+        self.zeta_precision = np.zeros((num_curves, num_eigen, num_eigen))
+        self.prior_eta1, self.prior_precision = np.zeros(num_eigen), np.zeros((num_eigen,) * 2)
+        self.chains = [[(0.0, 0.0)] * 4 for _ in range(num_eigen + 2)]
+        # each edge's slot follows the neighbor table's order of factors
+        graph = fpca_factor_graph(num_eigen)
+        self._slots = {(f, node): k for node in (NU, ZETA) for k, f in enumerate(graph[node])}
+        for c, chain in enumerate(variance_chains(num_eigen)):
+            edges = [(f, node) for node in (chain.sigsq, chain.aux) for f in graph[node]]
+            self._slots.update({edge: (c, k) for k, edge in enumerate(edges)})
+        self._unwritten = set(self._slots)
+
+    def q_nu(self) -> tuple[np.ndarray, np.ndarray]:
+        """q(nu)'s eta1 and precision: the sums of its two messages'."""
+        return self.nu_eta1[0] + self.nu_eta1[1], self.nu_precision[0] + self.nu_precision[1]
+
+    def q_zeta(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked q(zeta)'s (n, L) eta1 and (n, L, L) precisions."""
+        return self.zeta_eta1 + self.prior_eta1, self.zeta_precision + self.prior_precision
+
+    def q_variances(self) -> list[float]:
+        """eta1, eta2 of q(sigsq), then of q(aux), of every chain in chain order."""
+        out = []
+        for (s1, s2), (i1, i2), (a1, a2), (p1, p2) in self.chains:
+            out += [s1 + i1, s2 + i2, a1 + p1, a2 + p2]
+        return out
+
+    def _slot(self, factor: str, node: str):
+        try:
+            slot = self._slots[factor, node]
+        except KeyError:
+            raise TopologyError(f"no edge between factor {factor!r} and node {node!r}") from None
+        if node == NU:
+            return self.nu_eta1[slot], self.nu_precision[slot]
+        if node == ZETA:
+            if slot == 0:
+                return self.zeta_eta1, self.zeta_precision
+            return self.prior_eta1, self.prior_precision
+        return slot
 
     def set_to_node(self, factor: str, node: str, message: NaturalParams) -> None:
-        self._to_node[(factor, node)] = message
+        slot = self._slot(factor, node)
+        if node in (NU, ZETA):
+            eta1, precision = slot
+            if node == NU:
+                new_precision = -2.0 * unvec(message.eta2)
+            else:  # the vech basis: D+ maps each eta2 row to the vec of its matrix
+                full = message.eta2 @ moore_penrose_duplication(eta1.shape[-1])
+                new_precision = -2.0 * full.reshape(full.shape[:-1] + precision.shape[-2:])
+            if message.eta1.shape != eta1.shape or new_precision.shape != precision.shape:
+                raise ValueError(f"edge ({factor}, {node}) holds shape {eta1.shape}")
+            eta1[...], precision[...] = message.eta1, new_precision
+        else:
+            c, k = slot
+            self.chains[c][k] = (float(message.eta1), float(message.eta2))
+        self._unwritten.discard((factor, node))
 
     def get_to_node(self, factor: str, node: str) -> NaturalParams:
-        try:
-            return self._to_node[(factor, node)]
-        except KeyError:
-            raise UninitializedMessageError(
-                f"no message stored on edge {factor} -> {node}"
-            ) from None
+        slot = self._slot(factor, node)
+        if (factor, node) in self._unwritten:
+            raise UninitializedMessageError(f"no message stored on edge {factor} -> {node}")
+        if node == NU:
+            return GaussianVecParams(slot[0].copy(), -0.5 * vec(slot[1]))
+        if node == ZETA:  # D' sums each off-diagonal pair of the vec of each matrix
+            eta1, precision = slot
+            flat = precision.reshape(precision.shape[:-2] + (-1,))
+            return GaussianVechParams(eta1.copy(), -0.5 * flat @ duplication_matrix(eta1.shape[-1]))
+        c, k = slot
+        return InvChiSqParams(*self.chains[c][k])
 
 
 def _neighbors(graph: Neighbors, node: str) -> tuple[str, str]:

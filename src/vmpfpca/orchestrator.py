@@ -4,9 +4,9 @@ A sweep visits the fragments in a fixed order: the snap; likelihood; the
 iterated fragment of the noise-variance chain; penalization; the iterated
 fragments of the mean-function and eigenfunction chains (see
 :func:`graph.variance_chains`).  The prior fragments emit constant messages,
-so they are written once at initialization.  A fragment reads the message
-each neighboring node sends it from the other factor's current message (see
-:mod:`graph`), so every update sees the freshest available moments.
+so they are written once at initialization.  The sweep reads and writes the
+store's array slots (see :class:`graph.MessageStore`) and builds no message
+object.
 
 The snap (:func:`_align_component_rotation`) moves the fit along three
 directions that change no curve: it rotates the components into their
@@ -17,17 +17,15 @@ second sweep on.  Plain sweeps crawl along these directions; at a fixed
 point of the plain sweep all three moves are the identity, so the sweeps
 reach the same fixed point in fewer steps.
 
-q(nu) is inverted once after each of the two writes to nu, and q(zeta)
-once per sweep, after the likelihood fragment writes the scores: the
-likelihood fragment's message to nu needs only the score moments, and the
-snap at the start of the next sweep reuses the q(nu) the penalization
-fragment read and the q(zeta) the likelihood fragment read, since nothing
-writes nu or the scores in between.  The snap hands the moved score moments
-to the likelihood fragment and writes only the chains it scales: only the
-likelihood and penalization fragments write nu.  Convergence is declared on
-the stability of the per-node q-density natural parameters, with each
-curve's score vector and each of the 2(2 + L) variance and auxiliary nodes
-counted as its own node.
+A q-density is the sum of its node's two messages.  q(nu) is formed and
+inverted once after each of the two writes to nu, and q(zeta) once per
+sweep, after the likelihood fragment writes the scores; the likelihood
+fragment's message to nu needs only the score moments, and the snap reuses
+the q(nu) and q(zeta) moments of the sweep before, since nothing writes nu
+or the scores in between.  The snap hands the moved score moments to the
+likelihood fragment and writes only the chains it scales.  The convergence
+check compares the q(nu) and q(zeta) the sweep formed and the 2(2 + L)
+variance and auxiliary q-densities, with each curve's scores its own node.
 """
 
 from __future__ import annotations
@@ -45,9 +43,7 @@ from .expfam import (
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
-    gaussian_vec_to_moments,
-    gaussian_vech_to_moments,
-    invchisq_mean_reciprocal,
+    gaussian_precision_to_moments,
     vec,
 )
 from .fragments import (
@@ -99,6 +95,8 @@ class FitConfig:
         for name in ("num_eigen", "num_splines", "max_iter", "grid_size"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+            # a Python int keeps the sweep's float arithmetic in Python floats
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.num_eigen < 1:
             raise ValueError("num_eigen must be >= 1")
         if self.num_splines < 3:
@@ -171,26 +169,20 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     num_coefs = 2 + config.num_splines
     dim_nu = (L + 1) * num_coefs
     graph = fg.fpca_factor_graph(L)
-    store = fg.MessageStore()
+    store = fg.MessageStore(n, L, num_coefs)
 
     mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
     nu_init_mean = np.concatenate([mean_coefs, component_coefs.T.ravel()])
     store.set_to_node(
         fg.LIKELIHOOD, fg.NU, GaussianVecParams(nu_init_mean, -0.5 * vec(np.eye(dim_nu)))
     )
-    store.set_to_node(
-        fg.PENALIZATION,
-        fg.NU,
-        GaussianVecParams(np.zeros(dim_nu), -0.5 * vec(np.eye(dim_nu) / _INIT_GAUSS_VARIANCE)),
-    )
+    vague = GaussianVecParams(np.zeros(dim_nu), -0.5 * vec(np.eye(dim_nu) / _INIT_GAUSS_VARIANCE))
+    store.set_to_node(fg.PENALIZATION, fg.NU, vague)
 
     # Unit covariance for every curve, so eta1 is the starting mean.
     score_prior = gaussian_prior_message(L)
-    store.set_to_node(
-        fg.LIKELIHOOD,
-        fg.ZETA,
-        GaussianVechParams(score_guess, np.tile(score_prior.eta2, (n, 1))),
-    )
+    score_rows = GaussianVechParams(score_guess, np.tile(score_prior.eta2, (n, 1)))
+    store.set_to_node(fg.LIKELIHOOD, fg.ZETA, score_rows)
     store.set_to_node(fg.PRIOR_ZETA, fg.ZETA, score_prior)
 
     # Every non-prior inverse chi-squared edge starts at the proper density with
@@ -203,90 +195,80 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
         hyper = getattr(config, f"hyper_a_{chain.family}")
         store.set_to_node(chain.prior, chain.aux, igw_prior_message(hyper))
 
-    return VmpState(
-        config=config,
-        dataset=dataset,
-        basis=basis,
-        graph=graph,
-        store=store,
-        cache=cache,
-    )
+    return VmpState(config, dataset, basis, graph, store, cache)
 
 
-def _edge_moments(state: VmpState, factor: str, node: str, to_moments):
-    """``to_moments`` of the combined density on one edge, which names the edge if it fails.
+def _q_moments(q: tuple[np.ndarray, np.ndarray], factor: str, node: str):
+    """(mean, covariance) of q(nu), or (means, covariances) of the stacked q(zeta),
+    from its (eta1, precision); an error names the edge the read is for."""
+    return gaussian_precision_to_moments(*q, f"edge ({factor}, {node}): q-density precision")
 
-    Every node has two factors, so the combined density on either edge is
-    q(node), the sum of the node's two stored messages.
+
+def _mean_reciprocal(first, second, factor: str, node: str) -> float:
+    """E(1/x) of the inverse chi-squared q-density whose messages are ``first`` and ``second``.
+
+    They are (eta1, eta2) pairs of Python floats, so a zero eta2 raises
+    instead of giving inf; the error names the edge the read is for.
     """
     try:
-        return to_moments(fg.q_natural_params(state.graph, state.store, node))
-    except DegenerateMessageError as err:
-        raise DegenerateMessageError(f"edge ({factor}, {node}): {err}") from err
+        return (first[0] + second[0] + 1.0) / (first[1] + second[1])
+    except ZeroDivisionError:
+        raise DegenerateMessageError(
+            f"edge ({factor}, {node}): inverse chi-squared parameters with eta2 = 0"
+        ) from None
 
 
-def _update_likelihood_fragment(
-    state: VmpState, scores: ScoreMoments
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
     """Update the likelihood messages one block at a time.
 
     Each message is computed from moments that reflect all messages written
     before it (exact coordinate ascent).  Writing the nu, score and noise
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
-    are the current q(zeta) moments, which the snap hands on; the message to
-    nu needs only those, so q(nu) is read once, after it.  Returns q(zeta)'s
-    (means, covariances), read once after the scores are written, or None
-    when the scores are frozen at zero.
+    are the current q(zeta) moments, which the snap hands on.  Returns
+    q(zeta)'s (eta1, precisions) and (means, covariances) after the write to
+    the scores, or Nones when the scores are frozen at zero.
     """
-    e_recip_eps = _edge_moments(state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal)
-    state.store.set_to_node(
-        fg.LIKELIHOOD, fg.NU, likelihood_message_to_nu(state.cache, scores, e_recip_eps)
+    store = state.store
+    noise = store.chains[0]
+    e_recip_eps = _mean_reciprocal(noise[0], noise[1], fg.LIKELIHOOD, fg.SIGSQ_EPS)
+    store.nu_eta1[0], store.nu_precision[0] = likelihood_message_to_nu(
+        state.cache, scores, e_recip_eps
     )
 
-    nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
+    nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov, scores)
-    zeta_moments = None
+    q_zeta = zeta_moments = None
     if not state.config.freeze_scores_at_zero:
-        state.store.set_to_node(
-            fg.LIKELIHOOD,
-            fg.ZETA,
-            likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps),
+        store.zeta_eta1[...], store.zeta_precision[...] = likelihood_messages_to_zeta(
+            state.cache, expectations, e_recip_eps
         )
-        zeta_moments = _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments)
+        q_zeta = store.q_zeta()
+        zeta_moments = _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA)
         expectations = with_score_moments(expectations, score_moments(*zeta_moments))
 
-    state.store.set_to_node(
-        fg.LIKELIHOOD, fg.SIGSQ_EPS, likelihood_message_to_sigsq_eps(state.cache, expectations)
-    )
-    return zeta_moments
+    noise[0] = likelihood_message_to_sigsq_eps(state.cache, expectations)
+    return q_zeta, zeta_moments
 
 
-def _update_penalization_fragment(
-    state: VmpState, chains: list[fg.VarianceChain]
-) -> tuple[np.ndarray, np.ndarray]:
+def _update_penalization_fragment(state: VmpState):
     """Write the message to nu, then the variance messages from the q(nu) it implies.
 
-    ``chains`` are the mean-function and eigenfunction chains, in nu's block
-    order.  Returns that q(nu)'s (mean, covariance).
+    Returns that q(nu)'s (eta1, precision) and its (mean, covariance).
     """
-    config = state.config
-    e_recip = np.array(
-        [
-            _edge_moments(state, fg.PENALIZATION, chain.sigsq, invchisq_mean_reciprocal)
-            for chain in chains
-        ]
+    config, store = state.config, state.store
+    chains = fg.variance_chains(config.num_eigen)[1:]
+    messages = store.chains[1:]  # the mean-function and eigenfunction chains, in nu's block order
+    e_recip = [_mean_reciprocal(*m[:2], fg.PENALIZATION, c.sigsq) for c, m in zip(chains, messages)]
+    store.nu_eta1[1], store.nu_precision[1] = penalization_messages(
+        config.prior_beta_var, e_recip, config.num_splines
     )
-    state.store.set_to_node(
-        fg.PENALIZATION,
-        fg.NU,
-        penalization_messages(config.prior_beta_var, e_recip, config.num_splines),
-    )
-    nu_mean, nu_cov = _edge_moments(state, fg.PENALIZATION, fg.NU, gaussian_vec_to_moments)
-    messages = penalization_messages_to_variances(nu_mean, nu_cov, config.num_splines)
-    for chain, message in zip(chains, messages):
-        state.store.set_to_node(fg.PENALIZATION, chain.sigsq, message)
-    return nu_mean, nu_cov
+    q_nu = store.q_nu()
+    nu_moments = _q_moments(q_nu, fg.PENALIZATION, fg.NU)
+    variances = penalization_messages_to_variances(*nu_moments, config.num_splines)
+    for chain_messages, message in zip(messages, variances):
+        chain_messages[0] = message
+    return q_nu, nu_moments
 
 
 def _align_component_rotation(
@@ -309,9 +291,7 @@ def _align_component_rotation(
     1. the rotation that diagonalizes the second-moment Gram of the
        components' spline coefficients, with the largest eigenvalue under the
        smallest penalty weight E(1/sigma^2_psi_l), and so on in order, which
-       maximizes the expected penalty over rotations: the stationary frames
-       of the smoothing priors, which coordinate updates reach arbitrarily
-       slowly when component scales are close;
+       maximizes the expected penalty over rotations;
     2. the objective-optimal translation zeta_i -> zeta_i - b,
        nu_mu -> nu_mu + sum_l b_l nu_psi_l, with (n I + G) b =
        sum_i E(zeta_i) - g, where G and g are the second moments of the
@@ -319,129 +299,109 @@ def _align_component_rotation(
        by the mean function's penalty;
     3. per component, the objective-optimal scale zeta_il -> c_l zeta_il,
        nu_psi_l -> nu_psi_l / c_l, jointly with q(sigma^2_psi_l) and
-       q(a_psi_l) (see :func:`_scale_component`), whose messages the snap
-       writes.
+       q(a_psi_l) (see :func:`_scale_component`).
 
-    The translation and the scale maximize the objective along their
-    directions, so at a fixed point of the plain sweep both are the
-    identity; so is the rotation once the frame is aligned.  The sweeps
-    therefore reach the same fixed point, in fewer steps.  Both optimize the
-    model's smoothing penalty, which the N(0, 100 I) starting message to nu
-    is not, so in a fit's first sweep (``state.iterations`` is 0, and the
-    penalization fragment has not yet written nu) only the rotation runs.
-    ``nu_mean``, ``nu_cov``, ``zeta_means`` and ``zeta_covs`` are the
-    current q(nu) and q(zeta) moments; the return value is q(zeta)'s (means,
-    covariances) in the new frame.  The snap writes only the messages of the
-    chains it scales, and no message to nu or to the scores: the likelihood
-    fragment writes its messages to both from the moved moments, and the
-    penalization message to nu stays as that fragment sent it until the
-    fragment runs again later in the sweep.
+    At a fixed point of the plain sweep all three are the identity, so the
+    sweeps reach the same fixed point, in fewer steps.  The translation and
+    the scale optimize the model's smoothing penalty, which the N(0, 100 I)
+    starting message to nu is not, so in a fit's first sweep
+    (``state.iterations`` is 0) only the rotation runs.  The arguments are
+    the current q(nu) and q(zeta) moments; the return value is q(zeta)'s
+    (means, covariances) in the new frame.  The snap writes only the chains
+    it scales: the likelihood fragment writes its messages to nu and to the
+    scores from the moved moments, and the penalization message to nu stays
+    until that fragment runs again later in the sweep.
     """
     config = state.config
     n, L = state.dataset.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
-    _, *smoothing = fg.variance_chains(L)
     # E(1/sigma^2) of the mean function and of each component, in nu's block order
-    e_recip = [
-        _edge_moments(state, chain.source, chain.sigsq, invchisq_mean_reciprocal)
-        for chain in smoothing
-    ]
+    chains = zip(fg.variance_chains(L)[1:], state.store.chains[1:])
+    e_recip = [_mean_reciprocal(*m[:2], chain.source, chain.sigsq) for chain, m in chains]
     # (L+1) x (L+1) block Grams of E(nu nu') over the linear and the spline
     # coefficients: the block diagonals of the covariance plus the mean's products
-    cov_diagonals = np.diagonal(
-        nu_cov.reshape(L + 1, num_coefs, L + 1, num_coefs), axis1=1, axis2=3
-    )
+    blocks = nu_cov.reshape(L + 1, num_coefs, L + 1, num_coefs)
+    cov_diagonals = np.diagonal(blocks, axis1=1, axis2=3)
     mean_blocks = nu_mean.reshape(L + 1, num_coefs)
     linear, spline = mean_blocks[:, :2], mean_blocks[:, 2:]
     linear_gram = cov_diagonals[..., :2].sum(axis=-1) + linear @ linear.T
     spline_gram = cov_diagonals[..., 2:].sum(axis=-1) + spline @ spline.T
 
     _, eigvecs = np.linalg.eigh(spline_gram[1:, 1:])
-    rotation = np.empty_like(eigvecs)
-    rotation[:, sorted(range(L), key=e_recip[1:].__getitem__)] = eigvecs[:, ::-1]
-    # Deterministic column signs keep the rotation from flapping between sweeps.
-    anchor = np.argmax(np.abs(rotation), axis=0)
-    rotation = rotation * np.sign(rotation[anchor, np.arange(L)])
+    # Eigenvectors from the largest eigenvalue down go to the components from the
+    # smallest E(1/sigma^2_psi) up, each with its largest entry positive, so the
+    # rotation does not flap between sweeps.  In floats: L is small.
+    columns = [None] * L
+    order = sorted(range(L), key=e_recip[1:].__getitem__)
+    for vector, k in zip(eigvecs.T.tolist()[::-1], order):
+        columns[k] = vector if max(vector, key=abs) > 0 else [-x for x in vector]
+    rotation = np.array(list(zip(*columns)))
     block_rotation = np.eye(L + 1)
     block_rotation[1:, 1:] = rotation
     linear_gram = block_rotation.T @ linear_gram @ block_rotation
     spline_gram = block_rotation.T @ spline_gram @ block_rotation
     zeta_means = zeta_means @ rotation
 
-    scale = np.ones(L)
-    if state.iterations > 0:  # the penalization fragment has written nu
-        mean_weighted = linear_gram / config.prior_beta_var + spline_gram * e_recip[0]
-        shift = np.linalg.solve(
-            n * np.eye(L) + mean_weighted[1:, 1:], zeta_means.sum(axis=0) - mean_weighted[1:, 0]
-        )
-        zeta_means = zeta_means - shift
+    if state.iterations == 0:  # the penalization fragment has not written nu yet
+        return zeta_means, rotation.T @ zeta_covs @ rotation
 
-        # the rotated covariances enter through their sum; the scale loop runs
-        # in plain floats
-        cov_sum = rotation.T @ zeta_covs.sum(axis=0) @ rotation
-        score_sq = (np.einsum("il,il->l", zeta_means, zeta_means) + np.diagonal(cov_sum)).tolist()
-        linear_sq = (np.diagonal(linear_gram)[1:] / config.prior_beta_var).tolist()
-        spline_sq = np.diagonal(spline_gram)[1:].tolist()
-        scale = np.array(
-            [
-                _scale_component(
-                    state,
-                    chain,
-                    e_recip[l + 1],
-                    score_sq[l],
-                    n - num_coefs,
-                    linear_sq[l],
-                    spline_sq[l],
-                )
-                for l, chain in enumerate(smoothing[1:])
-            ]
-        )
+    mean_weighted = linear_gram / config.prior_beta_var + spline_gram * e_recip[0]
+    shift = np.linalg.solve(
+        n * np.eye(L) + mean_weighted[1:, 1:], zeta_means.sum(axis=0) - mean_weighted[1:, 0]
+    )
+    zeta_means = zeta_means - shift
 
+    # the rotated covariances enter through their sum; the scale loop runs in floats
+    cov_sum = (rotation.T @ zeta_covs.sum(axis=0) @ rotation).tolist()
+    means_sq = np.einsum("il,il->l", zeta_means, zeta_means).tolist()
+    linear, spline = linear_gram.tolist(), spline_gram.tolist()
+    scale = np.array([
+        _scale_component(
+            state, l + 2, e_recip[l + 1], means_sq[l] + cov_sum[l][l], n - num_coefs,
+            linear[l + 1][l + 1] / config.prior_beta_var, spline[l + 1][l + 1],
+        )
+        for l in range(L)
+    ])  # fmt: skip
     # the covariances move once, by the rotation and the scale together
     score_map = rotation * scale
     return zeta_means * scale, score_map.T @ zeta_covs @ score_map
 
 
 def _scale_component(
-    state: VmpState,
-    chain: fg.VarianceChain,
-    e_recip: float,
-    score_sq: float,
-    excess: float,
-    linear_sq: float,
-    spline_sq: float,
-) -> float:
-    """Scale c of one component, alternated with its smoothing chain; writes the chain.
+    state: VmpState, index: int, e_recip: float, score_sq: float, excess: float,
+    linear_sq: float, spline_sq: float,
+) -> float:  # fmt: skip
+    """Scale c of one component, alternated with chain ``index`` of
+    :func:`graph.variance_chains`, whose messages it writes.
 
     With x = c^2 the objective along the move is
     -S x/2 - K/(2x) + (n - P) log(x)/2, where S = ``score_sq``,
-    n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq`` is
-    the block's expected penalty, with E(1/sigma^2) = ``e_recip`` as the
-    snap starts; it is concave in log x and peaks at the positive root of
-    S x^2 - (n - P) x - K.  Each x step is followed by the closed-form
-    q(sigma^2) and q(a) updates, and each step raises the objective.  The
+    n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq``,
+    with E(1/sigma^2) = ``e_recip`` as the snap starts; it is concave in
+    log x and peaks at the positive root of S x^2 - (n - P) x - K.  Each x
+    step is followed by the closed-form q(sigma^2) and q(a) updates.  The
     alternation stops before a step that would move x by less than a tenth
-    of the convergence tolerance, relative, and the source and iterated
-    messages of the chain are written for the last x taken.  So a component
-    already at its scale to that precision, or whose objective has no
-    maximum at a positive finite x (S = 0 with n >= P, or K = 0 with
-    n <= P), is left as it is, with its chain and c = 1.  The loop runs in
-    plain floats, so the arguments must be Python floats: with numpy scalars
-    a zero eta2 would give inf instead of a :class:`DegenerateMessageError`.
+    of the convergence tolerance, relative, and the chain's messages are
+    written for the last x taken.  A component already at its scale to that
+    precision, or whose objective has no maximum at a positive finite x
+    (S = 0 with n >= P, or K = 0 with n <= P), keeps c = 1 and its chain.
+    The loop runs in plain floats: with numpy scalars a zero eta2 would give
+    inf instead of a :class:`DegenerateMessageError`.
     """
     if not score_sq > 0.0 and excess >= 0:
         return 1.0
-    store = state.store
     num_splines = state.config.num_splines
-    prior = store.get_to_node(chain.prior, chain.aux)
-    e_recip_aux = _edge_moments(state, chain.iterated, chain.aux, invchisq_mean_reciprocal)
+    chain = fg.variance_chains(state.config.num_eigen)[index]
+    messages = state.store.chains[index]
+    prior = messages[3]
+    e_recip_aux = _mean_reciprocal(messages[2], prior, chain.iterated, chain.aux)
     rtol = _SCALE_RTOL_PER_TOL * state.config.tol
     # The chain's updates in plain floats.  As messages (see
     # penalization_message_to_variance and iterated_igw_messages), q(sigma^2)
     # sums (-K/2, -spline_sq/(2x)) and (-3/2, -E(1/a)/2), and q(a) sums the
     # prior with (-1/2, -E(1/sigma^2)/2); E(1/.) of each sum is (eta1 + 1)/eta2.
     sigsq_shape = -0.5 * num_splines + -1.5 + 1.0
-    aux_shape = prior.eta1 + -0.5 + 1.0
+    aux_shape = prior[0] + -0.5 + 1.0
     x = 1.0
     for _ in range(_SCALE_STEPS):
         penalty = linear_sq + e_recip * spline_sq
@@ -460,106 +420,92 @@ def _scale_component(
         e_recip_aux_sent = e_recip_aux
         try:
             e_recip = sigsq_shape / (-0.5 * (spline_sq / x) + -0.5 * e_recip_aux)
-            e_recip_aux = aux_shape / (prior.eta2 + -0.5 * e_recip)
+            e_recip_aux = aux_shape / (prior[1] + -0.5 * e_recip)
         except ZeroDivisionError:
             raise DegenerateMessageError("inverse chi-squared parameters with eta2 = 0") from None
     if x == 1.0:
         return 1.0
-    to_sigsq, to_aux = iterated_igw_messages(e_recip, e_recip_aux_sent)
-    store.set_to_node(
-        chain.source, chain.sigsq, penalization_message_to_variance(spline_sq / x, num_splines)
-    )
-    store.set_to_node(chain.iterated, chain.sigsq, to_sigsq)
-    store.set_to_node(chain.iterated, chain.aux, to_aux)
+    messages[0] = penalization_message_to_variance(spline_sq / x, num_splines)
+    messages[1:3] = iterated_igw_messages(e_recip, e_recip_aux_sent)
     return math.sqrt(x)
 
 
-def _update_iterated_fragment(state: VmpState, chain: fg.VarianceChain) -> None:
-    factor = chain.iterated
-    to_sigsq, to_aux = iterated_igw_messages(
-        _edge_moments(state, factor, chain.sigsq, invchisq_mean_reciprocal),
-        _edge_moments(state, factor, chain.aux, invchisq_mean_reciprocal),
+def _update_iterated_fragment(state: VmpState, index: int) -> None:
+    """The iterated fragment of chain ``index`` of :func:`graph.variance_chains`."""
+    chain = fg.variance_chains(state.config.num_eigen)[index]
+    messages = state.store.chains[index]
+    source, to_sigsq, to_aux, prior = messages
+    messages[1:3] = iterated_igw_messages(
+        _mean_reciprocal(source, to_sigsq, chain.iterated, chain.sigsq),
+        _mean_reciprocal(to_aux, prior, chain.iterated, chain.aux),
     )
-    state.store.set_to_node(factor, chain.sigsq, to_sigsq)
-    state.store.set_to_node(factor, chain.aux, to_aux)
 
 
-def _sweep(
-    state: VmpState,
-    nu_moments: tuple[np.ndarray, np.ndarray],
-    zeta_moments: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
+def q_snapshot(q_nu, q_zeta, store: fg.MessageStore) -> np.ndarray:
+    """The q natural parameters the convergence check compares, up to their signs, node by node.
+
+    ``q_nu`` and ``q_zeta`` are (eta1, precision) pairs.  First q(nu): eta1,
+    then half the precision, which is |eta2| in the vec basis.  Then each
+    curve: eta1, then W * precision with W = 1/2 on the diagonal and 1 off
+    it, which is |eta2| in the vech basis with each off-diagonal entry
+    twice.  Then (eta1, eta2) of q(sigsq) and q(aux) of each chain.
+    """
+    (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = q_nu, q_zeta
+    n, L = zeta_eta1.shape
+    rows = np.concatenate([zeta_eta1, zeta_precision.reshape(n, L * L)], axis=1)
+    rows[:, L :: L + 1] *= 0.5  # the diagonal of each precision
+    return np.concatenate(
+        [nu_eta1, 0.5 * nu_precision.reshape(-1), rows.reshape(-1), store.q_variances()]
+    )
+
+
+def node_starts(store: fg.MessageStore) -> np.ndarray:
+    """Where each node's entries begin in a :func:`q_snapshot` of ``store``."""
+    n, L = store.zeta_eta1.shape
+    sizes = [store.nu_eta1[0].size * (1 + store.nu_eta1[0].size)]
+    sizes += [L * (1 + L)] * n + [2] * (2 * len(store.chains))
+    return np.cumsum([0] + sizes[:-1])
+
+
+def _sweep(state: VmpState, nu_moments, zeta_moments):
     """One full pass through the fragments in the fixed update order.
 
     ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
-    covariance) as the sweep starts; the return value is the same pair at
-    its end, read by the penalization fragment after the last write to nu
-    and by the likelihood fragment after the write to the scores.
+    covariance) as the sweep starts.  Returns the :func:`q_snapshot` of the
+    q(nu) and q(zeta) the sweep formed last, and their moments.
     """
     n, L = state.dataset.num_curves, state.config.num_eigen
-    noise, *smoothing = fg.variance_chains(L)
     if state.config.freeze_scores_at_zero:
         scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
     else:
         scores = score_moments(*_align_component_rotation(state, *nu_moments, *zeta_moments))
-    zeta_moments = _update_likelihood_fragment(state, scores)
-    _update_iterated_fragment(state, noise)
-    nu_moments = _update_penalization_fragment(state, smoothing)
-    for chain in smoothing:
-        _update_iterated_fragment(state, chain)
-    return nu_moments, zeta_moments
+    q_zeta, zeta_moments = _update_likelihood_fragment(state, scores)
+    _update_iterated_fragment(state, 0)
+    q_nu, nu_moments = _update_penalization_fragment(state)
+    for index in range(1, L + 2):
+        _update_iterated_fragment(state, index)
+    if q_zeta is None:
+        q_zeta = state.store.q_zeta()
+    return q_snapshot(q_nu, q_zeta, state.store), nu_moments, zeta_moments
 
 
-VARIANCES = "variances"  # snapshot key of the stacked inverse chi-squared q-densities
+def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.ndarray) -> float:
+    """Largest relative change, over nodes, of two :func:`q_snapshot` vectors.
 
-
-def _q_snapshot(state: VmpState) -> dict:
-    """The q natural parameters the convergence check compares.
-
-    nu and the stacked scores have one array entry each; the 2(2 + L)
-    variance and auxiliary q-densities are one list of (eta1, eta2) floats,
-    read in one pass.
+    ``starts`` are the nodes' first entries.  Each node's change is
+    max|new - old| / (1 + max|old|): q(nu) is one node, each curve's score
+    vector its own node, so every curve is measured on its own scale, and
+    each variance and auxiliary q-density one node.
     """
-    graph, get = state.graph, state.store.get_to_node
-    variances = []
-    for chain in fg.variance_chains(state.config.num_eigen):
-        for node in (chain.sigsq, chain.aux):
-            first_factor, second_factor = graph[node]
-            first, second = get(first_factor, node), get(second_factor, node)
-            variances.append((first.eta1 + second.eta1, first.eta2 + second.eta2))
-    return {
-        fg.NU: fg.q_natural_params(graph, state.store, fg.NU).as_vector(),
-        fg.ZETA: fg.q_natural_params(graph, state.store, fg.ZETA).as_vector(),
-        VARIANCES: variances,
-    }
-
-
-def convergence_metric(previous: dict, current: dict) -> float:
-    """Largest relative change, over nodes, of the q natural-parameter vectors.
-
-    A two-dimensional array entry is a stacked node: each row counts as its
-    own node, so every curve's score vector is measured on its own scale.  A
-    list entry holds scalar nodes as (eta1, eta2) pairs of floats, one node
-    each, compared in a plain loop.
-    """
-    worst = 0.0
-    for node, old in previous.items():
-        new = current[node]
-        if isinstance(old, list):
-            for (old1, old2), (new1, new2) in zip(old, new):
-                change = max(abs(new1 - old1), abs(new2 - old2)) / (
-                    1.0 + max(abs(old1), abs(old2))
-                )
-                worst = max(worst, change)
-        else:
-            change = np.abs(new - old).max(axis=-1) / (1.0 + np.abs(old).max(axis=-1))
-            worst = max(worst, change.max())
-    return float(worst)
+    change = np.maximum.reduceat(np.abs(current - previous), starts)
+    return float((change / (1.0 + np.maximum.reduceat(np.abs(previous), starts))).max())
 
 
 def fit_state(state: VmpState) -> VmpState:
     """Iterate sweeps until the convergence metric drops below tolerance."""
-    previous = _q_snapshot(state)
+    store = state.store
+    q_nu, q_zeta = store.q_nu(), store.q_zeta()
+    previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
     if state.history and state.history[-1] < state.config.tol:
         state.converged = True
         return state
@@ -571,16 +517,13 @@ def fit_state(state: VmpState) -> VmpState:
         try:
             if moments is None:
                 moments = (
-                    _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
-                    _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
+                    _q_moments(q_nu, fg.LIKELIHOOD, fg.NU),
+                    _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA),
                 )
-            moments = _sweep(state, *moments)
+            current, *moments = _sweep(state, *moments)
         except DegenerateMessageError as err:
-            raise DegenerateMessageError(
-                f"iteration {state.iterations + 1}: {err}"
-            ) from err
-        current = _q_snapshot(state)
-        metric = convergence_metric(previous, current)
+            raise DegenerateMessageError(f"iteration {state.iterations + 1}: {err}") from err
+        metric = convergence_metric(previous, current, starts)
         state.history.append(metric)
         state.iterations += 1
         previous = current

@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graph as fg
-from .expfam import (
-    gaussian_vec_to_moments,
-    gaussian_vech_to_moments,
-    invchisq_mean_reciprocal,
-)
-from .orchestrator import VmpState, _edge_moments
+from .orchestrator import VmpState, _mean_reciprocal, _q_moments
 from .splines import SplineBasis, design_matrix
 
 # Components pruned by the variational shrinkage legitimately reach arbitrarily
@@ -93,18 +88,15 @@ class FpcaFit:
 
 def extract(state: VmpState) -> RawSolution:
     """Read the optimal q-density moments for nu, the scores and the noise."""
-    nu_mean, nu_cov = _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments)
-    zeta_means, zeta_covs = _edge_moments(
-        state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments
-    )
+    store = state.store
+    nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
+    zeta_means, zeta_covs = _q_moments(store.q_zeta(), fg.LIKELIHOOD, fg.ZETA)
     return RawSolution(
         nu_mean=nu_mean,
         nu_cov=nu_cov,
         zeta_means=zeta_means,
         zeta_covs=zeta_covs,
-        noise_precision_mean=_edge_moments(
-            state, fg.LIKELIHOOD, fg.SIGSQ_EPS, invchisq_mean_reciprocal
-        ),
+        noise_precision_mean=_mean_reciprocal(*store.chains[0][:2], fg.LIKELIHOOD, fg.SIGSQ_EPS),
         num_eigen=state.config.num_eigen,
         num_splines=state.config.num_splines,
     )
@@ -182,7 +174,11 @@ def orthogonalize(
 
     # Spectral decomposition of the score sample covariance, computed through
     # an SVD of the centered scores so the eigenvalues cannot round negative.
-    eigvecs, cov_singular, _ = np.linalg.svd(centered / np.sqrt(num_curves - 1.0))
+    # The thin SVD forms no n x n right factor; with n < L components its left
+    # factor is L x n, but then an eigenvalue is zero and the check below raises.
+    eigvecs, cov_singular, _ = np.linalg.svd(
+        centered / np.sqrt(num_curves - 1.0), full_matrices=False
+    )
     eigvals = np.zeros(num_eigen)
     eigvals[: cov_singular.size] = cov_singular**2
     for l, value in enumerate(eigvals):

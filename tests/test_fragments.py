@@ -3,12 +3,13 @@ import pytest
 from scipy import integrate, stats
 
 from vmpfpca.expfam import (
+    DegenerateMessageError,
     InvChiSqParams,
     duplication_matrix,
     gaussian_moments_to_vec,
     gaussian_moments_to_vech,
-    gaussian_vech_to_moments,
     invchisq_mean_reciprocal,
+    invert_spd,
     vec,
 )
 from vmpfpca.fragments import (
@@ -138,12 +139,12 @@ class TestIteratedIgw:
     def test_message_to_variance(self):
         # reciprocal mean 1 on the auxiliary edge
         to_sigsq, _ = iterated_igw_messages(2.0, 1.0)
-        assert to_sigsq == InvChiSqParams(-1.5, -0.5)
+        assert to_sigsq == (-1.5, -0.5)
 
     def test_message_to_auxiliary(self):
         # reciprocal mean 2 on the variance edge
         _, to_aux = iterated_igw_messages(2.0, 1.0)
-        assert to_aux == InvChiSqParams(-0.5, -1.0)
+        assert to_aux == (-0.5, -1.0)
 
     def test_fixed_point_matches_coordinate_ascent_oracle(self):
         # Two-node chain: a fixed synthetic likelihood message into sigma^2,
@@ -163,9 +164,12 @@ class TestIteratedIgw:
         to_sigsq = InvChiSqParams(-1.5, -0.5)
         to_aux = InvChiSqParams(-0.5, -0.5)
         for _ in range(400):
-            to_sigsq, to_aux = iterated_igw_messages(
-                invchisq_mean_reciprocal(to_sigsq + lik_message),
-                invchisq_mean_reciprocal(to_aux + prior_message),
+            to_sigsq, to_aux = (
+                InvChiSqParams(*message)
+                for message in iterated_igw_messages(
+                    invchisq_mean_reciprocal(to_sigsq + lik_message),
+                    invchisq_mean_reciprocal(to_aux + prior_message),
+                )
             )
         vmp_recip_sigsq = invchisq_mean_reciprocal(to_sigsq + lik_message)
         vmp_recip_a = invchisq_mean_reciprocal(to_aux + prior_message)
@@ -268,9 +272,9 @@ class TestLikelihoodMessageToNu:
         cache = build_likelihood_cache(designs, [np.zeros(5)])
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
-        message = likelihood_message_to_nu(cache, exp, 1.3)
-        assert np.allclose(message.eta1, 0.0)
-        assert not np.allclose(message.eta2, 0.0)
+        eta1, precision = likelihood_message_to_nu(cache, exp, 1.3)
+        assert np.allclose(eta1, 0.0)
+        assert not np.allclose(precision, 0.0)
 
     def test_kronecker_identity(self):
         # (zeta-tilde' kron C) nu equals C (nu_mu + sum_l zeta_l nu_psi_l)
@@ -299,15 +303,15 @@ class TestLikelihoodMessageToNu:
         exp = likelihood_expectations(
             cache, nu_mean, np.zeros((10, 10)), score_moments(zeta, np.zeros((2, 1, 1)))
         )
-        message = likelihood_message_to_nu(cache, exp, e_recip)
+        message_eta1, precision = likelihood_message_to_nu(cache, exp, e_recip)
         eta1 = np.zeros(2 * num_coefs)
         eta2 = np.zeros((2 * num_coefs) ** 2)
         for i in range(2):
             stacked = np.kron(np.array([[1.0, zeta[i, 0]]]), designs[i])
             eta1 += e_recip * stacked.T @ responses[i]
             eta2 += -0.5 * e_recip * vec(stacked.T @ stacked)
-        assert np.allclose(message.eta1, eta1, atol=1e-12)
-        assert np.allclose(message.eta2, eta2, atol=1e-12)
+        assert np.allclose(message_eta1, eta1, atol=1e-12)
+        assert np.allclose(-0.5 * vec(precision), eta2, atol=1e-12)
 
     def test_point_mass_matches_scripted_expansion(self):
         # n=1, T=3, L=1, K=3 (so 2+K=5 columns); with point-mass moments the
@@ -324,13 +328,13 @@ class TestLikelihoodMessageToNu:
         exp = likelihood_expectations(
             cache, nu_mean, np.zeros((10, 10)), score_moments(zeta, np.zeros((1, 1, 1)))
         )
-        message = likelihood_message_to_nu(cache, exp, e_recip)
+        eta1, precision = likelihood_message_to_nu(cache, exp, e_recip)
 
         design_full = np.kron(np.array([[1.0, zeta[0, 0]]]), design)  # (zt' kron C)
         eta1_expected = e_recip * design_full.T @ response
         eta2_expected = -0.5 * e_recip * vec(design_full.T @ design_full)
-        assert np.allclose(message.eta1, eta1_expected, atol=1e-12)
-        assert np.allclose(message.eta2, eta2_expected, atol=1e-12)
+        assert np.allclose(eta1, eta1_expected, atol=1e-12)
+        assert np.allclose(-0.5 * vec(precision), eta2_expected, atol=1e-12)
 
 
 class TestContractionOracle:
@@ -372,12 +376,12 @@ class TestContractionOracle:
 
         expectations = likelihood_expectations(cache, nu_mean, nu_cov, scores)
         assert rel(expectations.h_full, h_full) < 1e-12
-        message = likelihood_message_to_nu(cache, scores, e_recip)
-        assert rel(message.eta2, -0.5 * e_recip * vec(precision)) < 1e-12
+        message_eta1, message_precision = likelihood_message_to_nu(cache, scores, e_recip)
+        assert rel(message_precision, e_recip * precision) < 1e-12
         eta1 = e_recip * sum(
             np.kron(zt, proj) for zt, proj in zip(scores.zt_mean, cache.proj)
         )
-        assert rel(message.eta1, eta1) < 1e-12
+        assert rel(message_eta1, eta1) < 1e-12
 
 
 class TestLikelihoodMessageToZeta:
@@ -386,11 +390,11 @@ class TestLikelihoodMessageToZeta:
         cache, _, _ = make_cache(rng, 2, [4, 5], 4)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 4, 2)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
-        message = likelihood_messages_to_zeta(cache, exp, 0.0)
-        assert np.allclose(message.as_vector(), 0.0)
+        eta1, precision = likelihood_messages_to_zeta(cache, exp, 0.0)
+        assert np.allclose(eta1, 0.0) and np.allclose(precision, 0.0)
         # the flat message is flagged when a density is requested from it
-        with pytest.raises(Exception):
-            gaussian_vech_to_moments(message)
+        with pytest.raises(DegenerateMessageError):
+            invert_spd(precision)
 
     def test_point_mass_matches_conjugate_conditional(self):
         # With nu and sigma^2 fixed, q(zeta_i) must be the exact Gaussian
@@ -408,10 +412,11 @@ class TestLikelihoodMessageToZeta:
             np.zeros((nu_mean.size, nu_mean.size)),
             score_moments(np.zeros((1, num_eigen)), np.zeros((1, num_eigen, num_eigen))),
         )
-        message = likelihood_messages_to_zeta(cache, exp, e_recip)
+        eta1, precision = likelihood_messages_to_zeta(cache, exp, e_recip)
 
-        prior = gaussian_prior_message(num_eigen)
-        (q_mean,), (q_cov,) = gaussian_vech_to_moments(message + prior)
+        # the N(0, I) score prior adds the identity to the precision
+        q_cov = invert_spd(precision[0] + np.eye(num_eigen))
+        q_mean = q_cov @ eta1[0]
 
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
         v_psi = blocks[1:].T
@@ -431,10 +436,8 @@ class TestLikelihoodMessageToZeta:
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         e_recip = 0.9
         exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
-        message = likelihood_messages_to_zeta(cache, exp, e_recip)
-        prior = gaussian_prior_message(1)
-        q = message + prior
-        precision = -2.0 * q.eta2[0, 0]
+        _, message_precision = likelihood_messages_to_zeta(cache, exp, e_recip)
+        precision = message_precision[0, 0, 0] + 1.0  # with the N(0, 1) prior
         # E(psi' C'C psi) includes the covariance correction
         psi_block = slice(num_coefs, 2 * num_coefs)
         expected = (
@@ -450,8 +453,8 @@ class TestLikelihoodMessageToSigsqEps:
         cache, _, _ = make_cache(rng, 2, [3, 4], 4)
         nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 1, 4, 2)
         exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
-        message = likelihood_message_to_sigsq_eps(cache, exp)
-        assert message.eta1 == -3.5
+        eta1, _ = likelihood_message_to_sigsq_eps(cache, exp)
+        assert eta1 == -3.5
 
     def test_count_component_is_iteration_invariant(self):
         rng = np.random.default_rng(62)
@@ -460,10 +463,10 @@ class TestLikelihoodMessageToSigsqEps:
         for trial in range(3):
             nu_mean, nu_cov, zeta_means, zeta_covs = make_moments(rng, 2, 4, 3)
             exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
-            message = likelihood_message_to_sigsq_eps(cache, exp)
+            eta1, _ = likelihood_message_to_sigsq_eps(cache, exp)
             if first is None:
-                first = message.eta1
-            assert message.eta1 == first == -9.0
+                first = eta1
+            assert eta1 == first == -9.0
 
     def test_point_mass_residual(self):
         rng = np.random.default_rng(63)
@@ -479,11 +482,11 @@ class TestLikelihoodMessageToSigsqEps:
             np.zeros((nu_mean.size, nu_mean.size)),
             score_moments(zeta, np.zeros((1, num_eigen, num_eigen))),
         )
-        message = likelihood_message_to_sigsq_eps(cache, exp)
+        _, eta2 = likelihood_message_to_sigsq_eps(cache, exp)
         blocks = nu_mean.reshape(num_eigen + 1, num_coefs)
         fitted = designs[0] @ (blocks[0] + zeta[0] @ blocks[1:])
         residual = responses[0] - fitted
-        assert message.eta2 == pytest.approx(-0.5 * residual @ residual, rel=1e-12)
+        assert eta2 == pytest.approx(-0.5 * residual @ residual, rel=1e-12)
 
 
 class TestPenalizationFragment:
@@ -493,13 +496,13 @@ class TestPenalizationFragment:
         nu_mean[2] = nu_mean[3] = 1.0  # mean-block spline coefficients with u'u = 2
         nu_cov = np.zeros((24, 24))
         to_sigsq_mu, _ = penalization_messages_to_variances(nu_mean, nu_cov, 10)
-        assert to_sigsq_mu == InvChiSqParams(-5.0, -1.0)
+        assert to_sigsq_mu == (-5.0, -1.0)
 
     def test_identity_expected_precision(self):
         dim = 15
-        to_nu = penalization_messages(1.0, np.ones(3), num_splines=3)
-        assert np.array_equal(to_nu.eta1, np.zeros(dim))
-        assert np.array_equal(to_nu.eta2, -0.5 * vec(np.eye(dim)))
+        eta1, precision = penalization_messages(1.0, np.ones(3), num_splines=3)
+        assert np.array_equal(eta1, np.zeros(dim))
+        assert np.array_equal(precision, np.eye(dim))
 
     def test_expected_sq_norm_monte_carlo(self):
         rng = np.random.default_rng(71)
@@ -511,16 +514,15 @@ class TestPenalizationFragment:
         assert len(messages) == num_eigen + 1
         draws = rng.multivariate_normal(nu_mean, nu_cov, size=200_000)
         num_coefs = 2 + num_splines
-        for block, message in enumerate(messages):
+        for block, (eta1, eta2) in enumerate(messages):
             spline = slice(block * num_coefs + 2, (block + 1) * num_coefs)
             mc = (draws[:, spline] ** 2).sum(axis=1).mean()
-            assert -2.0 * message.eta2 == pytest.approx(mc, rel=0.01)
-            assert message.eta1 == -0.5 * num_splines
+            assert -2.0 * eta2 == pytest.approx(mc, rel=0.01)
+            assert eta1 == -0.5 * num_splines
 
     def test_blockdiag_structure_of_expected_precision(self):
         dim = 10
-        to_nu = penalization_messages(4.0, np.array([2.0, 3.0]), num_splines=3)
-        precision = -2.0 * to_nu.eta2.reshape(dim, dim, order="F")
+        _, precision = penalization_messages(4.0, np.array([2.0, 3.0]), num_splines=3)
         expected = np.zeros((dim, dim))
         expected[:2, :2] = 0.25 * np.eye(2)
         expected[2:5, 2:5] = 2.0 * np.eye(3)
@@ -536,9 +538,9 @@ class TestPenalizationFragment:
         precision = dense_penalization_precision(
             prior_beta_var * np.eye(2), e_recip, num_splines
         )
-        to_nu = penalization_messages(prior_beta_var, e_recip, num_splines)
-        assert np.array_equal(to_nu.eta1, np.zeros(precision.shape[0]))
-        assert np.allclose(to_nu.eta2, -0.5 * vec(precision), rtol=1e-14, atol=0.0)
+        eta1, message_precision = penalization_messages(prior_beta_var, e_recip, num_splines)
+        assert np.array_equal(eta1, np.zeros(precision.shape[0]))
+        assert np.allclose(message_precision, precision, rtol=1e-14, atol=0.0)
 
 
 class TestShapeAudit:
@@ -553,17 +555,17 @@ class TestShapeAudit:
         exp = likelihood_expectations(cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs))
         dim = (num_eigen + 1) * num_coefs
 
-        to_nu = likelihood_message_to_nu(cache, exp, 1.0)
-        assert to_nu.eta1.shape == (dim,)
-        assert to_nu.eta2.shape == (dim * dim,)
+        eta1, precision = likelihood_message_to_nu(cache, exp, 1.0)
+        assert eta1.shape == (dim,)
+        assert precision.shape == (dim, dim)
 
-        to_zeta = likelihood_messages_to_zeta(cache, exp, 1.0)
-        assert to_zeta.eta1.shape == (2, num_eigen)
-        assert to_zeta.eta2.shape == (2, num_eigen * (num_eigen + 1) // 2)
+        eta1, precision = likelihood_messages_to_zeta(cache, exp, 1.0)
+        assert eta1.shape == (2, num_eigen)
+        assert precision.shape == (2, num_eigen, num_eigen)
 
-        to_nu_pen = penalization_messages(1e10, np.ones(num_eigen + 1), num_splines)
-        assert to_nu_pen.eta1.shape == (dim,)
-        assert to_nu_pen.eta2.shape == (dim * dim,)
+        eta1, precision = penalization_messages(1e10, np.ones(num_eigen + 1), num_splines)
+        assert eta1.shape == (dim,)
+        assert precision.shape == (dim, dim)
         to_variances = penalization_messages_to_variances(nu_mean, nu_cov, num_splines)
         assert len(to_variances) == num_eigen + 1
 

@@ -6,8 +6,8 @@ from vmpfpca.expfam import (
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
-    gaussian_vec_to_moments,
-    gaussian_vech_to_moments,
+    duplication_matrix,
+    vec,
 )
 from vmpfpca.graph import (
     MessageStore,
@@ -19,7 +19,7 @@ from vmpfpca.graph import (
     stochastic_to_factor,
     variance_chains,
 )
-from vmpfpca.orchestrator import FitConfig, _edge_moments, _sweep, initialize
+from vmpfpca.orchestrator import FitConfig, _q_moments, _sweep, initialize
 from vmpfpca.simulate import SimConfig, generate
 
 
@@ -78,54 +78,51 @@ class TestTopology:
 
 
 class TestMessageRules:
+    # sigsq_eps sits between the likelihood and the noise chain's iterated factor
+    NODE, FIRST, SECOND, OTHER = fg.SIGSQ_EPS, fg.LIKELIHOOD, "iterated_eps", fg.PENALIZATION
+
     def setup_method(self):
-        self.graph = {"x": ("f1", "f2"), "y": ("f2", "f3")}
-        self.store = MessageStore()
+        self.graph = fpca_factor_graph(1)
+        self.store = MessageStore(num_curves=4, num_eigen=1, num_coefs=5)
         self.rng = np.random.default_rng(0)
 
+    def set_both(self):
+        messages = invchisq_message(self.rng), invchisq_message(self.rng)
+        self.store.set_to_node(self.FIRST, self.NODE, messages[0])
+        self.store.set_to_node(self.SECOND, self.NODE, messages[1])
+        return messages
+
     def test_two_neighbor_node_forwards_other_message(self):
-        m1 = invchisq_message(self.rng)
-        m2 = invchisq_message(self.rng)
-        self.store.set_to_node("f1", "x", m1)
-        self.store.set_to_node("f2", "x", m2)
-        assert stochastic_to_factor(self.graph, self.store, "x", "f2") is m1
-        assert stochastic_to_factor(self.graph, self.store, "x", "f1") is m2
+        m1, m2 = self.set_both()
+        assert stochastic_to_factor(self.graph, self.store, self.NODE, self.SECOND) == m1
+        assert stochastic_to_factor(self.graph, self.store, self.NODE, self.FIRST) == m2
 
     def test_q_params_sum_all_neighbors(self):
-        m1 = invchisq_message(self.rng)
-        m2 = invchisq_message(self.rng)
-        self.store.set_to_node("f1", "x", m1)
-        self.store.set_to_node("f2", "x", m2)
-        total = q_natural_params(self.graph, self.store, "x")
+        m1, m2 = self.set_both()
+        total = q_natural_params(self.graph, self.store, self.NODE)
         assert np.array_equal(total.as_vector(), m1.as_vector() + m2.as_vector())
 
     def test_npbf_equals_q_for_two_neighbor_node(self):
-        self.store.set_to_node("f1", "x", invchisq_message(self.rng))
-        self.store.set_to_node("f2", "x", invchisq_message(self.rng))
-        for factor in ("f1", "f2"):
+        self.set_both()
+        for factor in (self.FIRST, self.SECOND):
             assert np.array_equal(
-                npbf(self.graph, self.store, factor, "x").as_vector(),
-                q_natural_params(self.graph, self.store, "x").as_vector(),
+                npbf(self.graph, self.store, factor, self.NODE).as_vector(),
+                q_natural_params(self.graph, self.store, self.NODE).as_vector(),
             )
 
     def test_npbf_is_directional_sum(self):
         # factor-to-node message plus the node-to-factor message formed on the fly
-        m1 = invchisq_message(self.rng)
-        m2 = invchisq_message(self.rng)
-        self.store.set_to_node("f1", "x", m1)
-        self.store.set_to_node("f2", "x", m2)
-        combined = npbf(self.graph, self.store, "f2", "x")
+        m1, m2 = self.set_both()
+        combined = npbf(self.graph, self.store, self.SECOND, self.NODE)
         assert combined.eta1 == m2.eta1 + m1.eta1
         assert combined.eta2 == m2.eta2 + m1.eta2
 
     def test_consistency_of_rules(self):
         # q(node) = message(node -> f) + message(f -> node) for both neighbors f
-        messages = {f: invchisq_message(self.rng) for f in ("f1", "f2")}
+        messages = dict(zip((self.FIRST, self.SECOND), self.set_both()))
+        q_vec = q_natural_params(self.graph, self.store, self.NODE).as_vector()
         for f, m in messages.items():
-            self.store.set_to_node(f, "x", m)
-        q_vec = q_natural_params(self.graph, self.store, "x").as_vector()
-        for f, m in messages.items():
-            partial = stochastic_to_factor(self.graph, self.store, "x", f)
+            partial = stochastic_to_factor(self.graph, self.store, self.NODE, f)
             assert np.array_equal(partial.as_vector() + m.as_vector(), q_vec)
 
     def test_summation_order_independent(self):
@@ -136,61 +133,146 @@ class TestMessageRules:
         assert np.array_equal((a + b).as_vector(), (b + a).as_vector())
 
     def test_npbf_zero_messages(self):
-        self.store.set_to_node("f1", "x", InvChiSqParams(0.0, 0.0))
-        self.store.set_to_node("f2", "x", InvChiSqParams(0.0, 0.0))
-        assert npbf(self.graph, self.store, "f2", "x").as_vector().tolist() == [0.0, 0.0]
+        self.store.set_to_node(self.FIRST, self.NODE, InvChiSqParams(0.0, 0.0))
+        self.store.set_to_node(self.SECOND, self.NODE, InvChiSqParams(0.0, 0.0))
+        assert npbf(self.graph, self.store, self.SECOND, self.NODE).as_vector().tolist() == [
+            0.0,
+            0.0,
+        ]
 
     def test_factor_not_adjacent_rejected(self):
-        self.store.set_to_node("f1", "x", invchisq_message(self.rng))
-        self.store.set_to_node("f2", "x", invchisq_message(self.rng))
+        self.set_both()
         with pytest.raises(TopologyError, match="not a neighbor"):
-            stochastic_to_factor(self.graph, self.store, "x", "f3")
-        # a message stored on a non-edge does not make it an edge
-        self.store.set_to_node("f3", "x", invchisq_message(self.rng))
-        with pytest.raises(TopologyError, match="not a neighbor"):
-            npbf(self.graph, self.store, "f3", "x")
+            stochastic_to_factor(self.graph, self.store, self.NODE, self.OTHER)
+        # the store has no slot for a non-edge, so it cannot be made one
+        with pytest.raises(TopologyError, match="no edge"):
+            self.store.set_to_node(self.OTHER, self.NODE, invchisq_message(self.rng))
+        with pytest.raises(TopologyError, match="no edge"):
+            npbf(self.graph, self.store, self.OTHER, self.NODE)
 
     def test_unknown_node_rejected(self):
         with pytest.raises(TopologyError, match="unknown stochastic node"):
-            stochastic_to_factor(self.graph, self.store, "w", "f1")
+            stochastic_to_factor(self.graph, self.store, "w", self.FIRST)
         with pytest.raises(TopologyError, match="unknown stochastic node"):
             q_natural_params(self.graph, self.store, "w")
 
     def test_missing_neighbor_message_is_hard_error(self):
-        self.store.set_to_node("f1", "x", invchisq_message(self.rng))
+        self.store.set_to_node(self.FIRST, self.NODE, invchisq_message(self.rng))
         with pytest.raises(UninitializedMessageError):
-            stochastic_to_factor(self.graph, self.store, "x", "f1")
+            stochastic_to_factor(self.graph, self.store, self.NODE, self.FIRST)
         with pytest.raises(UninitializedMessageError):
-            q_natural_params(self.graph, self.store, "x")
+            q_natural_params(self.graph, self.store, self.NODE)
         with pytest.raises(UninitializedMessageError):
-            MessageStore().get_to_node("f1", "x")
+            MessageStore(1, 1, 3).get_to_node(fg.LIKELIHOOD, fg.NU)
 
     def test_stacked_node_adds_shared_message_to_every_row(self):
         # The score node: one likelihood row per curve plus one shared prior.
-        graph = {"z": ("lik", "prior")}
-        store = MessageStore()
+        store = MessageStore(num_curves=4, num_eigen=2, num_coefs=3)
         rows = GaussianVechParams(self.rng.standard_normal((4, 2)), self.rng.standard_normal((4, 3)))
         prior = GaussianVechParams(np.zeros(2), np.array([-0.5, 0.0, -0.5]))
-        store.set_to_node("lik", "z", rows)
-        store.set_to_node("prior", "z", prior)
-        q = q_natural_params(graph, store, "z")
+        store.set_to_node(fg.LIKELIHOOD, fg.ZETA, rows)
+        store.set_to_node(fg.PRIOR_ZETA, fg.ZETA, prior)
+        graph = fpca_factor_graph(2)
+        q = q_natural_params(graph, store, fg.ZETA)
         assert q.eta1.shape == (4, 2) and q.eta2.shape == (4, 3)
         for i in range(4):
             single = GaussianVechParams(rows.eta1[i], rows.eta2[i]) + prior
             assert np.array_equal(q.as_vector()[i], single.as_vector())
-        assert np.array_equal(npbf(graph, store, "prior", "z").as_vector(), q.as_vector())
+        assert np.array_equal(npbf(graph, store, fg.PRIOR_ZETA, fg.ZETA).as_vector(), q.as_vector())
+
+
+def fpca_edges(graph):
+    return [(factor, node) for node, factors in graph.items() for factor in factors]
+
+
+def random_message(rng, store, factor, node):
+    """A random message of the right family and shape for one edge of the FPCA graph."""
+    if node == fg.NU:
+        dim = store.nu_eta1.shape[1]
+        return GaussianVecParams(rng.standard_normal(dim), rng.standard_normal(dim * dim))
+    if node == fg.ZETA:
+        n, L = store.zeta_eta1.shape
+        rows = (n,) if factor == fg.LIKELIHOOD else ()
+        return GaussianVechParams(
+            rng.standard_normal((*rows, L)), rng.standard_normal((*rows, L * (L + 1) // 2))
+        )
+    return invchisq_message(rng)
+
+
+class TestArrayStore:
+    """The store's NaturalParams view against the arrays the sweep reads and writes."""
+
+    @pytest.mark.parametrize("num_curves, num_eigen", [(1, 1), (3, 2), (5, 5)])
+    def test_every_edge_round_trips(self, num_curves, num_eigen):
+        rng = np.random.default_rng([num_curves, num_eigen])
+        store = MessageStore(num_curves, num_eigen, num_coefs=4)
+        edges = fpca_edges(fpca_factor_graph(num_eigen))
+        assert set(edges) == set(store._slots)
+        written = {edge: random_message(rng, store, *edge) for edge in edges}
+        for edge, message in written.items():
+            store.set_to_node(*edge, message)
+        for edge, message in written.items():
+            back = store.get_to_node(*edge)
+            assert type(back) is type(message)
+            assert np.array_equal(back.as_vector(), message.as_vector()), edge
+
+    def test_view_is_a_copy(self):
+        state = initialize(generate(SimConfig(num_curves=5, seed=3))[0], FitConfig(num_eigen=2))
+        read = state.store.get_to_node(fg.LIKELIHOOD, fg.NU)
+        before = read.as_vector().copy()
+        state.store.nu_eta1[0] += 1.0
+        state.store.nu_precision[0] += 1.0
+        assert np.array_equal(read.as_vector(), before)
+
+    def test_wrong_shape_rejected(self):
+        store = MessageStore(num_curves=3, num_eigen=2, num_coefs=4)
+        with pytest.raises(ValueError, match="holds shape"):
+            store.set_to_node(
+                fg.LIKELIHOOD, fg.ZETA, GaussianVechParams(np.zeros((2, 2)), np.zeros((2, 3)))
+            )
+
+    def test_q_arrays_match_q_natural_params(self):
+        dataset, _ = generate(SimConfig(num_curves=7, seed=3))
+        state = initialize(dataset, FitConfig(num_eigen=3))
+        moments = None
+        for _ in range(3):
+            moments = sweep_moments(state, moments)
+        graph, store = state.graph, state.store
+        eta1, precision = store.q_nu()
+        q = q_natural_params(graph, store, fg.NU)
+        assert np.array_equal(eta1, q.eta1)
+        assert np.array_equal(-0.5 * vec(precision), q.eta2)
+        eta1, precision = store.q_zeta()
+        q = q_natural_params(graph, store, fg.ZETA)
+        assert np.array_equal(eta1, q.eta1)
+        assert np.array_equal(-0.5 * precision.reshape(7, 9) @ duplication_matrix(3), q.eta2)
+        expected = [
+            value
+            for chain in variance_chains(3)
+            for node in (chain.sigsq, chain.aux)
+            for value in q_natural_params(graph, store, node).as_vector().tolist()
+        ]
+        assert store.q_variances() == expected
+
+
+def sweep_moments(state, moments=None):
+    """One sweep from the given (or freshly read) q(nu) and q(zeta) moments; returns the next."""
+    if moments is None:
+        moments = (
+            _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
+            _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
+        )
+    _, *moments = _sweep(state, *moments)
+    return moments
 
 
 class TestFpcaEdges:
     def test_npbf_equals_q_on_every_edge_after_sweeps(self):
         dataset, _ = generate(SimConfig(num_curves=12, seed=3))
         state = initialize(dataset, FitConfig(num_eigen=3))
-        moments = (
-            _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
-            _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
-        )
+        moments = None
         for _ in range(3):
-            moments = _sweep(state, *moments)
+            moments = sweep_moments(state, moments)
         for node, factors in state.graph.items():
             q = q_natural_params(state.graph, state.store, node).as_vector()
             for factor in factors:

@@ -1,8 +1,9 @@
 import copy
-import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
@@ -12,22 +13,22 @@ from vmpfpca.expfam import (
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
-    gaussian_vec_to_moments,
-    gaussian_vech_to_moments,
+    duplication_matrix,
+    unvec,
     vec,
 )
 from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
 from vmpfpca.orchestrator import (
-    VARIANCES,
     FitConfig,
     _align_component_rotation,
-    _edge_moments,
-    _q_snapshot,
+    _q_moments,
     _sweep,
     convergence_metric,
     fit,
     fit_state,
     initialize,
+    node_starts,
+    q_snapshot,
 )
 from vmpfpca.simulate import SimConfig, generate
 
@@ -35,9 +36,13 @@ from vmpfpca.simulate import SimConfig, generate
 def fresh_moments(state):
     """q(nu)'s and q(zeta)'s (mean, covariance), read from the store."""
     return (
-        _edge_moments(state, fg.LIKELIHOOD, fg.NU, gaussian_vec_to_moments),
-        _edge_moments(state, fg.LIKELIHOOD, fg.ZETA, gaussian_vech_to_moments),
+        _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
+        _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
     )
+
+
+def store_snapshot(store):
+    return q_snapshot(store.q_nu(), store.q_zeta(), store)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,13 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    def test_integer_sizes_become_python_ints(self):
+        # The sweep's inverse chi-squared messages are Python floats, where a
+        # zero eta2 raises; -0.5 * np.int64(K) would make them numpy floats.
+        config = FitConfig(num_eigen=np.int64(2), num_splines=np.int32(8), max_iter=np.int64(9))
+        sizes = (config.num_eigen, config.num_splines, config.max_iter)
+        assert all(type(size) is int for size in sizes)
+
 
 class TestInitialize:
     def test_every_node_has_complete_q(self, reference_dataset):
@@ -112,8 +124,11 @@ class TestInitialize:
         stored = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
         assert stored.eta1.shape == (n, 3)
         assert stored.eta2.shape == (n, 6)
-        snapshot = _q_snapshot(state)
-        assert snapshot[fg.ZETA].shape == (n, 3 + 6)
+        eta1, precision = state.store.q_zeta()
+        assert eta1.shape == (n, 3) and precision.shape == (n, 3, 3)
+        # after q(nu), the convergence check counts one node per curve
+        sizes = np.diff(node_starts(state.store))
+        assert sizes[1 : n + 1].tolist() == [3 + 9] * n
 
     def test_initialization_deterministic(self, reference_dataset):
         state_a = initialize(reference_dataset, FitConfig(seed=4))
@@ -153,10 +168,11 @@ class TestFit:
 
     def test_fixed_point_under_one_more_sweep(self, converged_state):
         state = copy.deepcopy(converged_state)  # the fixture is shared
-        snapshot = _q_snapshot(state)
-        _sweep(state, *fresh_moments(state))
-        after = _q_snapshot(state)
-        assert convergence_metric(snapshot, after) < state.config.tol
+        snapshot = store_snapshot(state.store)
+        after, *_ = _sweep(state, *fresh_moments(state))
+        assert np.array_equal(after, store_snapshot(state.store))
+        starts = node_starts(state.store)
+        assert convergence_metric(snapshot, after, starts) < state.config.tol
 
     def test_nonconvergence_flagged_not_raised(self, reference_dataset):
         state = fit(reference_dataset, FitConfig(max_iter=3))
@@ -199,53 +215,66 @@ class TestSnapshot:
     def test_variance_rows_are_q_of_every_variance_node(self, reference_dataset):
         state = initialize(reference_dataset, FitConfig())
         for _ in range(3):
-            _sweep(state, *fresh_moments(state))
-        snapshot = _q_snapshot(state)
-        assert set(snapshot) == {fg.NU, fg.ZETA, VARIANCES}
+            snapshot, *_ = _sweep(state, *fresh_moments(state))
+        graph, store = state.graph, state.store
+        starts = node_starts(store)
+        nodes = np.split(snapshot, starts[1:])
+        n, L = reference_dataset.num_curves, 3
+        assert len(nodes) == 1 + n + 2 * (L + 2)
+        # q(nu): eta1 and |eta2| in the vec basis, the matrix row by row
+        q = fg.q_natural_params(graph, store, fg.NU)
+        assert np.array_equal(nodes[0], np.concatenate([q.eta1, -unvec(q.eta2).ravel()]))
+        # each curve: eta1 and |eta2| in the vech basis, each off-diagonal entry twice
+        q = fg.q_natural_params(graph, store, fg.ZETA)
+        rows = np.stack(nodes[1 : n + 1])
+        assert np.array_equal(rows[:, :L], q.eta1)
+        assert np.array_equal(rows[:, L:], -q.eta2 @ duplication_matrix(L).T)
         expected = [
-            fg.q_natural_params(state.graph, state.store, node).as_vector()
-            for chain in fg.variance_chains(3)
+            fg.q_natural_params(graph, store, node).as_vector()
+            for chain in fg.variance_chains(L)
             for node in (chain.sigsq, chain.aux)
         ]
-        assert np.array_equal(snapshot[VARIANCES], np.array(expected))
-        for node in (fg.NU, fg.ZETA):
-            q = fg.q_natural_params(state.graph, state.store, node).as_vector()
-            assert np.array_equal(snapshot[node], q)
+        assert np.array_equal(np.stack(nodes[n + 1 :]), np.array(expected))
 
 
 class TestSweepWork:
     SWEEPS = 6
 
+    @staticmethod
+    def count_q_reads(monkeypatch):
+        """Count the q(nu) and q(zeta) moment reads, by node."""
+        calls = {fg.NU: 0, fg.ZETA: 0}
+        original = orchestrator._q_moments
+
+        def counted(q, factor, node):
+            calls[node] += 1
+            return original(q, factor, node)
+
+        monkeypatch.setattr(orchestrator, "_q_moments", counted)
+        return calls
+
     def test_q_nu_read_twice_and_expectations_once_per_sweep(self, reference_dataset, monkeypatch):
-        calls = {"gaussian_vec_to_moments": 0, "likelihood_expectations": 0}
-        for name in calls:
-            original = getattr(orchestrator, name)
+        reads = self.count_q_reads(monkeypatch)
+        expectations = []
+        original = orchestrator.likelihood_expectations
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(*args):
+            expectations.append(1)
+            return original(*args)
 
-            monkeypatch.setattr(orchestrator, name, counted)
+        monkeypatch.setattr(orchestrator, "likelihood_expectations", counted)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
         assert state.iterations == self.SWEEPS
-        assert calls["gaussian_vec_to_moments"] == 2 * self.SWEEPS + 1
-        assert calls["likelihood_expectations"] == self.SWEEPS
+        assert reads[fg.NU] == 2 * self.SWEEPS + 1
+        assert len(expectations) == self.SWEEPS
 
     def test_q_zeta_read_twice_per_sweep(self, reference_dataset, monkeypatch):
         # once when fit_state starts, then once per sweep, after the likelihood
         # fragment writes the scores; the next sweep's snap reuses that read
-        calls = []
-        original = orchestrator.gaussian_vech_to_moments
-
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(orchestrator, "gaussian_vech_to_moments", counted)
+        reads = self.count_q_reads(monkeypatch)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
         assert state.iterations == self.SWEEPS
-        assert len(calls) == self.SWEEPS + 1
-
+        assert reads[fg.ZETA] == self.SWEEPS + 1
     def test_snap_gets_current_q_nu(self, reference_dataset, monkeypatch):
         # both q(nu) and q(zeta), as handed on, equal a fresh read of the store
         original = orchestrator._align_component_rotation
@@ -279,10 +308,10 @@ class TestSnapMoves:
         kept = []
 
         def checking(state, *moments):
-            before = [state.store.get_to_node(factor, fg.NU) for factor in state.graph[fg.NU]]
+            store = state.store
+            before = store.nu_eta1.copy(), store.nu_precision.copy()
             result = original(state, *moments)
-            after = [state.store.get_to_node(factor, fg.NU) for factor in state.graph[fg.NU]]
-            kept.append(all(map(operator.is_, after, before)))
+            kept.append(all(map(np.array_equal, (store.nu_eta1, store.nu_precision), before)))
             return result
 
         monkeypatch.setattr(orchestrator, "_align_component_rotation", checking)
@@ -297,10 +326,11 @@ class TestSnapMoves:
         # The likelihood message to the scores is rewritten from the moved
         # moments before it is read, so the snap leaves it.
         state = copy.deepcopy(converged_state)
-        scores = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
+        store = state.store
+        scores = store.zeta_eta1.copy(), store.zeta_precision.copy()
         (nu_mean, nu_cov), zeta = fresh_moments(state)
         moved = _align_component_rotation(state, nu_mean, nu_cov, *zeta)
-        assert state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA) is scores
+        assert all(map(np.array_equal, (store.zeta_eta1, store.zeta_precision), scores))
         for new, old in zip(moved, zeta):
             change = np.abs(new - old).max()
             assert change / (1.0 + np.abs(old).max()) < 5e-2 * state.config.tol
@@ -308,24 +338,87 @@ class TestSnapMoves:
 
 class TestConvergenceMetric:
     def test_identical_states(self):
-        snapshot = {"x": np.array([1.0, -2.0]), "y": np.array([0.5])}
-        assert convergence_metric(snapshot, dict(snapshot)) == 0.0
+        snapshot = np.array([1.0, -2.0, 0.5])
+        assert convergence_metric(snapshot, snapshot.copy(), np.array([0, 2])) == 0.0
 
     def test_scalar_doubling(self):
-        assert convergence_metric({"x": np.array([1.0])}, {"x": np.array([2.0])}) == 0.5
+        assert convergence_metric(np.array([1.0]), np.array([2.0]), np.array([0])) == 0.5
 
     def test_max_over_nodes(self):
-        prev = {"x": np.array([1.0]), "y": np.array([3.0])}
-        curr = {"x": np.array([1.1]), "y": np.array([7.0])}
-        assert convergence_metric(prev, curr) == pytest.approx(1.0)
+        prev, curr = np.array([1.0, 3.0]), np.array([1.1, 7.0])
+        assert convergence_metric(prev, curr, np.array([0, 1])) == pytest.approx(1.0)
 
     def test_stacked_rows_count_as_nodes(self):
         # Row 0 changes by half its own scale; pooled with row 1 it would be ~1%.
-        prev = {"zeta": np.array([[1.0, 1.0], [100.0, 100.0]])}
-        curr = {"zeta": np.array([[2.0, 1.0], [100.0, 100.0]])}
-        assert convergence_metric(prev, curr) == 0.5
-        rows = {f"zeta[{i}]": prev["zeta"][i] for i in range(2)}
-        assert convergence_metric(rows, {f"zeta[{i}]": curr["zeta"][i] for i in range(2)}) == 0.5
+        prev = np.array([1.0, 1.0, 100.0, 100.0])
+        curr = np.array([2.0, 1.0, 100.0, 100.0])
+        assert convergence_metric(prev, curr, np.array([0, 2])) == 0.5
+        assert convergence_metric(prev, curr, np.array([0])) == pytest.approx(1.0 / 101.0)
+
+
+def random_store(rng, num_curves, num_eigen, num_coefs):
+    """A store with a random message of the right family and shape on every edge."""
+    store = fg.MessageStore(num_curves, num_eigen, num_coefs)
+    dim, half = (num_eigen + 1) * num_coefs, num_eigen * (num_eigen + 1) // 2
+    for node, factors in fg.fpca_factor_graph(num_eigen).items():
+        for factor in factors:
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            if node == fg.NU:
+                message = GaussianVecParams(
+                    scale * rng.standard_normal(dim), scale * rng.standard_normal(dim * dim)
+                )
+            elif node == fg.ZETA:
+                rows = (num_curves,) if factor == fg.LIKELIHOOD else ()
+                message = GaussianVechParams(
+                    scale * rng.standard_normal((*rows, num_eigen)),
+                    scale * rng.standard_normal((*rows, half)),
+                )
+            else:
+                message = InvChiSqParams(*(scale * rng.standard_normal(2)))
+            store.set_to_node(factor, node, message)
+    return store
+
+
+def perturbed(rng, store, share):
+    """A copy of the store with a random share of its entries moved, by random amounts."""
+    moved = copy.deepcopy(store)
+    for array in (moved.nu_eta1, moved.nu_precision, moved.zeta_eta1, moved.zeta_precision):
+        change = rng.standard_normal(array.shape) * 10.0 ** rng.uniform(-12.0, 1.0, array.shape)
+        array += np.where(rng.uniform(size=array.shape) < share, change, 0.0)
+    # the score precisions stay symmetric, as every write to them leaves them
+    moved.zeta_precision[...] = 0.5 * (moved.zeta_precision + moved.zeta_precision.swapaxes(1, 2))
+    for messages in moved.chains:
+        for k in range(3):  # the prior messages are constant
+            if rng.uniform() < share:
+                messages[k] = tuple(x * (1.0 + rng.standard_normal()) for x in messages[k])
+    return moved
+
+
+class TestMetricOracle:
+    """The array-native convergence check against the object-based one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_curves=st.integers(1, 6),
+        num_eigen=st.integers(1, 5),
+        num_coefs=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    )
+    @example(num_curves=1, num_eigen=1, num_coefs=3, seed=0, share=0.3)
+    @example(num_curves=4, num_eigen=5, num_coefs=3, seed=1, share=0.3)
+    def test_matches_dict_metric(self, num_curves, num_eigen, num_coefs, seed, share):
+        from tests_oracle_support import dict_convergence_metric, dict_q_snapshot
+
+        rng = np.random.default_rng(seed)
+        old = random_store(rng, num_curves, num_eigen, num_coefs)
+        new = perturbed(rng, old, share)
+        graph = fg.fpca_factor_graph(num_eigen)
+        expected = dict_convergence_metric(
+            dict_q_snapshot(graph, old, num_eigen), dict_q_snapshot(graph, new, num_eigen)
+        )
+        actual = convergence_metric(store_snapshot(old), store_snapshot(new), node_starts(old))
+        assert actual == expected
 
 
 class TestFullModelOracle:

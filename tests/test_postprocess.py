@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ class TestEvaluateGrid:
 
 
 class TestOrthogonalize:
+    def test_memory_linear_in_curve_count(self):
+        # An n x n factor of the score SVD at n = 5000 would take 200 MB.
+        rng = np.random.default_rng(5)
+        num_curves, grid = 5000, np.linspace(0.0, 1.0, 101)
+        funcs = rng.standard_normal((grid.size, 3))
+        scores = rng.standard_normal((num_curves, 3))
+        tracemalloc.start()
+        try:
+            fit_out = orthogonalize(np.zeros(grid.size), funcs, scores, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit_out.fitted.shape == (grid.size, num_curves)
+        assert peak < 0.1 * num_curves**2 * 8
+
+    def test_fewer_curves_than_components_is_degenerate(self):
+        rng = np.random.default_rng(6)
+        grid = np.linspace(0.0, 1.0, 101)
+        funcs, scores = rng.standard_normal((grid.size, 4)), rng.standard_normal((3, 4))
+        with pytest.raises(DegenerateComponentError, match="eigenvalue 4"):
+            orthogonalize(np.zeros(grid.size), funcs, scores, grid)
+
     def test_single_component_fixed_point(self):
         rng = np.random.default_rng(1)
         grid = np.linspace(0.0, 1.0, 301)

@@ -153,7 +153,8 @@ class TestSnapObjective:
 
         def checked(state, nu_mean, nu_cov, *zeta):
             config = state.config
-            score_message = state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA)
+            store = state.store
+            score_message = store.zeta_eta1.copy(), store.zeta_precision.copy()
             chains_before = chain_densities(state)
             result = original(state, nu_mean, nu_cov, *zeta)
             chains_after = chain_densities(state)
@@ -176,7 +177,8 @@ class TestSnapObjective:
 
             # the likelihood fragment rewrites the score message from the
             # returned moments, so the snap leaves it
-            assert state.store.get_to_node(fg.LIKELIHOOD, fg.ZETA) is score_message
+            assert np.array_equal(store.zeta_eta1, score_message[0])
+            assert np.array_equal(store.zeta_precision, score_message[1])
             for after, before in zip(
                 curve_expectations(state, *moved),
                 curve_expectations(state, nu_mean, nu_cov, *zeta),
@@ -288,14 +290,14 @@ class TestScaleComponent:
     """The scale root at the edges (no score mass, no penalty, n < P), and the
     float loop against the same alternation in message objects."""
 
+    CHAIN = 2  # the first eigenfunction's, in graph.variance_chains order
+
     @classmethod
     def chain_state(cls):
         """A fresh state, one eigenfunction chain and its E(1/sigma^2)."""
         state, chain = cls.copied_state()
-        e_recip = orchestrator._edge_moments(
-            state, chain.source, chain.sigsq, invchisq_mean_reciprocal
-        )
-        return state, chain, e_recip
+        q_sigsq = fg.q_natural_params(state.graph, state.store, chain.sigsq)
+        return state, chain, invchisq_mean_reciprocal(q_sigsq)
 
     @pytest.mark.parametrize(
         "score_sq, excess, penalty",
@@ -308,7 +310,7 @@ class TestScaleComponent:
         edges = self.chain_edges(chain)
         before = [state.store.get_to_node(*edge) for edge in edges]
         scale = orchestrator._scale_component(
-            state, chain, e_recip, score_sq, excess, penalty, penalty
+            state, self.CHAIN, e_recip, score_sq, excess, penalty, penalty
         )
         assert scale == 1.0
         assert [state.store.get_to_node(*edge) for edge in edges] == before
@@ -320,7 +322,7 @@ class TestScaleComponent:
         # n - P = -2 is the study's n = 10 fits with P = 12 coefficients a block
         state, chain, e_recip = self.chain_state()
         scale = orchestrator._scale_component(
-            state, chain, e_recip, score_sq, excess, 1e-30, 1e-30
+            state, self.CHAIN, e_recip, score_sq, excess, 1e-30, 1e-30
         )
         assert 0.0 < scale < np.inf
 
@@ -340,7 +342,7 @@ class TestScaleComponent:
         state = replace(
             base, store=copy.deepcopy(base.store), config=replace(base.config, tol=tol)
         )
-        return state, fg.variance_chains(3)[2]
+        return state, fg.variance_chains(3)[TestScaleComponent.CHAIN]
 
     def outcomes(self, state, chain, *args):
         """(c, chain messages) of the float loop and of the reference, or each one's error."""
@@ -363,7 +365,7 @@ class TestScaleComponent:
         except DegenerateMessageError as err:
             expected = str(err)
         try:
-            scale = orchestrator._scale_component(state, chain, *args)
+            scale = orchestrator._scale_component(state, self.CHAIN, *args)
             actual = (scale, [store.get_to_node(*edge) for edge in self.chain_edges(chain)])
         except DegenerateMessageError as err:
             actual = str(err)

@@ -1,9 +1,12 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These deliberately avoid the message-passing code paths: plain moment-form
-coordinate ascent and direct linear algebra only.  The one exception is
-:func:`reference_scale_alternation`, which replays the snap's scale loop with
-the fragments' message objects, to check the float loop against them.
+coordinate ascent and direct linear algebra only.  Two exceptions replay
+package arithmetic in its earlier, object-based form, to check the array
+form against it: :func:`reference_scale_alternation` runs the snap's scale
+loop with the fragments' messages as objects, and :func:`dict_q_snapshot`
+with :func:`dict_convergence_metric` is the convergence check as it read
+the message store's natural-parameter view.
 """
 
 import math
@@ -20,6 +23,7 @@ from vmpfpca.expfam import (
     moore_penrose_duplication,
 )
 from vmpfpca.fragments import iterated_igw_messages, penalization_message_to_variance
+from vmpfpca.graph import NU, ZETA, q_natural_params, variance_chains
 from vmpfpca.postprocess import trapezoid_inner
 from vmpfpca.splines import build_basis, design_matrix
 
@@ -92,14 +96,60 @@ def reference_scale_alternation(
         if abs(new - x) <= rtol * new:
             break
         x = new
-        source = penalization_message_to_variance(spline_sq / x, num_splines)
-        to_sigsq, _ = iterated_igw_messages(e_recip, e_recip_aux)
+        source = InvChiSqParams(*penalization_message_to_variance(spline_sq / x, num_splines))
+        to_sigsq = InvChiSqParams(*iterated_igw_messages(e_recip, e_recip_aux)[0])
         e_recip = invchisq_mean_reciprocal(source + to_sigsq)
-        _, to_aux = iterated_igw_messages(e_recip, e_recip_aux)
+        to_aux = InvChiSqParams(*iterated_igw_messages(e_recip, e_recip_aux)[1])
         e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
     if x == 1.0:
         return 1.0, None
     return math.sqrt(x), (source, to_sigsq, to_aux)
+
+
+VARIANCES = "variances"  # dict_q_snapshot key of the inverse chi-squared q-densities
+
+
+def dict_q_snapshot(graph, store, num_eigen: int) -> dict:
+    """The q natural parameters the convergence check compares, read through the store's view.
+
+    nu and the stacked scores have one array entry each, in the vec and vech
+    bases; the 2(2 + L) variance and auxiliary q-densities are one list of
+    (eta1, eta2) floats.
+    """
+    variances = []
+    for chain in variance_chains(num_eigen):
+        for node in (chain.sigsq, chain.aux):
+            first_factor, second_factor = graph[node]
+            first = store.get_to_node(first_factor, node)
+            second = store.get_to_node(second_factor, node)
+            variances.append((first.eta1 + second.eta1, first.eta2 + second.eta2))
+    return {
+        NU: q_natural_params(graph, store, NU).as_vector(),
+        ZETA: q_natural_params(graph, store, ZETA).as_vector(),
+        VARIANCES: variances,
+    }
+
+
+def dict_convergence_metric(previous: dict, current: dict) -> float:
+    """Largest relative change, over nodes, of two :func:`dict_q_snapshot` dicts.
+
+    A two-dimensional array entry is a stacked node: each row counts as its
+    own node.  A list entry holds scalar nodes as (eta1, eta2) pairs of
+    floats, one node each.
+    """
+    worst = 0.0
+    for node, old in previous.items():
+        new = current[node]
+        if isinstance(old, list):
+            for (old1, old2), (new1, new2) in zip(old, new):
+                change = max(abs(new1 - old1), abs(new2 - old2)) / (
+                    1.0 + max(abs(old1), abs(old2))
+                )
+                worst = max(worst, change)
+        else:
+            change = np.abs(new - old).max(axis=-1) / (1.0 + np.abs(old).max(axis=-1))
+            worst = max(worst, change.max())
+    return float(worst)
 
 
 def _invchisq_terms(params: InvChiSqParams) -> tuple[float, float, float]:
