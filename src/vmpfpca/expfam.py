@@ -1,12 +1,12 @@
 """Exponential-family natural parameters and matrix reshaping operators.
 
 Every message on the factor graph holds the natural parameters of either a
-multivariate Gaussian (in a vec- or vech-based sufficient-statistic basis)
-or an inverse chi-squared density.  This module provides those
-representations, through which the message store is read and written
-outside the sweep, the mappings between natural parameters and conventional
-moments, the SPD inverse the sweep uses, and the vec/vech/duplication-matrix
-algebra that relates the two Gaussian bases.
+multivariate Gaussian or an inverse chi-squared density.  The fit keeps them
+as arrays and floats and uses this module's SPD inverse and its map from a
+precision to moments.  The natural-parameter objects (a Gaussian in a vec- or
+vech-based sufficient-statistic basis, an inverse chi-squared density),
+their maps to and from moments, and the vec/vech/duplication-matrix algebra
+that relates the two Gaussian bases serve the message store's view.
 """
 
 from __future__ import annotations
@@ -258,13 +258,3 @@ def invchisq_to_shape_scale(params: InvChiSqParams) -> tuple[float, float]:
             f"improper inverse chi-squared parameters ({params.eta1}, {params.eta2})"
         )
     return -2.0 * params.eta1 - 2.0, -2.0 * params.eta2
-
-
-def invchisq_mean_reciprocal(params: InvChiSqParams) -> float:
-    """E(1/x) under the inverse chi-squared density with the given natural parameters.
-
-    Equals shape/scale; computed directly as (eta1 + 1)/eta2.
-    """
-    if params.eta2 == 0.0:
-        raise DegenerateMessageError("inverse chi-squared parameters with eta2 = 0")
-    return (params.eta1 + 1.0) / params.eta2

@@ -9,10 +9,9 @@ and projections C_i'y_i are cached once per fit, and its two contractions
 with the (L+1)^2 block pairs are one BLAS matrix product each.  Its message
 to nu needs the score moments only, and the penalization fragment's message
 to nu only the smoothing variances; neither needs q(nu).  The fragments
-return the sweep's messages in the store's form: to nu and to the scores as
+return every message in the store's form: to nu and to the scores as
 (eta1, precision) array pairs (the streamlined form of Wand, 2017), to a
-variance as an (eta1, eta2) pair of floats.  The two constant prior
-messages are natural-parameter objects from :mod:`expfam`.
+variance as an (eta1, eta2) pair of floats.
 """
 
 from __future__ import annotations
@@ -21,26 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import GaussianVechParams, InvChiSqParams, gaussian_moments_to_vech
-
 # ---------------------------------------------------------------------------
 # Prior fragments
 
 
-def gaussian_prior_message(dim: int) -> GaussianVechParams:
-    """Constant message of the N(0, I) score prior, in the vech basis (x, vech(xx'))."""
-    return gaussian_moments_to_vech(np.zeros(dim), np.eye(dim))
+def gaussian_prior_message(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant message of the N(0, I) score prior, as (eta1, precision) = (0, I)."""
+    return np.zeros(dim), np.eye(dim)
 
 
-def igw_prior_message(scale_hyper: float) -> InvChiSqParams:
+def igw_prior_message(scale_hyper: float) -> tuple[float, float]:
     """Constant message of the scalar inverse G-Wishart prior with hyperparameter A.
 
     The auxiliary variable has an inverse chi-squared density with shape 1 and
-    scale 1/A^2, so the natural parameters are (-3/2, -1/(2 A^2)).
+    scale 1/A^2, so the natural parameters are (-3/2, -1/(2 A^2)), as floats.
     """
     if scale_hyper <= 0:
         raise ValueError("scale hyperparameter must be positive")
-    return InvChiSqParams(-1.5, -0.5 / scale_hyper**2)
+    return -1.5, float(-0.5 / scale_hyper**2)
 
 
 def iterated_igw_messages(
@@ -115,31 +112,21 @@ def score_moments(zeta_means: np.ndarray, zeta_covs: np.ndarray) -> ScoreMoments
 
 
 @dataclass(frozen=True)
-class LikelihoodExpectations(ScoreMoments):
-    """Cached optimal-posterior expectations used by the likelihood messages.
-
-    The score moments (``zt_*``) and the spline-coefficient moments (the
-    rest) are independent blocks; :func:`with_score_moments` swaps the first
-    and keeps the second.
-    """
+class LikelihoodExpectations:
+    """The spline-coefficient moments the likelihood messages need, batched over curves."""
 
     v_mean: np.ndarray  # (P, L+1); columns E(nu_mu), E(nu_psi_1), ...
     h_full: np.ndarray  # (n, L+1, L+1); E of V' C_i'C_i V, V = (nu_mu, nu_psi_1, ...)
 
 
 def likelihood_expectations(
-    cache: LikelihoodCache,
-    nu_mean: np.ndarray,
-    nu_cov: np.ndarray,
-    scores: ScoreMoments,
+    cache: LikelihoodCache, nu_mean: np.ndarray, nu_cov: np.ndarray
 ) -> LikelihoodExpectations:
-    """All moment summaries the likelihood messages need, batched over curves."""
+    """E(V) and each curve's E(V' C_i'C_i V) under q(nu)."""
     num_coefs = cache.num_coefs
-    blocks = scores.zt_mean.shape[1]
-    if nu_mean.size != blocks * num_coefs:
-        raise ValueError(
-            f"nu has length {nu_mean.size}, expected {blocks}*{num_coefs}"
-        )
+    blocks, remainder = divmod(nu_mean.size, num_coefs)
+    if remainder:
+        raise ValueError(f"nu has length {nu_mean.size}, not a multiple of {num_coefs}")
 
     v_mean = nu_mean.reshape(blocks, num_coefs).T
 
@@ -158,16 +145,7 @@ def likelihood_expectations(
     )
     h_full = 0.5 * (h_full + h_full.transpose(0, 2, 1))
 
-    return LikelihoodExpectations(scores.zt_mean, scores.zt_second, v_mean, h_full)
-
-
-def with_score_moments(
-    expectations: LikelihoodExpectations, scores: ScoreMoments
-) -> LikelihoodExpectations:
-    """The same expectations under new score moments; the nu-dependent part is reused."""
-    return LikelihoodExpectations(
-        scores.zt_mean, scores.zt_second, expectations.v_mean, expectations.h_full
-    )
+    return LikelihoodExpectations(v_mean, h_full)
 
 
 def likelihood_message_to_nu(
@@ -203,23 +181,23 @@ def likelihood_messages_to_zeta(
 
 
 def likelihood_expected_sq_norms(
-    cache: LikelihoodCache, expectations: LikelihoodExpectations
+    cache: LikelihoodCache, expectations: LikelihoodExpectations, scores: ScoreMoments
 ) -> np.ndarray:
     """Per-curve E||y_i - C_i V zeta-tilde_i||^2 under the optimal posterior."""
     cross = cache.proj @ expectations.v_mean
     return (
         cache.sq_norm
-        - 2.0 * np.einsum("ia,ia->i", expectations.zt_mean, cross)
-        + np.einsum("iab,iba->i", expectations.zt_second, expectations.h_full)
+        - 2.0 * np.einsum("ia,ia->i", scores.zt_mean, cross)
+        + np.einsum("iab,iba->i", scores.zt_second, expectations.h_full)
     )
 
 
 def likelihood_message_to_sigsq_eps(
-    cache: LikelihoodCache, expectations: LikelihoodExpectations
+    cache: LikelihoodCache, expectations: LikelihoodExpectations, scores: ScoreMoments
 ) -> tuple[float, float]:
     """Likelihood message to the noise variance, as (eta1, eta2)."""
     eta1 = -0.5 * float(cache.counts.sum())
-    eta2 = -0.5 * float(likelihood_expected_sq_norms(cache, expectations).sum())
+    eta2 = -0.5 * float(likelihood_expected_sq_norms(cache, expectations, scores).sum())
     return eta1, eta2
 
 

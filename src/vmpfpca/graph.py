@@ -3,17 +3,19 @@
 Every stochastic node has exactly two neighboring factors, so the graph is a
 table from each node (a string) to its two factors: the message a node sends
 to one factor is the stored message from the other, and its q-density is the
-sum of the two.  The store keeps the factor-to-node messages in fixed array
-slots that the sweep reads and writes directly: a Gaussian message as eta1
-and a precision matrix (the streamlined form of Wand, 2017), the n score
-vectors as one stacked node with one likelihood row per curve, and an
-inverse chi-squared message as an (eta1, eta2) pair of floats.
-``get_to_node`` and ``set_to_node`` view the slots as the natural-parameter
-objects of :mod:`expfam`; reading an edge never written is a hard error.
+sum of the two.  The store keeps the factor-to-node messages in array slots
+that the sweep reads and writes directly: a Gaussian message as eta1 and a
+precision matrix (the streamlined form of Wand, 2017), the n score vectors
+as one stacked node with one likelihood row per curve, and an inverse
+chi-squared message as an (eta1, eta2) pair of floats; it is built from
+them, so every edge holds a message.  ``get_to_node`` and ``set_to_node``
+view the slots as the natural-parameter objects of :mod:`expfam` for
+``q_natural_params`` and its kin; the fit never calls them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,10 +33,6 @@ from .expfam import (
 )
 
 
-class UninitializedMessageError(KeyError):
-    """A message was read before any value was stored on its edge."""
-
-
 class TopologyError(ValueError):
     """A node is not part of the graph, or an edge does not exist."""
 
@@ -43,6 +41,7 @@ class TopologyError(ValueError):
 Neighbors = dict[str, tuple[str, str]]
 
 
+@dataclass(eq=False)
 class MessageStore:
     """The current message on every factor-to-node edge of the FPCA graph.
 
@@ -55,20 +54,13 @@ class MessageStore:
     iterated -> aux and prior -> aux.
     """
 
-    def __init__(self, num_curves: int, num_eigen: int, num_coefs: int):
-        dim = (num_eigen + 1) * num_coefs
-        self.nu_eta1, self.nu_precision = np.zeros((2, dim)), np.zeros((2, dim, dim))
-        self.zeta_eta1 = np.zeros((num_curves, num_eigen))
-        self.zeta_precision = np.zeros((num_curves, num_eigen, num_eigen))
-        self.prior_eta1, self.prior_precision = np.zeros(num_eigen), np.zeros((num_eigen,) * 2)
-        self.chains = [[(0.0, 0.0)] * 4 for _ in range(num_eigen + 2)]
-        # each edge's slot follows the neighbor table's order of factors
-        graph = fpca_factor_graph(num_eigen)
-        self._slots = {(f, node): k for node in (NU, ZETA) for k, f in enumerate(graph[node])}
-        for c, chain in enumerate(variance_chains(num_eigen)):
-            edges = [(f, node) for node in (chain.sigsq, chain.aux) for f in graph[node]]
-            self._slots.update({edge: (c, k) for k, edge in enumerate(edges)})
-        self._unwritten = set(self._slots)
+    nu_eta1: np.ndarray
+    nu_precision: np.ndarray
+    zeta_eta1: np.ndarray
+    zeta_precision: np.ndarray
+    prior_eta1: np.ndarray
+    prior_precision: np.ndarray
+    chains: list[list[tuple[float, float]]]
 
     def q_nu(self) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s eta1 and precision: the sums of its two messages'."""
@@ -86,17 +78,21 @@ class MessageStore:
         return out
 
     def _slot(self, factor: str, node: str):
-        try:
-            slot = self._slots[factor, node]
-        except KeyError:
-            raise TopologyError(f"no edge between factor {factor!r} and node {node!r}") from None
+        """The edge's (eta1, precision) arrays, or (chain, position) of a chain message."""
+        num_eigen = self.prior_eta1.size
+        factors = fpca_factor_graph(num_eigen).get(node, ())
+        if factor not in factors:
+            raise TopologyError(f"no edge between factor {factor!r} and node {node!r}")
+        k = factors.index(factor)
         if node == NU:
-            return self.nu_eta1[slot], self.nu_precision[slot]
+            return self.nu_eta1[k], self.nu_precision[k]
         if node == ZETA:
-            if slot == 0:
+            if k == 0:
                 return self.zeta_eta1, self.zeta_precision
             return self.prior_eta1, self.prior_precision
-        return slot
+        for c, chain in enumerate(variance_chains(num_eigen)):
+            if node in (chain.sigsq, chain.aux):
+                return c, k if node == chain.sigsq else 2 + k
 
     def set_to_node(self, factor: str, node: str, message: NaturalParams) -> None:
         slot = self._slot(factor, node)
@@ -113,12 +109,9 @@ class MessageStore:
         else:
             c, k = slot
             self.chains[c][k] = (float(message.eta1), float(message.eta2))
-        self._unwritten.discard((factor, node))
 
     def get_to_node(self, factor: str, node: str) -> NaturalParams:
         slot = self._slot(factor, node)
-        if (factor, node) in self._unwritten:
-            raise UninitializedMessageError(f"no message stored on edge {factor} -> {node}")
         if node == NU:
             return GaussianVecParams(slot[0].copy(), -0.5 * vec(slot[1]))
         if node == ZETA:  # D' sums each off-diagonal pair of the vec of each matrix

@@ -4,9 +4,9 @@ A sweep visits the fragments in a fixed order: the snap; likelihood; the
 iterated fragment of the noise-variance chain; penalization; the iterated
 fragments of the mean-function and eigenfunction chains (see
 :func:`graph.variance_chains`).  The prior fragments emit constant messages,
-so they are written once at initialization.  The sweep reads and writes the
-store's array slots (see :class:`graph.MessageStore`) and builds no message
-object.
+so :func:`initialize` builds the store with them and no sweep writes them.
+From initialization on, every message of a fit lives in the store's array
+slots (see :class:`graph.MessageStore`); the fit builds no message object.
 
 The snap (:func:`_align_component_rotation`) moves the fit along three
 directions that change no curve: it rotates the components into their
@@ -38,14 +38,7 @@ import numpy as np
 
 from . import graph as fg
 from .data import FunctionalDataset
-from .expfam import (
-    DegenerateMessageError,
-    GaussianVecParams,
-    GaussianVechParams,
-    InvChiSqParams,
-    gaussian_precision_to_moments,
-    vec,
-)
+from .expfam import DegenerateMessageError, gaussian_precision_to_moments
 from .fragments import (
     LikelihoodCache,
     ScoreMoments,
@@ -61,7 +54,6 @@ from .fragments import (
     penalization_messages,
     penalization_messages_to_variances,
     score_moments,
-    with_score_moments,
 )
 from .splines import SplineBasis, build_basis, design_matrix
 
@@ -92,11 +84,15 @@ class FitConfig:
     freeze_scores_at_zero: bool = False  # diagnostic mode: clamp every score at 0
 
     def __post_init__(self):
+        for name in ("tol", "prior_beta_var", "hyper_a_eps", "hyper_a_mu", "hyper_a_psi"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         for name in ("num_eigen", "num_splines", "max_iter", "grid_size"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
             # a Python int keeps the sweep's float arithmetic in Python floats
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, int(value))
         if self.num_eigen < 1:
             raise ValueError("num_eigen must be >= 1")
         if self.num_splines < 3:
@@ -160,42 +156,32 @@ def _initial_guess(
 
 
 def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
-    """Build the graph, cache the design products and set every factor-to-node message."""
+    """Build the graph, cache the design products and build the store of starting messages:
+    N(start, I) and the vague N(0, 100 I) to nu, unit precision on each curve's starting
+    scores, and shape 1, scale 1 (unit reciprocal mean) on every non-prior chain edge."""
     dataset.validate()
     basis = build_basis(config.num_splines)
     designs = [design_matrix(t, basis) for t in dataset.times]
     cache = build_likelihood_cache(designs, dataset.values)
     n, L = dataset.num_curves, config.num_eigen
-    num_coefs = 2 + config.num_splines
-    dim_nu = (L + 1) * num_coefs
-    graph = fg.fpca_factor_graph(L)
-    store = fg.MessageStore(n, L, num_coefs)
-
     mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
-    nu_init_mean = np.concatenate([mean_coefs, component_coefs.T.ravel()])
-    store.set_to_node(
-        fg.LIKELIHOOD, fg.NU, GaussianVecParams(nu_init_mean, -0.5 * vec(np.eye(dim_nu)))
+    nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
+    identity = np.eye(nu_start.size)
+    prior_eta1, prior_precision = gaussian_prior_message(L)
+    unit = (-1.5, -0.5)
+    store = fg.MessageStore(
+        nu_eta1=np.stack([nu_start, np.zeros(nu_start.size)]),
+        nu_precision=np.stack([identity, identity / _INIT_GAUSS_VARIANCE]),
+        zeta_eta1=score_guess,
+        zeta_precision=np.tile(prior_precision, (n, 1, 1)),
+        prior_eta1=prior_eta1,
+        prior_precision=prior_precision,
+        chains=[
+            [unit, unit, unit, igw_prior_message(getattr(config, f"hyper_a_{chain.family}"))]
+            for chain in fg.variance_chains(L)
+        ],
     )
-    vague = GaussianVecParams(np.zeros(dim_nu), -0.5 * vec(np.eye(dim_nu) / _INIT_GAUSS_VARIANCE))
-    store.set_to_node(fg.PENALIZATION, fg.NU, vague)
-
-    # Unit covariance for every curve, so eta1 is the starting mean.
-    score_prior = gaussian_prior_message(L)
-    score_rows = GaussianVechParams(score_guess, np.tile(score_prior.eta2, (n, 1)))
-    store.set_to_node(fg.LIKELIHOOD, fg.ZETA, score_rows)
-    store.set_to_node(fg.PRIOR_ZETA, fg.ZETA, score_prior)
-
-    # Every non-prior inverse chi-squared edge starts at the proper density with
-    # unit reciprocal mean (shape 1, scale 1).
-    unit_invchisq = InvChiSqParams(-1.5, -0.5)
-    for chain in fg.variance_chains(L):
-        store.set_to_node(chain.source, chain.sigsq, unit_invchisq)
-        store.set_to_node(chain.iterated, chain.sigsq, unit_invchisq)
-        store.set_to_node(chain.iterated, chain.aux, unit_invchisq)
-        hyper = getattr(config, f"hyper_a_{chain.family}")
-        store.set_to_node(chain.prior, chain.aux, igw_prior_message(hyper))
-
-    return VmpState(config, dataset, basis, graph, store, cache)
+    return VmpState(config, dataset, basis, fg.fpca_factor_graph(L), store, cache)
 
 
 def _q_moments(q: tuple[np.ndarray, np.ndarray], factor: str, node: str):
@@ -237,7 +223,7 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
     )
 
     nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
-    expectations = likelihood_expectations(state.cache, nu_mean, nu_cov, scores)
+    expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
     q_zeta = zeta_moments = None
     if not state.config.freeze_scores_at_zero:
         store.zeta_eta1[...], store.zeta_precision[...] = likelihood_messages_to_zeta(
@@ -245,9 +231,9 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
         )
         q_zeta = store.q_zeta()
         zeta_moments = _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA)
-        expectations = with_score_moments(expectations, score_moments(*zeta_moments))
+        scores = score_moments(*zeta_moments)
 
-    noise[0] = likelihood_message_to_sigsq_eps(state.cache, expectations)
+    noise[0] = likelihood_message_to_sigsq_eps(state.cache, expectations, scores)
     return q_zeta, zeta_moments
 
 

@@ -272,6 +272,13 @@ class TestFitInputErrors:
             (_manifest('{"dataset": DATASET, "config": {"num_eigen": 0}}'), "num_eigen"),
             (_manifest('{"dataset": DATASET, "config": {"bogus": 1}}'), "bogus"),
             (_manifest('{"dataset": DATASET, "config": {"num_eigen": 2.5}}'), "integer"),
+            (
+                _manifest('{"dataset": DATASET, "config": {"num_eigen": true, "tol": true}}'),
+                "tol must be a number, not a boolean",
+            ),
+            (_manifest('{"dataset": DATASET, "config": {"max_iter": true}}'), "max_iter"),
+            (_manifest('{"dataset": DATASET, "config": {"hyper_a_mu": true}}'), "hyper_a_mu"),
+            (_manifest('{"dataset": DATASET, "config": {"prior_beta_var": false}}'), "boolean"),
             (_manifest('{"dataset": DATASET}'), "config"),
             (_manifest('{"config": {}}'), "dataset"),
             (_manifest('[1, 2]'), "TypeError"),
@@ -290,6 +297,10 @@ class TestFitInputErrors:
             "manifest-invalid-config",
             "manifest-unknown-key",
             "manifest-non-integer-size",
+            "manifest-boolean-size-and-tol",
+            "manifest-boolean-size",
+            "manifest-boolean-hyper",
+            "manifest-boolean-prior-var",
             "manifest-missing-config",
             "manifest-missing-dataset",
             "manifest-not-an-object",

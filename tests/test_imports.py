@@ -1,9 +1,12 @@
 """The package runs on numpy and the standard library alone; scipy is a test oracle only.
 
 A fit also leaves the process pool's modules unimported: only a study with
-more than one worker needs them.
+more than one worker needs them.  The fragments and the sweep keep every
+message in the store's array form, so they import none of the
+natural-parameter objects or the vec/vech algebra that converts to them.
 """
 
+import ast
 import json
 import os
 import re
@@ -63,3 +66,30 @@ def test_no_module_imports_scipy():
         if pattern.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+NATURAL_PARAMETER_NAMES = {
+    "GaussianVecParams",
+    "GaussianVechParams",
+    "InvChiSqParams",
+    "vec",
+    "unvec",
+    "vech",
+    "duplication_matrix",
+    "moore_penrose_duplication",
+}
+
+
+@pytest.mark.parametrize("module", ["fragments.py", "orchestrator.py"])
+def test_run_path_imports_no_natural_parameter_form(module):
+    tree = ast.parse((SRC / "vmpfpca" / module).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & NATURAL_PARAMETER_NAMES == set()
+    # nor through a module object, as in expfam.vec
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used & NATURAL_PARAMETER_NAMES == set()

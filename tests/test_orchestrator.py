@@ -1,4 +1,6 @@
+import collections
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ from vmpfpca.orchestrator import (
     node_starts,
     q_snapshot,
 )
+from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
+from tests_oracle_support import object_start_store, zero_store
 
 
 def fresh_moments(state):
@@ -81,6 +85,13 @@ class TestFitConfig:
             {"hyper_a_eps": 1e200},
             {"prior_beta_var": 1e-320},
             {"hyper_a_mu": -1.0},
+            # bool is an int subclass: True would pass as 1
+            {"num_eigen": True},
+            {"grid_size": False},
+            {"tol": True},
+            {"prior_beta_var": True},
+            {"hyper_a_eps": True},
+            {"hyper_a_psi": np.True_},
         ],
     )
     def test_validation(self, kwargs):
@@ -105,18 +116,17 @@ class TestInitialize:
     def test_prior_messages_match_closed_forms(self, reference_dataset):
         config = FitConfig()
         state = initialize(reference_dataset, config)
-        expected_score_prior = gaussian_prior_message(3)
+        eta1, precision = gaussian_prior_message(3)
         # one prior message shared by every curve's scores
-        stored = state.store.get_to_node(fg.PRIOR_ZETA, fg.ZETA)
-        assert np.array_equal(stored.eta1, expected_score_prior.eta1)
-        assert np.array_equal(stored.eta2, expected_score_prior.eta2)
+        assert np.array_equal(state.store.prior_eta1, eta1)
+        assert np.array_equal(state.store.prior_precision, precision)
         # each chain's auxiliary prior carries its own hyper_a_* scale
         config = FitConfig(hyper_a_eps=2.0, hyper_a_mu=3.0, hyper_a_psi=4.0)
         state = initialize(reference_dataset, config)
         scales = {"eps": 2.0, "mu": 3.0, "psi": 4.0}
         for chain in fg.variance_chains(config.num_eigen):
             stored = state.store.get_to_node(chain.prior, chain.aux)
-            assert stored == igw_prior_message(scales[chain.family])
+            assert stored == InvChiSqParams(*igw_prior_message(scales[chain.family]))
 
     def test_score_likelihood_message_has_one_row_per_curve(self, reference_dataset):
         state = initialize(reference_dataset, FitConfig())
@@ -142,6 +152,45 @@ class TestInitialize:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             initialize(FunctionalDataset([], [], []), FitConfig())
+
+    @pytest.mark.parametrize("num_eigen", [1, 3, 5])
+    def test_start_equals_object_path(self, reference_dataset, num_eigen):
+        # the store built from arrays against the same start written as objects
+        config = FitConfig(num_eigen=num_eigen, hyper_a_eps=2.0, hyper_a_mu=3.7)
+        state = initialize(reference_dataset, config)
+        expected = object_start_store(state.cache, config)
+        for field in dataclasses.fields(fg.MessageStore):
+            actual, wanted = getattr(state.store, field.name), getattr(expected, field.name)
+            assert np.array_equal(actual, wanted), field.name
+        assert state.store.chains == expected.chains
+        assert {type(x) for chain in state.store.chains for pair in chain for x in pair} == {float}
+
+
+class TestRunPath:
+    def test_fit_and_finalize_use_no_message_objects(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for cls in (GaussianVecParams, GaussianVechParams, InvChiSqParams):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        for name in ("get_to_node", "set_to_node"):
+            monkeypatch.setattr(
+                fg.MessageStore, name, counting(name, getattr(fg.MessageStore, name))
+            )
+        dataset, _ = generate(SimConfig(num_curves=12, seed=2))
+        state = fit(dataset, FitConfig(num_eigen=2, max_iter=30))
+        finalize(state)
+        assert state.iterations > 1
+        assert calls == {}
+        # the counters see a read through the view
+        state.store.get_to_node(fg.LIKELIHOOD, fg.NU)
+        assert calls == {"get_to_node": 1, "GaussianVecParams": 1}
 
 
 class TestFit:
@@ -358,7 +407,7 @@ class TestConvergenceMetric:
 
 def random_store(rng, num_curves, num_eigen, num_coefs):
     """A store with a random message of the right family and shape on every edge."""
-    store = fg.MessageStore(num_curves, num_eigen, num_coefs)
+    store = zero_store(num_curves, num_eigen, num_coefs)
     dim, half = (num_eigen + 1) * num_coefs, num_eigen * (num_eigen + 1) // 2
     for node, factors in fg.fpca_factor_graph(num_eigen).items():
         for factor in factors:

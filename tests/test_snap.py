@@ -24,7 +24,7 @@ import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
 from vmpfpca import cli
 from vmpfpca.data import read_dataset_csv, write_dataset_csv
-from vmpfpca.expfam import DegenerateMessageError, InvChiSqParams, invchisq_mean_reciprocal
+from vmpfpca.expfam import DegenerateMessageError, InvChiSqParams
 from vmpfpca.fragments import (
     likelihood_expectations,
     likelihood_expected_sq_norms,
@@ -35,6 +35,7 @@ from vmpfpca.postprocess import extract, finalize, trapezoid_inner
 from vmpfpca.simulate import SimConfig, generate
 from vmpfpca.splines import design_matrix
 from tests_oracle_support import (
+    invchisq_mean_reciprocal,
     full_model_mfvb_oracle,
     reference_scale_alternation,
     snap_objective,
@@ -131,14 +132,13 @@ def chain_densities(state):
 
 def curve_expectations(state, nu_mean, nu_cov, zeta_means, zeta_covs):
     """Per-curve E||y_i - C_i V zeta-tilde_i||^2 and the expected curves at the observations."""
-    expectations = likelihood_expectations(
-        state.cache, nu_mean, nu_cov, score_moments(zeta_means, zeta_covs)
-    )
-    coefs = expectations.zt_mean @ expectations.v_mean.T  # (n, P): E(V) E(zeta-tilde_i)
+    expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
+    scores = score_moments(zeta_means, zeta_covs)
+    coefs = scores.zt_mean @ expectations.v_mean.T  # (n, P): E(V) E(zeta-tilde_i)
     curves = np.concatenate(
         [design_matrix(t, state.basis) @ c for t, c in zip(state.dataset.times, coefs)]
     )
-    return likelihood_expected_sq_norms(state.cache, expectations), curves
+    return likelihood_expected_sq_norms(state.cache, expectations, scores), curves
 
 
 def assert_same(after, before, rtol=1e-10):

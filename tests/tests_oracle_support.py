@@ -1,12 +1,14 @@
-"""Independent oracles shared by the unit and acceptance suites.
+"""Independent oracles and builders shared by the unit and acceptance suites.
 
 These deliberately avoid the message-passing code paths: plain moment-form
-coordinate ascent and direct linear algebra only.  Two exceptions replay
+coordinate ascent and direct linear algebra only.  Three exceptions replay
 package arithmetic in its earlier, object-based form, to check the array
 form against it: :func:`reference_scale_alternation` runs the snap's scale
-loop with the fragments' messages as objects, and :func:`dict_q_snapshot`
-with :func:`dict_convergence_metric` is the convergence check as it read
-the message store's natural-parameter view.
+loop with the fragments' messages as objects, :func:`dict_q_snapshot` with
+:func:`dict_convergence_metric` is the convergence check as it read the
+message store's natural-parameter view, and :func:`object_start_store`
+writes the starting messages through that view.  :func:`zero_store` builds
+a store for a test to fill.
 """
 
 import math
@@ -15,15 +17,27 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from vmpfpca.expfam import (
+    DegenerateMessageError,
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
     duplication_matrix,
-    invchisq_mean_reciprocal,
+    gaussian_moments_to_vech,
     moore_penrose_duplication,
+    vec,
 )
 from vmpfpca.fragments import iterated_igw_messages, penalization_message_to_variance
-from vmpfpca.graph import NU, ZETA, q_natural_params, variance_chains
+from vmpfpca.graph import (
+    LIKELIHOOD,
+    NU,
+    PENALIZATION,
+    PRIOR_ZETA,
+    ZETA,
+    MessageStore,
+    q_natural_params,
+    variance_chains,
+)
+from vmpfpca.orchestrator import _initial_guess
 from vmpfpca.postprocess import trapezoid_inner
 from vmpfpca.splines import build_basis, design_matrix
 
@@ -36,6 +50,61 @@ def vec_to_vech_params(params: GaussianVecParams) -> GaussianVechParams:
 def vech_to_vec_params(params: GaussianVechParams) -> GaussianVecParams:
     """Re-express vech-basis Gaussian parameters in the vec basis."""
     return GaussianVecParams(params.eta1, moore_penrose_duplication(params.dim).T @ params.eta2)
+
+
+def invchisq_mean_reciprocal(params: InvChiSqParams) -> float:
+    """E(1/x) under the inverse chi-squared density with the given natural parameters.
+
+    Equals shape/scale; computed directly as (eta1 + 1)/eta2.
+    """
+    if params.eta2 == 0.0:
+        raise DegenerateMessageError("inverse chi-squared parameters with eta2 = 0")
+    return (params.eta1 + 1.0) / params.eta2
+
+
+def zero_store(num_curves: int, num_eigen: int, num_coefs: int) -> MessageStore:
+    """A store of the given sizes whose every message is zero, for a test to fill."""
+    dim = (num_eigen + 1) * num_coefs
+    return MessageStore(
+        nu_eta1=np.zeros((2, dim)),
+        nu_precision=np.zeros((2, dim, dim)),
+        zeta_eta1=np.zeros((num_curves, num_eigen)),
+        zeta_precision=np.zeros((num_curves, num_eigen, num_eigen)),
+        prior_eta1=np.zeros(num_eigen),
+        prior_precision=np.zeros((num_eigen, num_eigen)),
+        chains=[[(0.0, 0.0)] * 4 for _ in range(num_eigen + 2)],
+    )
+
+
+def object_start_store(cache, config) -> MessageStore:
+    """The starting messages of a fit, written as natural-parameter objects through
+    ``set_to_node`` on the package's starting values.
+
+    nu gets N(start, I) from the likelihood and N(0, 100 I) from the
+    penalization; every curve's scores get their starting values as eta1 and
+    the N(0, I) prior's eta2; every non-prior inverse chi-squared edge gets
+    (-3/2, -1/2), and each auxiliary prior (-3/2, -1/(2 A^2)).
+    """
+    n, L, num_coefs = cache.num_curves, config.num_eigen, cache.num_coefs
+    dim = (L + 1) * num_coefs
+    store = zero_store(n, L, num_coefs)
+    mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
+    start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
+    store.set_to_node(LIKELIHOOD, NU, GaussianVecParams(start, -0.5 * vec(np.eye(dim))))
+    vague = GaussianVecParams(np.zeros(dim), -0.5 * vec(np.eye(dim) / 100.0))
+    store.set_to_node(PENALIZATION, NU, vague)
+    score_prior = gaussian_moments_to_vech(np.zeros(L), np.eye(L))
+    rows = GaussianVechParams(score_guess, np.tile(score_prior.eta2, (n, 1)))
+    store.set_to_node(LIKELIHOOD, ZETA, rows)
+    store.set_to_node(PRIOR_ZETA, ZETA, score_prior)
+    unit = InvChiSqParams(-1.5, -0.5)
+    for chain in variance_chains(L):
+        store.set_to_node(chain.source, chain.sigsq, unit)
+        store.set_to_node(chain.iterated, chain.sigsq, unit)
+        store.set_to_node(chain.iterated, chain.aux, unit)
+        hyper = getattr(config, f"hyper_a_{chain.family}")
+        store.set_to_node(chain.prior, chain.aux, InvChiSqParams(-1.5, -0.5 / hyper**2))
+    return store
 
 
 def trapezoid_norm(f: np.ndarray, grid: np.ndarray) -> float:
