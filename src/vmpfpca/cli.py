@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,6 @@ class RunManifest:
     version: str
     dataset: str
     config: dict
-    seed: int | None
     iterations: int
     converged: bool
     final_metric: float
@@ -145,7 +144,7 @@ def _cmd_simulate(args) -> int:
 
 
 # FitConfig field annotation -> flag type; the diagnostic freeze_scores_at_zero has no flag.
-_FLAG_TYPES = {"int": int, "float": float, "int | None": int}
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _fit_fields():
@@ -191,7 +190,9 @@ def _config_from_manifest(config: dict) -> FitConfig:
     config = dict(config)
     if config.pop("score_prior_cov", None) is not None:
         raise ValueError("score_prior_cov was removed; the score prior is fixed at N(0, I)")
-    config.pop("freeze_scores_at_zero", None)
+    # the CLI never freezes the scores; older manifests also record a seed
+    for key in ("freeze_scores_at_zero", "seed"):
+        config.pop(key, None)
     return FitConfig(**config)
 
 
@@ -222,7 +223,6 @@ def run_fit(
         version=__version__,
         dataset=dataset_label,
         config=asdict(config),
-        seed=config.seed,
         iterations=state.iterations,
         converged=state.converged,
         final_metric=state.history[-1] if state.history else float("nan"),
@@ -315,6 +315,7 @@ def _add_eval_parser(subparsers) -> None:
         "--n-grid", type=str, default="10,50,100", help="comma-separated curve counts"
     )
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0, help="study seed of replicate 0")
     _add_fit_flags(parser)
 
 
@@ -423,7 +424,8 @@ def run_study(
 ) -> list[dict]:
     """Replicated simulation study; seeds are paired across curve counts.
 
-    Every cell fits with ``config``, its seed replaced by the cell's seed.
+    Replicate r simulates its datasets with seed ``base_seed`` + r, and every
+    cell fits with ``config``.
     With ``workers`` > 1 the cells run in that many processes, at most one
     per cell, each on one BLAS thread, so the workers do not oversubscribe
     the cores.
@@ -432,7 +434,7 @@ def run_study(
     for replicate in range(replicates):
         seed = base_seed + replicate
         for num_curves in curve_counts:
-            tasks.append((replicate, num_curves, seed, replace(config, seed=seed)))
+            tasks.append((replicate, num_curves, seed, config))
     workers = min(workers, len(tasks))
     if workers > 1:
         # imported here: multiprocessing costs every other command its import time
@@ -487,12 +489,11 @@ def _cmd_eval(args) -> int:
                 raise ValueError("need at least one replicate and one curve count")
             if min(curve_counts) < 2:
                 raise ValueError("every --n-grid curve count must be >= 2")
-            base_seed = args.seed if args.seed is not None else 0
-            if base_seed < 0:
+            if args.seed < 0:
                 raise ValueError("--seed must be nonnegative in study mode")
             config = _config_from_args(args)
         rows = run_study(
-            args.replicates, curve_counts, config, base_seed=base_seed, workers=max(1, args.workers)
+            args.replicates, curve_counts, config, base_seed=args.seed, workers=max(1, args.workers)
         )
         out = Path(args.out or "study.json")
         _write_json(out, rows)

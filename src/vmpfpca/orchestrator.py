@@ -80,10 +80,11 @@ class FitConfig:
     hyper_a_eps: float = 1e5
     hyper_a_mu: float = 1e5
     hyper_a_psi: float = 1e5
-    seed: int | None = None  # provenance only; initialization is deterministic
     freeze_scores_at_zero: bool = False  # diagnostic mode: clamp every score at 0
 
     def __post_init__(self):
+        if not isinstance(self.freeze_scores_at_zero, (bool, np.bool_)):
+            raise ValueError("freeze_scores_at_zero must be a boolean")
         for name in ("tol", "prior_beta_var", "hyper_a_eps", "hyper_a_mu", "hyper_a_psi"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, not a boolean")
@@ -365,14 +366,16 @@ def _scale_component(
     n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq``,
     with E(1/sigma^2) = ``e_recip`` as the snap starts; it is concave in
     log x and peaks at the positive root of S x^2 - (n - P) x - K.  Each x
-    step is followed by the closed-form q(sigma^2) and q(a) updates.  The
-    alternation stops before a step that would move x by less than a tenth
-    of the convergence tolerance, relative, and the chain's messages are
-    written for the last x taken.  A component already at its scale to that
-    precision, or whose objective has no maximum at a positive finite x
-    (S = 0 with n >= P, or K = 0 with n <= P), keeps c = 1 and its chain.
-    The loop runs in plain floats: with numpy scalars a zero eta2 would give
-    inf instead of a :class:`DegenerateMessageError`.
+    step is followed by the chain's own fragment updates at the new scale:
+    the penalization message to sigma^2 and the iterated fragment's
+    messages, which give q(sigma^2) and then q(a).  The alternation stops
+    before a step that would move x by less than a tenth of the convergence
+    tolerance, relative, and the three messages of the last step taken are
+    written.  A component already at its scale to that precision, or whose
+    objective has no maximum at a positive finite x (S = 0 with n >= P, or
+    K = 0 with n <= P), keeps c = 1 and its chain.  The loop runs in plain
+    floats: with numpy scalars a zero eta2 would give inf instead of a
+    :class:`DegenerateMessageError`.
     """
     if not score_sq > 0.0 and excess >= 0:
         return 1.0
@@ -382,12 +385,6 @@ def _scale_component(
     prior = messages[3]
     e_recip_aux = _mean_reciprocal(messages[2], prior, chain.iterated, chain.aux)
     rtol = _SCALE_RTOL_PER_TOL * state.config.tol
-    # The chain's updates in plain floats.  As messages (see
-    # penalization_message_to_variance and iterated_igw_messages), q(sigma^2)
-    # sums (-K/2, -spline_sq/(2x)) and (-3/2, -E(1/a)/2), and q(a) sums the
-    # prior with (-1/2, -E(1/sigma^2)/2); E(1/.) of each sum is (eta1 + 1)/eta2.
-    sigsq_shape = -0.5 * num_splines + -1.5 + 1.0
-    aux_shape = prior[0] + -0.5 + 1.0
     x = 1.0
     for _ in range(_SCALE_STEPS):
         penalty = linear_sq + e_recip * spline_sq
@@ -402,17 +399,15 @@ def _scale_component(
         if abs(new - x) <= rtol * new:
             break
         x = new
-        # the coordinate updates of q(sigma^2), then of q(a), at the new scale
-        e_recip_aux_sent = e_recip_aux
-        try:
-            e_recip = sigsq_shape / (-0.5 * (spline_sq / x) + -0.5 * e_recip_aux)
-            e_recip_aux = aux_shape / (prior[1] + -0.5 * e_recip)
-        except ZeroDivisionError:
-            raise DegenerateMessageError("inverse chi-squared parameters with eta2 = 0") from None
+        # the chain's updates at the new scale: q(sigma^2), then q(a)
+        source = penalization_message_to_variance(spline_sq / x, num_splines)
+        to_sigsq = iterated_igw_messages(e_recip, e_recip_aux)[0]
+        e_recip = _mean_reciprocal(source, to_sigsq, chain.iterated, chain.sigsq)
+        to_aux = iterated_igw_messages(e_recip, e_recip_aux)[1]
+        e_recip_aux = _mean_reciprocal(to_aux, prior, chain.iterated, chain.aux)
     if x == 1.0:
         return 1.0
-    messages[0] = penalization_message_to_variance(spline_sq / x, num_splines)
-    messages[1:3] = iterated_igw_messages(e_recip, e_recip_aux_sent)
+    messages[:3] = source, to_sigsq, to_aux
     return math.sqrt(x)
 
 

@@ -213,12 +213,10 @@ def orthogonalize(
     )
 
 
-def finalize(state: VmpState, grid_size: int | None = None) -> FpcaFit:
-    """Extract, evaluate on the grid and orthogonalize in one step."""
+def finalize(state: VmpState) -> FpcaFit:
+    """Extract, evaluate on the config's grid and orthogonalize in one step."""
     raw = extract(state)
-    grid, mean_curve, funcs, scores = evaluate_grid(
-        raw, state.basis, grid_size or state.config.grid_size
-    )
+    grid, mean_curve, funcs, scores = evaluate_grid(raw, state.basis, state.config.grid_size)
     return orthogonalize(
         mean_curve, funcs, scores, grid, raw.noise_precision_mean, raw.zeta_covs
     )

@@ -67,12 +67,9 @@ class SimTruth:
     seed: int | None = None
 
 
-def generate(
-    config: SimConfig, rng: np.random.Generator | None = None
-) -> tuple[FunctionalDataset, SimTruth]:
-    """Draw one dataset: uniform observation times, Gaussian scores and noise."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def generate(config: SimConfig) -> tuple[FunctionalDataset, SimTruth]:
+    """Draw one dataset from ``config.seed``: uniform times, Gaussian scores and noise."""
+    rng = np.random.default_rng(config.seed)
     lo, hi = config.obs_range
     sds = np.sqrt(np.asarray(config.score_variances))
     noise_sd = np.sqrt(config.noise_variance)

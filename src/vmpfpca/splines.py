@@ -21,10 +21,9 @@ _SIMPSON_SUBINTERVALS = 8
 
 @dataclass(frozen=True)
 class SplineBasis:
-    """Immutable O'Sullivan basis on an interval."""
+    """Immutable O'Sullivan basis on [0, 1], the time domain of every dataset."""
 
     interior_knots: np.ndarray
-    boundary: tuple[float, float]
     num_basis: int
     transform: np.ndarray = field(repr=False)
     _knot_vector: np.ndarray = field(repr=False)
@@ -32,9 +31,8 @@ class SplineBasis:
     def evaluate(self, times: np.ndarray) -> np.ndarray:
         """Evaluate all basis columns; returns an array of shape (len(times), num_basis)."""
         times = np.asarray(times, dtype=float).reshape(-1)
-        lo, hi = self.boundary
-        if times.size and (times.min() < lo or times.max() > hi):
-            raise ValueError(f"evaluation points outside [{lo}, {hi}]")
+        if times.size and (times.min() < 0.0 or times.max() > 1.0):
+            raise ValueError("evaluation points outside [0, 1]")
         return _bspline_values(self._knot_vector, times) @ self.transform
 
 
@@ -82,8 +80,8 @@ def _second_derivative_penalty(knot_vector: np.ndarray) -> np.ndarray:
     return 0.5 * (penalty + penalty.T)
 
 
-def build_basis(num_basis: int, interval: tuple[float, float] = (0.0, 1.0)) -> SplineBasis:
-    """Construct an O'Sullivan basis with ``num_basis`` columns.
+def build_basis(num_basis: int) -> SplineBasis:
+    """Construct an O'Sullivan basis on [0, 1] with ``num_basis`` columns.
 
     Cubic B-splines are placed on ``num_basis - 2`` equidistant interior knots.
     The raw basis is rotated onto the eigenvectors of the second-derivative
@@ -92,14 +90,9 @@ def build_basis(num_basis: int, interval: tuple[float, float] = (0.0, 1.0)) -> S
     """
     if num_basis < 3:
         raise ValueError("num_basis must be at least 3")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ValueError("interval upper bound must exceed lower bound")
     num_interior = num_basis - 2
-    interior = lo + (hi - lo) * np.arange(1, num_interior + 1) / (num_interior + 1)
-    if np.any(np.diff(np.r_[lo, interior, hi]) <= 0):
-        raise ValueError(f"num_basis={num_basis} gives coincident knots on {interval}")
-    knot_vector = np.r_[[lo] * (_SPLINE_DEGREE + 1), interior, [hi] * (_SPLINE_DEGREE + 1)]
+    interior = np.arange(1, num_interior + 1) / (num_interior + 1)
+    knot_vector = np.r_[[0.0] * (_SPLINE_DEGREE + 1), interior, [1.0] * (_SPLINE_DEGREE + 1)]
 
     penalty = _second_derivative_penalty(knot_vector)
     eigvals, eigvecs = np.linalg.eigh(penalty)
@@ -114,7 +107,6 @@ def build_basis(num_basis: int, interval: tuple[float, float] = (0.0, 1.0)) -> S
     transform.setflags(write=False)
     return SplineBasis(
         interior_knots=interior,
-        boundary=(lo, hi),
         num_basis=num_basis,
         transform=transform,
         _knot_vector=knot_vector,
@@ -124,7 +116,4 @@ def build_basis(num_basis: int, interval: tuple[float, float] = (0.0, 1.0)) -> S
 def design_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:
     """Design matrix [1, t, z_1(t), ..., z_K(t)] with shape (len(times), 2 + K)."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    lo, hi = basis.boundary
-    if times.size and (times.min() < lo or times.max() > hi):
-        raise ValueError(f"time values outside [{lo}, {hi}]")
     return np.column_stack([np.ones(times.size), times, basis.evaluate(times)])

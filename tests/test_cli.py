@@ -137,8 +137,6 @@ class TestFit:
             str(sim_dir / "dataset.csv"),
             "--max-iter",
             "2000",
-            "--seed",
-            "5",
         ]
         run_cli(*args, "--out", str(tmp_path / "a.json"))
         run_cli(*args, "--out", str(tmp_path / "b.json"))
@@ -346,6 +344,20 @@ class TestFitInputErrors:
         assert run_cli("fit", "--from-manifest", str(old), "--out", str(out)) == 0
         assert json.loads(out.read_text())["fit"] == json.loads(fit_path.read_text())["fit"]
 
+    def test_manifest_with_retired_seed_reruns(self, fit_paths, tmp_path):
+        # Manifests of older versions record the seed, which never changed a fit.
+        _, fit_path = fit_paths
+        manifest = json.loads((fit_path.parent / "fit.manifest.json").read_text())
+        assert manifest["config"]["freeze_scores_at_zero"] is False and "seed" not in manifest
+        manifest["seed"] = manifest["config"]["seed"] = 5
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        out = tmp_path / "rerun.json"
+        assert run_cli("fit", "--from-manifest", str(old), "--out", str(out)) == 0
+        rerun = json.dumps(json.loads(out.read_text())["fit"])
+        assert rerun == json.dumps(json.loads(fit_path.read_text())["fit"])
+        assert "seed" not in json.loads(out.read_text())["manifest"]["config"]
+
 
 class TestEval:
     def test_self_evaluation_is_zero(self, fit_paths, tmp_path):
@@ -529,14 +541,28 @@ class TestParser:
     def test_fit_flags_cover_config_fields(self, command):
         flags = [
             "--num-eigen", "--num-splines", "--tol", "--max-iter", "--grid-size",
-            "--prior-beta-var", "--hyper-a-eps", "--hyper-a-mu", "--hyper-a-psi", "--seed",
+            "--prior-beta-var", "--hyper-a-eps", "--hyper-a-mu", "--hyper-a-psi",
         ]  # fmt: skip
-        values = ["2", "7", "1e-4", "9", "201", "1e8", "3.5", "4.5", "5.5", "11"]
+        values = ["2", "7", "1e-4", "9", "201", "1e8", "3.5", "4.5", "5.5"]
         args = cli.build_parser().parse_args(command + [x for pair in zip(flags, values) for x in pair])
         assert cli._config_from_args(args) == FitConfig(
             num_eigen=2, num_splines=7, tol=1e-4, max_iter=9, grid_size=201,
-            prior_beta_var=1e8, hyper_a_eps=3.5, hyper_a_mu=4.5, hyper_a_psi=5.5, seed=11,
+            prior_beta_var=1e8, hyper_a_eps=3.5, hyper_a_mu=4.5, hyper_a_psi=5.5,
         )  # fmt: skip
+
+    def test_study_seed_is_the_base_seed(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: calls.append(kwargs) or [])
+        out = str(tmp_path / "s.json")
+        assert run_cli("eval", "--study", "--seed", "11", "--out", out) == cli.EXIT_OK
+        assert run_cli("eval", "--study", "--out", out) == cli.EXIT_OK
+        assert [call["base_seed"] for call in calls] == [11, 0]
+
+    def test_fit_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("fit", "data.csv", "--seed", "5")
+        assert exit_info.value.code == cli.EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
 
     def test_no_flag_freezes_scores(self):
         with pytest.raises(SystemExit):

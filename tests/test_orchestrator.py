@@ -92,6 +92,9 @@ class TestFitConfig:
             {"prior_beta_var": True},
             {"hyper_a_eps": True},
             {"hyper_a_psi": np.True_},
+            # a string's truth would freeze the scores
+            {"freeze_scores_at_zero": "false"},
+            {"freeze_scores_at_zero": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -141,8 +144,8 @@ class TestInitialize:
         assert sizes[1 : n + 1].tolist() == [3 + 9] * n
 
     def test_initialization_deterministic(self, reference_dataset):
-        state_a = initialize(reference_dataset, FitConfig(seed=4))
-        state_b = initialize(reference_dataset, FitConfig(seed=4))
+        state_a = initialize(reference_dataset, FitConfig())
+        state_b = initialize(reference_dataset, FitConfig())
         for node, factors in state_a.graph.items():
             for factor in factors:
                 m_a = state_a.store.get_to_node(factor, node).as_vector()

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,7 +438,8 @@ class TestSignAlign:
 
 class TestSplineBasisIntegration:
     def test_finalize_respects_grid_size(self, small_fit_state):
-        result = finalize(small_fit_state, grid_size=257)
+        state = replace(small_fit_state, config=replace(small_fit_state.config, grid_size=257))
+        result = finalize(state)
         assert result.grid.shape == (257,)
         assert result.eigenfunctions.shape == (257, 3)
 

@@ -398,5 +398,7 @@ class TestScaleComponent:
         state, chain = self.copied_state()
         state.store.set_to_node(chain.prior, chain.aux, InvChiSqParams(-1.5, 0.0))
         state.store.set_to_node(chain.iterated, chain.aux, InvChiSqParams(-0.5, -5e-324))
+        # The scale step names the edge of the read, like every read of the sweep.
         actual, expected = self.outcomes(state, chain, 1.0, 5.0, 40, 1.0, 1.0)
-        assert actual == expected == "inverse chi-squared parameters with eta2 = 0"
+        assert expected == "inverse chi-squared parameters with eta2 = 0"
+        assert actual == f"edge (iterated_psi[0], a_psi[0]): {expected}"
