@@ -15,6 +15,7 @@ to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import json
 import logging
@@ -233,10 +234,8 @@ def run_fit(
 
 
 def _write_long_format_csv(path: Path, result: FpcaFit) -> None:
-    import csv as _csv
-
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(["series", "t", "value"])
         for t, v in zip(result.grid, result.mean_curve):
             writer.writerow(["mean", repr(float(t)), repr(float(v))])

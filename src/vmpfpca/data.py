@@ -1,6 +1,7 @@
 """Container for irregularly observed curves and its CSV serialization.
 
-The on-disk format is a UTF-8 CSV with header ``curve_id,t,y``.  Rows need
+The on-disk format is a UTF-8 CSV with header ``curve_id,t,y``, optionally
+preceded by the byte-order mark that spreadsheet exports write.  Rows need
 not be grouped or sorted; ingestion groups them by curve identifier in order
 of first appearance.  Observation times within a curve are kept sorted, which
 is safe because the model is order-invariant.
@@ -27,6 +28,8 @@ class FunctionalDataset:
 
     def __post_init__(self):
         self.curve_ids = [str(c) for c in self.curve_ids]
+        if not (len(self.curve_ids) == len(self.times) == len(self.values)):
+            raise ValueError("curve_ids, times and values have mismatched lengths")
         paired = []
         for t, y in zip(self.times, self.values):
             t = np.asarray(t, dtype=float).reshape(-1)
@@ -49,8 +52,6 @@ class FunctionalDataset:
             raise ValueError("dataset has no curves")
         if self.num_curves < 2:
             raise ValueError("dataset has one curve; at least two are needed to fit")
-        if not (len(self.curve_ids) == len(self.times) == len(self.values)):
-            raise ValueError("curve_ids, times and values have mismatched lengths")
         if len(set(self.curve_ids)) != len(self.curve_ids):
             raise ValueError("duplicate curve identifiers")
         for cid, t, y in zip(self.curve_ids, self.times, self.values):
@@ -105,7 +106,7 @@ def read_dataset_csv(path: str | Path) -> FunctionalDataset:
     """Read a ``curve_id,t,y`` file, grouping rows by curve identifier."""
     path = Path(path)
     grouped: dict[str, tuple[list[float], list[float]]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

@@ -117,10 +117,13 @@ class FitConfig:
 
 @dataclass
 class VmpState:
-    """Message store plus everything needed to keep iterating or to post-process."""
+    """The fit's message store, its fixed inputs and its progress; n is ``cache.num_curves``.
+
+    :func:`initialize` builds it, :func:`fit_state` runs it once, and
+    post-processing reads it.
+    """
 
     config: FitConfig
-    dataset: FunctionalDataset
     basis: SplineBasis
     graph: fg.Neighbors
     store: fg.MessageStore
@@ -182,7 +185,7 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
             for chain in fg.variance_chains(L)
         ],
     )
-    return VmpState(config, dataset, basis, fg.fpca_factor_graph(L), store, cache)
+    return VmpState(config, basis, fg.fpca_factor_graph(L), store, cache)
 
 
 def _q_moments(q: tuple[np.ndarray, np.ndarray], factor: str, node: str):
@@ -213,8 +216,8 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
     are the current q(zeta) moments, which the snap hands on.  Returns
-    q(zeta)'s (eta1, precisions) and (means, covariances) after the write to
-    the scores, or Nones when the scores are frozen at zero.
+    q(zeta)'s (eta1, precisions) after the write to the scores and its
+    (means, covariances), which are None when the scores are frozen at zero.
     """
     store = state.store
     noise = store.chains[0]
@@ -225,8 +228,9 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
 
     nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
-    q_zeta = zeta_moments = None
-    if not state.config.freeze_scores_at_zero:
+    if state.config.freeze_scores_at_zero:
+        q_zeta, zeta_moments = store.q_zeta(), None
+    else:
         store.zeta_eta1[...], store.zeta_precision[...] = likelihood_messages_to_zeta(
             state.cache, expectations, e_recip_eps
         )
@@ -300,7 +304,7 @@ def _align_component_rotation(
     until that fragment runs again later in the sweep.
     """
     config = state.config
-    n, L = state.dataset.num_curves, config.num_eigen
+    n, L = state.cache.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
     # E(1/sigma^2) of the mean function and of each component, in nu's block order
     chains = zip(fg.variance_chains(L)[1:], state.store.chains[1:])
@@ -455,7 +459,7 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     covariance) as the sweep starts.  Returns the :func:`q_snapshot` of the
     q(nu) and q(zeta) the sweep formed last, and their moments.
     """
-    n, L = state.dataset.num_curves, state.config.num_eigen
+    n, L = state.cache.num_curves, state.config.num_eigen
     if state.config.freeze_scores_at_zero:
         scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
     else:
@@ -465,8 +469,6 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     q_nu, nu_moments = _update_penalization_fragment(state)
     for index in range(1, L + 2):
         _update_iterated_fragment(state, index)
-    if q_zeta is None:
-        q_zeta = state.store.q_zeta()
     return q_snapshot(q_nu, q_zeta, state.store), nu_moments, zeta_moments
 
 
@@ -483,18 +485,14 @@ def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.nda
 
 
 def fit_state(state: VmpState) -> VmpState:
-    """Iterate sweeps until the convergence metric drops below tolerance."""
+    """Run sweeps on a state fresh from :func:`initialize` until the convergence
+    metric drops below tolerance or ``max_iter`` sweeps have run."""
     store = state.store
     q_nu, q_zeta = store.q_nu(), store.q_zeta()
     previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
-    if state.history and state.history[-1] < state.config.tol:
-        state.converged = True
-        return state
-    # q(nu) and q(zeta) are read here once; each sweep then hands on the reads
-    # it ends with.  They stay locals: a caller may write the store between
-    # fit_state calls.
+    # q(nu) and q(zeta) are read here once; each sweep then hands on the reads it ends with
     moments = None
-    for _ in range(state.config.max_iter - len(state.history)):
+    for _ in range(state.config.max_iter):
         try:
             if moments is None:
                 moments = (
@@ -517,7 +515,7 @@ def fit_state(state: VmpState) -> VmpState:
         logger.warning(
             "no convergence after %d iterations (last metric %.3e)",
             state.iterations,
-            state.history[-1] if state.history else float("nan"),
+            state.history[-1],
         )
     return state
 

@@ -61,15 +61,6 @@ class RawSolution:
     zeta_means: np.ndarray  # (n, L)
     zeta_covs: np.ndarray  # (n, L, L)
     noise_precision_mean: float  # E(1/sigma^2_eps)
-    num_eigen: int
-    num_splines: int
-
-    def nu_mu(self) -> np.ndarray:
-        return self.nu_mean[: 2 + self.num_splines]
-
-    def nu_psi(self, l: int) -> np.ndarray:
-        num_coefs = 2 + self.num_splines
-        return self.nu_mean[(l + 1) * num_coefs : (l + 2) * num_coefs]
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class FpcaFit:
     eigenvalues: np.ndarray  # (L,), descending
     noise_precision_mean: float  # E(1/sigma^2_eps)
     fitted: np.ndarray  # (n_g, n); column i is the i-th posterior curve estimate
-    score_covariances: np.ndarray | None = None  # (n, L, L), in the frame of ``scores``
+    score_covariances: np.ndarray  # (n, L, L), in the frame of ``scores``
 
 
 def extract(state: VmpState) -> RawSolution:
@@ -97,30 +88,25 @@ def extract(state: VmpState) -> RawSolution:
         zeta_means=zeta_means,
         zeta_covs=zeta_covs,
         noise_precision_mean=_mean_reciprocal(*store.chains[0][:2], fg.LIKELIHOOD, fg.SIGSQ_EPS),
-        num_eigen=state.config.num_eigen,
-        num_splines=state.config.num_splines,
     )
-
-
-def evaluation_grid(grid_size: int) -> np.ndarray:
-    if grid_size < 101:
-        raise ValueError("grid_size must be >= 101")
-    return np.linspace(0.0, 1.0, grid_size)
 
 
 def evaluate_grid(
     raw: RawSolution, basis: SplineBasis, grid_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the posterior-mean curves on an equidistant grid.
+    """Evaluate the posterior-mean curves on ``grid_size`` equidistant points of [0, 1].
 
     Returns (grid, mean evaluations, basis-function matrix with one column per
-    component, score matrix with one row per curve).
+    component, score matrix with one row per curve).  E(nu) holds one block of
+    coefficients per curve function, the mean function's first.
     """
-    grid = evaluation_grid(grid_size)
+    if grid_size < 101:
+        raise ValueError("grid_size must be >= 101")
+    grid = np.linspace(0.0, 1.0, grid_size)
     design = design_matrix(grid, basis)
-    mean_curve = design @ raw.nu_mu()
-    funcs = np.column_stack([design @ raw.nu_psi(l) for l in range(raw.num_eigen)])
-    return grid, mean_curve, funcs, raw.zeta_means.copy()
+    mean_coefs, *component_coefs = raw.nu_mean.reshape(-1, design.shape[1])
+    funcs = np.column_stack([design @ coefs for coefs in component_coefs])
+    return grid, design @ mean_coefs, funcs, raw.zeta_means.copy()
 
 
 def orthogonalize(
@@ -128,8 +114,8 @@ def orthogonalize(
     funcs: np.ndarray,
     scores: np.ndarray,
     grid: np.ndarray,
-    noise_precision_mean: float = np.nan,
-    score_covs: np.ndarray | None = None,
+    noise_precision_mean: float,
+    score_covs: np.ndarray,
 ) -> FpcaFit:
     """Rotate fitted functions and scores into the orthonormal representation.
 
@@ -137,7 +123,8 @@ def orthogonalize(
     rotate by the spectral decomposition of the score sample covariance,
     whose eigenvalues are the returned ones.  Fitted curves are unchanged.
     The returned scores are a linear map A of the centred input scores, so
-    per-curve posterior covariances ``score_covs`` are returned as A C_i A'.
+    the per-curve posterior covariances C_i in ``score_covs`` are returned as
+    A C_i A'; ``noise_precision_mean`` E(1/sigma^2_eps) is passed through.
 
     The SVD is taken under the trapezoid inner product of the grid, so the
     resulting function columns are orthonormal with respect to the same
@@ -198,9 +185,8 @@ def orthogonalize(
     eigenfunctions = left @ eigvecs  # (n_g, L)
     final_scores = centered.T @ eigvecs  # (n, L)
     fitted = mean_hat[:, None] + eigenfunctions @ final_scores.T
-    if score_covs is not None:
-        score_map = eigvecs.T @ (singular[:, None] * right_t)
-        score_covs = score_map @ np.asarray(score_covs, dtype=float) @ score_map.T
+    score_map = eigvecs.T @ (singular[:, None] * right_t)
+    score_covs = score_map @ np.asarray(score_covs, dtype=float) @ score_map.T
     return FpcaFit(
         grid=np.asarray(grid, dtype=float),
         mean_curve=mean_hat,
@@ -244,10 +230,9 @@ def sign_align(fit: FpcaFit, reference: np.ndarray) -> FpcaFit:
             )
         if inner < 0:
             flips[l] = -1.0
-    covs = fit.score_covariances
     return replace(
         fit,
         eigenfunctions=fit.eigenfunctions * flips,
         scores=fit.scores * flips,
-        score_covariances=None if covs is None else covs * np.outer(flips, flips),
+        score_covariances=fit.score_covariances * np.outer(flips, flips),
     )

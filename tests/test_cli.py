@@ -154,6 +154,19 @@ class TestFit:
         rerun = json.dumps(json.loads(out.read_text())["fit"])
         assert original == rerun
 
+    def test_byte_order_mark_is_read(self, fit_paths, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with one
+        sim_dir, fit_path = fit_paths
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (sim_dir / "dataset.csv").read_bytes())
+        out = tmp_path / "bom.json"
+        code = run_cli(
+            "fit", str(path), "--num-eigen", "3", "--num-splines", "10", "--tol", "1e-5",
+            "--max-iter", "2000", "--out", str(out),
+        )  # fmt: skip
+        assert code == 0
+        assert json.loads(out.read_text())["fit"] == json.loads(fit_path.read_text())["fit"]
+
     def test_rescale_time_flag(self, tmp_path):
         path = tmp_path / "wide.csv"
         with path.open("w", newline="") as handle:

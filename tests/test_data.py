@@ -26,6 +26,12 @@ class TestDataset:
                 ["a", "a"], [np.array([0.1]), np.array([0.2])], [np.array([1.0]), np.array([2.0])]
             ).validate()
 
+    def test_list_lengths_checked_before_pairing(self):
+        # pairing times with values would silently drop the third time array
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            FunctionalDataset(["a", "b"], [t, t, t], [t, t**2])
+
     def test_rescale(self):
         ds = FunctionalDataset(
             ["a", "b"], [np.array([2.0, 4.0]), np.array([3.0])], [np.array([1.0, 2.0]), np.array([5.0])]

@@ -2,8 +2,9 @@
 
 A fit also leaves the process pool's modules unimported: only a study with
 more than one worker needs them.  The fragments and the sweep keep every
-message in the store's array form, so they import none of the
-natural-parameter objects or the vec/vech algebra that converts to them.
+message in the store's array form, and post-processing and the command line
+read only that form, so none of them imports the natural-parameter objects
+or the vec/vech algebra that converts to them.
 """
 
 import ast
@@ -80,7 +81,7 @@ NATURAL_PARAMETER_NAMES = {
 }
 
 
-@pytest.mark.parametrize("module", ["fragments.py", "orchestrator.py"])
+@pytest.mark.parametrize("module", ["fragments.py", "orchestrator.py", "postprocess.py", "cli.py"])
 def test_run_path_imports_no_natural_parameter_form(module):
     tree = ast.parse((SRC / "vmpfpca" / module).read_text(encoding="utf-8"))
     imported = {

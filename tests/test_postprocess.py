@@ -14,7 +14,6 @@ from vmpfpca.postprocess import (
     RankDeficiencyError,
     SignAmbiguityError,
     evaluate_grid,
-    evaluation_grid,
     extract,
     finalize,
     orthogonalize,
@@ -23,7 +22,7 @@ from vmpfpca.postprocess import (
     trapezoid_weights,
 )
 from vmpfpca.simulate import SimConfig, generate, true_eigenfunctions
-from vmpfpca.splines import build_basis
+from vmpfpca.splines import build_basis, design_matrix
 from tests_oracle_support import gram_schmidt, trapezoid_norm
 
 
@@ -40,6 +39,13 @@ def random_inputs(rng, num_grid=201, num_eigen=2, num_curves=50):
     scores = rng.standard_normal((num_curves, num_eigen)) @ spread
     mean_curve = np.sin(np.pi * grid)
     return grid, mean_curve, funcs, scores
+
+
+def orthogonalize_unit(mean_curve, funcs, scores, grid):
+    """:func:`orthogonalize` with noise precision 1 and identity score covariances."""
+    num_curves, num_eigen = np.shape(scores)
+    covs = np.broadcast_to(np.eye(num_eigen), (num_curves, num_eigen, num_eigen))
+    return orthogonalize(mean_curve, funcs, scores, grid, 1.0, covs)
 
 
 class TestTrapezoidHelpers:
@@ -84,9 +90,12 @@ class TestExtract:
             assert np.allclose(raw.zeta_means[i], cov @ q.eta1[i], rtol=1e-12, atol=1e-15)
 
     def test_partition_accessors(self, small_fit_state):
+        # E(nu) is the mean function's 12 coefficients, then each component's
         raw = extract(small_fit_state)
-        assert np.array_equal(raw.nu_mu(), raw.nu_mean[:12])
-        assert np.array_equal(raw.nu_psi(2), raw.nu_mean[36:48])
+        grid, mean_curve, funcs, _ = evaluate_grid(raw, small_fit_state.basis, 101)
+        design = design_matrix(grid, small_fit_state.basis)
+        assert np.array_equal(mean_curve, design @ raw.nu_mean[:12])
+        assert np.array_equal(funcs[:, 2], design @ raw.nu_mean[36:48])
 
     @pytest.mark.parametrize(
         "node, bad",
@@ -124,7 +133,7 @@ class TestScoreCovariances:
         grid, mean_curve, funcs, scores = random_inputs(rng)
         a = rng.standard_normal((scores.shape[0], 2, 2))
         covs = a @ a.transpose(0, 2, 1)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid, score_covs=covs)
+        fit_out = orthogonalize(mean_curve, funcs, scores, grid, 1.0, covs)
         aligned = sign_align(fit_out, fit_out.eigenfunctions * [-1.0, 1.0])
         flipped = aligned.score_covariances
         assert np.array_equal(flipped[:, 0, 1], -fit_out.score_covariances[:, 0, 1])
@@ -133,25 +142,24 @@ class TestScoreCovariances:
 
 
 class TestEvaluateGrid:
-    def test_grid_spec(self):
-        grid = evaluation_grid(101)
+    def test_grid_spec(self, small_fit_state):
+        raw = extract(small_fit_state)
+        grid, *_ = evaluate_grid(raw, small_fit_state.basis, 101)
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.allclose(np.diff(grid), 0.01)
-        with pytest.raises(ValueError):
-            evaluation_grid(100)
+        with pytest.raises(ValueError, match="grid_size must be >= 101"):
+            evaluate_grid(raw, small_fit_state.basis, 100)
 
     def test_pure_slope_component(self, small_fit_state):
         raw = extract(small_fit_state)
         slope_coefs = np.zeros(12)
         slope_coefs[1] = 1.0
         doctored = raw.__class__(
-            nu_mean=np.concatenate([raw.nu_mu(), slope_coefs, raw.nu_psi(1), raw.nu_psi(2)]),
+            nu_mean=np.concatenate([raw.nu_mean[:12], slope_coefs, raw.nu_mean[24:]]),
             nu_cov=raw.nu_cov,
             zeta_means=raw.zeta_means,
             zeta_covs=raw.zeta_covs,
             noise_precision_mean=raw.noise_precision_mean,
-            num_eigen=3,
-            num_splines=10,
         )
         grid, _, funcs, _ = evaluate_grid(doctored, small_fit_state.basis, 101)
         assert np.allclose(funcs[:, 0], grid, atol=1e-12)
@@ -174,7 +182,7 @@ class TestOrthogonalize:
         scores = rng.standard_normal((num_curves, 3))
         tracemalloc.start()
         try:
-            fit_out = orthogonalize(np.zeros(grid.size), funcs, scores, grid)
+            fit_out = orthogonalize_unit(np.zeros(grid.size), funcs, scores, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -186,7 +194,7 @@ class TestOrthogonalize:
         grid = np.linspace(0.0, 1.0, 101)
         funcs, scores = rng.standard_normal((grid.size, 4)), rng.standard_normal((3, 4))
         with pytest.raises(DegenerateComponentError, match="eigenvalue 4"):
-            orthogonalize(np.zeros(grid.size), funcs, scores, grid)
+            orthogonalize_unit(np.zeros(grid.size), funcs, scores, grid)
 
     def test_single_component_fixed_point(self):
         rng = np.random.default_rng(1)
@@ -196,7 +204,7 @@ class TestOrthogonalize:
         scores = rng.standard_normal((80, 1)) * 1.3
         scores -= scores.mean()
         variance = float(scores.var(ddof=1))
-        fit_out = orthogonalize(np.zeros_like(grid), func[:, None], scores, grid)
+        fit_out = orthogonalize_unit(np.zeros_like(grid), func[:, None], scores, grid)
         aligned = sign_align(fit_out, func[:, None])
         assert np.allclose(aligned.eigenfunctions[:, 0], func, atol=1e-8)
         assert fit_out.eigenvalues[0] == pytest.approx(variance, rel=1e-8)
@@ -205,7 +213,7 @@ class TestOrthogonalize:
         # The rotation must reproduce the pre-rotation fitted curves exactly.
         rng = np.random.default_rng(2)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         before = mean_curve[:, None] + funcs @ scores.T
         after = fit_out.mean_curve[:, None] + fit_out.eigenfunctions @ fit_out.scores.T
         assert np.abs(before - after).max() < 1e-10
@@ -214,7 +222,7 @@ class TestOrthogonalize:
     def test_score_sample_identities(self):
         rng = np.random.default_rng(3)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         n = scores.shape[0]
         sample_mean = fit_out.scores.mean(axis=0)
         assert np.abs(sample_mean).max() <= 1e-8 * np.abs(fit_out.scores).max()
@@ -226,7 +234,7 @@ class TestOrthogonalize:
     def test_trapezoid_orthonormal_columns(self):
         rng = np.random.default_rng(4)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         gram = np.array(
             [
                 [
@@ -241,7 +249,7 @@ class TestOrthogonalize:
     def test_eigenvalues_descending_positive(self):
         rng = np.random.default_rng(5)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         assert np.all(np.diff(fit_out.eigenvalues) <= 0)
         assert np.all(fit_out.eigenvalues > 0)
 
@@ -251,7 +259,7 @@ class TestOrthogonalize:
         # endpoint terms, of order (grid spacing) times endpoint products.
         rng = np.random.default_rng(9)
         grid, mean_curve, funcs, scores = random_inputs(rng, num_grid=1001)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         psi = fit_out.eigenfunctions
         gram = psi.T @ psi
         rel = np.abs(gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram))) - np.eye(2))
@@ -266,7 +274,7 @@ class TestOrthogonalize:
         grid, mean_curve, funcs, scores = random_inputs(rng)
         funcs[:, 1] = 0.0
         with pytest.raises(RankDeficiencyError):
-            orthogonalize(mean_curve, funcs, scores, grid)
+            orthogonalize_unit(mean_curve, funcs, scores, grid)
 
     def test_degenerate_component_detected(self):
         # Two curves cannot support three components: the score sample
@@ -276,7 +284,7 @@ class TestOrthogonalize:
         funcs = rng.standard_normal((201, 3)).cumsum(axis=0) / 10.0
         scores = rng.standard_normal((2, 3))
         with pytest.raises(DegenerateComponentError, match="naming|not positive|3"):
-            orthogonalize(np.zeros_like(grid), funcs, scores, grid)
+            orthogonalize_unit(np.zeros_like(grid), funcs, scores, grid)
 
     def test_collapsed_component_tolerated(self):
         # A component shrunk to numerical zero by the fit must pass through
@@ -285,7 +293,7 @@ class TestOrthogonalize:
         grid, mean_curve, funcs, scores = random_inputs(rng, num_eigen=3, num_curves=40)
         funcs[:, 2] = 1e-13 * rng.standard_normal(grid.size)
         scores[:, 2] = 1e-10 * rng.standard_normal(40)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         assert fit_out.eigenvalues[2] < 1e-12
         before = mean_curve[:, None] + funcs @ scores.T
         assert np.abs(before - fit_out.fitted).max() < 1e-9
@@ -294,7 +302,7 @@ class TestOrthogonalize:
         rng = np.random.default_rng(8)
         grid, mean_curve, funcs, _ = random_inputs(rng)
         with pytest.raises(ValueError):
-            orthogonalize(mean_curve, funcs, np.ones((1, 2)), grid)
+            orthogonalize_unit(mean_curve, funcs, np.ones((1, 2)), grid)
 
 
 class TestFittedCurves:
@@ -304,7 +312,7 @@ class TestFittedCurves:
         grid, mean_curve, funcs, _ = random_inputs(rng)
         half = rng.standard_normal((2, 2))
         scores = np.vstack([half, -half, np.zeros((1, 2))])
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         assert fit_out.fitted.shape == (grid.size, 5)
         assert np.allclose(fit_out.fitted[:, 4], fit_out.mean_curve, atol=1e-12)
         assert np.allclose(fit_out.fitted[:, 4], mean_curve, atol=1e-12)
@@ -312,7 +320,7 @@ class TestFittedCurves:
     def test_unit_score_single_curve(self):
         rng = np.random.default_rng(17)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         for i in range(scores.shape[0]):
             expected = fit_out.mean_curve + fit_out.eigenfunctions @ fit_out.scores[i]
             assert np.allclose(fit_out.fitted[:, i], expected, atol=1e-12)
@@ -379,7 +387,7 @@ class TestGramSchmidt:
     def test_spans_match_on_full_rank_input(self):
         rng = np.random.default_rng(15)
         grid, mean_curve, funcs, scores = random_inputs(rng, num_eigen=3)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         gs = gram_schmidt(funcs, grid)
         angles = self._principal_angles(gs, fit_out.eigenfunctions, grid)
         assert np.all(angles < 1e-8)
@@ -395,7 +403,7 @@ class TestSignAlign:
     def test_self_reference_no_flip(self):
         rng = np.random.default_rng(11)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         aligned = sign_align(fit_out, fit_out.eigenfunctions)
         assert np.array_equal(aligned.eigenfunctions, fit_out.eigenfunctions)
         assert np.array_equal(aligned.scores, fit_out.scores)
@@ -403,7 +411,7 @@ class TestSignAlign:
     def test_negated_reference_flips_and_preserves_fits(self):
         rng = np.random.default_rng(12)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         aligned = sign_align(fit_out, -fit_out.eigenfunctions)
         assert np.array_equal(aligned.eigenfunctions, -fit_out.eigenfunctions)
         assert np.array_equal(aligned.scores, -fit_out.scores)
@@ -422,7 +430,7 @@ class TestSignAlign:
     def test_orthogonal_reference_raises(self):
         rng = np.random.default_rng(13)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         reference = fit_out.eigenfunctions.copy()
         reference[:, 0] = fit_out.eigenfunctions[:, 1]  # orthogonal to column 0
         with pytest.raises(SignAmbiguityError):
@@ -431,7 +439,7 @@ class TestSignAlign:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
         grid, mean_curve, funcs, scores = random_inputs(rng)
-        fit_out = orthogonalize(mean_curve, funcs, scores, grid)
+        fit_out = orthogonalize_unit(mean_curve, funcs, scores, grid)
         with pytest.raises(ValueError):
             sign_align(fit_out, fit_out.eigenfunctions[:, :1])
 

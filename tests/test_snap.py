@@ -130,13 +130,13 @@ def chain_densities(state):
     )
 
 
-def curve_expectations(state, nu_mean, nu_cov, zeta_means, zeta_covs):
+def curve_expectations(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     """Per-curve E||y_i - C_i V zeta-tilde_i||^2 and the expected curves at the observations."""
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
     scores = score_moments(zeta_means, zeta_covs)
     coefs = scores.zt_mean @ expectations.v_mean.T  # (n, P): E(V) E(zeta-tilde_i)
     curves = np.concatenate(
-        [design_matrix(t, state.basis) @ c for t, c in zip(state.dataset.times, coefs)]
+        [design_matrix(t, state.basis) @ c for t, c in zip(dataset.times, coefs)]
     )
     return likelihood_expected_sq_norms(state.cache, expectations, scores), curves
 
@@ -180,8 +180,8 @@ class TestSnapObjective:
             assert np.array_equal(store.zeta_eta1, score_message[0])
             assert np.array_equal(store.zeta_precision, score_message[1])
             for after, before in zip(
-                curve_expectations(state, *moved),
-                curve_expectations(state, nu_mean, nu_cov, *zeta),
+                curve_expectations(dataset, state, *moved),
+                curve_expectations(dataset, state, nu_mean, nu_cov, *zeta),
             ):
                 assert_same(after, before)
             snaps.append(result)
@@ -270,7 +270,7 @@ class TestDenseFixedPoint:
         )
         raw = extract(state)
         _, fitted = curve_expectations(
-            state, raw.nu_mean, raw.nu_cov, raw.zeta_means, raw.zeta_covs
+            dataset, state, raw.nu_mean, raw.nu_cov, raw.zeta_means, raw.zeta_covs
         )
         assert np.abs(fitted - np.concatenate(oracle_fitted)).max() < 1e-6
         assert raw.noise_precision_mean == pytest.approx(oracle_noise_prec, rel=1e-7)
