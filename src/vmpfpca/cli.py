@@ -124,13 +124,13 @@ def _cmd_simulate(args) -> int:
         if args.grid_size < 101:
             raise ValueError("grid-size must be >= 101")
 
-    dataset, truth = generate(config)
+    dataset, scores = generate(config)
     truth_payload = {
         **_truth_curves(np.linspace(0.0, 1.0, args.grid_size)),
-        "scores": truth.scores.tolist(),
-        "score_variances": list(truth.score_variances),
-        "noise_variance": truth.noise_variance,
-        "seed": truth.seed,
+        "scores": scores.tolist(),
+        "score_variances": list(config.score_variances),
+        "noise_variance": config.noise_variance,
+        "seed": config.seed,
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +226,7 @@ def run_fit(
         config=asdict(config),
         iterations=state.iterations,
         converged=state.converged,
-        final_metric=state.history[-1] if state.history else float("nan"),
+        final_metric=state.history[-1],
         wall_clock_seconds=elapsed,
         time_rescale=rescale,
     )

@@ -20,7 +20,11 @@ CSV_HEADER = ("curve_id", "t", "y")
 
 @dataclass
 class FunctionalDataset:
-    """A sample of curves, each with its own observation times in [0, 1]."""
+    """A sample of curves, each with its own observation times in [0, 1].
+
+    Construction checks each curve on its own: equal time and value lengths,
+    finite entries.  :meth:`validate` checks what a fit needs on top.
+    """
 
     curve_ids: list[str]
     times: list[np.ndarray]
@@ -31,9 +35,13 @@ class FunctionalDataset:
         if not (len(self.curve_ids) == len(self.times) == len(self.values)):
             raise ValueError("curve_ids, times and values have mismatched lengths")
         paired = []
-        for t, y in zip(self.times, self.values):
+        for cid, t, y in zip(self.curve_ids, self.times, self.values):
             t = np.asarray(t, dtype=float).reshape(-1)
             y = np.asarray(y, dtype=float).reshape(-1)
+            if t.size != y.size:
+                raise ValueError(f"curve {cid!r} has mismatched time/value lengths")
+            if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
+                raise ValueError(f"curve {cid!r} contains non-finite entries")
             order = np.argsort(t, kind="stable")
             paired.append((t[order], y[order]))
         self.times = [t for t, _ in paired]
@@ -54,13 +62,9 @@ class FunctionalDataset:
             raise ValueError("dataset has one curve; at least two are needed to fit")
         if len(set(self.curve_ids)) != len(self.curve_ids):
             raise ValueError("duplicate curve identifiers")
-        for cid, t, y in zip(self.curve_ids, self.times, self.values):
+        for cid, t in zip(self.curve_ids, self.times):
             if t.size == 0:
                 raise ValueError(f"curve {cid!r} has no observations")
-            if t.size != y.size:
-                raise ValueError(f"curve {cid!r} has mismatched time/value lengths")
-            if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
-                raise ValueError(f"curve {cid!r} contains non-finite entries")
             if t.min() < 0.0 or t.max() > 1.0:
                 raise ValueError(
                     f"curve {cid!r} has time values outside [0, 1]; "
@@ -75,9 +79,6 @@ class FunctionalDataset:
         Returns the rescaled dataset and the (offset, scale) of the original
         times, so that original = offset + scale * rescaled.
         """
-        for cid, t in zip(self.curve_ids, self.times):
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"curve {cid!r} contains non-finite entries")
         lo = min(float(t.min()) for t in self.times)
         hi = max(float(t.max()) for t in self.times)
         if not hi > lo:

@@ -29,19 +29,13 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Invert :func:`vec`.  Defaults to a square reshape."""
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Invert :func:`vec` for a square matrix."""
     v = np.asarray(v, dtype=float).reshape(-1)
-    if rows is None and cols is None:
-        d = int(round(np.sqrt(v.size)))
-        if d * d != v.size:
-            raise ValueError(f"length {v.size} is not a perfect square")
-        rows = cols = d
-    elif rows is None or cols is None:
-        raise ValueError("give both rows and cols, or neither")
-    if rows * cols != v.size:
-        raise ValueError(f"cannot reshape length {v.size} to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    d = int(round(np.sqrt(v.size)))
+    if d * d != v.size:
+        raise ValueError(f"length {v.size} is not a perfect square")
+    return v.reshape((d, d), order="F")
 
 
 def vech(a: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ class LikelihoodCache:
     gram: np.ndarray  # (n, P, P) with P = 2 + K; C_i' C_i
     proj: np.ndarray  # (n, P); C_i' y_i
     sq_norm: np.ndarray  # (n,); y_i' y_i
-    counts: np.ndarray  # (n,); number of observations per curve
+    num_observations: int  # sum of T_i over the curves
 
     @property
     def num_curves(self) -> int:
@@ -75,8 +75,8 @@ class LikelihoodCache:
 
 
 def build_likelihood_cache(design_matrices, responses) -> LikelihoodCache:
-    """Precompute C_i'C_i, C_i'y_i, y_i'y_i and T_i for every curve."""
-    grams, projs, sq_norms, counts = [], [], [], []
+    """Precompute C_i'C_i, C_i'y_i and y_i'y_i for every curve, and the total of the T_i."""
+    grams, projs, sq_norms, num_observations = [], [], [], 0
     for design, y in zip(design_matrices, responses):
         y = np.asarray(y, dtype=float).reshape(-1)
         if design.shape[0] != y.size:
@@ -84,12 +84,12 @@ def build_likelihood_cache(design_matrices, responses) -> LikelihoodCache:
         grams.append(design.T @ design)
         projs.append(design.T @ y)
         sq_norms.append(float(y @ y))
-        counts.append(y.size)
+        num_observations += y.size
     return LikelihoodCache(
         gram=np.stack(grams),
         proj=np.stack(projs),
         sq_norm=np.asarray(sq_norms),
-        counts=np.asarray(counts, dtype=float),
+        num_observations=num_observations,
     )
 
 
@@ -196,7 +196,7 @@ def likelihood_message_to_sigsq_eps(
     cache: LikelihoodCache, expectations: LikelihoodExpectations, scores: ScoreMoments
 ) -> tuple[float, float]:
     """Likelihood message to the noise variance, as (eta1, eta2)."""
-    eta1 = -0.5 * float(cache.counts.sum())
+    eta1 = -0.5 * cache.num_observations
     eta2 = -0.5 * float(likelihood_expected_sq_norms(cache, expectations, scores).sum())
     return eta1, eta2
 

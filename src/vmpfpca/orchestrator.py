@@ -168,7 +168,10 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     designs = [design_matrix(t, basis) for t in dataset.times]
     cache = build_likelihood_cache(designs, dataset.values)
     n, L = dataset.num_curves, config.num_eigen
-    mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
+    try:
+        mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateMessageError(f"starting values: {err}") from err
     nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
     identity = np.eye(nu_start.size)
     prior_eta1, prior_precision = gaussian_prior_message(L)
@@ -486,7 +489,12 @@ def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.nda
 
 def fit_state(state: VmpState) -> VmpState:
     """Run sweeps on a state fresh from :func:`initialize` until the convergence
-    metric drops below tolerance or ``max_iter`` sweeps have run."""
+    metric drops below tolerance or ``max_iter`` sweeps have run.
+
+    A degenerate message or a ``LinAlgError`` in a sweep, such as an ``eigh``
+    that does not converge on overflowed moments, raises
+    :class:`DegenerateMessageError` naming the iteration.
+    """
     store = state.store
     q_nu, q_zeta = store.q_nu(), store.q_zeta()
     previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
@@ -500,7 +508,7 @@ def fit_state(state: VmpState) -> VmpState:
                     _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA),
                 )
             current, *moments = _sweep(state, *moments)
-        except DegenerateMessageError as err:
+        except (DegenerateMessageError, np.linalg.LinAlgError) as err:
             raise DegenerateMessageError(f"iteration {state.iterations + 1}: {err}") from err
         metric = convergence_metric(previous, current, starts)
         state.history.append(metric)

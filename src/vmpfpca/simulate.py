@@ -57,18 +57,11 @@ class SimConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SimTruth:
-    """Everything the generator knows that an analysis would have to recover."""
+def generate(config: SimConfig) -> tuple[FunctionalDataset, np.ndarray]:
+    """Draw one dataset from ``config.seed``: uniform times, Gaussian scores and noise.
 
-    scores: np.ndarray  # (n, 2)
-    score_variances: tuple[float, float]
-    noise_variance: float
-    seed: int | None = None
-
-
-def generate(config: SimConfig) -> tuple[FunctionalDataset, SimTruth]:
-    """Draw one dataset from ``config.seed``: uniform times, Gaussian scores and noise."""
+    Returns the dataset and the (n, 2) true scores.
+    """
     rng = np.random.default_rng(config.seed)
     lo, hi = config.obs_range
     sds = np.sqrt(np.asarray(config.score_variances))
@@ -90,14 +83,7 @@ def generate(config: SimConfig) -> tuple[FunctionalDataset, SimTruth]:
         times.append(t)
         values.append(y)
 
-    dataset = FunctionalDataset(curve_ids=curve_ids, times=times, values=values)
-    truth = SimTruth(
-        scores=scores,
-        score_variances=config.score_variances,
-        noise_variance=config.noise_variance,
-        seed=config.seed,
-    )
-    return dataset, truth
+    return FunctionalDataset(curve_ids=curve_ids, times=times, values=values), scores
 
 
 def ise(f_true: np.ndarray, f_hat: np.ndarray, grid: np.ndarray) -> float:

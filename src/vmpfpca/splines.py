@@ -23,8 +23,6 @@ _SIMPSON_SUBINTERVALS = 8
 class SplineBasis:
     """Immutable O'Sullivan basis on [0, 1], the time domain of every dataset."""
 
-    interior_knots: np.ndarray
-    num_basis: int
     transform: np.ndarray = field(repr=False)
     _knot_vector: np.ndarray = field(repr=False)
 
@@ -105,12 +103,7 @@ def build_basis(num_basis: int) -> SplineBasis:
     order = np.argsort(eigvals[positive])[::-1]
     transform = eigvecs[:, positive][:, order] / np.sqrt(eigvals[positive][order])
     transform.setflags(write=False)
-    return SplineBasis(
-        interior_knots=interior,
-        num_basis=num_basis,
-        transform=transform,
-        _knot_vector=knot_vector,
-    )
+    return SplineBasis(transform=transform, _knot_vector=knot_vector)
 
 
 def design_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:

@@ -210,6 +210,21 @@ class TestFit:
         )
         assert code == cli.EXIT_DEGENERACY
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "scale, where", [(1e154, "iteration "), (1e200, "starting values: ")], ids=["sweep", "start"]
+    )
+    def test_linalg_error_on_huge_response_is_degeneracy(self, scale, where, tmp_path, capsys):
+        # moments of responses near 1e154 and above overflow, and an eigh in the
+        # snap or in the starting values stops converging
+        rng = np.random.default_rng(0)
+        rows = [(c, rng.uniform(), scale * rng.normal()) for c in range(10) for _ in range(20)]
+        path = write_csv(tmp_path / "huge.csv", rows)
+        code = run_cli("fit", str(path), "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DEGENERACY
+        assert f"error: {where}" in err and "Traceback" not in err
+
     def test_export_curves_long_format(self, sim_dir, tmp_path):
         out = tmp_path / "fit.json"
         curves = tmp_path / "curves.csv"

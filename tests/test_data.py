@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmpfpca.data import FunctionalDataset, read_dataset_csv, write_dataset_csv
 from vmpfpca.simulate import SimConfig, generate
@@ -32,6 +34,20 @@ class TestDataset:
         with pytest.raises(ValueError, match="mismatched lengths"):
             FunctionalDataset(["a", "b"], [t, t, t], [t, t**2])
 
+    @pytest.mark.parametrize("size", [5, 2], ids=["longer", "shorter"])
+    def test_value_length_checked_on_construction(self, size):
+        # pairing by the sorted times would drop extra values or index past short ones
+        t = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="curve 'a' has mismatched time/value lengths"):
+            FunctionalDataset(["a", "b"], [t, t], [np.arange(float(size)), np.arange(3.0)])
+
+    @pytest.mark.parametrize("column", ["times", "values"])
+    def test_non_finite_entry_rejected_on_construction(self, column):
+        arrays = {"times": [np.array([0.2, 0.4]), np.array([0.5])], "values": [np.ones(2), np.ones(1)]}
+        arrays[column][1] = np.array([np.nan])
+        with pytest.raises(ValueError, match="curve 'b' contains non-finite entries"):
+            FunctionalDataset(["a", "b"], arrays["times"], arrays["values"])
+
     def test_rescale(self):
         ds = FunctionalDataset(
             ["a", "b"], [np.array([2.0, 4.0]), np.array([3.0])], [np.array([1.0, 2.0]), np.array([5.0])]
@@ -41,6 +57,25 @@ class TestDataset:
         assert np.allclose(rescaled.times[0], [0.0, 1.0])
         assert np.allclose(rescaled.times[1], [0.5])
         rescaled.validate()
+
+
+CURVE_ARRAYS = st.lists(
+    st.lists(st.floats(0.0, 1.0) | st.just(float("nan")), max_size=6), min_size=1, max_size=4
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(CURVE_ARRAYS, CURVE_ARRAYS)
+def test_construction_keeps_lengths_or_raises_value_error(times, values):
+    """Any per-curve arrays either build a dataset whose arrays keep their input
+    lengths, or raise ValueError; never IndexError, never a truncated curve."""
+    values = (values * len(times))[: len(times)]  # one value array per curve
+    try:
+        dataset = FunctionalDataset([str(i) for i in range(len(times))], times, values)
+    except ValueError:
+        return
+    assert [t.size for t in dataset.times] == [len(t) for t in times]
+    assert [y.size for y in dataset.values] == [len(y) for y in values]
 
 
 class TestCsvRoundTrip:

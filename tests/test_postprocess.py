@@ -453,4 +453,5 @@ class TestSplineBasisIntegration:
 
     def test_basis_reused_from_state(self, small_fit_state):
         basis = build_basis(10)
-        assert np.allclose(basis.interior_knots, small_fit_state.basis.interior_knots)
+        assert np.array_equal(basis._knot_vector, small_fit_state.basis._knot_vector)
+        assert np.array_equal(basis.transform, small_fit_state.basis.transform)

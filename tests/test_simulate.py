@@ -25,11 +25,11 @@ class TestGenerate:
             assert t.min() >= 0.0 and t.max() <= 1.0
 
     def test_seeded_runs_bitwise_identical(self):
-        a, truth_a = generate(SimConfig(num_curves=12, seed=99))
-        b, truth_b = generate(SimConfig(num_curves=12, seed=99))
+        a, scores_a = generate(SimConfig(num_curves=12, seed=99))
+        b, scores_b = generate(SimConfig(num_curves=12, seed=99))
         assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
         assert all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
-        assert np.array_equal(truth_a.scores, truth_b.scores)
+        assert np.array_equal(scores_a, scores_b)
 
     def test_different_seeds_differ(self):
         a, _ = generate(SimConfig(num_curves=5, seed=1))
@@ -37,16 +37,16 @@ class TestGenerate:
         assert not all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
 
     def test_noise_variance_law_of_large_numbers(self):
-        # Reconstruct the noiseless signal from the stored true scores; the
+        # Reconstruct the noiseless signal from the returned true scores; the
         # residual sample variance over ~1e5 observations estimates 1.0.
         config = SimConfig(num_curves=4200, seed=7)
-        dataset, truth = generate(config)
+        dataset, scores = generate(config)
         residuals = []
         for i, (t, y) in enumerate(zip(dataset.times, dataset.values)):
             signal = (
                 true_mean(t)
-                + truth.scores[i, 0] * true_eigenfunction_1(t)
-                + truth.scores[i, 1] * true_eigenfunction_2(t)
+                + scores[i, 0] * true_eigenfunction_1(t)
+                + scores[i, 1] * true_eigenfunction_2(t)
             )
             residuals.append(y - signal)
         residuals = np.concatenate(residuals)
@@ -54,8 +54,8 @@ class TestGenerate:
         assert residuals.var() == pytest.approx(1.0, rel=0.02)
 
     def test_score_sample_covariance_converges(self):
-        _, truth = generate(SimConfig(num_curves=10_000, seed=11))
-        cov = np.cov(truth.scores.T)
+        _, scores = generate(SimConfig(num_curves=10_000, seed=11))
+        cov = np.cov(scores.T)
         assert cov[0, 0] == pytest.approx(1.0, rel=0.05)
         assert cov[1, 1] == pytest.approx(0.25, rel=0.05)
         assert abs(cov[0, 1]) < 0.05

@@ -16,9 +16,8 @@ ORACLE_SIZES = (3, 4, 10, 25, 40)
 class TestBuildBasis:
     def test_default_setting_knot_count(self):
         basis = build_basis(10)
-        assert basis.num_basis == 10
-        assert basis.interior_knots.size == 8
-        assert np.allclose(basis.interior_knots, np.arange(1, 9) / 9.0)
+        assert basis.transform.shape == (12, 10)
+        assert np.allclose(basis._knot_vector[4:-4], np.arange(1, 9) / 9.0)
 
     def test_boundary_evaluation_finite(self):
         basis = build_basis(10)
