@@ -4,14 +4,14 @@ Three are standard building blocks (Gaussian prior, scalar inverse G-Wishart
 prior, scalar iterated inverse G-Wishart); the other two carry the model:
 the functional-principal-component Gaussian likelihood fragment and the
 Gaussian penalization fragment, specialised to the model's fixed priors.
-The likelihood fragment is batched over curves: the per-curve Grams C_i'C_i
-and projections C_i'y_i are cached once per fit, and its two contractions
-with the (L+1)^2 block pairs are one BLAS matrix product each.  Its message
-to nu needs the score moments only, and the penalization fragment's message
-to nu only the smoothing variances; neither needs q(nu).  The fragments
-return every message in the store's form: to nu and to the scores as
-(eta1, precision) array pairs (the streamlined form of Wand, 2017), to a
-variance as an (eta1, eta2) pair of floats.
+The likelihood fragment alone reads the data, through each curve's C_i'C_i,
+C_i'y_i and y_i'y_i, cached once per fit with no loop over curves.  Its two
+contractions with the (L+1)^2 block pairs are one BLAS matrix product each.
+Its message to nu needs the score moments only, and the penalization
+fragment's message to nu only the smoothing variances; neither needs q(nu).
+The fragments return every message in the store's form: to nu and to the
+scores as (eta1, precision) array pairs (the streamlined form of Wand,
+2017), to a variance as an (eta1, eta2) pair of floats.
 """
 
 from __future__ import annotations
@@ -74,23 +74,31 @@ class LikelihoodCache:
         return self.gram.shape[1]
 
 
-def build_likelihood_cache(design_matrices, responses) -> LikelihoodCache:
-    """Precompute C_i'C_i, C_i'y_i and y_i'y_i for every curve, and the total of the T_i."""
-    grams, projs, sq_norms, num_observations = [], [], [], 0
-    for design, y in zip(design_matrices, responses):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if design.shape[0] != y.size:
-            raise ValueError("design matrix and response length disagree")
-        grams.append(design.T @ design)
-        projs.append(design.T @ y)
-        sq_norms.append(float(y @ y))
-        num_observations += y.size
-    return LikelihoodCache(
-        gram=np.stack(grams),
-        proj=np.stack(projs),
-        sq_norm=np.asarray(sq_norms),
-        num_observations=num_observations,
-    )
+def build_likelihood_cache(design: np.ndarray, values: np.ndarray, offsets) -> LikelihoodCache:
+    """C_i'C_i, C_i'y_i and y_i'y_i for every curve i, rows ``offsets[i]:offsets[i+1]``.
+
+    Batched products over curves zero-padded to the longest in their class of
+    lengths [2^k, 2^(k+1)), so padding at most doubles the rows."""
+    if not design.shape[0] == values.size == offsets[-1]:
+        raise ValueError("design rows, responses and curve offsets disagree")
+    counts = np.diff(offsets)
+    curve = np.repeat(np.arange(counts.size), counts)
+    position = np.arange(curve.size) - offsets[curve]
+    length_class = np.frexp(counts)[1]
+    num_curves, num_coefs = counts.size, design.shape[1]
+    gram, proj = np.empty((num_curves, num_coefs, num_coefs)), np.empty((num_curves, num_coefs))
+    sq_norm = np.empty(num_curves)
+    for members in (length_class == c for c in np.flatnonzero(np.bincount(length_class))):
+        rows = members[curve]
+        index = (np.cumsum(members) - 1)[curve[rows]], position[rows]
+        padded = np.zeros((members.sum(), counts[members].max(), num_coefs))
+        padded[index] = design[rows]
+        padded_values = np.zeros(padded.shape[:2])
+        padded_values[index] = values[rows]
+        gram[members] = padded.mT @ padded
+        proj[members] = (padded.mT @ padded_values[..., None])[..., 0]
+        sq_norm[members] = np.einsum("it,it->i", padded_values, padded_values)
+    return LikelihoodCache(gram, proj, sq_norm, num_observations=curve.size)
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,8 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     scores, and shape 1, scale 1 (unit reciprocal mean) on every non-prior chain edge."""
     dataset.validate()
     basis = build_basis(config.num_splines)
-    designs = [design_matrix(t, basis) for t in dataset.times]
-    cache = build_likelihood_cache(designs, dataset.values)
+    design = design_matrix(dataset.times, basis)
+    cache = build_likelihood_cache(design, dataset.values, dataset.offsets)
     n, L = dataset.num_curves, config.num_eigen
     try:
         mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)

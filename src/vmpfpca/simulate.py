@@ -67,23 +67,23 @@ def generate(config: SimConfig) -> tuple[FunctionalDataset, np.ndarray]:
     sds = np.sqrt(np.asarray(config.score_variances))
     noise_sd = np.sqrt(config.noise_variance)
 
-    curve_ids, times, values = [], [], []
+    times, noise = [], []
     scores = np.empty((config.num_curves, 2))
     for i in range(config.num_curves):
         count = int(rng.integers(lo, hi + 1))
-        t = np.sort(rng.uniform(0.0, 1.0, size=count))
+        times.append(np.sort(rng.uniform(0.0, 1.0, size=count)))
         scores[i] = rng.standard_normal(2) * sds
-        signal = (
-            true_mean(t)
-            + scores[i, 0] * true_eigenfunction_1(t)
-            + scores[i, 1] * true_eigenfunction_2(t)
-        )
-        y = signal + noise_sd * rng.standard_normal(count)
-        curve_ids.append(str(i + 1))
-        times.append(t)
-        values.append(y)
+        noise.append(rng.standard_normal(count))
 
-    return FunctionalDataset(curve_ids=curve_ids, times=times, values=values), scores
+    counts = list(map(len, times))
+    t, row_scores = np.concatenate(times), np.repeat(scores, counts, axis=0)
+    y = (
+        true_mean(t)
+        + row_scores[:, 0] * true_eigenfunction_1(t)
+        + row_scores[:, 1] * true_eigenfunction_2(t)
+        + noise_sd * np.concatenate(noise)
+    )
+    return FunctionalDataset(np.repeat(np.arange(1, config.num_curves + 1), counts), t, y), scores
 
 
 def ise(f_true: np.ndarray, f_hat: np.ndarray, grid: np.ndarray) -> float:

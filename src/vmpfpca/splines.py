@@ -17,6 +17,7 @@ _SPLINE_DEGREE = 3
 # piecewise-linear second derivatives) is piecewise quadratic, so any even
 # count >= 2 integrates it exactly; extra points only hedge round-off.
 _SIMPSON_SUBINTERVALS = 8
+_ROWS_PER_BLOCK = 1024  # design rows per basis evaluation, to bound its temporaries
 
 
 @dataclass(frozen=True)
@@ -109,4 +110,9 @@ def build_basis(num_basis: int) -> SplineBasis:
 def design_matrix(times: np.ndarray, basis: SplineBasis) -> np.ndarray:
     """Design matrix [1, t, z_1(t), ..., z_K(t)] with shape (len(times), 2 + K)."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    return np.column_stack([np.ones(times.size), times, basis.evaluate(times)])
+    design = np.empty((times.size, 2 + basis.transform.shape[1]))
+    design[:, 0], design[:, 1] = 1.0, times
+    for start in range(0, times.size, _ROWS_PER_BLOCK):
+        rows = slice(start, start + _ROWS_PER_BLOCK)
+        design[rows, 2:] = basis.evaluate(times[rows])
+    return design

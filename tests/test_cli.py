@@ -2,6 +2,7 @@ import csv
 import ctypes
 import concurrent.futures
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -210,20 +211,42 @@ class TestFit:
         )
         assert code == cli.EXIT_DEGENERACY
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    @pytest.mark.parametrize(
-        "scale, where", [(1e154, "iteration "), (1e200, "starting values: ")], ids=["sweep", "start"]
-    )
-    def test_linalg_error_on_huge_response_is_degeneracy(self, scale, where, tmp_path, capsys):
-        # moments of responses near 1e154 and above overflow, and an eigh in the
-        # snap or in the starting values stops converging
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e154, 1e200], ids=["1e154", "1e200"])
+    def test_overflowing_response_is_validation_error(self, scale, tmp_path, capsys):
+        # the sum of squared responses is not finite: rejected before any sweep
         rng = np.random.default_rng(0)
         rows = [(c, rng.uniform(), scale * rng.normal()) for c in range(10) for _ in range(20)]
         path = write_csv(tmp_path / "huge.csv", rows)
         code = run_cli("fit", str(path), "--out", str(tmp_path / "fit.json"))
         err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert "error: the response overflows" in err and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "failing_call, where", [(1, "starting values: "), (2, "iteration 1: ")],
+        ids=["start", "sweep"],
+    )
+    def test_linalg_error_is_degeneracy(
+        self, sim_dir, failing_call, where, tmp_path, capsys, monkeypatch
+    ):
+        # the fit's first eigh is in the starting values, its next in the snap of sweep 1
+        calls = []
+        original = np.linalg.eigh
+
+        def eigh(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "vmpfpca.orchestrator":
+                calls.append(None)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        code = run_cli("fit", str(sim_dir / "dataset.csv"), "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
         assert code == cli.EXIT_DEGENERACY
-        assert f"error: {where}" in err and "Traceback" not in err
+        assert f"error: {where}Eigenvalues did not converge" in err and "Traceback" not in err
 
     def test_export_curves_long_format(self, sim_dir, tmp_path):
         out = tmp_path / "fit.json"

@@ -9,73 +9,113 @@ from vmpfpca.simulate import SimConfig, generate
 
 class TestDataset:
     def test_times_sorted_on_construction(self):
-        ds = FunctionalDataset(["a"], [np.array([0.9, 0.1, 0.5])], [np.array([3.0, 1.0, 2.0])])
-        assert np.array_equal(ds.times[0], [0.1, 0.5, 0.9])
-        assert np.array_equal(ds.values[0], [1.0, 2.0, 3.0])
+        ds = FunctionalDataset(["a"] * 3, [0.9, 0.1, 0.5], [3.0, 1.0, 2.0])
+        assert np.array_equal(ds.times, [0.1, 0.5, 0.9])
+        assert np.array_equal(ds.values, [1.0, 2.0, 3.0])
+        assert np.array_equal(ds.offsets, [0, 3])
 
     def test_validation_errors(self):
-        ok_t, ok_y = np.array([0.5]), np.array([1.0])
-        with pytest.raises(ValueError, match="no curves"):
+        with pytest.raises(ValueError, match="at least two"):
             FunctionalDataset([], [], []).validate()
         with pytest.raises(ValueError, match="at least two"):
-            FunctionalDataset(["a"], [ok_t], [ok_y]).validate()
-        with pytest.raises(ValueError, match="outside"):
-            FunctionalDataset(["a", "b"], [np.array([1.5]), ok_t], [np.array([0.0]), ok_y]).validate()
-        with pytest.raises(ValueError, match="no observations"):
-            FunctionalDataset(["a", "b"], [np.array([]), ok_t], [np.array([]), ok_y]).validate()
-        with pytest.raises(ValueError, match="duplicate"):
-            FunctionalDataset(
-                ["a", "a"], [np.array([0.1]), np.array([0.2])], [np.array([1.0]), np.array([2.0])]
-            ).validate()
+            FunctionalDataset(["a"], [0.5], [1.0]).validate()
+        with pytest.raises(ValueError, match="curve 'b' has times outside"):
+            FunctionalDataset(["a", "b", "b"], [0.5, 0.2, 1.5], [0.0, 1.0, 2.0]).validate()
+        with pytest.raises(ValueError, match="zero variance"):
+            FunctionalDataset(["a", "b"], [0.5, 0.2], [1.0, 1.0]).validate()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_response_rejected_without_warning(self):
+        ds = FunctionalDataset(["a", "a", "b"], [0.1, 0.2, 0.3], [1e154, -1e154, 2.0])
+        with pytest.raises(ValueError, match="the response overflows"):
+            ds.validate()
 
     def test_list_lengths_checked_before_pairing(self):
-        # pairing times with values would silently drop the third time array
-        t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="mismatched lengths"):
-            FunctionalDataset(["a", "b"], [t, t, t], [t, t**2])
+        # pairing labels with times would silently drop the last label
+        t = np.linspace(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="3 labels, 2 times, 2 values"):
+            FunctionalDataset(["a", "b", "c"], t, t**2)
 
     @pytest.mark.parametrize("size", [5, 2], ids=["longer", "shorter"])
     def test_value_length_checked_on_construction(self, size):
         # pairing by the sorted times would drop extra values or index past short ones
-        t = np.linspace(0.0, 1.0, 3)
-        with pytest.raises(ValueError, match="curve 'a' has mismatched time/value lengths"):
-            FunctionalDataset(["a", "b"], [t, t], [np.arange(float(size)), np.arange(3.0)])
+        with pytest.raises(ValueError, match=f"3 times, {size} values"):
+            FunctionalDataset(["a", "a", "b"], np.linspace(0.0, 1.0, 3), np.arange(float(size)))
 
     @pytest.mark.parametrize("column", ["times", "values"])
     def test_non_finite_entry_rejected_on_construction(self, column):
-        arrays = {"times": [np.array([0.2, 0.4]), np.array([0.5])], "values": [np.ones(2), np.ones(1)]}
-        arrays[column][1] = np.array([np.nan])
+        rows = {"times": [0.2, 0.4, 0.5], "values": [1.0, 1.0, 1.0]}
+        rows[column][2] = np.nan
         with pytest.raises(ValueError, match="curve 'b' contains non-finite entries"):
-            FunctionalDataset(["a", "b"], arrays["times"], arrays["values"])
+            FunctionalDataset(["a", "a", "b"], rows["times"], rows["values"])
 
     def test_rescale(self):
-        ds = FunctionalDataset(
-            ["a", "b"], [np.array([2.0, 4.0]), np.array([3.0])], [np.array([1.0, 2.0]), np.array([5.0])]
-        )
+        ds = FunctionalDataset(["a", "a", "b"], [4.0, 2.0, 3.0], [2.0, 1.0, 5.0])
         rescaled, (offset, scale) = ds.rescale_times()
         assert offset == 2.0 and scale == 2.0
-        assert np.allclose(rescaled.times[0], [0.0, 1.0])
-        assert np.allclose(rescaled.times[1], [0.5])
+        assert rescaled.curve_ids == ds.curve_ids
+        assert np.array_equal(rescaled.offsets, ds.offsets)
+        assert np.allclose(rescaled.times, [0.0, 1.0, 0.5])
+        assert np.array_equal(rescaled.values, ds.values)
         rescaled.validate()
 
+    def test_rescale_without_rows_says_so(self):
+        with pytest.raises(ValueError, match="cannot rescale: the dataset has no rows"):
+            FunctionalDataset([], [], []).rescale_times()
 
-CURVE_ARRAYS = st.lists(
-    st.lists(st.floats(0.0, 1.0) | st.just(float("nan")), max_size=6), min_size=1, max_size=4
+
+ROW_ENTRIES = st.floats(0.0, 1.0) | st.just(float("nan"))
+ROWS = st.lists(st.tuples(st.sampled_from("abcd"), ROW_ENTRIES, ROW_ENTRIES), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ROWS, st.tuples(*[st.integers(0, 1)] * 3))
+def test_construction_keeps_lengths_or_raises_value_error(rows, trim):
+    """Any row columns, of equal lengths or with one or more cut short, either
+    build a dataset that keeps every row, grouped into one curve per distinct
+    label, or raise ValueError; never IndexError, never a dropped row."""
+    labels, times, values = (
+        [row[k] for row in rows][: len(rows) - cut] for k, cut in enumerate(trim)
+    )
+    try:
+        dataset = FunctionalDataset(labels, times, values)
+    except ValueError:
+        return
+    assert dataset.num_observations == len(labels) == len(times) == len(values)
+    assert dataset.curve_ids == list(dict.fromkeys(labels))
+    counts = np.diff(dataset.offsets)
+    assert counts.tolist() == [labels.count(c) for c in dataset.curve_ids]
+    row_curves = np.repeat(dataset.curve_ids, counts).tolist()
+    assert sorted(zip(labels, times, values)) == sorted(
+        zip(row_curves, dataset.times.tolist(), dataset.values.tolist())
+    )
+
+
+FINITE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from("abcd"),
+        st.integers(0, 4).map(lambda k: k / 4) | st.floats(0.0, 1.0),
+        st.integers(-2, 2).map(float) | st.floats(-10.0, 10.0),
+    ),
+    min_size=1,
+    max_size=20,
 )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(CURVE_ARRAYS, CURVE_ARRAYS)
-def test_construction_keeps_lengths_or_raises_value_error(times, values):
-    """Any per-curve arrays either build a dataset whose arrays keep their input
-    lengths, or raise ValueError; never IndexError, never a truncated curve."""
-    values = (values * len(times))[: len(times)]  # one value array per curve
-    try:
-        dataset = FunctionalDataset([str(i) for i in range(len(times))], times, values)
-    except ValueError:
-        return
-    assert [t.size for t in dataset.times] == [len(t) for t in times]
-    assert [y.size for y in dataset.values] == [len(y) for y in values]
+@given(FINITE_ROWS, st.randoms(use_true_random=False))
+def test_shuffled_rows_give_an_identical_dataset(rows, random):
+    """Rows in any order that keeps each curve's first row in first-appearance
+    order build the same dataset, tied times included."""
+    labels = [label for label, _, _ in rows]
+    firsts = [labels.index(c) for c in dict.fromkeys(labels)]
+    rest = [i for i in range(len(rows)) if i not in firsts]
+    random.shuffle(rest)
+    shuffled = [rows[i] for i in firsts + rest]
+    a, b = (FunctionalDataset(*zip(*r)) for r in (rows, shuffled))
+    assert a.curve_ids == b.curve_ids
+    for name in ("times", "values", "offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestCsvRoundTrip:
@@ -85,10 +125,9 @@ class TestCsvRoundTrip:
         write_dataset_csv(dataset, path)
         back = read_dataset_csv(path)
         assert back.curve_ids == dataset.curve_ids
-        for t1, t2 in zip(back.times, dataset.times):
-            assert np.array_equal(t1, t2)
-        for y1, y2 in zip(back.values, dataset.values):
-            assert np.array_equal(y1, y2)
+        assert np.array_equal(back.offsets, dataset.offsets)
+        assert np.array_equal(back.times, dataset.times)
+        assert np.array_equal(back.values, dataset.values)
 
     def test_rows_need_not_be_grouped(self, tmp_path):
         path = tmp_path / "scrambled.csv"
@@ -102,9 +141,9 @@ class TestCsvRoundTrip:
         )
         ds = read_dataset_csv(path)
         assert ds.curve_ids == ["b", "a"]  # first-appearance order
-        assert np.array_equal(ds.times[0], [0.25, 0.5])
-        assert np.array_equal(ds.values[0], [4.0, 2.0])
-        assert np.array_equal(ds.times[1], [0.1, 0.9])
+        assert np.array_equal(ds.offsets, [0, 2, 4])
+        assert np.array_equal(ds.times, [0.25, 0.5, 0.1, 0.9])
+        assert np.array_equal(ds.values, [4.0, 2.0, 0.5, 1.5])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from vmpfpca.expfam import (
@@ -10,6 +12,7 @@ from vmpfpca.expfam import (
     invert_spd,
     vec,
 )
+from vmpfpca.data import FunctionalDataset
 from vmpfpca.fragments import (
     build_likelihood_cache,
     gaussian_prior_message,
@@ -24,7 +27,13 @@ from vmpfpca.fragments import (
     penalization_messages_to_variances,
     score_moments,
 )
-from tests_oracle_support import dense_penalization_precision, invchisq_mean_reciprocal
+from vmpfpca.splines import build_basis, design_matrix
+from tests_oracle_support import (
+    dense_penalization_precision,
+    invchisq_mean_reciprocal,
+    reference_likelihood_cache,
+    stack_curves,
+)
 
 
 def random_spd(rng, d, scale=1.0):
@@ -32,10 +41,15 @@ def random_spd(rng, d, scale=1.0):
     return scale * (a @ a.T + d * np.eye(d))
 
 
+def cache_of(designs, responses):
+    """The likelihood cache of per-curve design matrices and responses."""
+    return build_likelihood_cache(*stack_curves(designs, responses))
+
+
 def make_cache(rng, num_curves, counts, num_coefs):
     designs = [rng.standard_normal((t, num_coefs)) for t in counts]
     responses = [rng.standard_normal(t) for t in counts]
-    return build_likelihood_cache(designs, responses), designs, responses
+    return cache_of(designs, responses), designs, responses
 
 
 def make_moments(rng, num_eigen, num_coefs, num_curves):
@@ -247,7 +261,7 @@ class TestLikelihoodMessageToNu:
         rng = np.random.default_rng(41)
         num_coefs = 4
         designs = [rng.standard_normal((5, num_coefs))]
-        cache = build_likelihood_cache(designs, [np.zeros(5)])
+        cache = cache_of(designs, [np.zeros(5)])
         _, _, zeta_means, zeta_covs = make_moments(rng, 1, num_coefs, 1)
         eta1, precision = likelihood_message_to_nu(cache, score_moments(zeta_means, zeta_covs), 1.3)
         assert np.allclose(eta1, 0.0)
@@ -273,7 +287,7 @@ class TestLikelihoodMessageToNu:
         num_coefs = 5
         designs = [rng.standard_normal((4, num_coefs)), rng.standard_normal((3, num_coefs))]
         responses = [rng.standard_normal(4), rng.standard_normal(3)]
-        cache = build_likelihood_cache(designs, responses)
+        cache = cache_of(designs, responses)
         zeta = rng.standard_normal((2, 1))
         e_recip = 1.9
         scores = score_moments(zeta, np.zeros((2, 1, 1)))
@@ -295,7 +309,7 @@ class TestLikelihoodMessageToNu:
         num_coefs, count = 5, 3
         design = rng.standard_normal((count, num_coefs))
         response = rng.standard_normal(count)
-        cache = build_likelihood_cache([design], [response])
+        cache = cache_of([design], [response])
         zeta = rng.standard_normal((1, 1))
         e_recip = 0.7
         scores = score_moments(zeta, np.zeros((1, 1, 1)))
@@ -306,6 +320,57 @@ class TestLikelihoodMessageToNu:
         eta2_expected = -0.5 * e_recip * vec(design_full.T @ design_full)
         assert np.allclose(eta1, eta1_expected, atol=1e-12)
         assert np.allclose(-0.5 * vec(precision), eta2_expected, atol=1e-12)
+
+
+@st.composite
+def curve_rows(draw):
+    """Rows (label, t, y) of a few short curves, 1-row ones among them, and
+    maybe one long curve; times on a coarse grid, so many are tied."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        counts.insert(draw(st.integers(0, len(counts))), draw(st.integers(30, 120)))
+    labels = np.repeat([f"c{i}" for i in range(len(counts))], counts)
+    grid = st.integers(0, 8).map(lambda k: k / 8)
+    times = draw(st.lists(grid | st.floats(0.0, 1.0), min_size=labels.size, max_size=labels.size))
+    values = draw(
+        st.lists(st.floats(-10.0, 10.0), min_size=labels.size, max_size=labels.size)
+    )
+    order = draw(st.permutations(range(labels.size)))
+    return labels[order], np.asarray(times)[order], np.asarray(values)[order]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(curve_rows())
+def test_columnar_cache_matches_per_curve_loop(rows):
+    dataset = FunctionalDataset(*rows)
+    design = design_matrix(dataset.times, build_basis(5))
+    cache = build_likelihood_cache(design, dataset.values, dataset.offsets)
+    reference = reference_likelihood_cache(design, dataset.values, dataset.offsets)
+    for name in ("gram", "proj", "sq_norm"):
+        actual, expected = getattr(cache, name), getattr(reference, name)
+        assert actual.shape == expected.shape
+        assert np.abs(actual - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1e-300)
+    assert cache.num_observations == reference.num_observations == len(rows[0])
+
+
+def test_cache_padding_bounded_by_each_length_class():
+    # 500 one-row curves and one of 2000 rows: padding every curve to 2000
+    # rows would take 96 MB; padding within length classes takes a few MB
+    import tracemalloc
+
+    counts = np.array([1] * 250 + [2000] + [1] * 250)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rng = np.random.default_rng(8)
+    design, values = rng.standard_normal((offsets[-1], 12)), rng.standard_normal(offsets[-1])
+    tracemalloc.start()
+    try:
+        cache = build_likelihood_cache(design, values, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    reference = reference_likelihood_cache(design, values, offsets)
+    assert np.allclose(cache.gram, reference.gram, rtol=1e-12, atol=0)
 
 
 class TestContractionOracle:
@@ -374,7 +439,7 @@ class TestLikelihoodMessageToZeta:
         num_eigen, num_coefs, count = 2, 5, 9
         design = rng.standard_normal((count, num_coefs))
         response = rng.standard_normal(count)
-        cache = build_likelihood_cache([design], [response])
+        cache = cache_of([design], [response])
         nu_mean = rng.standard_normal((num_eigen + 1) * num_coefs)
         e_recip = 1.7
         exp = likelihood_expectations(cache, nu_mean, np.zeros((nu_mean.size, nu_mean.size)))
@@ -398,7 +463,7 @@ class TestLikelihoodMessageToZeta:
         rng = np.random.default_rng(53)
         num_coefs, count = 4, 8
         design = rng.standard_normal((count, num_coefs))
-        cache = build_likelihood_cache([design], [rng.standard_normal(count)])
+        cache = cache_of([design], [rng.standard_normal(count)])
         nu_mean, nu_cov, _, _ = make_moments(rng, 1, num_coefs, 1)
         e_recip = 0.9
         exp = likelihood_expectations(cache, nu_mean, nu_cov)
@@ -440,7 +505,7 @@ class TestLikelihoodMessageToSigsqEps:
         num_eigen, num_coefs = 2, 4
         designs = [rng.standard_normal((6, num_coefs))]
         responses = [rng.standard_normal(6)]
-        cache = build_likelihood_cache(designs, responses)
+        cache = cache_of(designs, responses)
         nu_mean = rng.standard_normal((num_eigen + 1) * num_coefs)
         zeta = rng.standard_normal((1, num_eigen))
         exp = likelihood_expectations(cache, nu_mean, np.zeros((nu_mean.size, nu_mean.size)))

@@ -156,6 +156,21 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(FunctionalDataset([], [], []), FitConfig())
 
+    @pytest.mark.parametrize("num_curves", [2, 300])
+    def test_design_matrix_evaluated_once(self, num_curves, monkeypatch):
+        # one design over all observation times, not one per curve
+        calls = []
+        original = orchestrator.design_matrix
+
+        def counted(times, basis):
+            calls.append(len(times))
+            return original(times, basis)
+
+        monkeypatch.setattr(orchestrator, "design_matrix", counted)
+        dataset, _ = generate(SimConfig(num_curves=num_curves, seed=4))
+        initialize(dataset, FitConfig(num_eigen=1))
+        assert calls == [dataset.num_observations]
+
     @pytest.mark.parametrize("num_eigen", [1, 3, 5])
     def test_start_equals_object_path(self, reference_dataset, num_eigen):
         # the store built from arrays against the same start written as objects
@@ -478,14 +493,10 @@ class TestFullModelOracle:
 
         raw = extract(state)
         mean_coefs, *component_coefs = raw.nu_mean.reshape(config.num_eigen + 1, -1)
-        worst = 0.0
-        for i, t in enumerate(dataset.times):
-            design = design_matrix(t, state.basis)
-            fitted = design @ mean_coefs
-            for l, coefs in enumerate(component_coefs):
-                fitted = fitted + raw.zeta_means[i, l] * (design @ coefs)
-            worst = max(worst, float(np.abs(fitted - oracle_fitted[i]).max()))
-        assert worst < 1e-6
+        design = design_matrix(dataset.times, state.basis)
+        coefs = mean_coefs + raw.zeta_means @ np.stack(component_coefs)  # (n, P)
+        fitted = np.einsum("rp,rp->r", design, np.repeat(coefs, np.diff(dataset.offsets), axis=0))
+        assert np.abs(fitted - np.concatenate(oracle_fitted)).max() < 1e-6
         assert raw.noise_precision_mean == pytest.approx(oracle_noise_prec, rel=1e-7)
 
 

@@ -14,42 +14,42 @@ from vmpfpca.simulate import (
 class TestGenerate:
     def test_observation_counts_in_range(self):
         dataset, _ = generate(SimConfig(num_curves=36, seed=1))
-        counts = [t.size for t in dataset.times]
+        counts = np.diff(dataset.offsets)
         assert all(20 <= c <= 30 for c in counts)
         assert dataset.num_curves == 36
 
     def test_times_sorted_in_unit_interval(self):
         dataset, _ = generate(SimConfig(num_curves=10, seed=3))
-        for t in dataset.times:
+        for t in np.split(dataset.times, dataset.offsets[1:-1]):
             assert np.all(np.diff(t) >= 0)
             assert t.min() >= 0.0 and t.max() <= 1.0
 
     def test_seeded_runs_bitwise_identical(self):
         a, scores_a = generate(SimConfig(num_curves=12, seed=99))
         b, scores_b = generate(SimConfig(num_curves=12, seed=99))
-        assert all(np.array_equal(x, y) for x, y in zip(a.times, b.times))
-        assert all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.values, b.values)
         assert np.array_equal(scores_a, scores_b)
 
     def test_different_seeds_differ(self):
         a, _ = generate(SimConfig(num_curves=5, seed=1))
         b, _ = generate(SimConfig(num_curves=5, seed=2))
-        assert not all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
+        assert not np.array_equal(a.values, b.values)
 
     def test_noise_variance_law_of_large_numbers(self):
         # Reconstruct the noiseless signal from the returned true scores; the
         # residual sample variance over ~1e5 observations estimates 1.0.
         config = SimConfig(num_curves=4200, seed=7)
         dataset, scores = generate(config)
-        residuals = []
-        for i, (t, y) in enumerate(zip(dataset.times, dataset.values)):
-            signal = (
-                true_mean(t)
-                + scores[i, 0] * true_eigenfunction_1(t)
-                + scores[i, 1] * true_eigenfunction_2(t)
-            )
-            residuals.append(y - signal)
-        residuals = np.concatenate(residuals)
+        t = dataset.times
+        row_scores = np.repeat(scores, np.diff(dataset.offsets), axis=0)
+        signal = (
+            true_mean(t)
+            + row_scores[:, 0] * true_eigenfunction_1(t)
+            + row_scores[:, 1] * true_eigenfunction_2(t)
+        )
+        residuals = dataset.values - signal
         assert residuals.size > 100_000
         assert residuals.var() == pytest.approx(1.0, rel=0.02)
 

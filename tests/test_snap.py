@@ -135,9 +135,8 @@ def curve_expectations(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
     scores = score_moments(zeta_means, zeta_covs)
     coefs = scores.zt_mean @ expectations.v_mean.T  # (n, P): E(V) E(zeta-tilde_i)
-    curves = np.concatenate(
-        [design_matrix(t, state.basis) @ c for t, c in zip(dataset.times, coefs)]
-    )
+    rows = np.repeat(coefs, np.diff(dataset.offsets), axis=0)
+    curves = np.einsum("rp,rp->r", design_matrix(dataset.times, state.basis), rows)
     return likelihood_expected_sq_norms(state.cache, expectations, scores), curves
 
 

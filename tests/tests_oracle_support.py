@@ -1,14 +1,17 @@
 """Independent oracles and builders shared by the unit and acceptance suites.
 
 These deliberately avoid the message-passing code paths: plain moment-form
-coordinate ascent and direct linear algebra only.  Three exceptions replay
-package arithmetic in its earlier, object-based form, to check the array
-form against it: :func:`reference_scale_alternation` runs the snap's scale
-loop with the fragments' messages as objects, :func:`dict_q_snapshot` with
-:func:`dict_convergence_metric` is the convergence check as it read the
-message store's natural-parameter view, and :func:`object_start_store`
-writes the starting messages through that view.  :func:`zero_store` builds
-a store for a test to fill.
+coordinate ascent and direct linear algebra only; each loops over the
+curves split from the dataset's flat rows (:func:`curve_arrays`).  Four
+exceptions replay package arithmetic in an earlier form, to check the
+current form against it: :func:`reference_likelihood_cache` builds the
+likelihood cache with a loop over curves, :func:`reference_scale_alternation`
+runs the snap's scale loop with the fragments' messages as objects,
+:func:`dict_q_snapshot` with :func:`dict_convergence_metric` is the
+convergence check as it read the message store's natural-parameter view,
+and :func:`object_start_store` writes the starting messages through that
+view.  :func:`zero_store` builds a store for a test to fill, and
+:func:`stack_curves` stacks per-curve arrays into rows and offsets.
 """
 
 import math
@@ -26,7 +29,11 @@ from vmpfpca.expfam import (
     moore_penrose_duplication,
     vec,
 )
-from vmpfpca.fragments import iterated_igw_messages, penalization_message_to_variance
+from vmpfpca.fragments import (
+    LikelihoodCache,
+    iterated_igw_messages,
+    penalization_message_to_variance,
+)
 from vmpfpca.graph import (
     LIKELIHOOD,
     NU,
@@ -303,6 +310,37 @@ def gram_schmidt(columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def curve_arrays(dataset, basis):
+    """Each curve's design matrix and responses, split from the dataset's flat rows."""
+    cuts = dataset.offsets[1:-1]
+    return (
+        np.split(design_matrix(dataset.times, basis), cuts),
+        np.split(dataset.values, cuts),
+    )
+
+
+def stack_curves(designs, responses):
+    """Per-curve design matrices and responses as stacked rows with curve offsets."""
+    offsets = np.concatenate([[0], np.cumsum([len(y) for y in responses])]).astype(int)
+    return np.vstack(designs), np.concatenate(responses), offsets
+
+
+def reference_likelihood_cache(design, values, offsets):
+    """The likelihood cache by a loop over curves: each C_i'C_i, C_i'y_i and y_i'y_i."""
+    grams, projs, sq_norms = [], [], []
+    cuts = np.asarray(offsets)[1:-1]
+    for c, y in zip(np.split(design, cuts), np.split(values, cuts)):
+        grams.append(c.T @ c)
+        projs.append(c.T @ y)
+        sq_norms.append(float(y @ y))
+    return LikelihoodCache(
+        gram=np.stack(grams),
+        proj=np.stack(projs),
+        sq_norm=np.asarray(sq_norms),
+        num_observations=values.size,
+    )
+
+
 def full_model_mfvb_oracle(dataset, config, sweeps=4000):
     """Direct mean-field coordinate ascent for the complete model.
 
@@ -314,9 +352,7 @@ def full_model_mfvb_oracle(dataset, config, sweeps=4000):
     internal component rotation and therefore comparable across
     implementations).
     """
-    basis = build_basis(config.num_splines)
-    designs = [design_matrix(t, basis) for t in dataset.times]
-    responses = dataset.values
+    designs, responses = curve_arrays(dataset, build_basis(config.num_splines))
     n = len(responses)
     num_eigen, num_splines = config.num_eigen, config.num_splines
     blocks, num_coefs = num_eigen + 1, 2 + num_splines
@@ -402,12 +438,11 @@ def penalized_spline_mfvb_oracle(dataset, config, sweeps=5000):
     shrinkage prior with unknown variance on the spline part, and half-Cauchy
     style hierarchical priors on both variances.
     """
-    basis = build_basis(config.num_splines)
-    designs = [design_matrix(t, basis) for t in dataset.times]
+    designs, responses = curve_arrays(dataset, build_basis(config.num_splines))
     gram = sum(d.T @ d for d in designs)
-    proj = sum(d.T @ y for d, y in zip(designs, dataset.values))
-    sq_sum = sum(float(y @ y) for y in dataset.values)
-    total = sum(t.size for t in dataset.times)
+    proj = sum(d.T @ y for d, y in zip(designs, responses))
+    sq_sum = sum(float(y @ y) for y in responses)
+    total = sum(y.size for y in responses)
     num_coefs = 2 + config.num_splines
 
     prior_prec = np.zeros((num_coefs, num_coefs))
