@@ -454,7 +454,8 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
 
     ``doc`` must be a JSON object with every key in ``keys``, and its ``mean``
     and each ``eigenfunctions`` row must hold one number per ``grid`` point;
-    the grid must increase, as resampling onto the fit grid assumes.
+    the grid must increase, as resampling onto the fit grid assumes.  Its
+    ``eigenvalues``, when ``keys`` names them, are one number per eigenfunction.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{label}: expected a JSON object, not a {type(doc).__name__}")
@@ -473,11 +474,24 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
         raise ValueError(
             f"{label}: mean and each eigenfunction need one value per grid point ({grid.size})"
         )
+    if "eigenvalues" in keys:
+        eigenvalues = doc["eigenvalues"]
+        if not (
+            isinstance(eigenvalues, list)
+            and len(eigenvalues) == funcs.shape[0]
+            and all(map(_is_number, eigenvalues))
+        ):
+            raise ValueError(
+                f"{label}: eigenvalues must be a list of numbers, one per eigenfunction"
+            )
     precision = doc.get("noise_precision_mean")
-    if precision is not None and (
-        isinstance(precision, bool) or not isinstance(precision, (int, float))
-    ):
+    if precision is not None and not _is_number(precision):
         raise ValueError(f"{label}: noise_precision_mean must be a number")
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; JSON's true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _cmd_eval(args) -> int:
@@ -496,7 +510,8 @@ def _cmd_eval(args) -> int:
         )
         out = Path(args.out or "study.json")
         _write_json(out, rows)
-        print(f"wrote {len(rows)} study rows to {out}")
+        unconverged = sum(not row["converged"] for row in rows)
+        print(f"wrote {len(rows)} study rows to {out}; {unconverged} did not converge")
         return EXIT_OK
 
     with _inputs():

@@ -89,17 +89,16 @@ def _factorizes(matrix: np.ndarray) -> bool:
 
 
 def invert_spd(matrix: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Invert a symmetric positive definite matrix, or a stack of them.
+    """Invert an exactly symmetric positive definite matrix, or a stack of them.
 
-    The Cholesky factorization is the definiteness check; the inverse is one
-    batched ``np.linalg.inv`` of the matrix, which is cheaper than inverting
-    the triangular factor with the same general routine and multiplying it
-    out.  The inverse is symmetric up to round-off.  Raises
-    :class:`DegenerateMessageError` with the eigenvalue range when the
-    factorization fails; for a stack, the message also names the (flattened)
-    rows that failed.
+    The Cholesky factorization of one triangle is the definiteness check; the
+    inverse is one batched ``np.linalg.inv``, cheaper than inverting the
+    triangular factor with the same routine and multiplying it out.  The
+    inverse is symmetric up to round-off.  Raises :class:`DegenerateMessageError`
+    with the eigenvalue range when the factorization fails; for a stack, the
+    message also names the (flattened) rows that failed.
     """
-    matrix = symmetrize(np.asarray(matrix, dtype=float))
+    matrix = np.asarray(matrix, dtype=float)
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -204,9 +203,9 @@ NaturalParams = GaussianVecParams | GaussianVechParams | InvChiSqParams
 
 
 def gaussian_moments_to_vec(mean: np.ndarray, cov: np.ndarray) -> GaussianVecParams:
-    """Map (mean, covariance) to vec-basis natural parameters."""
+    """Map (mean, covariance), the covariance made symmetric, to vec-basis natural parameters."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    prec = symmetrize(invert_spd(cov, context="covariance"))
+    prec = symmetrize(invert_spd(symmetrize(cov), context="covariance"))
     return GaussianVecParams(prec @ mean, -0.5 * vec(prec))
 
 
@@ -226,9 +225,9 @@ def gaussian_vec_to_moments(params: GaussianVecParams) -> tuple[np.ndarray, np.n
 
 
 def gaussian_moments_to_vech(mean: np.ndarray, cov: np.ndarray) -> GaussianVechParams:
-    """Map (mean, covariance) to vech-basis natural parameters."""
+    """Map (mean, covariance), the covariance made symmetric, to vech-basis natural parameters."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    prec = symmetrize(invert_spd(cov, context="covariance"))
+    prec = symmetrize(invert_spd(symmetrize(cov), context="covariance"))
     d = mean.size
     return GaussianVechParams(prec @ mean, duplication_matrix(d).T @ (-0.5 * vec(prec)))
 

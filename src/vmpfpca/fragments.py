@@ -35,8 +35,6 @@ def igw_prior_message(scale_hyper: float) -> tuple[float, float]:
     The auxiliary variable has an inverse chi-squared density with shape 1 and
     scale 1/A^2, so the natural parameters are (-3/2, -1/(2 A^2)), as floats.
     """
-    if scale_hyper <= 0:
-        raise ValueError("scale hyperparameter must be positive")
     return -1.5, float(-0.5 / scale_hyper**2)
 
 
@@ -161,7 +159,8 @@ def likelihood_message_to_nu(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood message to the stacked spline coefficients, as (eta1, precision).
 
-    It depends on the score moments only, not on q(nu).
+    It depends on the score moments only, not on q(nu).  The precision, scaled
+    by E(1/sigma^2_eps), is averaged with its transpose: it is exactly symmetric.
     """
     num_curves, blocks = scores.zt_mean.shape
     num_coefs = cache.num_coefs
@@ -172,12 +171,12 @@ def likelihood_message_to_nu(
     by_block_pair = scores.zt_second.reshape(num_curves, -1).T @ cache.gram.reshape(
         num_curves, -1
     )
-    precision = (
+    precision = e_recip_eps * (
         by_block_pair.reshape(blocks, blocks, num_coefs, num_coefs)
         .transpose(0, 2, 1, 3)
         .reshape(dim, dim)
     )
-    return eta1, e_recip_eps * precision
+    return eta1, 0.5 * (precision + precision.T)
 
 
 def likelihood_messages_to_zeta(

@@ -213,8 +213,6 @@ def fpca_factor_graph(num_eigen: int) -> Neighbors:
 
     The curve count does not enter: the scores of all curves are one node.
     """
-    if num_eigen < 1:
-        raise ValueError("num_eigen must be >= 1")
     chains = variance_chains(num_eigen)
     graph = {NU: (LIKELIHOOD, PENALIZATION), ZETA: (LIKELIHOOD, PRIOR_ZETA)}
     graph.update({chain.sigsq: (chain.source, chain.iterated) for chain in chains})

@@ -98,6 +98,8 @@ class FitConfig:
             raise ValueError("num_eigen must be >= 1")
         if self.num_splines < 3:
             raise ValueError("num_splines must be >= 3")
+        if self.num_eigen > self.num_splines + 2:
+            raise ValueError("num_eigen must be <= num_splines + 2, the coefficients per function")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
@@ -128,7 +130,7 @@ class VmpState:
     graph: fg.Neighbors
     store: fg.MessageStore
     cache: LikelihoodCache
-    iterations: int = 0
+    iterations: int = 0  # sweeps run; each _sweep advances it
     converged: bool = False
     history: list[float] = field(default_factory=list)
 
@@ -460,7 +462,8 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
 
     ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
     covariance) as the sweep starts.  Returns the :func:`q_snapshot` of the
-    q(nu) and q(zeta) the sweep formed last, and their moments.
+    q(nu) and q(zeta) the sweep formed last, and their moments, after advancing
+    ``state.iterations``, which tells the snap whether this is a fit's first sweep.
     """
     n, L = state.cache.num_curves, state.config.num_eigen
     if state.config.freeze_scores_at_zero:
@@ -472,6 +475,7 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     q_nu, nu_moments = _update_penalization_fragment(state)
     for index in range(1, L + 2):
         _update_iterated_fragment(state, index)
+    state.iterations += 1
     return q_snapshot(q_nu, q_zeta, state.store), nu_moments, zeta_moments
 
 
@@ -512,7 +516,6 @@ def fit_state(state: VmpState) -> VmpState:
             raise DegenerateMessageError(f"iteration {state.iterations + 1}: {err}") from err
         metric = convergence_metric(previous, current, starts)
         state.history.append(metric)
-        state.iterations += 1
         previous = current
         if state.iterations % 50 == 0:
             logger.debug("iteration %d, metric %.3e", state.iterations, metric)
@@ -520,7 +523,7 @@ def fit_state(state: VmpState) -> VmpState:
             state.converged = True
             break
     if not state.converged:
-        logger.warning(
+        logger.info(
             "no convergence after %d iterations (last metric %.3e)",
             state.iterations,
             state.history[-1],

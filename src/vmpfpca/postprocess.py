@@ -100,8 +100,6 @@ def evaluate_grid(
     component, score matrix with one row per curve).  E(nu) holds one block of
     coefficients per curve function, the mean function's first.
     """
-    if grid_size < 101:
-        raise ValueError("grid_size must be >= 101")
     grid = np.linspace(0.0, 1.0, grid_size)
     design = design_matrix(grid, basis)
     mean_coefs, *component_coefs = raw.nu_mean.reshape(-1, design.shape[1])

@@ -87,8 +87,6 @@ def build_basis(num_basis: int) -> SplineBasis:
     penalty with positive eigenvalues and scaled by the inverse square roots of
     those eigenvalues, which whitens the roughness penalty to the identity.
     """
-    if num_basis < 3:
-        raise ValueError("num_basis must be at least 3")
     num_interior = num_basis - 2
     interior = np.arange(1, num_interior + 1) / (num_interior + 1)
     knot_vector = np.r_[[0.0] * (_SPLINE_DEGREE + 1), interior, [1.0] * (_SPLINE_DEGREE + 1)]

@@ -2,8 +2,11 @@ import csv
 import ctypes
 import concurrent.futures
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +134,21 @@ class TestFit:
         assert code == cli.EXIT_NONCONVERGENCE
         doc = json.loads(out.read_text())
         assert doc["manifest"]["converged"] is False
+
+    @pytest.mark.parametrize("level, lines", [("warning", 1), ("info", 2)])
+    def test_nonconvergence_reported_once(self, sim_dir, tmp_path, level, lines):
+        # fit's warning line is the report; the fit's own record is logged at INFO
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "VMPFPCA_LOG": level}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "vmpfpca.cli", "fit", str(sim_dir / "dataset.csv"),
+             "--max-iter", "5", "--out", str(tmp_path / "fit.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert done.returncode == cli.EXIT_NONCONVERGENCE
+        reports = [line for line in done.stderr.splitlines() if "converge" in line]
+        assert len(reports) == lines and reports[-1].startswith("warning: not converged")
 
     def test_rerun_is_bitwise_reproducible(self, sim_dir, tmp_path):
         args = [
@@ -338,6 +356,11 @@ class TestFitInputErrors:
             (_flag("--hyper-a-psi", "1e-300"), "hyper_a_psi"),
             (_flag("--hyper-a-eps", "1e200"), "hyper_a_eps"),
             (_flag("--prior-beta-var", "1e-320"), "prior_beta_var"),
+            (_flag("--num-eigen", "13"), "num_eigen must be <= num_splines + 2"),
+            (
+                _manifest('{"dataset": DATASET, "config": {"num_eigen": 6, "num_splines": 3}}'),
+                "num_eigen must be <= num_splines + 2",
+            ),
         ],
         ids=[
             "rescale-equal-times",
@@ -357,6 +380,8 @@ class TestFitInputErrors:
             "precision-underflow",
             "precision-overflow",
             "precision-infinite",
+            "more-components-than-coefficients",
+            "manifest-more-components-than-coefficients",
         ],
     )
     def test_exits_2_with_error_line(self, build, message, tmp_path, capsys):
@@ -511,6 +536,14 @@ class TestEval:
                 "noise_variance_estimate",
             }
 
+    def test_study_closing_line_counts_unconverged_cells(self, tmp_path, capsys):
+        out = tmp_path / "study.json"
+        args = ["eval", "--study", "--replicates", "2", "--n-grid", "10", "--out", str(out)]
+        assert run_cli(*args, "--max-iter", "2") == 0
+        assert capsys.readouterr().out.strip().endswith("; 2 did not converge")
+        assert run_cli(*args, "--max-iter", "2000") == 0
+        assert capsys.readouterr().out.strip().endswith("; 0 did not converge")
+
     def test_study_validation(self, tmp_path):
         assert (
             run_cli("eval", "--study", "--replicates", "0", "--out", str(tmp_path / "s.json"))
@@ -653,6 +686,10 @@ class TestOtherInputErrors:
             (["eval", "--study", "--n-grid", "0"], "curve count"),
             (["eval", "--study", "--n-grid", "10,-3"], "curve count"),
             (["eval", "--study", "--seed", "-1"], "seed"),
+            (
+                ["eval", "--study", "--num-eigen", "9", "--num-splines", "5"],
+                "num_eigen must be <= num_splines + 2",
+            ),
         ],
         ids=[
             "simulate-inf-noise",
@@ -663,6 +700,7 @@ class TestOtherInputErrors:
             "study-zero-curves",
             "study-negative-curves",
             "study-negative-seed",
+            "study-more-components-than-coefficients",
         ],
     )
     def test_flags_exit_2(self, args, message, tmp_path, capsys):
@@ -693,6 +731,11 @@ class TestOtherInputErrors:
             (_document("truth", lambda doc: {**doc, "grid": doc["grid"][::-1]}), "increasing"),
             (_document("fit", lambda doc: {**doc, "noise_precision_mean": "x"}), "noise_precision"),
             (_document("fit", lambda doc: {**doc, "noise_precision_mean": True}), "noise_precision"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": [[1, 2], [3]]}), "eigenvalues"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": "abc"}), "eigenvalues"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": {"a": 1}}), "eigenvalues"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": [1, None, 2]}), "eigenvalues"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": [1.0, 0.5]}), "eigenvalues"),
         ],
         ids=[
             "fit-empty",
@@ -708,6 +751,11 @@ class TestOtherInputErrors:
             "truth-decreasing-grid",
             "fit-string-precision",
             "fit-boolean-precision",
+            "fit-ragged-eigenvalues",
+            "fit-string-eigenvalues",
+            "fit-object-eigenvalues",
+            "fit-null-eigenvalue",
+            "fit-eigenvalue-per-missing-eigenfunction",
         ],
     )
     def test_eval_documents_exit_2(self, build, message, tmp_path, capsys):

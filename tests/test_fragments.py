@@ -140,10 +140,6 @@ class TestIgwPrior:
         analytic = np.exp(gammaln(shape / 2.0) - (shape / 2.0) * np.log(scale / 2.0))
         assert normalizer == pytest.approx(analytic, rel=1e-8)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            igw_prior_message(0.0)
-
 
 class TestIteratedIgw:
     def test_message_to_variance(self):

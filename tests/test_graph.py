@@ -71,10 +71,6 @@ class TestTopology:
             "prior_a_psi[2]",
         )
 
-    def test_no_components_rejected(self):
-        with pytest.raises(ValueError):
-            fpca_factor_graph(0)
-
 
 class TestMessageRules:
     # sigsq_eps sits between the likelihood and the noise chain's iterated factor

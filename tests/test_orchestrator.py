@@ -74,6 +74,9 @@ class TestFitConfig:
         [
             {"num_eigen": 0},
             {"num_splines": 2},
+            # more components than coefficients per function: 2 + num_splines
+            {"num_eigen": 13, "num_splines": 10},
+            {"num_eigen": 6, "num_splines": 3},
             {"tol": 0.0},
             {"max_iter": 0},
             {"grid_size": 100},
@@ -100,6 +103,9 @@ class TestFitConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    def test_one_component_per_coefficient_is_allowed(self):
+        assert FitConfig(num_eigen=12, num_splines=10).num_eigen == 12
 
     def test_integer_sizes_become_python_ints(self):
         # The sweep's inverse chi-squared messages are Python floats, where a
@@ -270,6 +276,43 @@ class TestFit:
         dataset, _ = generate(SimConfig(num_curves=20, seed=6))
         state = fit(dataset, FitConfig(num_eigen=1, max_iter=1000))
         assert state.converged
+
+
+class TestSweepItself:
+    """What every caller of ``_sweep`` gets, not only ``fit_state``."""
+
+    SWEEPS = 5
+
+    @staticmethod
+    def stores_equal(first, second):
+        return all(
+            np.array_equal(getattr(first, f.name), getattr(second, f.name))
+            for f in dataclasses.fields(first)
+        )
+
+    def test_every_stored_precision_is_exactly_symmetric(self, reference_dataset):
+        # invert_spd inverts what it is given, so each message is formed symmetric
+        state = initialize(reference_dataset, FitConfig())
+        moments = fresh_moments(state)
+        for sweep in range(self.SWEEPS + 1):
+            if sweep:
+                _, *moments = _sweep(state, *moments)
+            store = state.store
+            for precision in (store.nu_precision, store.zeta_precision, store.prior_precision):
+                symmetric = np.array_equal(precision, precision.swapaxes(-1, -2))
+                assert symmetric, f"after sweep {sweep}"
+
+    def test_hand_driven_sweeps_match_fit_state(self, reference_dataset):
+        # the sweep counts itself, so the snap runs its translation and scale
+        # from the second sweep on, by hand as in fit_state
+        config = FitConfig(max_iter=self.SWEEPS)
+        fitted = fit(reference_dataset, config)
+        state = initialize(reference_dataset, config)
+        moments = fresh_moments(state)
+        for _ in range(self.SWEEPS):
+            _, *moments = _sweep(state, *moments)
+        assert state.iterations == fitted.iterations == self.SWEEPS
+        assert self.stores_equal(state.store, fitted.store)
 
 
 class TestSnapshot:

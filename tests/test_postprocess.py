@@ -147,8 +147,6 @@ class TestEvaluateGrid:
         grid, *_ = evaluate_grid(raw, small_fit_state.basis, 101)
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.allclose(np.diff(grid), 0.01)
-        with pytest.raises(ValueError, match="grid_size must be >= 101"):
-            evaluate_grid(raw, small_fit_state.basis, 100)
 
     def test_pure_slope_component(self, small_fit_state):
         raw = extract(small_fit_state)

@@ -1,13 +1,15 @@
 """Property tests: every subcommand ends in a documented exit code, never a traceback.
 
 Hypothesis draws tiny CSVs (2-6 curves of 1-8 observations, tied times,
-constant values) and fit flags.  Every run must end in a documented exit
-code, and every fit it writes (exit 0, or 4 with output retained) must meet
-the post-processing invariants of the acceptance suite's criterion 7:
-trapezoid-orthonormal eigenfunctions, mean-zero scores and descending
-eigenvalues.  Further properties draw ``simulate`` flags (non-finite, zero
-and negative variances, too few observations), ``eval --study`` runs on tiny
-curve-count grids, ``eval --fit/--truth`` on mutated documents, and ``fit``
+constant values) and fit flags, with up to two more components than the
+2 + num_splines coefficients of a function, which exit 2.  Every run must
+end in a documented exit code, and every fit it writes (exit 0, or 4 with
+output retained) must meet the post-processing invariants of the acceptance
+suite's criterion 7: trapezoid-orthonormal eigenfunctions, mean-zero scores
+and descending eigenvalues.  Further properties draw ``simulate`` flags
+(non-finite, zero and negative variances, too few observations),
+``eval --study`` runs on tiny curve-count grids, ``eval --fit/--truth`` on
+mutated documents (a malformed ``eigenvalues`` list exits 2), and ``fit``
 hyperparameters whose prior precisions over- or underflow.  The examples
 are derandomised, so each run sees the same cases.
 """
@@ -57,9 +59,10 @@ def fit_cases(draw):
         else:
             values = draw(st.lists(VALUES, min_size=len(curve_times), max_size=len(curve_times)))
         rows.extend((curve, t, y) for t, y in zip(curve_times, values))
+    num_splines = draw(st.integers(3, 8))
     flags = [
-        "--num-eigen", str(draw(st.integers(1, 4))),
-        "--num-splines", str(draw(st.integers(3, 8))),
+        "--num-eigen", str(draw(st.integers(1, num_splines + 4))),
+        "--num-splines", str(num_splines),
         "--max-iter", str(draw(st.integers(1, 30))),
         "--grid-size", "101",
     ]  # fmt: skip
@@ -171,7 +174,7 @@ def study_flags(draw):
     return [
         *flags_with_awkward_values(draw, choices, 2),
         f"--max-iter={draw(st.integers(1, 5))}",
-        f"--num-eigen={draw(st.integers(1, 3))}",
+        f"--num-eigen={draw(st.integers(1, 9))}",
         "--num-splines=5",
         "--grid-size=101",
     ]
@@ -186,6 +189,11 @@ def test_study_exits_cleanly(flags):
         assert code in EXIT_CODES
         event(f"exit {code}")
         assert out.exists() == (code == cli.EXIT_OK)
+
+
+EIGENVALUE_MUTATIONS = [
+    "ragged eigenvalues", "string eigenvalues", "object eigenvalues", "eigenvalue count"
+]
 
 
 @st.composite
@@ -214,7 +222,10 @@ def eval_documents(draw):
     target = draw(st.sampled_from(["fit", "truth"]))
     doc = fit_doc if target == "fit" else truth_doc
     inner = doc.get("fit", doc)
-    mutation = draw(st.sampled_from(["none", "drop", "list", "truncate"]))
+    mutations = ["none", "drop", "list", "truncate"]
+    if target == "fit":
+        mutations += EIGENVALUE_MUTATIONS
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "drop":
         del inner[draw(st.sampled_from(sorted(inner)))]
     elif mutation == "list":
@@ -223,6 +234,15 @@ def eval_documents(draw):
         curves = [inner["grid"], inner["mean"], *inner["eigenfunctions"]]
         curve = draw(st.sampled_from(curves))
         del curve[-1:]
+    elif mutation == "ragged eigenvalues":
+        inner["eigenvalues"] = [inner["eigenvalues"] + [1.0], [1.0]]
+    elif mutation == "string eigenvalues":
+        inner["eigenvalues"] = "abc"
+    elif mutation == "object eigenvalues":
+        inner["eigenvalues"] = {"a": 1}
+    elif mutation == "eigenvalue count":
+        count = len(inner["eigenfunctions"])
+        inner["eigenvalues"] = [1.0] * draw(st.integers(0, 4).filter(lambda k: k != count))
     if target == "fit":
         fit_doc = doc
     else:
@@ -246,6 +266,8 @@ def test_eval_exits_cleanly_on_mutated_documents(case):
         event(f"{mutation}: exit {code}")
         if mutation == "none":
             assert code == cli.EXIT_OK
+        elif mutation in EIGENVALUE_MUTATIONS:
+            assert code == cli.EXIT_VALIDATION
 
 
 @pytest.fixture(scope="module")

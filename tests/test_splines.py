@@ -33,10 +33,6 @@ class TestBuildBasis:
         assert singular[-1] > 1e-8 * singular[0]
         assert np.linalg.matrix_rank(basis.evaluate(grid)) == 10
 
-    def test_minimum_size_enforced(self):
-        with pytest.raises(ValueError):
-            build_basis(2)
-
     def test_continuity(self):
         basis = build_basis(10)
         t = np.linspace(0.01, 0.99, 37)

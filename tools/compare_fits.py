@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Record the fits of one source tree, or compare two recordings array by array.
+
+    python tools/compare_fits.py record OUT.npz [--src DIR]
+    python tools/compare_fits.py compare FIRST.npz SECOND.npz
+
+``record`` imports ``vmpfpca`` from DIR (default: this checkout's ``src``)
+and fits 56 inputs on one BLAS thread:
+
+- dense-narrow: ``perfbench/inputs.write_dataset`` seeds 1-3 x index 0-9,
+  20 curves of 150-300 points, L = 3, K = 10, max_iter 3000;
+- study: ``simulate.generate`` seeds 0-7 x n = 10, 50, 100, ``FitConfig()``;
+- stall: ``write_dataset`` seed 1, index 0, 20 curves of 1000-2000 points,
+  with the dense-narrow settings;
+- frozen: the frozen-score fit of acceptance criterion 2.
+
+For each input it saves, under ``<input>/``: the sweep count, the convergence
+flag and history, every store array and the chains' floats (with their
+Python types) after ``initialize`` and after the fit, and every ``FpcaFit``
+field, or the text of the error that ``finalize`` raised.
+
+``compare`` lists each array that is in one file only or is not bitwise
+equal, with the largest absolute difference and the largest entry, and
+exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import os
+
+# set before numpy loads OpenBLAS, which reads it once
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FLAGS = {"num_eigen": 3, "num_splines": 10, "max_iter": 3000}
+FROZEN_FLAGS = {
+    "num_eigen": 1, "num_splines": 8, "freeze_scores_at_zero": True, "tol": 1e-12, "max_iter": 4000,
+}  # fmt: skip
+
+
+def comparison_inputs(work: Path):
+    """(name, dataset, config keyword arguments) of each input, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from inputs import write_dataset
+
+    from vmpfpca.data import read_dataset_csv
+    from vmpfpca.simulate import SimConfig, generate
+
+    def written(seed, index, obs):
+        path = work / f"dataset-{seed}-{index}-{obs[0]}.csv"
+        write_dataset(path, seed, index, 20, obs)
+        return read_dataset_csv(path)
+
+    for seed in (1, 2, 3):
+        for index in range(10):
+            yield f"dense-{seed}-{index}", written(seed, index, (150, 300)), BENCH_FLAGS
+    for seed in range(8):
+        for num_curves in (10, 50, 100):
+            yield f"study-{seed}-{num_curves}", generate(SimConfig(num_curves, seed=seed))[0], {}
+    yield "stall", written(1, 0, (1000, 2000)), BENCH_FLAGS
+    yield "frozen", generate(SimConfig(num_curves=12, seed=5))[0], FROZEN_FLAGS
+
+
+def store_arrays(store) -> dict[str, np.ndarray]:
+    out = {}
+    for field in dataclasses.fields(store):
+        value = getattr(store, field.name)
+        if field.name == "chains":
+            types = [[[type(x).__name__ for x in message] for message in c] for c in value]
+            out["chain_types"] = np.array(types)
+        out[field.name] = np.array(value, dtype=float)
+    return out
+
+
+def record(out: Path, src: Path) -> None:
+    sys.path.insert(0, str(src))
+    from vmpfpca.orchestrator import FitConfig, fit_state, initialize
+    from vmpfpca.postprocess import finalize
+
+    arrays, sweeps = {}, {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, dataset, flags in comparison_inputs(Path(work)):
+            state = initialize(dataset, FitConfig(**flags))
+            saved = {f"init/{key}": value for key, value in store_arrays(state.store).items()}
+            fit_state(state)
+            saved.update({f"fit/{key}": value for key, value in store_arrays(state.store).items()})
+            saved.update(
+                iterations=np.array(state.iterations),
+                converged=np.array(state.converged),
+                history=np.array(state.history),
+            )
+            try:
+                result = finalize(state)
+            except ValueError as err:  # a post-processing error: both trees must raise it alike
+                saved["finalize_error"] = np.array(f"{type(err).__name__}: {err}")
+            else:
+                for field in dataclasses.fields(result):
+                    saved[f"result/{field.name}"] = np.asarray(getattr(result, field.name))
+            arrays.update({f"{name}/{key}": value for key, value in saved.items()})
+            group = name.split("-")[0]
+            sweeps[group] = sweeps.get(group, 0) + state.iterations
+            print(f"{name}: {state.iterations} sweeps, converged {state.converged}", flush=True)
+    np.savez_compressed(out, **arrays)
+    print(f"wrote {len(arrays)} arrays to {out}; sweeps by group: {sweeps}")
+
+
+def compare(first: Path, second: Path) -> int:
+    with np.load(first) as a, np.load(second) as b:
+        a, b = dict(a), dict(b)
+    lines = [f"only in {first}: {key}" for key in sorted(set(a) - set(b))]
+    lines += [f"only in {second}: {key}" for key in sorted(set(b) - set(a))]
+    equal = 0
+    for key in sorted(set(a) & set(b)):
+        x, y = a[key], b[key]
+        if x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes():
+            equal += 1
+        elif x.dtype.kind == y.dtype.kind == "f" and x.shape == y.shape:
+            diff = float(np.nanmax(np.abs(x - y))) if x.size else 0.0
+            lines.append(
+                f"{key}: max |diff| {diff:.3g}, max |entry| {float(np.nanmax(np.abs(x))):.3g}"
+            )
+        else:
+            head = [f"{v.dtype} {v.shape} {v.ravel()[:3]}" for v in (x, y)]
+            lines.append(f"{key}: {head[0]} vs {head[1]}")
+    print(*lines, sep="\n")
+    print(f"{equal} of {len(set(a) | set(b))} arrays bitwise equal, {len(lines)} not")
+    return 1 if lines else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    rec = commands.add_parser("record", help="fit the inputs and save the results")
+    rec.add_argument("out", type=Path)
+    rec.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding vmpfpca")
+    cmp = commands.add_parser("compare", help="list the arrays two recordings disagree on")
+    cmp.add_argument("first", type=Path)
+    cmp.add_argument("second", type=Path)
+    args = parser.parse_args()
+    if args.command == "record":
+        record(args.out, args.src.resolve())
+        return 0
+    return compare(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
