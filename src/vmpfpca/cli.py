@@ -191,10 +191,11 @@ def _config_from_manifest(config: dict) -> FitConfig:
     config = dict(config)
     if config.pop("score_prior_cov", None) is not None:
         raise ValueError("score_prior_cov was removed; the score prior is fixed at N(0, I)")
-    # the CLI never freezes the scores; older manifests also record a seed
-    for key in ("freeze_scores_at_zero", "seed"):
-        config.pop(key, None)
-    return FitConfig(**config)
+    config.pop("seed", None)  # older manifests record one
+    fit_config = FitConfig(**config)
+    if fit_config.freeze_scores_at_zero:
+        raise ValueError("freeze_scores_at_zero is a diagnostic mode the CLI does not run")
+    return fit_config
 
 
 def _fit_payload(result: FpcaFit) -> dict:
@@ -456,6 +457,7 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
     and each ``eigenfunctions`` row must hold one number per ``grid`` point;
     the grid must increase, as resampling onto the fit grid assumes.  Its
     ``eigenvalues``, when ``keys`` names them, are one number per eigenfunction.
+    Every one of these numbers, and ``noise_precision_mean``, must be finite.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{label}: expected a JSON object, not a {type(doc).__name__}")
@@ -464,10 +466,12 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
         raise ValueError(f"{label}: missing {', '.join(missing)}")
     try:
         grid, mean, funcs = (np.asarray(doc[key], dtype=float) for key in _CURVE_KEYS)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{label}: grid, mean and each eigenfunction must be lists of numbers of one length"
         ) from None
+    if not all(np.isfinite(curve).all() for curve in (grid, mean, funcs)):
+        raise ValueError(f"{label}: grid, mean and eigenfunctions must hold finite numbers")
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError(f"{label}: grid must be a nonempty, increasing list of numbers")
     if mean.shape != grid.shape or funcs.ndim != 2 or funcs.shape[1:] != grid.shape:
@@ -479,19 +483,19 @@ def _check_curves(doc, label: str, keys: tuple[str, ...] = _CURVE_KEYS) -> None:
         if not (
             isinstance(eigenvalues, list)
             and len(eigenvalues) == funcs.shape[0]
-            and all(map(_is_number, eigenvalues))
+            and all(map(_is_finite_number, eigenvalues))
         ):
             raise ValueError(
-                f"{label}: eigenvalues must be a list of numbers, one per eigenfunction"
+                f"{label}: eigenvalues must be a list of finite numbers, one per eigenfunction"
             )
     precision = doc.get("noise_precision_mean")
-    if precision is not None and not _is_number(precision):
-        raise ValueError(f"{label}: noise_precision_mean must be a number")
+    if precision is not None and not _is_finite_number(precision):
+        raise ValueError(f"{label}: noise_precision_mean must be a finite number")
 
 
-def _is_number(value) -> bool:
-    """Whether a JSON value is a number; JSON's true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """Whether a JSON value is a finite number; JSON's true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
 
 
 def _cmd_eval(args) -> int:

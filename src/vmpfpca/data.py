@@ -99,21 +99,26 @@ def read_dataset_csv(path: str | Path) -> FunctionalDataset:
     seen: dict[str, str] = {}  # one string object per curve label
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{row_num}: expected 3 columns, got {len(row)}")
-            try:
-                t, y = float(row[1]), float(row[2])
-            except ValueError as err:
-                raise ValueError(f"{path}:{row_num}: {err}") from None
-            curves.append(seen.setdefault(row[0], row[0]))
-            times.append(t)
-            values.append(y)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
+                    )
+                try:
+                    t, y = float(row[1]), float(row[2])
+                except ValueError as err:
+                    raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+                curves.append(seen.setdefault(row[0], row[0]))
+                times.append(t)
+                values.append(y)
+        except csv.Error as err:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     if not curves:
         raise ValueError(f"{path}: no data rows")
     return FunctionalDataset(curves, times, values)

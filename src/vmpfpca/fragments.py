@@ -75,10 +75,9 @@ class LikelihoodCache:
 def build_likelihood_cache(design: np.ndarray, values: np.ndarray, offsets) -> LikelihoodCache:
     """C_i'C_i, C_i'y_i and y_i'y_i for every curve i, rows ``offsets[i]:offsets[i+1]``.
 
-    Batched products over curves zero-padded to the longest in their class of
-    lengths [2^k, 2^(k+1)), so padding at most doubles the rows."""
-    if not design.shape[0] == values.size == offsets[-1]:
-        raise ValueError("design rows, responses and curve offsets disagree")
+    ``design`` and ``values`` hold ``offsets[-1]`` rows, as a dataset's columns
+    do.  Batched products over curves zero-padded to the longest in their class
+    of lengths [2^k, 2^(k+1)), so padding at most doubles the rows."""
     counts = np.diff(offsets)
     curve = np.repeat(np.arange(counts.size), counts)
     position = np.arange(curve.size) - offsets[curve]
@@ -128,12 +127,9 @@ class LikelihoodExpectations:
 def likelihood_expectations(
     cache: LikelihoodCache, nu_mean: np.ndarray, nu_cov: np.ndarray
 ) -> LikelihoodExpectations:
-    """E(V) and each curve's E(V' C_i'C_i V) under q(nu)."""
+    """E(V) and each curve's E(V' C_i'C_i V) under q(nu), whose mean has (L+1) P entries."""
     num_coefs = cache.num_coefs
-    blocks, remainder = divmod(nu_mean.size, num_coefs)
-    if remainder:
-        raise ValueError(f"nu has length {nu_mean.size}, not a multiple of {num_coefs}")
-
+    blocks = nu_mean.size // num_coefs
     v_mean = nu_mean.reshape(blocks, num_coefs).T
 
     # E(H_i)[a, b] = tr{E(nu_b nu_a') C_i'C_i}; one matrix product of the

@@ -55,7 +55,7 @@ from .fragments import (
     penalization_messages_to_variances,
     score_moments,
 )
-from .splines import SplineBasis, build_basis, design_matrix
+from .splines import MAX_NUM_BASIS, SplineBasis, build_basis, design_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,10 @@ _SCALE_RTOL_PER_TOL = 0.1
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Model size, convergence controls and hyperparameters for one fit."""
+    """Model size, convergence controls and hyperparameters for one fit.
+
+    ``num_splines`` is at most 603 (:data:`splines.MAX_NUM_BASIS`), the
+    largest basis whose roughness penalty keeps full rank."""
 
     num_eigen: int = 3
     num_splines: int = 10
@@ -96,8 +99,11 @@ class FitConfig:
             object.__setattr__(self, name, int(value))
         if self.num_eigen < 1:
             raise ValueError("num_eigen must be >= 1")
-        if self.num_splines < 3:
-            raise ValueError("num_splines must be >= 3")
+        if not 3 <= self.num_splines <= MAX_NUM_BASIS:
+            raise ValueError(
+                f"num_splines must be from 3 to {MAX_NUM_BASIS}, where the spline penalty "
+                "has full rank"
+            )
         if self.num_eigen > self.num_splines + 2:
             raise ValueError("num_eigen must be <= num_splines + 2, the coefficients per function")
         if not self.tol > 0:

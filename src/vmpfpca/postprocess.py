@@ -128,16 +128,12 @@ def orthogonalize(
     resulting function columns are orthonormal with respect to the same
     quadrature that defines their norms; the factorization itself remains an
     exact matrix identity.
-    """
-    funcs = np.asarray(funcs, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    num_eigen = funcs.shape[1]
-    num_curves = scores.shape[0]
-    if scores.shape[1] != num_eigen:
-        raise ValueError("scores and function matrix disagree on the component count")
-    if num_curves < 2:
-        raise ValueError("need at least two curves to form a score covariance")
 
+    The inputs are float arrays, as :func:`evaluate_grid` and :func:`extract`
+    give them: ``funcs`` (n_g, L), ``scores`` (n, L) with n >= 2 (a validated
+    dataset has two curves at least) and ``score_covs`` (n, L, L).
+    """
+    num_curves, num_eigen = scores.shape
     sqrt_weights = np.sqrt(trapezoid_weights(grid))
     weighted_left, singular, right_t = np.linalg.svd(
         sqrt_weights[:, None] * funcs, full_matrices=False
@@ -155,7 +151,7 @@ def orthogonalize(
     # dwarfs the spread of the scores.
     residual_shift = centered.mean(axis=1)
     centered -= residual_shift[:, None]
-    mean_hat = np.asarray(mean_curve, dtype=float) + left @ (score_shift + residual_shift)
+    mean_hat = mean_curve + left @ (score_shift + residual_shift)
 
     # Spectral decomposition of the score sample covariance, computed through
     # an SVD of the centered scores so the eigenvalues cannot round negative.
@@ -184,14 +180,14 @@ def orthogonalize(
     final_scores = centered.T @ eigvecs  # (n, L)
     fitted = mean_hat[:, None] + eigenfunctions @ final_scores.T
     score_map = eigvecs.T @ (singular[:, None] * right_t)
-    score_covs = score_map @ np.asarray(score_covs, dtype=float) @ score_map.T
+    score_covs = score_map @ score_covs @ score_map.T
     return FpcaFit(
-        grid=np.asarray(grid, dtype=float),
+        grid=grid,
         mean_curve=mean_hat,
         eigenfunctions=eigenfunctions,
         scores=final_scores,
         eigenvalues=eigvals,
-        noise_precision_mean=float(noise_precision_mean),
+        noise_precision_mean=noise_precision_mean,
         fitted=fitted,
         score_covariances=score_covs,
     )

@@ -18,6 +18,10 @@ _SPLINE_DEGREE = 3
 # count >= 2 integrates it exactly; extra points only hedge round-off.
 _SIMPSON_SUBINTERVALS = 8
 _ROWS_PER_BLOCK = 1024  # design rows per basis evaluation, to bound its temporaries
+# The largest basis whose penalty eigenvalues, bar the two of its null space,
+# all exceed 1e-10 of the largest: the smallest is 1.001e-10 of it at 603
+# columns and 9.95e-11 at 604, too close to round-off to whiten by.
+MAX_NUM_BASIS = 603
 
 
 @dataclass(frozen=True)
@@ -28,10 +32,7 @@ class SplineBasis:
     _knot_vector: np.ndarray = field(repr=False)
 
     def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate all basis columns; returns an array of shape (len(times), num_basis)."""
-        times = np.asarray(times, dtype=float).reshape(-1)
-        if times.size and (times.min() < 0.0 or times.max() > 1.0):
-            raise ValueError("evaluation points outside [0, 1]")
+        """All basis columns at 1-D float times in [0, 1]; shape (len(times), num_basis)."""
         return _bspline_values(self._knot_vector, times) @ self.transform
 
 
@@ -84,23 +85,17 @@ def build_basis(num_basis: int) -> SplineBasis:
 
     Cubic B-splines are placed on ``num_basis - 2`` equidistant interior knots.
     The raw basis is rotated onto the eigenvectors of the second-derivative
-    penalty with positive eigenvalues and scaled by the inverse square roots of
-    those eigenvalues, which whitens the roughness penalty to the identity.
+    penalty with positive eigenvalues, its ``num_basis`` largest, and scaled by
+    the inverse square roots of those eigenvalues, which whitens the roughness
+    penalty to the identity; ``num_basis`` is at most :data:`MAX_NUM_BASIS`.
     """
     num_interior = num_basis - 2
     interior = np.arange(1, num_interior + 1) / (num_interior + 1)
     knot_vector = np.r_[[0.0] * (_SPLINE_DEGREE + 1), interior, [1.0] * (_SPLINE_DEGREE + 1)]
 
-    penalty = _second_derivative_penalty(knot_vector)
-    eigvals, eigvecs = np.linalg.eigh(penalty)
-    positive = eigvals > eigvals[-1] * 1e-10
-    if int(positive.sum()) != num_basis:
-        raise ValueError(
-            f"penalty rank {int(positive.sum())} does not match num_basis={num_basis}; "
-            "knot layout is unusable"
-        )
-    order = np.argsort(eigvals[positive])[::-1]
-    transform = eigvecs[:, positive][:, order] / np.sqrt(eigvals[positive][order])
+    eigvals, eigvecs = np.linalg.eigh(_second_derivative_penalty(knot_vector))
+    largest = np.arange(num_basis + 1, 1, -1)  # eigh's order is ascending
+    transform = eigvecs[:, largest] / np.sqrt(eigvals[largest])
     transform.setflags(write=False)
     return SplineBasis(transform=transform, _knot_vector=knot_vector)
 

@@ -327,6 +327,11 @@ def _flag(flag, value):
     return build
 
 
+def _over_long_label(tmp_path):
+    label = "c" * (csv.field_size_limit() + 1)
+    return ["fit", str(write_csv(tmp_path / "d.csv", [*valid_rows(), (label, 0.5, 1.0)]))]
+
+
 class TestFitInputErrors:
     """Bad inputs to ``fit`` print one error line and exit 2, without a traceback."""
 
@@ -361,6 +366,16 @@ class TestFitInputErrors:
                 _manifest('{"dataset": DATASET, "config": {"num_eigen": 6, "num_splines": 3}}'),
                 "num_eigen must be <= num_splines + 2",
             ),
+            (_flag("--num-splines", "800"), "num_splines must be from 3 to 603"),
+            (
+                _manifest('{"dataset": DATASET, "config": {"num_splines": 604}}'),
+                "num_splines must be from 3 to 603",
+            ),
+            (
+                _manifest('{"dataset": DATASET, "config": {"freeze_scores_at_zero": true}}'),
+                "freeze_scores_at_zero",
+            ),
+            (_over_long_label, "d.csv:14: field larger than field limit"),
         ],
         ids=[
             "rescale-equal-times",
@@ -382,6 +397,10 @@ class TestFitInputErrors:
             "precision-infinite",
             "more-components-than-coefficients",
             "manifest-more-components-than-coefficients",
+            "too-many-splines",
+            "manifest-too-many-splines",
+            "manifest-frozen-scores",
+            "csv-field-over-limit",
         ],
     )
     def test_exits_2_with_error_line(self, build, message, tmp_path, capsys):
@@ -653,6 +672,9 @@ class TestParser:
             cli.build_parser().parse_args(["fit", "data.csv", "--freeze-scores-at-zero"])
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
+
+
 def _document(kind, mutate):
     """``eval`` arguments whose ``kind`` document ("fit" or "truth") is mutated."""
 
@@ -690,6 +712,7 @@ class TestOtherInputErrors:
                 ["eval", "--study", "--num-eigen", "9", "--num-splines", "5"],
                 "num_eigen must be <= num_splines + 2",
             ),
+            (["eval", "--study", "--num-splines", "800"], "num_splines must be from 3 to 603"),
         ],
         ids=[
             "simulate-inf-noise",
@@ -701,6 +724,7 @@ class TestOtherInputErrors:
             "study-negative-curves",
             "study-negative-seed",
             "study-more-components-than-coefficients",
+            "study-too-many-splines",
         ],
     )
     def test_flags_exit_2(self, args, message, tmp_path, capsys):
@@ -736,6 +760,19 @@ class TestOtherInputErrors:
             (_document("fit", lambda doc: {**doc, "eigenvalues": {"a": 1}}), "eigenvalues"),
             (_document("fit", lambda doc: {**doc, "eigenvalues": [1, None, 2]}), "eigenvalues"),
             (_document("fit", lambda doc: {**doc, "eigenvalues": [1.0, 0.5]}), "eigenvalues"),
+            (_document("fit", lambda doc: {**doc, "eigenvalues": [NAN]}), "finite numbers"),
+            (_document("fit", lambda doc: {**doc, "grid": [0.0, 0.5, INF]}), "finite numbers"),
+            (_document("fit", lambda doc: {**doc, "mean": [0.0, NAN, 0.0]}), "finite numbers"),
+            (
+                _document("fit", lambda doc: {**doc, "noise_precision_mean": INF}),
+                "noise_precision_mean must be a finite number",
+            ),
+            (_document("fit", lambda doc: {**doc, "grid": [0, 10**400, 2]}), "lists of numbers"),
+            (_document("truth", lambda doc: {**doc, "grid": [0.0, NAN, 1.0]}), "finite numbers"),
+            (
+                _document("truth", lambda doc: {**doc, "eigenfunctions": [[1.0, -INF, 0.0]]}),
+                "finite numbers",
+            ),
         ],
         ids=[
             "fit-empty",
@@ -756,6 +793,13 @@ class TestOtherInputErrors:
             "fit-object-eigenvalues",
             "fit-null-eigenvalue",
             "fit-eigenvalue-per-missing-eigenfunction",
+            "fit-nan-eigenvalue",
+            "fit-infinite-grid",
+            "fit-nan-mean",
+            "fit-infinite-precision",
+            "fit-huge-integer-grid",
+            "truth-nan-grid",
+            "truth-infinite-eigenfunction",
         ],
     )
     def test_eval_documents_exit_2(self, build, message, tmp_path, capsys):

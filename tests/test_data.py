@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,19 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("curve_id,t,y\na,0.1,not_a_number\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2"):
+            read_dataset_csv(path)
+
+    def test_error_names_the_file_line_after_a_multi_line_label(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('curve_id,t,y\n"a\nb",0.1,1.0\nc,0.2,oops\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.csv:4: could not convert"):
+            read_dataset_csv(path)
+
+    def test_over_long_field_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        field = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"curve_id,t,y\na,0.1,1.0\nb,{field},2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
             read_dataset_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -34,6 +34,7 @@ from vmpfpca.orchestrator import (
 )
 from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
+from vmpfpca.splines import build_basis
 from tests_oracle_support import object_start_store, zero_store
 
 
@@ -74,6 +75,8 @@ class TestFitConfig:
         [
             {"num_eigen": 0},
             {"num_splines": 2},
+            # past 603 columns the spline penalty loses rank to round-off
+            {"num_splines": 604},
             # more components than coefficients per function: 2 + num_splines
             {"num_eigen": 13, "num_splines": 10},
             {"num_eigen": 6, "num_splines": 3},
@@ -103,6 +106,10 @@ class TestFitConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    def test_largest_spline_basis_is_allowed(self):
+        config = FitConfig(num_splines=603)
+        assert build_basis(config.num_splines).transform.shape == (605, 603)
 
     def test_one_component_per_coefficient_is_allowed(self):
         assert FitConfig(num_eigen=12, num_splines=10).num_eigen == 12

@@ -296,12 +296,6 @@ class TestOrthogonalize:
         before = mean_curve[:, None] + funcs @ scores.T
         assert np.abs(before - fit_out.fitted).max() < 1e-9
 
-    def test_needs_two_curves(self):
-        rng = np.random.default_rng(8)
-        grid, mean_curve, funcs, _ = random_inputs(rng)
-        with pytest.raises(ValueError):
-            orthogonalize_unit(mean_curve, funcs, np.ones((1, 2)), grid)
-
 
 class TestFittedCurves:
     def test_zero_scores_reproduce_mean(self):

@@ -6,14 +6,17 @@ constant values) and fit flags, with up to two more components than the
 end in a documented exit code, and every fit it writes (exit 0, or 4 with
 output retained) must meet the post-processing invariants of the acceptance
 suite's criterion 7: trapezoid-orthonormal eigenfunctions, mean-zero scores
-and descending eigenvalues.  Further properties draw ``simulate`` flags
+and descending eigenvalues.  The same cases with a curve label over the
+``csv`` module's field limit, or with 604 or 1000 splines, must exit 2.
+Further properties draw ``simulate`` flags
 (non-finite, zero and negative variances, too few observations),
 ``eval --study`` runs on tiny curve-count grids, ``eval --fit/--truth`` on
-mutated documents (a malformed ``eigenvalues`` list exits 2), and ``fit``
-hyperparameters whose prior precisions over- or underflow.  The examples
-are derandomised, so each run sees the same cases.
+mutated documents (a malformed ``eigenvalues`` list or a NaN or infinite
+number exits 2), and ``fit`` hyperparameters whose prior precisions over- or
+underflow.  The examples are derandomised, so each run sees the same cases.
 """
 
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -115,6 +118,27 @@ def test_fit_exits_cleanly_and_meets_invariants(case):
             check_invariants(json.loads(out.read_text())["fit"])
 
 
+@derandomised(30)
+@given(fit_cases(), st.sampled_from(["curve label", "604 splines", "1000 splines"]))
+def test_oversized_inputs_exit_2(case, oversized):
+    """A curve label over the ``csv`` module's field limit, or a basis past the
+    603 columns ``FitConfig`` allows, exits 2 before any fit runs."""
+    rows, flags = case
+    if oversized == "curve label":
+        rows[0] = ("c" * (csv.field_size_limit() + 1), *rows[0][1:])
+    else:
+        flags[flags.index("--num-splines") + 1] = oversized.split()[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text(
+            "curve_id,t,y\n" + "".join(f"{c},{t!r},{y!r}\n" for c, t, y in rows),
+            encoding="utf-8",
+        )
+        code = cli.main(["fit", str(data), *flags, "--out", str(Path(tmp) / "fit.json")])
+        assert code == cli.EXIT_VALIDATION
+        event(f"{oversized}: exit {code}")
+
+
 VARIANCES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"])
 
 
@@ -194,6 +218,7 @@ def test_study_exits_cleanly(flags):
 EIGENVALUE_MUTATIONS = [
     "ragged eigenvalues", "string eigenvalues", "object eigenvalues", "eigenvalue count"
 ]
+NON_FINITE_MUTATIONS = ["NaN", "Infinity", "-Infinity"]
 
 
 @st.composite
@@ -222,7 +247,7 @@ def eval_documents(draw):
     target = draw(st.sampled_from(["fit", "truth"]))
     doc = fit_doc if target == "fit" else truth_doc
     inner = doc.get("fit", doc)
-    mutations = ["none", "drop", "list", "truncate"]
+    mutations = ["none", "drop", "list", "truncate", *NON_FINITE_MUTATIONS]
     if target == "fit":
         mutations += EIGENVALUE_MUTATIONS
     mutation = draw(st.sampled_from(mutations))
@@ -243,6 +268,16 @@ def eval_documents(draw):
     elif mutation == "eigenvalue count":
         count = len(inner["eigenfunctions"])
         inner["eigenvalues"] = [1.0] * draw(st.integers(0, 4).filter(lambda k: k != count))
+    elif mutation in NON_FINITE_MUTATIONS:
+        value = float(mutation.lower().replace("infinity", "inf"))
+        numbers = [inner["grid"], inner["mean"], *inner["eigenfunctions"]]
+        if target == "fit":
+            numbers.append(inner["eigenvalues"])
+        if target == "fit" and draw(st.booleans()):
+            inner["noise_precision_mean"] = value
+        else:
+            curve = draw(st.sampled_from(numbers))
+            curve[draw(st.integers(0, len(curve) - 1))] = value
     if target == "fit":
         fit_doc = doc
     else:
@@ -266,7 +301,7 @@ def test_eval_exits_cleanly_on_mutated_documents(case):
         event(f"{mutation}: exit {code}")
         if mutation == "none":
             assert code == cli.EXIT_OK
-        elif mutation in EIGENVALUE_MUTATIONS:
+        elif mutation in EIGENVALUE_MUTATIONS + NON_FINITE_MUTATIONS:
             assert code == cli.EXIT_VALIDATION
 
 

@@ -17,7 +17,10 @@ and fits 56 inputs on one BLAS thread:
 For each input it saves, under ``<input>/``: the sweep count, the convergence
 flag and history, every store array and the chains' floats (with their
 Python types) after ``initialize`` and after the fit, and every ``FpcaFit``
-field, or the text of the error that ``finalize`` raised.
+field, or the text of the error that ``finalize`` raised.  An input whose
+``initialize`` or ``fit_state`` raises a ValueError (such as a
+``DegenerateMessageError``) saves only that error's text, as
+``<input>/fit_error``, and the recording goes on with the next input.
 
 ``compare`` lists each array that is in one file only or is not bitwise
 equal, with the largest absolute difference and the largest entry, and
@@ -88,9 +91,14 @@ def record(out: Path, src: Path) -> None:
     arrays, sweeps = {}, {}
     with tempfile.TemporaryDirectory() as work:
         for name, dataset, flags in comparison_inputs(Path(work)):
-            state = initialize(dataset, FitConfig(**flags))
-            saved = {f"init/{key}": value for key, value in store_arrays(state.store).items()}
-            fit_state(state)
+            try:
+                state = initialize(dataset, FitConfig(**flags))
+                saved = {f"init/{key}": value for key, value in store_arrays(state.store).items()}
+                fit_state(state)
+            except ValueError as err:  # a fit error: both trees must raise it alike
+                arrays[f"{name}/fit_error"] = np.array(f"{type(err).__name__}: {err}")
+                print(f"{name}: {type(err).__name__}: {err}", flush=True)
+                continue
             saved.update({f"fit/{key}": value for key, value in store_arrays(state.store).items()})
             saved.update(
                 iterations=np.array(state.iterations),
