@@ -8,14 +8,15 @@ so :func:`initialize` builds the store with them and no sweep writes them.
 From initialization on, every message of a fit lives in the store's array
 slots (see :class:`graph.MessageStore`); the fit builds no message object.
 
-The snap (:func:`_align_component_rotation`) moves the fit along three
+The snap (:func:`_align_component_rotation`) moves the fit along
 directions that change no curve: it rotates the components into their
 stationary frame, moves mass between the scores and the mean function, and
-trades each component's score scale against its eigenfunction scale, the
-last two to the highest objective along their directions, from a fit's
-second sweep on.  Plain sweeps crawl along these directions; at a fixed
-point of the plain sweep all three moves are the identity, so the sweeps
-reach the same fixed point in fewer steps.
+maps the scores by an L x L matrix and the eigenfunctions by its inverse,
+jointly with their smoothing chains; the last two go to the highest
+objective along their directions, from a fit's second sweep on.  Plain
+sweeps crawl along these directions; at a fixed point of the plain sweep
+every move is the identity, so the sweeps reach the same fixed point in
+fewer steps.
 
 A q-density is the sum of its node's two messages.  q(nu) is formed and
 inverted once after each of the two writes to nu, and q(zeta) once per
@@ -23,9 +24,10 @@ sweep, after the likelihood fragment writes the scores; the likelihood
 fragment's message to nu needs only the score moments, and the snap reuses
 the q(nu) and q(zeta) moments of the sweep before, since nothing writes nu
 or the scores in between.  The snap hands the moved score moments to the
-likelihood fragment and writes only the chains it scales.  The convergence
-check compares the q(nu) and q(zeta) the sweep formed and the 2(2 + L)
-variance and auxiliary q-densities, with each curve's scores its own node.
+likelihood fragment and writes only the eigenfunctions' chains.  The
+convergence check compares the q(nu) and q(zeta) the sweep formed and the
+2(2 + L) variance and auxiliary q-densities, with each curve's scores its
+own node.
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ from .splines import MAX_NUM_BASIS, SplineBasis, build_basis, design_matrix
 logger = logging.getLogger(__name__)
 
 _INIT_GAUSS_VARIANCE = 100.0  # weakly informative N(0, 10^2 I) starting messages
-# The snap's scale step alternates with its chain until the next step would
-# move c^2 by less than _SCALE_RTOL_PER_TOL times the convergence tolerance,
-# relative; _SCALE_STEPS only bounds the loop.
-_SCALE_STEPS = 100
-_SCALE_RTOL_PER_TOL = 0.1
+# The snap's linear move takes Newton steps until the next would move its map
+# by less than _MOVE_RTOL_PER_TOL times the convergence tolerance; _MOVE_STEPS
+# bounds the steps and _BACKTRACKS the halvings of one step.
+_MOVE_STEPS = 50
+_MOVE_RTOL_PER_TOL = 0.1
+_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,7 @@ class VmpState:
     store: fg.MessageStore
     cache: LikelihoodCache
     iterations: int = 0  # sweeps run; each _sweep advances it
+    move_curvature: np.ndarray | None = None  # the snap's linear move keeps its curvature here
     converged: bool = False
     history: list[float] = field(default_factory=list)
 
@@ -299,20 +303,22 @@ def _align_component_rotation(
        sum_i E(zeta_i) - g, where G and g are the second moments of the
        component blocks with each other and with the mean block, weighted
        by the mean function's penalty;
-    3. per component, the objective-optimal scale zeta_il -> c_l zeta_il,
-       nu_psi_l -> nu_psi_l / c_l, jointly with q(sigma^2_psi_l) and
-       q(a_psi_l) (see :func:`_scale_component`).
+    3. the objective-optimal linear move zeta_i -> A zeta_i, with the
+       eigenfunction blocks (nu_psi_1, ...) mapped by inv(A), jointly with
+       every q(sigma^2_psi_l) and q(a_psi_l) (see :func:`_linear_move`).
+       The rotation and a scale per component are special cases of it; a
+       tied reparametrisation that is neither is the slow mode of dense fits.
 
     At a fixed point of the plain sweep all three are the identity, so the
     sweeps reach the same fixed point, in fewer steps.  The translation and
-    the scale optimize the model's smoothing penalty, which the N(0, 100 I)
+    the move optimize the model's smoothing penalty, which the N(0, 100 I)
     starting message to nu is not, so in a fit's first sweep
     (``state.iterations`` is 0) only the rotation runs.  The arguments are
     the current q(nu) and q(zeta) moments; the return value is q(zeta)'s
-    (means, covariances) in the new frame.  The snap writes only the chains
-    it scales: the likelihood fragment writes its messages to nu and to the
-    scores from the moved moments, and the penalization message to nu stays
-    until that fragment runs again later in the sweep.
+    (means, covariances) in the new frame.  The snap writes only the
+    eigenfunctions' chains: the likelihood fragment writes its messages to
+    nu and to the scores from the moved moments, and the penalization
+    message to nu stays until that fragment runs again later in the sweep.
     """
     config = state.config
     n, L = state.cache.num_curves, config.num_eigen
@@ -320,16 +326,16 @@ def _align_component_rotation(
     # E(1/sigma^2) of the mean function and of each component, in nu's block order
     chains = zip(fg.variance_chains(L)[1:], state.store.chains[1:])
     e_recip = [_mean_reciprocal(*m[:2], chain.source, chain.sigsq) for chain, m in chains]
-    # (L+1) x (L+1) block Grams of E(nu nu') over the linear and the spline
-    # coefficients: the block diagonals of the covariance plus the mean's products
+    # (L+1) x (L+1) block Grams of E(nu nu') over the linear coefficients,
+    # over prior_beta_var, and over the spline coefficients: the block
+    # diagonals of the covariance plus the mean's products, summed per class
     blocks = nu_cov.reshape(L + 1, num_coefs, L + 1, num_coefs)
-    cov_diagonals = np.diagonal(blocks, axis1=1, axis2=3)
     mean_blocks = nu_mean.reshape(L + 1, num_coefs)
-    linear, spline = mean_blocks[:, :2], mean_blocks[:, 2:]
-    linear_gram = cov_diagonals[..., :2].sum(axis=-1) + linear @ linear.T
-    spline_gram = cov_diagonals[..., 2:].sum(axis=-1) + spline @ spline.T
+    products = np.diagonal(blocks, axis1=1, axis2=3) + mean_blocks[:, None] * mean_blocks
+    grams = np.add.reduceat(products.transpose(2, 0, 1), [0, 2])
+    grams[0] /= config.prior_beta_var
 
-    _, eigvecs = np.linalg.eigh(spline_gram[1:, 1:])
+    _, eigvecs = np.linalg.eigh(grams[1, 1:, 1:])
     # Eigenvectors from the largest eigenvalue down go to the components from the
     # smallest E(1/sigma^2_psi) up, each with its largest entry positive, so the
     # rotation does not flap between sweeps.  In floats: L is small.
@@ -338,92 +344,176 @@ def _align_component_rotation(
     for vector, k in zip(eigvecs.T.tolist()[::-1], order):
         columns[k] = vector if max(vector, key=abs) > 0 else [-x for x in vector]
     rotation = np.array(list(zip(*columns)))
-    block_rotation = np.eye(L + 1)
-    block_rotation[1:, 1:] = rotation
-    linear_gram = block_rotation.T @ linear_gram @ block_rotation
-    spline_gram = block_rotation.T @ spline_gram @ block_rotation
     zeta_means = zeta_means @ rotation
 
     if state.iterations == 0:  # the penalization fragment has not written nu yet
         return zeta_means, rotation.T @ zeta_covs @ rotation
 
-    mean_weighted = linear_gram / config.prior_beta_var + spline_gram * e_recip[0]
+    block_rotation = np.eye(L + 1)
+    block_rotation[1:, 1:] = rotation
+    grams = block_rotation.T @ grams @ block_rotation
+    mean_weighted = grams[0] + grams[1] * e_recip[0]
     shift = np.linalg.solve(
         n * np.eye(L) + mean_weighted[1:, 1:], zeta_means.sum(axis=0) - mean_weighted[1:, 0]
     )
     zeta_means = zeta_means - shift
 
-    # the rotated covariances enter through their sum; the scale loop runs in floats
-    cov_sum = (rotation.T @ zeta_covs.sum(axis=0) @ rotation).tolist()
-    means_sq = np.einsum("il,il->l", zeta_means, zeta_means).tolist()
-    linear, spline = linear_gram.tolist(), spline_gram.tolist()
-    scale = np.array([
-        _scale_component(
-            state, l + 2, e_recip[l + 1], means_sq[l] + cov_sum[l][l], n - num_coefs,
-            linear[l + 1][l + 1] / config.prior_beta_var, spline[l + 1][l + 1],
-        )
-        for l in range(L)
-    ])  # fmt: skip
-    # the covariances move once, by the rotation and the scale together
-    score_map = rotation * scale
-    return zeta_means * scale, score_map.T @ zeta_covs @ score_map
+    # the second moment of the scores, summed over the curves, in the rotated frame
+    score_second = zeta_means.T @ zeta_means + rotation.T @ zeta_covs.sum(axis=0) @ rotation
+    score_map = _linear_move(state, score_second, grams[:, 1:, 1:])
+    # the covariances move once, by the rotation and the linear move together
+    total_map = rotation @ score_map.T
+    return zeta_means @ score_map.T, total_map.T @ zeta_covs @ total_map
 
 
-def _scale_component(
-    state: VmpState, index: int, e_recip: float, score_sq: float, excess: float,
-    linear_sq: float, spline_sq: float,
-) -> float:  # fmt: skip
-    """Scale c of one component, alternated with chain ``index`` of
-    :func:`graph.variance_chains`, whose messages it writes.
+def _chain_profiles(spline_sq, num_splines: int, aux_precision: float):
+    """The smoothing chain at its optimum for each block's expected squared spline norm.
 
-    With x = c^2 the objective along the move is
-    -S x/2 - K/(2x) + (n - P) log(x)/2, where S = ``score_sq``,
-    n - P = ``excess`` and K = ``linear_sq`` + E(1/sigma^2) ``spline_sq``,
-    with E(1/sigma^2) = ``e_recip`` as the snap starts; it is concave in
-    log x and peaks at the positive root of S x^2 - (n - P) x - K.  Each x
-    step is followed by the chain's own fragment updates at the new scale:
-    the penalization message to sigma^2 and the iterated fragment's
-    messages, which give q(sigma^2) and then q(a).  The alternation stops
-    before a step that would move x by less than a tenth of the convergence
-    tolerance, relative, and the three messages of the last step taken are
-    written.  A component already at its scale to that precision, or whose
-    objective has no maximum at a positive finite x (S = 0 with n >= P, or
-    K = 0 with n <= P), keeps c = 1 and its chain.  The loop runs in plain
-    floats: with numpy scalars a zero eta2 would give inf instead of a
-    :class:`DegenerateMessageError`.
+    With s = ``spline_sq``, K = ``num_splines`` and c = 1/A^2 =
+    ``aux_precision``, the chain's fixed point has E(1/sigma^2) = w, the
+    positive root of s w^2 + (s c + 1 - K) w - (K + 1) c, and E(1/a) =
+    2/(w + c).  Returns lists of w, dw/ds and the chain's terms of the
+    objective there, -(K + 1)/2 log beta_sigma - log beta_a - w s/2 up to a
+    constant, with beta_sigma = (s + E(1/a))/2 and beta_a = (w + c)/2; the
+    objective's slope in s is -w/2.
     """
-    if not score_sq > 0.0 and excess >= 0:
-        return 1.0
-    num_splines = state.config.num_splines
-    chain = fg.variance_chains(state.config.num_eigen)[index]
-    messages = state.store.chains[index]
-    prior = messages[3]
-    e_recip_aux = _mean_reciprocal(messages[2], prior, chain.iterated, chain.aux)
-    rtol = _SCALE_RTOL_PER_TOL * state.config.tol
-    x = 1.0
-    for _ in range(_SCALE_STEPS):
-        penalty = linear_sq + e_recip * spline_sq
-        root = math.sqrt(excess * excess + 4.0 * score_sq * penalty)
-        # the cancellation-free form of the positive root for each sign of n - P
-        if excess >= 0:
-            new = (excess + root) / (2.0 * score_sq)
+    e_recips, slopes, values = [], [], []
+    for s in spline_sq:
+        linear = s * aux_precision + 1.0 - num_splines
+        root = math.sqrt(linear * linear + 4.0 * s * (num_splines + 1) * aux_precision)
+        # the cancellation-free form of the positive root for each sign of the linear term
+        if linear < 0.0:
+            w = (root - linear) / (2.0 * s)
         else:
-            new = 2.0 * penalty / (root - excess)
-        if not 0.0 < new < math.inf:
-            return 1.0
-        if abs(new - x) <= rtol * new:
+            w = 2.0 * (num_splines + 1) * aux_precision / (root + linear)
+        e_recips.append(w)
+        slopes.append(-w * (w + aux_precision) / root)
+        values.append(
+            -0.5 * (num_splines + 1) * math.log(0.5 * (s + 2.0 / (w + aux_precision)))
+            - math.log(0.5 * (w + aux_precision))
+            - 0.5 * w * s
+        )
+    return e_recips, slopes, values
+
+
+def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The objective-optimal map zeta_i -> A zeta_i, psi -> psi inv(A), jointly with the
+    eigenfunctions' smoothing chains, whose messages it writes; returns A.
+
+    ``score_second`` is S = sum_i E(zeta_i zeta_i'), and ``grams`` holds the
+    components' linear-part Gram over prior_beta_var, H, and their spline
+    Gram, G.  With psi -> psi B (B = inv(A)) and each chain at its optimum
+    for s_l = (B'GB)_ll (:func:`_chain_profiles`), the objective along the
+    move is -tr(inv(B) S inv(B)')/2 + (P - n) log det B - tr(B'HB)/2 plus
+    the chains' terms, which rise by -w_l/2 per unit of s_l.
+
+    Newton steps on B's L^2 entries climb it, each taken at B = I in the
+    frame the last step reached.  The inverted curvature
+    (:func:`_move_curvature`) is kept in ``state.move_curvature`` and serves
+    the next steps, and the next snap's, while their steps shrink fourfold;
+    where the curvature is not negative definite, the step follows the
+    gradient.  A step halves until the objective rises, or changes by
+    round-off only.  The loop stops before a step that would move B by less
+    than a tenth of the convergence tolerance, and then writes each chain's
+    three messages at its optimum.  A move whose first step is that small,
+    or whose objective has no maximum (a component with no score mass or no
+    spline mass), keeps A = I and the chains.
+    """
+    config = state.config
+    L, num_splines = config.num_eigen, config.num_splines
+    identity = np.eye(L)
+    linear_sq, spline_sq = np.diagonal(grams, axis1=1, axis2=2).tolist()
+    if not (min(spline_sq) > 0.0 and min(np.diagonal(score_second).tolist()) > 0.0):
+        return identity
+    excess = state.cache.num_curves - state.cache.num_coefs  # n - P
+    messages = state.store.chains[2:]
+    aux_precision = -2.0 * messages[0][3][1]  # c = 1/A^2 of the eigenfunctions' prior on a
+    rtol = _MOVE_RTOL_PER_TOL * config.tol
+    e_recip, slope, value = _chain_profiles(spline_sq, num_splines, aux_precision)
+    trace = score_second.trace()
+    score_map, inverse_curvature, last_size = identity, state.move_curvature, math.inf
+    for _ in range(_MOVE_STEPS):
+        weights = np.array(e_recip)
+        gradient = (score_second - grams[0] - grams[1] * weights).ravel()
+        gradient[:: L + 1] -= excess
+        step = None
+        if inverse_curvature is not None:
+            step = inverse_curvature @ gradient
+            size = np.abs(step).max()
+            if size > max(rtol, 0.25 * last_size):  # the kept curvature no longer serves
+                step = None
+        if step is None:
+            curvature = _move_curvature(score_second, excess, grams, weights, slope)
+            try:
+                np.linalg.cholesky(curvature)
+                inverse_curvature = np.linalg.inv(curvature)
+                step = inverse_curvature @ gradient
+            except np.linalg.LinAlgError:  # not negative definite: a gradient step
+                inverse_curvature = None
+                along = gradient @ curvature @ gradient
+                step = gradient * (gradient @ gradient / along if along > 0.0 else 1.0)
+            size = np.abs(step).max()
+        if size <= rtol:
             break
-        x = new
-        # the chain's updates at the new scale: q(sigma^2), then q(a)
-        source = penalization_message_to_variance(spline_sq / x, num_splines)
-        to_sigsq = iterated_igw_messages(e_recip, e_recip_aux)[0]
-        e_recip = _mean_reciprocal(source, to_sigsq, chain.iterated, chain.sigsq)
-        to_aux = iterated_igw_messages(e_recip, e_recip_aux)[1]
-        e_recip_aux = _mean_reciprocal(to_aux, prior, chain.iterated, chain.aux)
-    if x == 1.0:
-        return 1.0
-    messages[:3] = source, to_sigsq, to_aux
-    return math.sqrt(x)
+        last_size = size
+        floor = -1e-13 * (trace + abs(excess) + math.fsum(map(abs, value)))  # round-off
+        for _ in range(_BACKTRACKS):
+            B = identity + step.reshape(L, L)
+            det = np.linalg.det(B)
+            if det > 0.0:
+                B_inv = np.linalg.inv(B)
+                moved_second = B_inv @ score_second @ B_inv.T
+                moved_grams = B.T @ grams @ B
+                moved_sq = np.diagonal(moved_grams, axis1=1, axis2=2).tolist()
+                if min(moved_sq[1]) > 0.0:
+                    profiles = _chain_profiles(moved_sq[1], num_splines, aux_precision)
+                    moved_trace = moved_second.trace()
+                    gain = (
+                        0.5 * (trace - moved_trace)
+                        - excess * math.log(det)
+                        - 0.5 * (math.fsum(moved_sq[0]) - math.fsum(linear_sq))
+                        + math.fsum(profiles[2]) - math.fsum(value)
+                    )  # fmt: skip
+                    if gain > floor:
+                        break
+            step = 0.5 * step
+            inverse_curvature = None
+        else:
+            break
+        score_second, grams, trace = moved_second, moved_grams, moved_trace
+        (linear_sq, spline_sq), (e_recip, slope, value) = moved_sq, profiles
+        score_map = B_inv @ score_map
+    state.move_curvature = inverse_curvature
+    if score_map is identity:
+        return identity
+    for chain_messages, s, w in zip(messages, spline_sq, e_recip):
+        to_sigsq, to_aux = iterated_igw_messages(w, 2.0 / (w + aux_precision))
+        chain_messages[:3] = penalization_message_to_variance(s, num_splines), to_sigsq, to_aux
+    return score_map
+
+
+def _move_curvature(score_second, excess, grams, e_recip, slope) -> np.ndarray:
+    """Minus the Hessian of :func:`_linear_move`'s objective in B's entries at B = I.
+
+    Entry [(p, q), (r, s)] pairs B_pq with B_rs.  The trace term gives
+    delta_qr S_ps + delta_ps S_qr + delta_pr S_qs, the log-determinant
+    -(n - P) delta_ps delta_qr, and column q's penalties and chain profile
+    delta_qs (H + w_q G + 2 w_q' (G e_q)(G e_q)')_pr.
+    """
+    L = score_second.shape[0]
+    identity = np.eye(L)
+    spline_t = grams[1].T
+    columns = (
+        grams[0]
+        + e_recip[:, None, None] * grams[1]
+        + 2.0 * np.array(slope)[:, None, None] * spline_t[:, :, None] * spline_t[:, None, :]
+    )
+    return (
+        identity[None, :, :, None] * score_second[:, None, None, :]
+        + identity[:, None, None, :] * (score_second - excess * identity)[None, :, :, None]
+        + identity[:, None, :, None] * score_second[None, :, None, :]
+        + identity[None, :, None, :] * columns.transpose(1, 0, 2)[:, :, :, None]
+    ).reshape(L * L, L * L)
 
 
 def _update_iterated_fragment(state: VmpState, index: int) -> None:

@@ -2,19 +2,16 @@
 
 These deliberately avoid the message-passing code paths: plain moment-form
 coordinate ascent and direct linear algebra only; each loops over the
-curves split from the dataset's flat rows (:func:`curve_arrays`).  Four
+curves split from the dataset's flat rows (:func:`curve_arrays`).  Three
 exceptions replay package arithmetic in an earlier form, to check the
 current form against it: :func:`reference_likelihood_cache` builds the
-likelihood cache with a loop over curves, :func:`reference_scale_alternation`
-runs the snap's scale loop with the fragments' messages as objects,
-:func:`dict_q_snapshot` with :func:`dict_convergence_metric` is the
-convergence check as it read the message store's natural-parameter view,
-and :func:`object_start_store` writes the starting messages through that
-view.  :func:`zero_store` builds a store for a test to fill, and
-:func:`stack_curves` stacks per-curve arrays into rows and offsets.
+likelihood cache with a loop over curves, :func:`dict_q_snapshot` with
+:func:`dict_convergence_metric` is the convergence check as it read the
+message store's natural-parameter view, and :func:`object_start_store`
+writes the starting messages through that view.  :func:`zero_store` builds
+a store for a test to fill, and :func:`stack_curves` stacks per-curve
+arrays into rows and offsets.
 """
-
-import math
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -29,11 +26,7 @@ from vmpfpca.expfam import (
     moore_penrose_duplication,
     vec,
 )
-from vmpfpca.fragments import (
-    LikelihoodCache,
-    iterated_igw_messages,
-    penalization_message_to_variance,
-)
+from vmpfpca.fragments import LikelihoodCache
 from vmpfpca.graph import (
     LIKELIHOOD,
     NU,
@@ -132,54 +125,6 @@ def transform_nu_moments(
     """q(nu) moments in the frame with augmented scores ``score_map`` (1, zeta')'."""
     forward = np.kron(np.linalg.inv(score_map).T, np.eye(nu_mean.size // score_map.shape[0]))
     return forward @ nu_mean, forward @ nu_cov @ forward.T
-
-
-def reference_scale_alternation(
-    prior: InvChiSqParams,
-    e_recip_aux: float,
-    e_recip: float,
-    score_sq: float,
-    excess: int,
-    linear_sq: float,
-    spline_sq: float,
-    num_splines: int,
-    rtol: float,
-    steps: int,
-):
-    """The snap's scale step for one component, alternated with its chain in messages.
-
-    Each x step is followed by the chain's coordinate updates, formed as the
-    fragments' messages: the penalization message to sigma^2, the iterated
-    fragment's messages, and E(1/.) of each q-density as the reciprocal mean
-    of a message sum.  ``prior`` is the constant message to the auxiliary
-    node and ``e_recip_aux`` its E(1/a) as the loop starts.  Returns c and
-    the (source, iterated -> sigma^2, iterated -> a) messages of the last step
-    taken, or (1.0, None) when the component and its chain are left as they
-    are.
-    """
-    if not score_sq > 0.0 and excess >= 0:
-        return 1.0, None
-    x = 1.0
-    for _ in range(steps):
-        penalty = linear_sq + e_recip * spline_sq
-        root = math.sqrt(excess * excess + 4.0 * score_sq * penalty)
-        if excess >= 0:
-            new = (excess + root) / (2.0 * score_sq)
-        else:
-            new = 2.0 * penalty / (root - excess)
-        if not 0.0 < new < math.inf:
-            return 1.0, None
-        if abs(new - x) <= rtol * new:
-            break
-        x = new
-        source = InvChiSqParams(*penalization_message_to_variance(spline_sq / x, num_splines))
-        to_sigsq = InvChiSqParams(*iterated_igw_messages(e_recip, e_recip_aux)[0])
-        e_recip = invchisq_mean_reciprocal(source + to_sigsq)
-        to_aux = InvChiSqParams(*iterated_igw_messages(e_recip, e_recip_aux)[1])
-        e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
-    if x == 1.0:
-        return 1.0, None
-    return math.sqrt(x), (source, to_sigsq, to_aux)
 
 
 VARIANCES = "variances"  # dict_q_snapshot key of the inverse chi-squared q-densities

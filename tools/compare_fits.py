@@ -23,8 +23,9 @@ field, or the text of the error that ``finalize`` raised.  An input whose
 ``<input>/fit_error``, and the recording goes on with the next input.
 
 ``compare`` lists each array that is in one file only or is not bitwise
-equal, with the largest absolute difference and the largest entry, and
-exits 1 if any differs.
+equal, with the largest absolute difference and the largest entry, prints
+each recording's sweep total per input group (dense, study, stall, frozen),
+and exits 1 if any array differs.
 """
 
 from __future__ import annotations
@@ -83,12 +84,23 @@ def store_arrays(store) -> dict[str, np.ndarray]:
     return out
 
 
+def sweep_totals(arrays) -> dict[str, int]:
+    """Sweeps per input group, the input name up to its first '-', over the fits that ran."""
+    totals = {}
+    for key, value in arrays.items():
+        name, _, field = key.partition("/")
+        if field == "iterations":
+            group = name.split("-")[0]
+            totals[group] = totals.get(group, 0) + int(value)
+    return totals
+
+
 def record(out: Path, src: Path) -> None:
     sys.path.insert(0, str(src))
     from vmpfpca.orchestrator import FitConfig, fit_state, initialize
     from vmpfpca.postprocess import finalize
 
-    arrays, sweeps = {}, {}
+    arrays = {}
     with tempfile.TemporaryDirectory() as work:
         for name, dataset, flags in comparison_inputs(Path(work)):
             try:
@@ -113,11 +125,9 @@ def record(out: Path, src: Path) -> None:
                 for field in dataclasses.fields(result):
                     saved[f"result/{field.name}"] = np.asarray(getattr(result, field.name))
             arrays.update({f"{name}/{key}": value for key, value in saved.items()})
-            group = name.split("-")[0]
-            sweeps[group] = sweeps.get(group, 0) + state.iterations
             print(f"{name}: {state.iterations} sweeps, converged {state.converged}", flush=True)
     np.savez_compressed(out, **arrays)
-    print(f"wrote {len(arrays)} arrays to {out}; sweeps by group: {sweeps}")
+    print(f"wrote {len(arrays)} arrays to {out}; sweeps by group: {sweep_totals(arrays)}")
 
 
 def compare(first: Path, second: Path) -> int:
@@ -140,6 +150,9 @@ def compare(first: Path, second: Path) -> int:
             lines.append(f"{key}: {head[0]} vs {head[1]}")
     print(*lines, sep="\n")
     print(f"{equal} of {len(set(a) | set(b))} arrays bitwise equal, {len(lines)} not")
+    first_sweeps, second_sweeps = sweep_totals(a), sweep_totals(b)
+    for group in dict.fromkeys([*first_sweeps, *second_sweeps]):
+        print(f"{group} sweeps: {first_sweeps.get(group, 0)} -> {second_sweeps.get(group, 0)}")
     return 1 if lines else 0
 
 
