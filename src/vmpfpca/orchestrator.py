@@ -408,10 +408,10 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     the chains' terms, which rise by -w_l/2 per unit of s_l.
 
     Newton steps on B's L^2 entries climb it, each taken at B = I in the
-    frame the last step reached.  The inverted curvature
+    frame the last step reached.  The inverse of minus the Hessian
     (:func:`_move_curvature`) is kept in ``state.move_curvature`` and serves
     the next steps, and the next snap's, while their steps shrink fourfold;
-    where the curvature is not negative definite, the step follows the
+    where the Hessian is not negative definite, the step follows the
     gradient.  A step halves until the objective rises, or changes by
     round-off only.  The loop stops before a step that would move B by less
     than a tenth of the convergence tolerance, and then writes each chain's
@@ -426,6 +426,7 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     if not (min(spline_sq) > 0.0 and min(np.diagonal(score_second).tolist()) > 0.0):
         return identity
     excess = state.cache.num_curves - state.cache.num_coefs  # n - P
+    shift = excess * identity
     messages = state.store.chains[2:]
     aux_precision = -2.0 * messages[0][3][1]  # c = 1/A^2 of the eigenfunctions' prior on a
     rtol = _MOVE_RTOL_PER_TOL * config.tol
@@ -433,26 +434,24 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     trace = score_second.trace()
     score_map, inverse_curvature, last_size = identity, state.move_curvature, math.inf
     for _ in range(_MOVE_STEPS):
-        weights = np.array(e_recip)
-        gradient = (score_second - grams[0] - grams[1] * weights).ravel()
-        gradient[:: L + 1] -= excess
+        gradient = (score_second - shift - grams[0] - grams[1] * e_recip).ravel()
         step = None
         if inverse_curvature is not None:
             step = inverse_curvature @ gradient
-            size = np.abs(step).max()
+            size = max(map(abs, step.tolist()))
             if size > max(rtol, 0.25 * last_size):  # the kept curvature no longer serves
                 step = None
         if step is None:
-            curvature = _move_curvature(score_second, excess, grams, weights, slope)
+            curvature = _move_curvature(score_second, shift, grams, e_recip, slope)
             try:
                 np.linalg.cholesky(curvature)
                 inverse_curvature = np.linalg.inv(curvature)
                 step = inverse_curvature @ gradient
-            except np.linalg.LinAlgError:  # not negative definite: a gradient step
+            except np.linalg.LinAlgError:  # the Hessian is not negative definite
                 inverse_curvature = None
                 along = gradient @ curvature @ gradient
                 step = gradient * (gradient @ gradient / along if along > 0.0 else 1.0)
-            size = np.abs(step).max()
+            size = max(map(abs, step.tolist()))
         if size <= rtol:
             break
         last_size = size
@@ -492,25 +491,25 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     return score_map
 
 
-def _move_curvature(score_second, excess, grams, e_recip, slope) -> np.ndarray:
+def _move_curvature(score_second, shift, grams, e_recip, slope) -> np.ndarray:
     """Minus the Hessian of :func:`_linear_move`'s objective in B's entries at B = I.
 
     Entry [(p, q), (r, s)] pairs B_pq with B_rs.  The trace term gives
     delta_qr S_ps + delta_ps S_qr + delta_pr S_qs, the log-determinant
-    -(n - P) delta_ps delta_qr, and column q's penalties and chain profile
-    delta_qs (H + w_q G + 2 w_q' (G e_q)(G e_q)')_pr.
+    -(n - P) delta_ps delta_qr (``shift`` is (n - P) I), and column q's
+    penalties and chain profile delta_qs (H + w_q G + 2 w_q' (G e_q)(G e_q)')_pr.
     """
     L = score_second.shape[0]
     identity = np.eye(L)
     spline_t = grams[1].T
     columns = (
         grams[0]
-        + e_recip[:, None, None] * grams[1]
+        + np.array(e_recip)[:, None, None] * grams[1]
         + 2.0 * np.array(slope)[:, None, None] * spline_t[:, :, None] * spline_t[:, None, :]
     )
     return (
         identity[None, :, :, None] * score_second[:, None, None, :]
-        + identity[:, None, None, :] * (score_second - excess * identity)[None, :, :, None]
+        + identity[:, None, None, :] * (score_second - shift)[None, :, :, None]
         + identity[:, None, :, None] * score_second[None, :, None, :]
         + identity[None, :, None, :] * columns.transpose(1, 0, 2)[:, :, :, None]
     ).reshape(L * L, L * L)

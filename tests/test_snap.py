@@ -69,6 +69,14 @@ def benchmark_dataset(tmp_path, num_curves, obs, index=0):
 BENCHMARK_CONFIG = dict(num_eigen=3, num_splines=10)  # the benchmark's fit flags
 
 
+def score_design(zeta_means):
+    """The affine least-squares design of the score means, and the relative
+    tolerance of a map read off it: 1e-10, or its round-off if larger, for
+    scores whose columns have nearly collapsed."""
+    design = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
+    return design, max(1e-10, 1e-14 * np.linalg.cond(design))
+
+
 def recovered_score_map(zeta_means, zeta_covs, moved_means, moved_covs):
     """The snap's score map [[1, 0], [-A b, A R']], read off the q(zeta) moments it moves.
 
@@ -78,13 +86,13 @@ def recovered_score_map(zeta_means, zeta_covs, moved_means, moved_covs):
     """
     num_curves, num_eigen = zeta_means.shape
     assert num_curves >= num_eigen + 1
-    design = np.column_stack([np.ones(num_curves), zeta_means])
+    design, rtol = score_design(zeta_means)
     coefs = np.linalg.lstsq(design, moved_means, rcond=None)[0]
-    assert_same(design @ coefs, moved_means)
+    assert_same(design @ coefs, moved_means, rtol)
     score_map = np.eye(num_eigen + 1)
     score_map[1:] = coefs.T
     linear = score_map[1:, 1:]
-    assert_same(linear @ zeta_covs @ linear.T, moved_covs)
+    assert_same(linear @ zeta_covs @ linear.T, moved_covs, rtol)
     return score_map
 
 
@@ -199,11 +207,12 @@ def checked_snap(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     # returned moments, so the snap leaves it
     assert np.array_equal(store.zeta_eta1, score_message[0])
     assert np.array_equal(store.zeta_precision, score_message[1])
+    rtol = score_design(zeta_means)[1]
     for after, before in zip(
         curve_expectations(dataset, state, *moved),
         curve_expectations(dataset, state, nu_mean, nu_cov, *zeta),
     ):
-        assert_same(after, before)
+        assert_same(after, before, rtol)
     return result
 
 
