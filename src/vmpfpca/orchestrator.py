@@ -140,7 +140,6 @@ class VmpState:
     store: fg.MessageStore
     cache: LikelihoodCache
     iterations: int = 0  # sweeps run; each _sweep advances it
-    move_curvature: np.ndarray | None = None  # the snap's linear move keeps its curvature here
     converged: bool = False
     history: list[float] = field(default_factory=list)
 
@@ -335,15 +334,7 @@ def _align_component_rotation(
     grams = np.add.reduceat(products.transpose(2, 0, 1), [0, 2])
     grams[0] /= config.prior_beta_var
 
-    _, eigvecs = np.linalg.eigh(grams[1, 1:, 1:])
-    # Eigenvectors from the largest eigenvalue down go to the components from the
-    # smallest E(1/sigma^2_psi) up, each with its largest entry positive, so the
-    # rotation does not flap between sweeps.  In floats: L is small.
-    columns = [None] * L
-    order = sorted(range(L), key=e_recip[1:].__getitem__)
-    for vector, k in zip(eigvecs.T.tolist()[::-1], order):
-        columns[k] = vector if max(vector, key=abs) > 0 else [-x for x in vector]
-    rotation = np.array(list(zip(*columns)))
+    rotation = _component_rotation(grams[1, 1:, 1:], e_recip[1:])
     zeta_means = zeta_means @ rotation
 
     if state.iterations == 0:  # the penalization fragment has not written nu yet
@@ -364,6 +355,21 @@ def _align_component_rotation(
     # the covariances move once, by the rotation and the linear move together
     total_map = rotation @ score_map.T
     return zeta_means @ score_map.T, total_map.T @ zeta_covs @ total_map
+
+
+def _component_rotation(spline_gram: np.ndarray, e_recip: list[float]) -> np.ndarray:
+    """The snap's rotation: the eigenvectors of the components' spline Gram, from the
+    largest eigenvalue down, go to the components from the smallest E(1/sigma^2_psi) up.
+
+    Each has its largest entry positive, so the rotation does not flap
+    between sweeps.  In floats: L is small.
+    """
+    _, eigvecs = np.linalg.eigh(spline_gram)
+    columns = [None] * len(e_recip)
+    order = sorted(range(len(e_recip)), key=e_recip.__getitem__)
+    for vector, k in zip(eigvecs.T.tolist()[::-1], order):
+        columns[k] = vector if max(vector, key=abs) > 0 else [-x for x in vector]
+    return np.array(list(zip(*columns)))
 
 
 def _chain_profiles(spline_sq, num_splines: int, aux_precision: float):
@@ -408,11 +414,11 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     the chains' terms, which rise by -w_l/2 per unit of s_l.
 
     Newton steps on B's L^2 entries climb it, each taken at B = I in the
-    frame the last step reached.  The inverse of minus the Hessian
-    (:func:`_move_curvature`) is kept in ``state.move_curvature`` and serves
-    the next steps, and the next snap's, while their steps shrink fourfold;
-    where the Hessian is not negative definite, the step follows the
-    gradient.  A step halves until the objective rises, or changes by
+    frame the last step reached.  Each move forms minus the Hessian
+    (:func:`_move_curvature`) afresh at its first step; its inverse serves
+    the move's next steps while they shrink fourfold, and is formed again
+    at the step that does not.  Where the Hessian is not negative definite,
+    the step follows the gradient.  A step halves until the objective rises, or changes by
     round-off only.  The loop stops before a step that would move B by less
     than a tenth of the convergence tolerance, and then writes each chain's
     three messages at its optimum.  A move whose first step is that small,
@@ -432,7 +438,7 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     rtol = _MOVE_RTOL_PER_TOL * config.tol
     e_recip, slope, value = _chain_profiles(spline_sq, num_splines, aux_precision)
     trace = score_second.trace()
-    score_map, inverse_curvature, last_size = identity, state.move_curvature, math.inf
+    score_map, inverse_curvature, last_size = identity, None, math.inf
     for _ in range(_MOVE_STEPS):
         gradient = (score_second - shift - grams[0] - grams[1] * e_recip).ravel()
         step = None
@@ -482,7 +488,6 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
         score_second, grams, trace = moved_second, moved_grams, moved_trace
         (linear_sq, spline_sq), (e_recip, slope, value) = moved_sq, profiles
         score_map = B_inv @ score_map
-    state.move_curvature = inverse_curvature
     if score_map is identity:
         return identity
     for chain_messages, s, w in zip(messages, spline_sq, e_recip):

@@ -69,76 +69,66 @@ def benchmark_dataset(tmp_path, num_curves, obs, index=0):
 BENCHMARK_CONFIG = dict(num_eigen=3, num_splines=10)  # the benchmark's fit flags
 
 
-def score_design(zeta_means):
-    """The affine least-squares design of the score means, and the relative
-    tolerance of a map read off it: 1e-10, or its round-off if larger, for
-    scores whose columns have nearly collapsed."""
-    design = np.column_stack([np.ones(zeta_means.shape[0]), zeta_means])
-    return design, max(1e-10, 1e-14 * np.linalg.cond(design))
+def recording(name, records):
+    """``orchestrator.<name>``, appending each value it returns to ``records``."""
+    original = getattr(orchestrator, name)
+
+    def recorded(*args):
+        records.append(original(*args))
+        return records[-1]
+
+    return recorded
 
 
-def recovered_score_map(zeta_means, zeta_covs, moved_means, moved_covs):
-    """The snap's score map [[1, 0], [-A b, A R']], read off the q(zeta) moments it moves.
+SNAP = orchestrator._align_component_rotation  # unpatched, for tests that patch the sweep's
 
-    An exact affine least-squares fit of the moved means on the input means
-    (it needs n >= L + 1 curves); the moved covariances must be the
-    pushforward of the input ones under its linear part.
+
+def run_snap(state, nu_mean, nu_cov, zeta_means, zeta_covs):
+    """Run the snap; return its result and its stages (rotation R, shift b, linear move A).
+
+    R and A are the ones the snap computes (A is I where the move does not
+    run).  The snap maps each curve's scores by zeta -> A (R' zeta - b), so
+    -A b is read off the moved means, which must be the input means under
+    that map, with the moved covariances their pushforward.
     """
-    num_curves, num_eigen = zeta_means.shape
-    assert num_curves >= num_eigen + 1
-    design, rtol = score_design(zeta_means)
-    coefs = np.linalg.lstsq(design, moved_means, rcond=None)[0]
-    assert_same(design @ coefs, moved_means, rtol)
-    score_map = np.eye(num_eigen + 1)
-    score_map[1:] = coefs.T
-    linear = score_map[1:, 1:]
-    assert_same(linear @ zeta_covs @ linear.T, moved_covs, rtol)
-    return score_map
-
-
-def recording_move(moves):
-    """``orchestrator._linear_move``, recording each map A it returns in ``moves``."""
-    original = orchestrator._linear_move
-
-    def recording(state, *args):
-        moves.append(original(state, *args))
-        return moves[-1]
-
-    return recording
+    rotations, moves = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orchestrator, "_component_rotation", recording("_component_rotation", rotations))
+        patch.setattr(orchestrator, "_linear_move", recording("_linear_move", moves))
+        result = SNAP(state, nu_mean, nu_cov, zeta_means, zeta_covs)
+    (rotation,) = rotations
+    move = moves[0] if moves else np.eye(len(rotation))
+    linear = move @ rotation.T
+    moved_means, moved_covs = result
+    offset = (moved_means - zeta_means @ linear.T).mean(axis=0)
+    assert_same(zeta_means @ linear.T + offset, moved_means)
+    assert_same(linear @ zeta_covs @ linear.T, moved_covs)
+    return result, (rotation, -np.linalg.solve(move, offset), move)
 
 
 def capture_snaps(monkeypatch):
-    """Record (score map, linear move A) of every snap; A is I where the move does not run."""
-    snaps, moves = [], []
-    original = orchestrator._align_component_rotation
+    """Record the stages (R, b, A) of every snap of a fit."""
+    snaps = []
 
-    def capturing(state, nu_mean, nu_cov, *zeta):
-        count = len(moves)
-        result = original(state, nu_mean, nu_cov, *zeta)
-        move = moves[-1] if len(moves) > count else np.eye(zeta[0].shape[1])
-        snaps.append((recovered_score_map(*zeta, *result), move))
+    def capturing(state, *moments):
+        result, stages = run_snap(state, *moments)
+        snaps.append(stages)
         return result
 
-    monkeypatch.setattr(orchestrator, "_linear_move", recording_move(moves))
     monkeypatch.setattr(orchestrator, "_align_component_rotation", capturing)
     return snaps
 
 
-def split_moves(score_map, move):
-    """(rotation R, shift b) of a score map [[1, 0], [-A b, A R']] whose linear move is A."""
-    unmoved = np.linalg.solve(move, score_map[1:])  # [-b, R']
-    return unmoved[:, 1:].T, -unmoved[:, 0]
-
-
-def stage_maps(score_map, move):
-    """Score maps after the rotation, after the translation and after the linear move."""
-    rotation, shift = split_moves(score_map, move)
-    L = rotation.shape[0]
+def stage_maps(rotation, shift, move):
+    """Score maps [[1, 0], [offset, linear]] after the rotation, the translation and the move."""
+    L = len(move)
     rotated = np.eye(L + 1)
     rotated[1:, 1:] = rotation.T
     translated = rotated.copy()
     translated[1:, 0] = -shift
-    return rotated, translated, score_map
+    moved = np.eye(L + 1)
+    moved[1:] = move @ translated[1:]
+    return rotated, translated, moved
 
 
 def moved_scores(zeta_means, zeta_covs, score_map):
@@ -169,9 +159,6 @@ def assert_same(after, before, rtol=1e-10):
     assert np.abs(after - before).max() <= rtol * np.abs(before).max()
 
 
-SNAP = orchestrator._align_component_rotation  # unpatched, for tests that patch the sweep's
-
-
 def checked_snap(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     """Run the snap, check that no stage lowers the objective or moves a curve, return its result.
 
@@ -182,18 +169,11 @@ def checked_snap(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     zeta = zeta_means, zeta_covs
     score_message = store.zeta_eta1.copy(), store.zeta_precision.copy()
     chains_before = chain_densities(state)
-    moves = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orchestrator, "_linear_move", recording_move(moves))
-        result = SNAP(state, nu_mean, nu_cov, *zeta)
+    result, stages = run_snap(state, nu_mean, nu_cov, *zeta)
     chains_after = chain_densities(state)
-    # the snap returns the moved score moments: an affine map of the
-    # means, with the covariances its pushforward
-    score_map = recovered_score_map(*zeta, *result)
-    move = moves[0] if moves else np.eye(zeta_means.shape[1])
 
     objective = [snap_objective(config, nu_mean, nu_cov, *zeta, *chains_before)]
-    for stage, stage_map in enumerate(stage_maps(score_map, move)):
+    for stage, stage_map in enumerate(stage_maps(*stages)):
         moved = (
             *transform_nu_moments(nu_mean, nu_cov, stage_map),
             *moved_scores(*zeta, stage_map),
@@ -207,12 +187,11 @@ def checked_snap(dataset, state, nu_mean, nu_cov, zeta_means, zeta_covs):
     # returned moments, so the snap leaves it
     assert np.array_equal(store.zeta_eta1, score_message[0])
     assert np.array_equal(store.zeta_precision, score_message[1])
-    rtol = score_design(zeta_means)[1]
     for after, before in zip(
         curve_expectations(dataset, state, *moved),
         curve_expectations(dataset, state, nu_mean, nu_cov, *zeta),
     ):
-        assert_same(after, before, rtol)
+        assert_same(after, before)
     return result
 
 
@@ -260,12 +239,12 @@ class TestFirstSweep:
         dataset, _ = generate(SimConfig(num_curves=10, seed=3))
         snaps = capture_snaps(monkeypatch)
         fit(dataset, FitConfig(max_iter=2))
-        (first_map, first_move), (score_map, move) = snaps
+        (_, first_shift, first_move), (_, shift, move) = snaps
         L = first_move.shape[0]
-        # the maps are read off the moved moments, so they carry round-off
-        assert np.abs(split_moves(first_map, first_move)[1]).max() < 1e-14
+        # the shifts are read off the moved moments, so they carry round-off
+        assert np.abs(first_shift).max() < 1e-14
         assert np.array_equal(first_move, np.eye(L))
-        assert np.abs(split_moves(score_map, move)[1]).max() > 1e-6
+        assert np.abs(shift).max() > 1e-6
         assert np.abs(move - np.eye(L)).max() > 1e-6
 
     def test_tiny_linear_prior_variance_stays_nonconvergent(self, tmp_path):
@@ -292,9 +271,9 @@ class TestSingleComponent:
         state = fit(dataset, FitConfig(num_eigen=1, max_iter=1000))
         assert state.converged
         assert len(snaps) == state.iterations
-        rotations, shifts = (np.array(m) for m in zip(*(split_moves(*snap) for snap in snaps)))
-        scales = np.array([move[0, 0] for _, move in snaps])
-        assert_same(rotations, np.ones_like(rotations), rtol=1e-12)
+        rotations, shifts, moves = (np.array(m) for m in zip(*snaps))
+        scales = moves[:, 0, 0]
+        assert np.all(rotations == 1.0)
         assert np.all(np.isfinite(shifts)) and np.abs(shifts).max() > 1e-3
         assert np.all(scales > 0) and np.abs(scales - 1.0).max() > 1e-3
 
@@ -387,9 +366,13 @@ class TestLinearMove:
             to_sigsq = InvChiSqParams(*iterated_igw_messages(e_recip, e_recip_aux)[0])
             updated = invchisq_mean_reciprocal(source + to_sigsq)
             to_aux = InvChiSqParams(*iterated_igw_messages(updated, e_recip_aux)[1])
-            e_recip_aux = invchisq_mean_reciprocal(prior + to_aux)
-            done = abs(updated - e_recip) <= 1e-15 * updated
-            e_recip = updated
+            updated_aux = invchisq_mean_reciprocal(prior + to_aux)
+            # settled once neither expectation moves; a start at the fixed
+            # point of E(1/sigma^2) alone is not one
+            done = abs(updated - e_recip) <= 1e-15 * updated and abs(
+                updated_aux - e_recip_aux
+            ) <= 1e-15 * updated_aux
+            e_recip, e_recip_aux = updated, updated_aux
             if done:
                 break
         else:
