@@ -296,7 +296,8 @@ def _align_component_rotation(
     1. the rotation that diagonalizes the second-moment Gram of the
        components' spline coefficients, with the largest eigenvalue under the
        smallest penalty weight E(1/sigma^2_psi_l), and so on in order, which
-       maximizes the expected penalty over rotations;
+       maximizes the expected penalty over rotations
+       (:func:`_component_rotation`);
     2. the objective-optimal translation zeta_i -> zeta_i - b,
        nu_mu -> nu_mu + sum_l b_l nu_psi_l, with (n I + G) b =
        sum_i E(zeta_i) - g, where G and g are the second moments of the

@@ -93,8 +93,8 @@ def run_snap(state, nu_mean, nu_cov, zeta_means, zeta_covs):
     """
     rotations, moves = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orchestrator, "_component_rotation", recording("_component_rotation", rotations))
-        patch.setattr(orchestrator, "_linear_move", recording("_linear_move", moves))
+        for name, records in [("_component_rotation", rotations), ("_linear_move", moves)]:
+            patch.setattr(orchestrator, name, recording(name, records))
         result = SNAP(state, nu_mean, nu_cov, zeta_means, zeta_covs)
     (rotation,) = rotations
     move = moves[0] if moves else np.eye(len(rotation))
