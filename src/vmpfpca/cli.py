@@ -78,9 +78,8 @@ def _configure_logging() -> None:
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    # one dumps and one write: json.dump writes each of its many small chunks on its own
+    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path):

@@ -672,6 +672,13 @@ class TestParser:
             cli.build_parser().parse_args(["fit", "data.csv", "--freeze-scores-at-zero"])
 
 
+def test_write_json_writes_the_indented_document_and_a_newline(tmp_path):
+    payload = {"fit": {"grid": [0.0, 0.5, 1.0], "curve": "é"}, "iterations": 7, "converged": True}
+    path = tmp_path / "new" / "fit.json"
+    cli._write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 
 

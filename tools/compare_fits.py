@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Record the fits of one source tree, or compare two recordings array by array.
 
-    python tools/compare_fits.py record OUT.npz [--src DIR]
+    python tools/compare_fits.py record OUT.npz [--src DIR] [--tol TOL]
     python tools/compare_fits.py compare FIRST.npz SECOND.npz
 
 ``record`` imports ``vmpfpca`` from DIR (default: this checkout's ``src``)
-and fits 56 inputs on one BLAS thread:
+and fits 56 inputs on one BLAS thread, each at its own tolerance or, with
+``--tol``, all at TOL and with at least ``TOL_MAX_ITER`` sweeps allowed, so
+that fits at a tight tolerance reach it:
 
 - dense-narrow: ``perfbench/inputs.write_dataset`` seeds 1-3 x index 0-9,
   20 curves of 150-300 points, L = 3, K = 10, max_iter 3000;
@@ -25,7 +27,10 @@ field, or the text of the error that ``finalize`` raised.  An input whose
 ``compare`` lists each array that is in one file only or is not bitwise
 equal, with the largest absolute difference and the largest entry, prints
 each recording's sweep total per input group (dense, study, stall, frozen),
-and exits 1 if any array differs.
+and exits 1 if any array differs.  It also prints, per input and per group,
+the largest relative difference in quantities that do not depend on the
+components' frame (:func:`fit_differences`), which show whether two trees
+reach the same fixed point when their arrays are not bitwise equal.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ BENCH_FLAGS = {"num_eigen": 3, "num_splines": 10, "max_iter": 3000}
 FROZEN_FLAGS = {
     "num_eigen": 1, "num_splines": 8, "freeze_scores_at_zero": True, "tol": 1e-12, "max_iter": 4000,
 }  # fmt: skip
+TOL_MAX_ITER = 20000
 
 
 def comparison_inputs(work: Path):
@@ -95,7 +101,51 @@ def sweep_totals(arrays) -> dict[str, int]:
     return totals
 
 
-def record(out: Path, src: Path) -> None:
+def fit_differences(a, b) -> dict[str, dict[str, float]]:
+    """Per input both recordings finalized, the largest relative difference in each
+    identified quantity: max |x - y| / max |x| of the fitted curves and of the
+    covariance surface sum_l lambda_l psi_l(s) psi_l(t) on the grid, max |x - y| / |x|
+    over the two leading eigenvalues, and |x - y| / |x| of the noise precision."""
+
+    def identified(arrays, name):
+        psi = arrays[f"{name}/result/eigenfunctions"]
+        eigenvalues = arrays[f"{name}/result/eigenvalues"]
+        return {
+            "fitted": arrays[f"{name}/result/fitted"],
+            "covariance": (psi * eigenvalues) @ psi.T,
+            "eigenvalues": eigenvalues[:2],
+            "noise precision": arrays[f"{name}/result/noise_precision_mean"],
+        }
+
+    out = {}
+    for key in a:
+        name, _, field = key.partition("/")
+        if field != "result/fitted" or key not in b:
+            continue
+        first, second = identified(a, name), identified(b, name)
+        out[name] = {}
+        for quantity, x in first.items():
+            diff = np.abs(x - second[quantity])
+            if quantity in ("fitted", "covariance"):
+                out[name][quantity] = float(diff.max() / np.abs(x).max())
+            else:
+                out[name][quantity] = float((diff / np.abs(x)).max())
+    return out
+
+
+def print_fit_differences(differences) -> None:
+    """One line per input, then the largest of each quantity per input group."""
+    groups = {}
+    for name, row in differences.items():
+        print(f"{name}: " + ", ".join(f"{q} {v:.2g}" for q, v in row.items()))
+        group = groups.setdefault(name.split("-")[0], {})
+        for quantity, value in row.items():
+            group[quantity] = max(group.get(quantity, 0.0), value)
+    for group, row in groups.items():
+        print(f"{group} largest: " + ", ".join(f"{q} {v:.2g}" for q, v in row.items()))
+
+
+def record(out: Path, src: Path, tol: float | None = None) -> None:
     sys.path.insert(0, str(src))
     from vmpfpca.orchestrator import FitConfig, fit_state, initialize
     from vmpfpca.postprocess import finalize
@@ -104,6 +154,9 @@ def record(out: Path, src: Path) -> None:
     with tempfile.TemporaryDirectory() as work:
         for name, dataset, flags in comparison_inputs(Path(work)):
             try:
+                if tol is not None:
+                    budget = max(flags.get("max_iter", 0), TOL_MAX_ITER)
+                    flags = {**flags, "tol": tol, "max_iter": budget}
                 state = initialize(dataset, FitConfig(**flags))
                 saved = {f"init/{key}": value for key, value in store_arrays(state.store).items()}
                 fit_state(state)
@@ -150,6 +203,8 @@ def compare(first: Path, second: Path) -> int:
             lines.append(f"{key}: {head[0]} vs {head[1]}")
     print(*lines, sep="\n")
     print(f"{equal} of {len(set(a) | set(b))} arrays bitwise equal, {len(lines)} not")
+    print("largest relative differences in identified quantities:")
+    print_fit_differences(fit_differences(a, b))
     first_sweeps, second_sweeps = sweep_totals(a), sweep_totals(b)
     for group in dict.fromkeys([*first_sweeps, *second_sweeps]):
         print(f"{group} sweeps: {first_sweeps.get(group, 0)} -> {second_sweeps.get(group, 0)}")
@@ -162,12 +217,13 @@ def main() -> int:
     rec = commands.add_parser("record", help="fit the inputs and save the results")
     rec.add_argument("out", type=Path)
     rec.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding vmpfpca")
+    rec.add_argument("--tol", type=float, help="fit every input at this tolerance")
     cmp = commands.add_parser("compare", help="list the arrays two recordings disagree on")
     cmp.add_argument("first", type=Path)
     cmp.add_argument("second", type=Path)
     args = parser.parse_args()
     if args.command == "record":
-        record(args.out, args.src.resolve())
+        record(args.out, args.src.resolve(), args.tol)
         return 0
     return compare(args.first, args.second)
 
