@@ -19,12 +19,10 @@ every move is the identity, so the sweeps reach the same fixed point in
 fewer steps.
 
 What the snap cannot reach, mostly surplus components collapsing, the fit
-crosses by jumps between sweeps (:func:`_jump`): when the store's last two
-changes point the same way and shrink by a ratio rho, :func:`fit_state`
-extrapolates the messages along the last change by min(rho / (1 - rho),
-10) times it, if every q-density stays proper.  Convergence is still one
-plain sweep's change against the tolerance, so a fit stops at a fixed point
-of the plain sweep; the jumps only shorten the way there.
+crosses by extrapolating the messages between sweeps (:func:`_jump`).
+Convergence is still one plain sweep's change against the tolerance, so a
+fit stops at a fixed point of the plain sweep; the jumps only shorten the
+way there.
 
 A q-density is the sum of its node's two messages.  q(nu) is formed and
 inverted once after each of the two writes to nu, and q(zeta) once per
@@ -76,13 +74,11 @@ _INIT_GAUSS_VARIANCE = 100.0  # weakly informative N(0, 10^2 I) starting message
 _MOVE_STEPS = 50
 _MOVE_RTOL_PER_TOL = 0.1
 _BACKTRACKS = 40
-# fit_state's jump along the last sweep's change (an over-relaxed step; Salakhutdinov
-# & Roweis 2003): tried once every _JUMP_SPACING sweeps, taken when the last two
-# changes shrink and have a cosine above _JUMP_ALIGNMENT, and at most _JUMP_CAP times
-# the last change.  On the 54 dense and study inputs of tools/compare_fits.py (7321 plain
-# sweeps) these take 3106 sweeps; caps of 5 and 20 took 4074 and 3012, a spacing of
-# 3 took 3021 and an alignment of 0.995 took 3223.  Without the cap, dense-1-8 took
-# 290 sweeps instead of 21.
+# The jump between sweeps (_jump, an over-relaxed step; Salakhutdinov & Roweis 2003).
+# On the 54 dense and study inputs of tools/compare_fits.py (7321 plain sweeps) these
+# values take 3106 sweeps; caps of 5 and 20 took 4074 and 3012, a spacing of 3 took
+# 3021 and an alignment of 0.995 took 3223.  Without the cap, dense-1-8 took 290
+# sweeps instead of 21.
 _JUMP_SPACING = 5
 _JUMP_ALIGNMENT = 0.99
 _JUMP_CAP = 10.0
@@ -685,7 +681,7 @@ def fit_state(state: VmpState) -> VmpState:
     store = state.store
     q_nu, q_zeta = store.q_nu(), store.q_zeta()
     previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
-    # q(nu) and q(zeta) are read here once; each sweep then hands on the reads it ends with
+    # q(nu) and q(zeta) are read here once; each sweep, or jump, hands on the reads it ends with
     moments = None
     # the message vectors of the three sweeps before a try, the sweeps between
     # tries, the sweep of the next try, and the metric before a jump not yet reviewed

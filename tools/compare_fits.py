@@ -102,8 +102,8 @@ def sweep_totals(arrays) -> dict[str, int]:
 
 
 def fit_differences(a, b) -> dict[str, dict[str, float]]:
-    """Per input both recordings finalized, the largest relative difference in each
-    identified quantity: max |x - y| / max |x| of the fitted curves and of the
+    """For each input that both recordings finalized, the largest relative difference in
+    each identified quantity: max |x - y| / max |x| of the fitted curves and of the
     covariance surface sum_l lambda_l psi_l(s) psi_l(t) on the grid, max |x - y| / |x|
     over the two leading eigenvalues, and |x - y| / |x| of the noise precision."""
 
@@ -153,10 +153,10 @@ def record(out: Path, src: Path, tol: float | None = None) -> None:
     arrays = {}
     with tempfile.TemporaryDirectory() as work:
         for name, dataset, flags in comparison_inputs(Path(work)):
+            if tol is not None:
+                budget = max(flags.get("max_iter", 0), TOL_MAX_ITER)
+                flags = {**flags, "tol": tol, "max_iter": budget}
             try:
-                if tol is not None:
-                    budget = max(flags.get("max_iter", 0), TOL_MAX_ITER)
-                    flags = {**flags, "tol": tol, "max_iter": budget}
                 state = initialize(dataset, FitConfig(**flags))
                 saved = {f"init/{key}": value for key, value in store_arrays(state.store).items()}
                 fit_state(state)
