@@ -75,13 +75,17 @@ _MOVE_STEPS = 50
 _MOVE_RTOL_PER_TOL = 0.1
 _BACKTRACKS = 40
 # The jump between sweeps (_jump, an over-relaxed step; Salakhutdinov & Roweis 2003).
-# On the 54 dense and study inputs of tools/compare_fits.py (7321 plain sweeps) these
-# values take 3106 sweeps; caps of 5 and 20 took 4074 and 3012, a spacing of 3 took
-# 3021 and an alignment of 0.995 took 3223.  Without the cap, dense-1-8 took 290
-# sweeps instead of 21.
+# On the 56 inputs of tools/compare_fits.py (8105 plain sweeps) these values take
+# 3454 sweeps, and no input takes more than its plain fit.  A radius of 0.2 lost a
+# random 3-curve fit that the plain sweep converges (357 sweeps, none in 1000);
+# without the radius, two took 1893 and 572 sweeps instead of 144 and 231.  A cap of
+# 20 took 3209 sweeps but 3 of 300 random fits took more than their plain fits (none
+# at 10); without the cap, dense-1-6 did not converge.  A spacing of 3 took 613 sweeps
+# on a 50-curve fit with five components (116 at 5).
 _JUMP_SPACING = 5
 _JUMP_ALIGNMENT = 0.99
 _JUMP_CAP = 10.0
+_JUMP_RADIUS = 0.1
 
 
 @dataclass(frozen=True)
@@ -626,24 +630,29 @@ def _write_messages(store: fg.MessageStore, vector: np.ndarray) -> None:
         chain[:3] = [tuple(next(pairs)) for _ in range(3)]
 
 
-def _jump(state: VmpState, older: np.ndarray, old: np.ndarray, current: np.ndarray):
+def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, current: np.ndarray):
     """Extrapolate the store from ``current`` along the last sweep's change, or leave it.
 
-    The three arguments are :func:`_message_vector` after the last three
-    sweeps, and the store holds ``current``.  With the change D = current -
-    old and rho = |D| / |old - older|, a jump needs cos(D, old - older) >
-    ``_JUMP_ALIGNMENT`` and rho < 1; it then writes current + t D with t =
-    min(rho / (1 - rho), ``_JUMP_CAP``), the geometric series' limit, when
-    q(nu), every q(zeta_i) and every variance and auxiliary q-density it
-    implies is proper.  Returns t, the jumped store's :func:`q_snapshot` and its
-    q(nu)'s and q(zeta)'s moments, or None with the store unchanged.
+    The three vectors are :func:`_message_vector` after the last three
+    sweeps, and the store holds ``current``; ``metric`` is the last sweep's
+    :func:`convergence_metric`.  With the change D = current - old and rho =
+    |D| / |old - older|, a jump needs cos(D, old - older) > ``_JUMP_ALIGNMENT``
+    and rho < 1; it then writes current + t D with t = min(rho / (1 - rho),
+    ``_JUMP_CAP``, ``_JUMP_RADIUS`` / metric), the geometric series' limit,
+    when q(nu), every q(zeta_i) and every variance and auxiliary q-density it
+    implies is proper.  The q-densities are linear in the messages, so t
+    times the metric is about the largest relative change the jump makes in
+    any of them: the radius keeps a jump far from the fixed point, where the
+    fit's path still bends, from changing a q-density by more than a tenth.
+    Returns t, the jumped store's :func:`q_snapshot` and its q(nu)'s and
+    q(zeta)'s moments, or None with the store unchanged.
     """
     change, last = current - old, old - older
     size, last_size = math.sqrt(change @ change), math.sqrt(last @ last)
     if not (size < last_size and change @ last > _JUMP_ALIGNMENT * size * last_size):
         return None
     rho = size / last_size
-    step = min(rho / (1.0 - rho), _JUMP_CAP)
+    step = min(rho / (1.0 - rho), _JUMP_CAP, _JUMP_RADIUS / metric)
     store = state.store
     _write_messages(store, current + step * change)
     variances = store.q_variances()
@@ -667,9 +676,7 @@ def fit_state(state: VmpState) -> VmpState:
     metric drops below tolerance or ``max_iter`` sweeps have run.
 
     Between sweeps the fit tries a jump along its slow mode (:func:`_jump`)
-    once every ``spacing`` sweeps.  The spacing starts at ``_JUMP_SPACING``
-    and doubles whenever the metric ``spacing`` sweeps after a kept jump is
-    not below the metric just before it.  The convergence check compares the
+    once every ``_JUMP_SPACING`` sweeps.  The convergence check compares the
     next sweep with the jumped store, so a fit stops only where one plain
     sweep changes the q-densities by less than ``tol``, at a fixed point of
     the plain sweep.  ``state.iterations`` and ``state.history`` count sweeps.
@@ -683,9 +690,8 @@ def fit_state(state: VmpState) -> VmpState:
     previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
     # q(nu) and q(zeta) are read here once; each sweep, or jump, hands on the reads it ends with
     moments = None
-    # the message vectors of the three sweeps before a try, the sweeps between
-    # tries, the sweep of the next try, and the metric before a jump not yet reviewed
-    recent, spacing, next_try, review = [], _JUMP_SPACING, _JUMP_SPACING, None
+    # the message vectors of the three sweeps before a try, and the sweep of the next try
+    recent, next_try = [], _JUMP_SPACING
     for _ in range(state.config.max_iter):
         try:
             if moments is None:
@@ -706,18 +712,11 @@ def fit_state(state: VmpState) -> VmpState:
             break
         if state.iterations > next_try - 3:  # one of the three sweeps a try reads
             recent = [*recent[-2:], _message_vector(store)]
-        if review is not None and state.iterations == next_try:
-            if not metric < review:  # the last jump did not help: back off
-                next_try += spacing
-                spacing *= 2
-                logger.debug("iteration %d: back off to every %d sweeps", state.iterations, spacing)
-            review = None
         if next_try <= state.iterations < state.config.max_iter:  # a jump needs a next sweep
-            jumped = _jump(state, *recent)
-            next_try = state.iterations + spacing
+            jumped = _jump(state, metric, *recent)
+            next_try = state.iterations + _JUMP_SPACING
             if jumped is not None:
                 step, previous, moments = jumped
-                review = metric
                 logger.debug("iteration %d: jump of %.3g last changes", state.iterations, step)
     if not state.converged:
         logger.info(
