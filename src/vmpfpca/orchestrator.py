@@ -637,10 +637,10 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
     sweeps, and the store holds ``current``; ``metric`` is the last sweep's
     :func:`convergence_metric`.  With the change D = current - old and rho =
     |D| / |old - older|, a jump needs cos(D, old - older) > ``_JUMP_ALIGNMENT``
-    and rho < 1; it then writes current + t D with t = min(rho / (1 - rho),
-    ``_JUMP_CAP``, ``_JUMP_RADIUS`` / metric), the geometric series' limit,
-    when q(nu), every q(zeta_i) and every variance and auxiliary q-density it
-    implies is proper.  The q-densities are linear in the messages, so t
+    and rho < 1; it then writes current + t D, with t the geometric series'
+    limit rho / (1 - rho) capped at ``_JUMP_CAP`` and at ``_JUMP_RADIUS`` /
+    metric, when q(nu), every q(zeta_i) and every variance and auxiliary
+    q-density it implies is proper.  The q-densities are linear in the messages, so t
     times the metric is about the largest relative change the jump makes in
     any of them: the radius keeps a jump far from the fixed point, where the
     fit's path still bends, from changing a q-density by more than a tenth.
