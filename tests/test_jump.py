@@ -192,7 +192,7 @@ class TestSchedule:
             # contracting by 0.9965 a sweep, 1893 and 572 sweeps without the radius
             (SimConfig(3, obs_range=(29, 33), seed=9217), {}, 144),
             (SimConfig(3, obs_range=(10, 20), seed=201), {}, 231),
-            # and this one to a q(nu) that was not positive definite two sweeps on
+            # and this one to a sweep whose q(nu) was not positive definite
             (SimConfig(2, obs_range=(24, 43), seed=336), {"num_eigen": 5, "num_splines": 5}, 139),
         ],
         ids=["five-components", "three-curves-a", "three-curves-b", "two-curves"],
