@@ -3,14 +3,14 @@
 Every stochastic node has exactly two neighboring factors, so the graph is a
 table from each node (a string) to its two factors: the message a node sends
 to one factor is the stored message from the other, and its q-density is the
-sum of the two.  The store keeps the factor-to-node messages in array slots
-that the sweep reads and writes directly: a Gaussian message as eta1 and a
-precision matrix (the streamlined form of Wand, 2017), the n score vectors
-as one stacked node with one likelihood row per curve, and an inverse
-chi-squared message as an (eta1, eta2) pair of floats; it is built from
-them, so every edge holds a message.  ``get_to_node`` and ``set_to_node``
-view the slots as the natural-parameter objects of :mod:`expfam` for
-``q_natural_params`` and its kin; the fit never calls them.
+sum of the two.  The store keeps the factor-to-node messages in slots whose
+layout only it knows, and the sweep reads and writes them through its methods,
+by node and role: a Gaussian message as eta1 and a precision matrix (the
+streamlined form of Wand, 2017), the n score vectors as one stacked node with
+one likelihood row per curve, an inverse chi-squared message as an (eta1,
+eta2) pair of floats.  ``get_to_node`` and ``set_to_node`` view the slots as
+the natural-parameter objects of :mod:`expfam` for ``q_natural_params`` and
+its kin; the fit never calls them.
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .expfam import (
+    DegenerateMessageError,
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
     NaturalParams,
     duplication_matrix,
+    gaussian_precision_to_moments,
     moore_penrose_duplication,
     unvec,
     vec,
 )
+from .fragments import igw_prior_message
 
 
 class TopologyError(ValueError):
@@ -76,6 +79,95 @@ class MessageStore:
         for (s1, s2), (i1, i2), (a1, a2), (p1, p2) in self.chains:
             out += [s1 + i1, s2 + i2, a1 + p1, a2 + p2]
         return out
+
+    def q_variances_proper(self) -> bool:
+        """Whether every chain's q(sigsq) and q(aux) is a proper inverse chi-squared density."""
+        variances = self.q_variances()
+        return max(variances[0::2]) < -1.0 and max(variances[1::2]) < 0.0
+
+    def read_q_nu(self, reader: str):
+        """q(nu) and its (mean, covariance); an error names the edge (``reader``, nu)."""
+        q = self.q_nu()
+        return q, gaussian_precision_to_moments(*q, f"edge ({reader}, nu): q-density precision")
+
+    def read_q_zeta(self):
+        """q(zeta) and its (means, covariances); an error names the edge (likelihood, zeta)."""
+        q = self.q_zeta()
+        return q, gaussian_precision_to_moments(*q, "edge (likelihood, zeta): q-density precision")
+
+    def set_nu(self, factor: str, message) -> None:
+        """Write the (eta1, precision) message from ``factor`` to nu."""
+        k = (LIKELIHOOD, PENALIZATION).index(factor)
+        self.nu_eta1[k], self.nu_precision[k] = message
+
+    def set_scores(self, message) -> None:
+        """Write the likelihood's (eta1, precisions) message to the scores, one row per curve."""
+        self.zeta_eta1[...], self.zeta_precision[...] = message
+
+    def e_recip(self, c: int, reader: str = "source", node: str = "sigsq") -> float:
+        """E(1/x) of chain c's variance ("sigsq") or auxiliary ("aux"), for its ``reader`` factor
+        ("source" or "iterated").  The messages are pairs of Python floats, so a zero eta2
+        raises instead of giving inf; the error names the edge the read is for."""
+        (a1, a2), (b1, b2) = self.chains[c][:2] if node == "sigsq" else self.chains[c][2:]
+        try:
+            return (a1 + b1 + 1.0) / (a2 + b2)
+        except ZeroDivisionError:
+            chain = variance_chains(self.prior_eta1.size)[c]
+            edge = f"{getattr(chain, reader)}, {getattr(chain, node)}"
+            raise DegenerateMessageError(
+                f"edge ({edge}): inverse chi-squared parameters with eta2 = 0"
+            ) from None
+
+    def set_source(self, c: int, to_sigsq: tuple[float, float]) -> None:
+        """Write the message from chain c's source factor to its variance."""
+        self.chains[c][0] = to_sigsq
+
+    def set_iterated(self, c: int, to_sigsq, to_aux) -> None:
+        """Write the messages from chain c's iterated factor to its variance and auxiliary."""
+        self.chains[c][1:3] = to_sigsq, to_aux
+
+    def message_vector(self) -> np.ndarray:
+        """The messages a sweep writes, as one vector: both messages to nu, the scores'
+        likelihood rows and each chain's first three pairs; the constant priors stay out."""
+        chains = [x for chain in self.chains for message in chain[:3] for x in message]
+        arrays = (self.nu_eta1, self.nu_precision, self.zeta_eta1, self.zeta_precision)
+        return np.concatenate([*(array.ravel() for array in arrays), chains])
+
+    def write_messages(self, vector: np.ndarray) -> None:
+        """Write a :meth:`message_vector` back into the store's slots, in place."""
+        start = 0
+        for array in (self.nu_eta1, self.nu_precision, self.zeta_eta1, self.zeta_precision):
+            array[...] = vector[start : start + array.size].reshape(array.shape)
+            start += array.size
+        pairs = iter(vector[start:].reshape(-1, 2).tolist())
+        for chain in self.chains:
+            chain[:3] = [tuple(next(pairs)) for _ in range(3)]
+
+    def q_snapshot(self, q_nu, q_zeta) -> np.ndarray:
+        """The q natural parameters the convergence check compares, up to their signs, node by node.
+
+        ``q_nu`` and ``q_zeta`` are the (eta1, precision) pairs of :meth:`q_nu`
+        and :meth:`q_zeta`.  First q(nu): eta1, then half the precision, which
+        is |eta2| in the vec basis.  Then each curve: eta1, then W * precision
+        with W = 1/2 on the diagonal and 1 off it, which is |eta2| in the vech
+        basis with each off-diagonal entry twice.  Then (eta1, eta2) of
+        q(sigsq) and q(aux) of each chain.
+        """
+        (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = q_nu, q_zeta
+        n, L = zeta_eta1.shape
+        rows = np.concatenate([zeta_eta1, zeta_precision.reshape(n, L * L)], axis=1)
+        rows[:, L :: L + 1] *= 0.5  # the diagonal of each precision
+        return np.concatenate(
+            [nu_eta1, 0.5 * nu_precision.reshape(-1), rows.reshape(-1), self.q_variances()]
+        )
+
+    def node_starts(self) -> np.ndarray:
+        """Where each node's entries begin in a :meth:`q_snapshot`: q(nu) has D(1 + D), each
+        curve's scores L(1 + L), and each chain's q(sigsq) and q(aux) 2 each."""
+        n, L = self.zeta_eta1.shape
+        sizes = [self.nu_eta1[0].size * (1 + self.nu_eta1[0].size)]
+        sizes += [L * (1 + L)] * n + [2] * (2 * len(self.chains))
+        return np.cumsum([0] + sizes[:-1])
 
     def _slot(self, factor: str, node: str):
         """The edge's (eta1, precision) arrays, or (chain, position) of a chain message."""
@@ -206,6 +298,13 @@ def variance_chains(num_eigen: int) -> tuple[VarianceChain, ...]:
         _chain("mu", PENALIZATION),
         *(_chain("psi", PENALIZATION, l) for l in range(num_eigen)),
     )
+
+
+def starting_chains(num_eigen: int, config) -> list[list[tuple[float, float]]]:
+    """Each chain's starting messages: shape 1, scale 1 (unit reciprocal mean) on its three
+    swept edges, and on its prior edge the prior of ``config.hyper_a_<family>``."""
+    hypers = [getattr(config, f"hyper_a_{chain.family}") for chain in variance_chains(num_eigen)]
+    return [[(-1.5, -0.5)] * 3 + [igw_prior_message(hyper)] for hyper in hypers]
 
 
 def fpca_factor_graph(num_eigen: int) -> Neighbors:

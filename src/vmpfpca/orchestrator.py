@@ -5,8 +5,8 @@ iterated fragment of the noise-variance chain; penalization; the iterated
 fragments of the mean-function and eigenfunction chains (see
 :func:`graph.variance_chains`).  The prior fragments emit constant messages,
 so :func:`initialize` builds the store with them and no sweep writes them.
-From initialization on, every message of a fit lives in the store's array
-slots (see :class:`graph.MessageStore`); the fit builds no message object.
+From initialization on, every message of a fit lives in the store (see
+:class:`graph.MessageStore`), behind its methods; the fit builds no message object.
 
 The snap (:func:`_align_component_rotation`) moves the fit along
 directions that change no curve: it rotates the components into their
@@ -24,16 +24,14 @@ Convergence is still one plain sweep's change against the tolerance, so a
 fit stops at a fixed point of the plain sweep; the jumps only shorten the
 way there.
 
-A q-density is the sum of its node's two messages.  q(nu) is formed and
-inverted once after each of the two writes to nu, and q(zeta) once per
-sweep, after the likelihood fragment writes the scores; the likelihood
-fragment's message to nu needs only the score moments, and the snap reuses
-the q(nu) and q(zeta) moments of the sweep before, since nothing writes nu
-or the scores in between.  The snap hands the moved score moments to the
-likelihood fragment and writes only the eigenfunctions' chains.  The
-convergence check compares the q(nu) and q(zeta) the sweep formed and the
-2(2 + L) variance and auxiliary q-densities, with each curve's scores its
-own node.
+q(nu) is formed and inverted once after each of the two writes to nu, and
+q(zeta) once per sweep, after the likelihood fragment writes the scores;
+the likelihood fragment's message to nu needs only the score moments, and
+the snap reuses the q(nu) and q(zeta) moments of the sweep before, since
+nothing writes nu or the scores in between.  The snap hands the moved score
+moments to the likelihood fragment and writes only the eigenfunctions'
+chains.  The convergence check compares the q(nu) and q(zeta) the sweep
+formed and the variance and auxiliary q-densities (``MessageStore.q_snapshot``).
 """
 
 from __future__ import annotations
@@ -46,13 +44,12 @@ import numpy as np
 
 from . import graph as fg
 from .data import FunctionalDataset
-from .expfam import DegenerateMessageError, gaussian_precision_to_moments
+from .expfam import DegenerateMessageError
 from .fragments import (
     LikelihoodCache,
     ScoreMoments,
     build_likelihood_cache,
     gaussian_prior_message,
-    igw_prior_message,
     iterated_igw_messages,
     likelihood_expectations,
     likelihood_message_to_nu,
@@ -154,12 +151,16 @@ class VmpState:
 
     config: FitConfig
     basis: SplineBasis
-    graph: fg.Neighbors
     store: fg.MessageStore
     cache: LikelihoodCache
     iterations: int = 0  # sweeps run; each _sweep advances it
     converged: bool = False
     history: list[float] = field(default_factory=list)
+
+    @property
+    def graph(self) -> fg.Neighbors:
+        """The fit's neighbor table, for the store's natural-parameter view."""
+        return fg.fpca_factor_graph(self.config.num_eigen)
 
 
 def _initial_guess(
@@ -204,7 +205,6 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
     identity = np.eye(nu_start.size)
     prior_eta1, prior_precision = gaussian_prior_message(L)
-    unit = (-1.5, -0.5)
     store = fg.MessageStore(
         nu_eta1=np.stack([nu_start, np.zeros(nu_start.size)]),
         nu_precision=np.stack([identity, identity / _INIT_GAUSS_VARIANCE]),
@@ -212,32 +212,9 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
         zeta_precision=np.tile(prior_precision, (n, 1, 1)),
         prior_eta1=prior_eta1,
         prior_precision=prior_precision,
-        chains=[
-            [unit, unit, unit, igw_prior_message(getattr(config, f"hyper_a_{chain.family}"))]
-            for chain in fg.variance_chains(L)
-        ],
+        chains=fg.starting_chains(L, config),
     )
-    return VmpState(config, basis, fg.fpca_factor_graph(L), store, cache)
-
-
-def _q_moments(q: tuple[np.ndarray, np.ndarray], factor: str, node: str):
-    """(mean, covariance) of q(nu), or (means, covariances) of the stacked q(zeta),
-    from its (eta1, precision); an error names the edge the read is for."""
-    return gaussian_precision_to_moments(*q, f"edge ({factor}, {node}): q-density precision")
-
-
-def _mean_reciprocal(first, second, factor: str, node: str) -> float:
-    """E(1/x) of the inverse chi-squared q-density whose messages are ``first`` and ``second``.
-
-    They are (eta1, eta2) pairs of Python floats, so a zero eta2 raises
-    instead of giving inf; the error names the edge the read is for.
-    """
-    try:
-        return (first[0] + second[0] + 1.0) / (first[1] + second[1])
-    except ZeroDivisionError:
-        raise DegenerateMessageError(
-            f"edge ({factor}, {node}): inverse chi-squared parameters with eta2 = 0"
-        ) from None
+    return VmpState(config, basis, store, cache)
 
 
 def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
@@ -252,25 +229,19 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
     (means, covariances), which are None when the scores are frozen at zero.
     """
     store = state.store
-    noise = store.chains[0]
-    e_recip_eps = _mean_reciprocal(noise[0], noise[1], fg.LIKELIHOOD, fg.SIGSQ_EPS)
-    store.nu_eta1[0], store.nu_precision[0] = likelihood_message_to_nu(
-        state.cache, scores, e_recip_eps
-    )
+    e_recip_eps = store.e_recip(0)
+    store.set_nu(fg.LIKELIHOOD, likelihood_message_to_nu(state.cache, scores, e_recip_eps))
 
-    nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
+    _, (nu_mean, nu_cov) = store.read_q_nu(fg.LIKELIHOOD)
     expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
     if state.config.freeze_scores_at_zero:
         q_zeta, zeta_moments = store.q_zeta(), None
     else:
-        store.zeta_eta1[...], store.zeta_precision[...] = likelihood_messages_to_zeta(
-            state.cache, expectations, e_recip_eps
-        )
-        q_zeta = store.q_zeta()
-        zeta_moments = _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA)
+        store.set_scores(likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps))
+        q_zeta, zeta_moments = store.read_q_zeta()
         scores = score_moments(*zeta_moments)
 
-    noise[0] = likelihood_message_to_sigsq_eps(state.cache, expectations, scores)
+    store.set_source(0, likelihood_message_to_sigsq_eps(state.cache, expectations, scores))
     return q_zeta, zeta_moments
 
 
@@ -280,17 +251,14 @@ def _update_penalization_fragment(state: VmpState):
     Returns that q(nu)'s (eta1, precision) and its (mean, covariance).
     """
     config, store = state.config, state.store
-    chains = fg.variance_chains(config.num_eigen)[1:]
-    messages = store.chains[1:]  # the mean-function and eigenfunction chains, in nu's block order
-    e_recip = [_mean_reciprocal(*m[:2], fg.PENALIZATION, c.sigsq) for c, m in zip(chains, messages)]
-    store.nu_eta1[1], store.nu_precision[1] = penalization_messages(
-        config.prior_beta_var, e_recip, config.num_splines
-    )
-    q_nu = store.q_nu()
-    nu_moments = _q_moments(q_nu, fg.PENALIZATION, fg.NU)
+    # the mean-function and eigenfunction chains, 1 to L + 1, are in nu's block order
+    e_recip = [store.e_recip(c) for c in range(1, config.num_eigen + 2)]
+    message = penalization_messages(config.prior_beta_var, e_recip, config.num_splines)
+    store.set_nu(fg.PENALIZATION, message)
+    q_nu, nu_moments = store.read_q_nu(fg.PENALIZATION)
     variances = penalization_messages_to_variances(*nu_moments, config.num_splines)
-    for chain_messages, message in zip(messages, variances):
-        chain_messages[0] = message
+    for c, to_sigsq in enumerate(variances, 1):
+        store.set_source(c, to_sigsq)
     return q_nu, nu_moments
 
 
@@ -342,8 +310,7 @@ def _align_component_rotation(
     n, L = state.cache.num_curves, config.num_eigen
     num_coefs = 2 + config.num_splines
     # E(1/sigma^2) of the mean function and of each component, in nu's block order
-    chains = zip(fg.variance_chains(L)[1:], state.store.chains[1:])
-    e_recip = [_mean_reciprocal(*m[:2], chain.source, chain.sigsq) for chain, m in chains]
+    e_recip = [state.store.e_recip(c) for c in range(1, L + 2)]
     # (L+1) x (L+1) block Grams of E(nu nu') over the linear coefficients,
     # over prior_beta_var, and over the spline coefficients: the block
     # diagonals of the covariance plus the mean's products, summed per class
@@ -452,8 +419,7 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
         return identity
     excess = state.cache.num_curves - state.cache.num_coefs  # n - P
     shift = excess * identity
-    messages = state.store.chains[2:]
-    aux_precision = -2.0 * messages[0][3][1]  # c = 1/A^2 of the eigenfunctions' prior on a
+    aux_precision = 1.0 / config.hyper_a_psi**2  # c = 1/A^2 of the eigenfunctions' prior on a
     rtol = _MOVE_RTOL_PER_TOL * config.tol
     e_recip, slope, value = _chain_profiles(spline_sq, num_splines, aux_precision)
     trace = score_second.trace()
@@ -509,9 +475,9 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
         score_map = B_inv @ score_map
     if score_map is identity:
         return identity
-    for chain_messages, s, w in zip(messages, spline_sq, e_recip):
-        to_sigsq, to_aux = iterated_igw_messages(w, 2.0 / (w + aux_precision))
-        chain_messages[:3] = penalization_message_to_variance(s, num_splines), to_sigsq, to_aux
+    for c, s, w in zip(range(2, L + 2), spline_sq, e_recip):
+        state.store.set_source(c, penalization_message_to_variance(s, num_splines))
+        state.store.set_iterated(c, *iterated_igw_messages(w, 2.0 / (w + aux_precision)))
     return score_map
 
 
@@ -539,49 +505,18 @@ def _move_curvature(score_second, shift, grams, e_recip, slope) -> np.ndarray:
     ).reshape(L * L, L * L)
 
 
-def _update_iterated_fragment(state: VmpState, index: int) -> None:
-    """The iterated fragment of chain ``index`` of :func:`graph.variance_chains`."""
-    chain = fg.variance_chains(state.config.num_eigen)[index]
-    messages = state.store.chains[index]
-    source, to_sigsq, to_aux, prior = messages
-    messages[1:3] = iterated_igw_messages(
-        _mean_reciprocal(source, to_sigsq, chain.iterated, chain.sigsq),
-        _mean_reciprocal(to_aux, prior, chain.iterated, chain.aux),
-    )
-
-
-def q_snapshot(q_nu, q_zeta, store: fg.MessageStore) -> np.ndarray:
-    """The q natural parameters the convergence check compares, up to their signs, node by node.
-
-    ``q_nu`` and ``q_zeta`` are (eta1, precision) pairs.  First q(nu): eta1,
-    then half the precision, which is |eta2| in the vec basis.  Then each
-    curve: eta1, then W * precision with W = 1/2 on the diagonal and 1 off
-    it, which is |eta2| in the vech basis with each off-diagonal entry
-    twice.  Then (eta1, eta2) of q(sigsq) and q(aux) of each chain.
-    """
-    (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = q_nu, q_zeta
-    n, L = zeta_eta1.shape
-    rows = np.concatenate([zeta_eta1, zeta_precision.reshape(n, L * L)], axis=1)
-    rows[:, L :: L + 1] *= 0.5  # the diagonal of each precision
-    return np.concatenate(
-        [nu_eta1, 0.5 * nu_precision.reshape(-1), rows.reshape(-1), store.q_variances()]
-    )
-
-
-def node_starts(store: fg.MessageStore) -> np.ndarray:
-    """Where each node's entries begin in a :func:`q_snapshot` of ``store``."""
-    n, L = store.zeta_eta1.shape
-    sizes = [store.nu_eta1[0].size * (1 + store.nu_eta1[0].size)]
-    sizes += [L * (1 + L)] * n + [2] * (2 * len(store.chains))
-    return np.cumsum([0] + sizes[:-1])
+def _update_iterated_fragment(store: fg.MessageStore, c: int) -> None:
+    """The iterated fragment of chain c of :func:`graph.variance_chains`."""
+    e_recips = store.e_recip(c, "iterated"), store.e_recip(c, "iterated", "aux")
+    store.set_iterated(c, *iterated_igw_messages(*e_recips))
 
 
 def _sweep(state: VmpState, nu_moments, zeta_moments):
     """One full pass through the fragments in the fixed update order.
 
     ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
-    covariance) as the sweep starts.  Returns the :func:`q_snapshot` of the
-    q(nu) and q(zeta) the sweep formed last, and their moments, after advancing
+    covariance) as the sweep starts.  Returns the store's ``q_snapshot`` of
+    the q(nu) and q(zeta) the sweep formed last, and their moments, after advancing
     ``state.iterations``, which tells the snap whether this is a fit's first sweep.
     """
     n, L = state.cache.num_curves, state.config.num_eigen
@@ -590,50 +525,29 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     else:
         scores = score_moments(*_align_component_rotation(state, *nu_moments, *zeta_moments))
     q_zeta, zeta_moments = _update_likelihood_fragment(state, scores)
-    _update_iterated_fragment(state, 0)
+    _update_iterated_fragment(state.store, 0)
     q_nu, nu_moments = _update_penalization_fragment(state)
-    for index in range(1, L + 2):
-        _update_iterated_fragment(state, index)
+    for c in range(1, L + 2):
+        _update_iterated_fragment(state.store, c)
     state.iterations += 1
-    return q_snapshot(q_nu, q_zeta, state.store), nu_moments, zeta_moments
+    return state.store.q_snapshot(q_nu, q_zeta), nu_moments, zeta_moments
 
 
 def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.ndarray) -> float:
-    """Largest relative change, over nodes, of two :func:`q_snapshot` vectors.
+    """Largest relative change, over nodes, of two ``MessageStore.q_snapshot`` vectors.
 
-    ``starts`` are the nodes' first entries.  Each node's change is
-    max|new - old| / (1 + max|old|): q(nu) is one node, each curve's score
-    vector its own node, so every curve is measured on its own scale, and
-    each variance and auxiliary q-density one node.
+    ``starts`` are the nodes' first entries (``MessageStore.node_starts``).
+    Each node's change is max|new - old| / (1 + max|old|), so each curve's
+    scores, their own node, are measured on their own scale.
     """
     change = np.maximum.reduceat(np.abs(current - previous), starts)
     return float((change / (1.0 + np.maximum.reduceat(np.abs(previous), starts))).max())
 
 
-def _message_vector(store: fg.MessageStore) -> np.ndarray:
-    """The messages the sweep writes, as one vector: both messages to nu, the scores'
-    likelihood rows and each chain's first three (eta1, eta2) pairs; the prior slots
-    are constant and stay out."""
-    chains = [x for chain in store.chains for message in chain[:3] for x in message]
-    arrays = (store.nu_eta1, store.nu_precision, store.zeta_eta1, store.zeta_precision)
-    return np.concatenate([*(array.ravel() for array in arrays), chains])
-
-
-def _write_messages(store: fg.MessageStore, vector: np.ndarray) -> None:
-    """Write a :func:`_message_vector` back into the store's arrays, in place."""
-    start = 0
-    for array in (store.nu_eta1, store.nu_precision, store.zeta_eta1, store.zeta_precision):
-        array[...] = vector[start : start + array.size].reshape(array.shape)
-        start += array.size
-    pairs = iter(vector[start:].reshape(-1, 2).tolist())
-    for chain in store.chains:
-        chain[:3] = [tuple(next(pairs)) for _ in range(3)]
-
-
 def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, current: np.ndarray):
     """Extrapolate the store from ``current`` along the last sweep's change, or leave it.
 
-    The three vectors are :func:`_message_vector` after the last three
+    The three vectors are the store's ``message_vector`` after the last three
     sweeps, and the store holds ``current``; ``metric`` is the last sweep's
     :func:`convergence_metric`.  With the change D = current - old and rho =
     |D| / |old - older|, a jump needs cos(D, old - older) > ``_JUMP_ALIGNMENT``
@@ -644,7 +558,7 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
     times the metric is about the largest relative change the jump makes in
     any of them: the radius keeps a jump far from the fixed point, where the
     fit's path still bends, from changing a q-density by more than a tenth.
-    Returns t, the jumped store's :func:`q_snapshot` and its q(nu)'s and
+    Returns t, the jumped store's ``q_snapshot`` and its q(nu)'s and
     q(zeta)'s moments, or None with the store unchanged.
     """
     change, last = current - old, old - older
@@ -653,22 +567,20 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
         return None
     rho = size / last_size
     step = min(rho / (1.0 - rho), _JUMP_CAP, _JUMP_RADIUS / metric)
-    store = state.store
-    _write_messages(store, current + step * change)
-    variances = store.q_variances()
-    if max(variances[0::2]) < -1.0 and max(variances[1::2]) < 0.0:
-        q_nu, q_zeta = store.q_nu(), store.q_zeta()
+    state.store.write_messages(current + step * change)
+    if state.store.q_variances_proper():
         try:
-            moments = (
-                _q_moments(q_nu, fg.LIKELIHOOD, fg.NU),
-                _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA),
-            )
+            return step, *_read(state.store)
         except DegenerateMessageError:
             pass
-        else:
-            return step, q_snapshot(q_nu, q_zeta, store), moments
-    _write_messages(store, current)
+    state.store.write_messages(current)
     return None
+
+
+def _read(store: fg.MessageStore):
+    """The store's ``q_snapshot``, and q(nu)'s and q(zeta)'s moments for the likelihood."""
+    (q_nu, nu_moments), (q_zeta, zeta_moments) = store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta()
+    return store.q_snapshot(q_nu, q_zeta), (nu_moments, zeta_moments)
 
 
 def fit_state(state: VmpState) -> VmpState:
@@ -685,20 +597,15 @@ def fit_state(state: VmpState) -> VmpState:
     that does not converge on overflowed moments, raises
     :class:`DegenerateMessageError` naming the iteration.
     """
-    store = state.store
-    q_nu, q_zeta = store.q_nu(), store.q_zeta()
-    previous, starts = q_snapshot(q_nu, q_zeta, store), node_starts(store)
-    # q(nu) and q(zeta) are read here once; each sweep, or jump, hands on the reads it ends with
-    moments = None
+    store, starts = state.store, state.store.node_starts()
+    # read once, in the first sweep's try; each sweep, or jump, hands on what it ends with
+    previous = moments = None
     # the message vectors of the three sweeps before a try, and the sweep of the next try
     recent, next_try = [], _JUMP_SPACING
     for _ in range(state.config.max_iter):
         try:
             if moments is None:
-                moments = (
-                    _q_moments(q_nu, fg.LIKELIHOOD, fg.NU),
-                    _q_moments(q_zeta, fg.LIKELIHOOD, fg.ZETA),
-                )
+                previous, moments = _read(store)
             current, *moments = _sweep(state, *moments)
         except (DegenerateMessageError, np.linalg.LinAlgError) as err:
             raise DegenerateMessageError(f"iteration {state.iterations + 1}: {err}") from err
@@ -711,7 +618,7 @@ def fit_state(state: VmpState) -> VmpState:
             state.converged = True
             break
         if state.iterations > next_try - 3:  # one of the three sweeps a try reads
-            recent = [*recent[-2:], _message_vector(store)]
+            recent = [*recent[-2:], store.message_vector()]
         if next_try <= state.iterations < state.config.max_iter:  # a jump needs a next sweep
             jumped = _jump(state, metric, *recent)
             next_try = state.iterations + _JUMP_SPACING

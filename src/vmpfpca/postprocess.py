@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graph as fg
-from .orchestrator import VmpState, _mean_reciprocal, _q_moments
+from .orchestrator import VmpState
 from .splines import SplineBasis, design_matrix
 
 # Components pruned by the variational shrinkage legitimately reach arbitrarily
@@ -79,16 +79,9 @@ class FpcaFit:
 
 def extract(state: VmpState) -> RawSolution:
     """Read the optimal q-density moments for nu, the scores and the noise."""
-    store = state.store
-    nu_mean, nu_cov = _q_moments(store.q_nu(), fg.LIKELIHOOD, fg.NU)
-    zeta_means, zeta_covs = _q_moments(store.q_zeta(), fg.LIKELIHOOD, fg.ZETA)
-    return RawSolution(
-        nu_mean=nu_mean,
-        nu_cov=nu_cov,
-        zeta_means=zeta_means,
-        zeta_covs=zeta_covs,
-        noise_precision_mean=_mean_reciprocal(*store.chains[0][:2], fg.LIKELIHOOD, fg.SIGSQ_EPS),
-    )
+    _, (nu_mean, nu_cov) = state.store.read_q_nu(fg.LIKELIHOOD)
+    _, (zeta_means, zeta_covs) = state.store.read_q_zeta()
+    return RawSolution(nu_mean, nu_cov, zeta_means, zeta_covs, state.store.e_recip(0))
 
 
 def evaluate_grid(

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vmpfpca.graph as fg
 from vmpfpca.expfam import (
+    DegenerateMessageError,
     GaussianVecParams,
     GaussianVechParams,
     InvChiSqParams,
@@ -17,8 +23,9 @@ from vmpfpca.graph import (
     stochastic_to_factor,
     variance_chains,
 )
-from vmpfpca.orchestrator import FitConfig, _q_moments, _sweep, initialize
+from vmpfpca.orchestrator import FitConfig, _sweep, convergence_metric, initialize
 from vmpfpca.simulate import SimConfig, generate
+from test_properties import derandomised
 from tests_oracle_support import zero_store
 
 
@@ -241,12 +248,58 @@ class TestArrayStore:
         assert store.q_variances() == expected
 
 
+def bitwise_equal(first: fg.MessageStore, second: fg.MessageStore) -> bool:
+    """Every array of the two stores holds the same bytes, and every chain the same floats."""
+    for field in dataclasses.fields(fg.MessageStore):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if field.name == "chains":
+            if a != b or {type(x) for chain in a for pair in chain for x in pair} != {float}:
+                return False
+        elif a.shape != b.shape or a.tobytes() != b.tobytes():
+            return False
+    return True
+
+
+@derandomised(30)
+@given(
+    num_eigen=st.integers(1, 5),
+    num_curves=st.sampled_from([2, 3, 12, 40]),  # n < P = K + 2 coefficients a block included
+    num_splines=st.sampled_from([5, 10]),
+    sweeps=st.integers(0, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed):
+    # the store's vector, snapshot and node starts on a store a few sweeps into a fit
+    dataset, _ = generate(SimConfig(num_curves=num_curves, seed=seed))
+    state = initialize(dataset, FitConfig(num_eigen=num_eigen, num_splines=num_splines))
+    moments = None
+    try:
+        for _ in range(sweeps):
+            moments = sweep_moments(state, moments)
+    except (DegenerateMessageError, np.linalg.LinAlgError):
+        pass  # the layout holds for the store the failed sweep left
+    store, n, L = state.store, num_curves, num_eigen
+    # loading the store's vector back leaves every slot bitwise equal
+    before, vector = copy.deepcopy(store), store.message_vector()
+    store.write_messages(vector.copy())
+    assert bitwise_equal(store, before)
+    assert store.message_vector().tobytes() == vector.tobytes()
+    # the node starts split the snapshot into q(nu), each curve's scores and each
+    # chain's q(sigsq) and q(aux)
+    dim = (L + 1) * (num_splines + 2)
+    snapshot = store.q_snapshot(store.q_nu(), store.q_zeta())
+    starts = store.node_starts()
+    sizes = [node.size for node in np.split(snapshot, starts[1:])]
+    assert sizes == [dim * (1 + dim)] + [L * (1 + L)] * n + [2] * (2 * (L + 2))
+    assert convergence_metric(snapshot, snapshot.copy(), starts) == 0.0
+
+
 def sweep_moments(state, moments=None):
     """One sweep from the given (or freshly read) q(nu) and q(zeta) moments; returns the next."""
     if moments is None:
         moments = (
-            _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
-            _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
+            state.store.read_q_nu(fg.LIKELIHOOD)[1],
+            state.store.read_q_zeta()[1],
         )
     _, *moments = _sweep(state, *moments)
     return moments

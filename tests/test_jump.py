@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
 from vmpfpca.expfam import DegenerateMessageError
-from vmpfpca.orchestrator import FitConfig, _message_vector, _write_messages, fit
+from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
 from test_properties import derandomised
@@ -40,7 +41,7 @@ def watch_jumps(monkeypatch):
 
     def watched(state, metric, older, old, current):
         jumped = original(state, metric, older, old, current)
-        unchanged = np.array_equal(_message_vector(state.store), current)
+        unchanged = np.array_equal(state.store.message_vector(), current)
         tries.append((jumped is not None, proper(state.store), unchanged))
         return jumped
 
@@ -77,7 +78,7 @@ class TestJump:
         """A study fit after a few plain sweeps, and its message vector."""
         dataset, _ = generate(SimConfig(num_curves=20, seed=4))
         state = fit(dataset, FitConfig(max_iter=sweeps))
-        return state, _message_vector(state.store)
+        return state, state.store.message_vector()
 
     METRIC = 1e-6  # a last sweep's metric at which the radius does not bound a jump
 
@@ -90,8 +91,8 @@ class TestJump:
     def test_message_vector_round_trip_is_exact(self):
         state, vector = self.swept()
         chains = [list(chain) for chain in state.store.chains]
-        _write_messages(state.store, vector.copy())
-        assert np.array_equal(_message_vector(state.store), vector)
+        state.store.write_messages(vector.copy())
+        assert np.array_equal(state.store.message_vector(), vector)
         assert state.store.chains == chains
         assert {type(x) for chain in state.store.chains for pair in chain for x in pair} == {float}
 
@@ -103,9 +104,9 @@ class TestJump:
             state, self.METRIC, *self.shrinking(current, direction, 0.5), current
         )
         assert jumped is not None and jumped[0] == pytest.approx(1.0)  # 0.5 / (1 - 0.5)
-        moved = _message_vector(state.store)
+        moved = state.store.message_vector()
         assert np.allclose(moved, current + direction, rtol=1e-12, atol=1e-15)
-        _write_messages(state.store, current)
+        state.store.write_messages(current)
         older, old = self.shrinking(current, direction, 0.999)
         jumped = orchestrator._jump(state, self.METRIC, older, old, current)
         assert jumped[0] == orchestrator._JUMP_CAP
@@ -114,10 +115,10 @@ class TestJump:
         eta1, precision = state.store.q_nu()
         assert np.allclose(precision @ nu_mean, eta1)
         # a last sweep that changed a q-density by 5% bounds the jump at twice its change
-        _write_messages(state.store, current)
+        state.store.write_messages(current)
         jumped = orchestrator._jump(state, 0.05, older, old, current)
         assert jumped[0] == pytest.approx(orchestrator._JUMP_RADIUS / 0.05)
-        assert np.allclose(_message_vector(state.store), current + jumped[0] * direction)
+        assert np.allclose(state.store.message_vector(), current + jumped[0] * direction)
 
     @pytest.mark.parametrize("rho, turn", [(1.05, False), (0.5, True)], ids=["growing", "turning"])
     def test_no_jump_unless_the_changes_align_and_shrink(self, rho, turn):
@@ -129,7 +130,7 @@ class TestJump:
             older = older.copy()
             older[10:20] -= 1e-2
         assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(_message_vector(state.store), current)
+        assert np.array_equal(state.store.message_vector(), current)
 
     def test_improper_q_nu_skips_the_jump(self, monkeypatch):
         state, current = self.swept()
@@ -142,7 +143,7 @@ class TestJump:
         older, old = self.shrinking(current, -direction, 0.999)
         monkeypatch.setattr(orchestrator, "_JUMP_CAP", 1e3)  # the jump flips q(nu)'s precision
         assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(_message_vector(state.store), current)
+        assert np.array_equal(state.store.message_vector(), current)
         monkeypatch.setattr(orchestrator, "_JUMP_CAP", 10.0)  # 0.9 times the precision
         assert orchestrator._jump(state, self.METRIC, older, old, current) is not None
         assert proper(state.store)
@@ -153,7 +154,7 @@ class TestJump:
         direction[-1] = 1e8  # eta2 of the last chain's iterated message to its auxiliary node
         older, old = self.shrinking(current, direction, 0.999)
         assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(_message_vector(state.store), current)
+        assert np.array_equal(state.store.message_vector(), current)
 
 
 class TestSchedule:
@@ -212,16 +213,16 @@ class TestSchedule:
         # and the fit still converges
         tries = watch_jumps(monkeypatch)
         failures = []
-        original = orchestrator._q_moments
+        original = fg.MessageStore.read_q_nu
 
-        def reading(q, factor, node):
+        def reading(store, reader):
             try:
-                return original(q, factor, node)
+                return original(store, reader)
             except DegenerateMessageError:
-                failures.append(node)
+                failures.append(fg.NU)
                 raise
 
-        monkeypatch.setattr(orchestrator, "_q_moments", reading)
+        monkeypatch.setattr(fg.MessageStore, "read_q_nu", reading)
         monkeypatch.setattr(orchestrator, "_JUMP_CAP", 1e6)
         monkeypatch.setattr(orchestrator, "_JUMP_RADIUS", np.inf)
         dataset, _ = generate(SimConfig(num_curves=12, seed=5))

@@ -23,14 +23,11 @@ from vmpfpca.fragments import gaussian_prior_message, igw_prior_message
 from vmpfpca.orchestrator import (
     FitConfig,
     _align_component_rotation,
-    _q_moments,
     _sweep,
     convergence_metric,
     fit,
     fit_state,
     initialize,
-    node_starts,
-    q_snapshot,
 )
 from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
@@ -41,13 +38,13 @@ from tests_oracle_support import object_start_store, zero_store
 def fresh_moments(state):
     """q(nu)'s and q(zeta)'s (mean, covariance), read from the store."""
     return (
-        _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
-        _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
+        state.store.read_q_nu(fg.LIKELIHOOD)[1],
+        state.store.read_q_zeta()[1],
     )
 
 
 def store_snapshot(store):
-    return q_snapshot(store.q_nu(), store.q_zeta(), store)
+    return store.q_snapshot(store.q_nu(), store.q_zeta())
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +150,7 @@ class TestInitialize:
         eta1, precision = state.store.q_zeta()
         assert eta1.shape == (n, 3) and precision.shape == (n, 3, 3)
         # after q(nu), the convergence check counts one node per curve
-        sizes = np.diff(node_starts(state.store))
+        sizes = np.diff(state.store.node_starts())
         assert sizes[1 : n + 1].tolist() == [3 + 9] * n
 
     def test_initialization_deterministic(self, reference_dataset):
@@ -245,7 +242,7 @@ class TestFit:
         snapshot = store_snapshot(state.store)
         after, *_ = _sweep(state, *fresh_moments(state))
         assert np.array_equal(after, store_snapshot(state.store))
-        starts = node_starts(state.store)
+        starts = state.store.node_starts()
         assert convergence_metric(snapshot, after, starts) < state.config.tol
 
     def test_nonconvergence_flagged_not_raised(self, reference_dataset):
@@ -328,7 +325,7 @@ class TestSnapshot:
         for _ in range(3):
             snapshot, *_ = _sweep(state, *fresh_moments(state))
         graph, store = state.graph, state.store
-        starts = node_starts(store)
+        starts = store.node_starts()
         nodes = np.split(snapshot, starts[1:])
         n, L = reference_dataset.num_curves, 3
         assert len(nodes) == 1 + n + 2 * (L + 2)
@@ -355,13 +352,14 @@ class TestSweepWork:
     def count_q_reads(monkeypatch):
         """Count the q(nu) and q(zeta) moment reads, by node."""
         calls = {fg.NU: 0, fg.ZETA: 0}
-        original = orchestrator._q_moments
+        for node, name in ((fg.NU, "read_q_nu"), (fg.ZETA, "read_q_zeta")):
+            original = getattr(fg.MessageStore, name)
 
-        def counted(q, factor, node):
-            calls[node] += 1
-            return original(q, factor, node)
+            def counted(store, *reader, node=node, original=original):
+                calls[node] += 1
+                return original(store, *reader)
 
-        monkeypatch.setattr(orchestrator, "_q_moments", counted)
+            monkeypatch.setattr(fg.MessageStore, name, counted)
         return calls
 
     def test_q_nu_read_twice_and_expectations_once_per_sweep(self, reference_dataset, monkeypatch):
@@ -517,7 +515,7 @@ class TestMetricOracle:
         expected = dict_convergence_metric(
             dict_q_snapshot(graph, old, num_eigen), dict_q_snapshot(graph, new, num_eigen)
         )
-        actual = convergence_metric(store_snapshot(old), store_snapshot(new), node_starts(old))
+        actual = convergence_metric(store_snapshot(old), store_snapshot(new), old.node_starts())
         assert actual == expected
 
 

@@ -35,7 +35,7 @@ from vmpfpca.fragments import (
     penalization_message_to_variance,
     score_moments,
 )
-from vmpfpca.orchestrator import FitConfig, _q_moments, fit
+from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import extract, finalize, trapezoid_inner
 from vmpfpca.simulate import SimConfig, generate
 from vmpfpca.splines import design_matrix
@@ -226,8 +226,8 @@ class TestSnapObjective:
         config = FitConfig(num_eigen=num_eigen, num_splines=num_splines, max_iter=sweeps)
         state = fit(dataset, config)
         moments = (
-            _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
-            _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
+            state.store.read_q_nu(fg.LIKELIHOOD)[1],
+            state.store.read_q_zeta()[1],
         )
         checked_snap(dataset, state, *moments[0], *moments[1])
 
@@ -439,8 +439,8 @@ class TestLinearMove:
         state.store.set_to_node(chain.source, chain.sigsq, InvChiSqParams(-5.0, 0.25))
         state.store.set_to_node(chain.iterated, chain.sigsq, InvChiSqParams(-1.5, -0.25))
         moments = (
-            _q_moments(state.store.q_nu(), fg.LIKELIHOOD, fg.NU),
-            _q_moments(state.store.q_zeta(), fg.LIKELIHOOD, fg.ZETA),
+            state.store.read_q_nu(fg.LIKELIHOOD)[1],
+            state.store.read_q_zeta()[1],
         )
         with pytest.raises(DegenerateMessageError) as raised:
             orchestrator._align_component_rotation(state, *moments[0], *moments[1])
