@@ -78,8 +78,9 @@ def _configure_logging() -> None:
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    # one dumps and one write: json.dump writes each of its many small chunks on its own
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    # one dumps and one write (json.dump writes each small chunk on its own); arrays become lists
+    text = json.dumps(payload, indent=1, default=np.ndarray.tolist)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path):
@@ -126,7 +127,7 @@ def _cmd_simulate(args) -> int:
     dataset, scores = generate(config)
     truth_payload = {
         **_truth_curves(np.linspace(0.0, 1.0, args.grid_size)),
-        "scores": scores.tolist(),
+        "scores": scores,
         "score_variances": list(config.score_variances),
         "noise_variance": config.noise_variance,
         "seed": config.seed,
@@ -198,13 +199,14 @@ def _config_from_manifest(config: dict) -> FitConfig:
 
 
 def _fit_payload(result: FpcaFit) -> dict:
+    """The fit in the layout of ``fit.json``, as arrays."""
     return {
-        "grid": result.grid.tolist(),
-        "mean": result.mean_curve.tolist(),
-        "eigenfunctions": result.eigenfunctions.T.tolist(),
-        "scores": result.scores.tolist(),
-        "score_covariances": result.score_covariances.tolist(),
-        "eigenvalues": result.eigenvalues.tolist(),
+        "grid": result.grid,
+        "mean": result.mean_curve,
+        "eigenfunctions": result.eigenfunctions.T,
+        "scores": result.scores,
+        "score_covariances": result.score_covariances,
+        "eigenvalues": result.eigenvalues,
         "noise_precision_mean": result.noise_precision_mean,
     }
 
@@ -319,16 +321,13 @@ def _add_eval_parser(subparsers) -> None:
 
 
 def _truth_curves(grid: np.ndarray) -> dict:
-    """The true mean and eigenfunctions on ``grid``, in the layout of ``truth.json``."""
-    return {
-        "grid": grid.tolist(),
-        "mean": true_mean(grid).tolist(),
-        "eigenfunctions": true_eigenfunctions(grid).T.tolist(),
-    }
+    """The true mean and eigenfunctions on ``grid``, in the layout of ``truth.json``, as arrays."""
+    return {"grid": grid, "mean": true_mean(grid), "eigenfunctions": true_eigenfunctions(grid).T}
 
 
 def evaluate_fit_against_truth(fit_doc: dict, truth_doc: dict) -> dict:
-    """Sign-align the fitted components to truth and compute the error metrics."""
+    """Sign-align the fitted components to truth and compute the error metrics.  The
+    documents have the layouts of ``fit.json`` and ``truth.json``, as lists or as arrays."""
     grid = np.asarray(fit_doc["grid"])
     funcs = np.asarray(fit_doc["eigenfunctions"]).T
     truth_grid = np.asarray(truth_doc["grid"])

@@ -4,7 +4,8 @@ Every stochastic node has exactly two neighboring factors, so the graph is a
 table from each node (a string) to its two factors: the message a node sends
 to one factor is the stored message from the other, and its q-density is the
 sum of the two.  The store keeps the factor-to-node messages in slots whose
-layout only it knows, and the sweep reads and writes them through its methods,
+layout only it knows: it builds the starting messages, snapshots its own
+q-densities, and the sweep reads and writes the messages through its methods,
 by node and role: a Gaussian message as eta1 and a precision matrix (the
 streamlined form of Wand, 2017), the n score vectors as one stacked node with
 one likelihood row per curve, an inverse chi-squared message as an (eta1,
@@ -33,7 +34,7 @@ from .expfam import (
     unvec,
     vec,
 )
-from .fragments import igw_prior_message
+from .fragments import gaussian_prior_message, igw_prior_message
 
 
 class TopologyError(ValueError):
@@ -65,6 +66,27 @@ class MessageStore:
     prior_precision: np.ndarray
     chains: list[list[tuple[float, float]]]
 
+    @classmethod
+    def starting(cls, nu_mean: np.ndarray, score_means: np.ndarray, config) -> MessageStore:
+        """A fit's starting messages: N(``nu_mean``, I) from the likelihood to nu and the
+        vague N(0, 100 I) from the penalization; the (n, L) ``score_means``, kept as the
+        scores' likelihood rows, with unit precision, and the N(0, I) prior; shape 1,
+        scale 1 (unit reciprocal mean) on each chain's three swept edges, and on its
+        prior edge the prior of ``config.hyper_a_<family>``."""
+        n, L = score_means.shape
+        identity = np.eye(nu_mean.size)
+        prior_eta1, prior_precision = gaussian_prior_message(L)
+        hypers = [getattr(config, f"hyper_a_{chain.family}") for chain in variance_chains(L)]
+        return cls(
+            nu_eta1=np.stack([nu_mean, np.zeros(nu_mean.size)]),  # likelihood, penalization
+            nu_precision=np.stack([identity, identity / 100.0]),
+            zeta_eta1=score_means,
+            zeta_precision=np.tile(prior_precision, (n, 1, 1)),
+            prior_eta1=prior_eta1,
+            prior_precision=prior_precision,
+            chains=[[(-1.5, -0.5)] * 3 + [igw_prior_message(hyper)] for hyper in hypers],
+        )
+
     def q_nu(self) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s eta1 and precision: the sums of its two messages'."""
         return self.nu_eta1[0] + self.nu_eta1[1], self.nu_precision[0] + self.nu_precision[1]
@@ -85,15 +107,15 @@ class MessageStore:
         variances = self.q_variances()
         return max(variances[0::2]) < -1.0 and max(variances[1::2]) < 0.0
 
-    def read_q_nu(self, reader: str):
-        """q(nu) and its (mean, covariance); an error names the edge (``reader``, nu)."""
-        q = self.q_nu()
-        return q, gaussian_precision_to_moments(*q, f"edge ({reader}, nu): q-density precision")
+    def read_q_nu(self, reader: str) -> tuple[np.ndarray, np.ndarray]:
+        """q(nu)'s (mean, covariance); an error names the edge (``reader``, nu)."""
+        edge = f"edge ({reader}, nu)"
+        return gaussian_precision_to_moments(*self.q_nu(), f"{edge}: q-density precision")
 
-    def read_q_zeta(self):
-        """q(zeta) and its (means, covariances); an error names the edge (likelihood, zeta)."""
-        q = self.q_zeta()
-        return q, gaussian_precision_to_moments(*q, "edge (likelihood, zeta): q-density precision")
+    def read_q_zeta(self) -> tuple[np.ndarray, np.ndarray]:
+        """q(zeta)'s (means, covariances); an error names the edge (likelihood, zeta)."""
+        edge = "edge (likelihood, zeta)"
+        return gaussian_precision_to_moments(*self.q_zeta(), f"{edge}: q-density precision")
 
     def set_nu(self, factor: str, message) -> None:
         """Write the (eta1, precision) message from ``factor`` to nu."""
@@ -143,17 +165,17 @@ class MessageStore:
         for chain in self.chains:
             chain[:3] = [tuple(next(pairs)) for _ in range(3)]
 
-    def q_snapshot(self, q_nu, q_zeta) -> np.ndarray:
+    def q_snapshot(self) -> np.ndarray:
         """The q natural parameters the convergence check compares, up to their signs, node by node.
 
-        ``q_nu`` and ``q_zeta`` are the (eta1, precision) pairs of :meth:`q_nu`
-        and :meth:`q_zeta`.  First q(nu): eta1, then half the precision, which
-        is |eta2| in the vec basis.  Then each curve: eta1, then W * precision
-        with W = 1/2 on the diagonal and 1 off it, which is |eta2| in the vech
-        basis with each off-diagonal entry twice.  Then (eta1, eta2) of
-        q(sigsq) and q(aux) of each chain.
+        First q(nu) (:meth:`q_nu`): eta1, then half the precision, which is
+        |eta2| in the vec basis.  Then each curve (:meth:`q_zeta`): eta1, then
+        W * precision with W = 1/2 on the diagonal and 1 off it, which is
+        |eta2| in the vech basis with each off-diagonal entry twice.  Then
+        (eta1, eta2) of q(sigsq) and q(aux) of each chain.  It sums the
+        messages and inverts nothing.
         """
-        (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = q_nu, q_zeta
+        (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = self.q_nu(), self.q_zeta()
         n, L = zeta_eta1.shape
         rows = np.concatenate([zeta_eta1, zeta_precision.reshape(n, L * L)], axis=1)
         rows[:, L :: L + 1] *= 0.5  # the diagonal of each precision
@@ -298,13 +320,6 @@ def variance_chains(num_eigen: int) -> tuple[VarianceChain, ...]:
         _chain("mu", PENALIZATION),
         *(_chain("psi", PENALIZATION, l) for l in range(num_eigen)),
     )
-
-
-def starting_chains(num_eigen: int, config) -> list[list[tuple[float, float]]]:
-    """Each chain's starting messages: shape 1, scale 1 (unit reciprocal mean) on its three
-    swept edges, and on its prior edge the prior of ``config.hyper_a_<family>``."""
-    hypers = [getattr(config, f"hyper_a_{chain.family}") for chain in variance_chains(num_eigen)]
-    return [[(-1.5, -0.5)] * 3 + [igw_prior_message(hyper)] for hyper in hypers]
 
 
 def fpca_factor_graph(num_eigen: int) -> Neighbors:

@@ -4,9 +4,10 @@ A sweep visits the fragments in a fixed order: the snap; likelihood; the
 iterated fragment of the noise-variance chain; penalization; the iterated
 fragments of the mean-function and eigenfunction chains (see
 :func:`graph.variance_chains`).  The prior fragments emit constant messages,
-so :func:`initialize` builds the store with them and no sweep writes them.
-From initialization on, every message of a fit lives in the store (see
-:class:`graph.MessageStore`), behind its methods; the fit builds no message object.
+so the store's starting state (``graph.MessageStore.starting``) holds them
+and no sweep writes them.  From initialization on, every message of a fit
+lives in the store (see :class:`graph.MessageStore`), behind its methods;
+the fit builds no message object and names no slot.
 
 The snap (:func:`_align_component_rotation`) moves the fit along
 directions that change no curve: it rotates the components into their
@@ -30,8 +31,9 @@ the likelihood fragment's message to nu needs only the score moments, and
 the snap reuses the q(nu) and q(zeta) moments of the sweep before, since
 nothing writes nu or the scores in between.  The snap hands the moved score
 moments to the likelihood fragment and writes only the eigenfunctions'
-chains.  The convergence check compares the q(nu) and q(zeta) the sweep
-formed and the variance and auxiliary q-densities (``MessageStore.q_snapshot``).
+chains.  The convergence check compares the store's snapshots of its own
+q-densities (``MessageStore.q_snapshot``), which sum messages and invert
+nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .fragments import (
     LikelihoodCache,
     ScoreMoments,
     build_likelihood_cache,
-    gaussian_prior_message,
     iterated_igw_messages,
     likelihood_expectations,
     likelihood_message_to_nu,
@@ -64,7 +65,6 @@ from .splines import MAX_NUM_BASIS, SplineBasis, build_basis, design_matrix
 
 logger = logging.getLogger(__name__)
 
-_INIT_GAUSS_VARIANCE = 100.0  # weakly informative N(0, 10^2 I) starting messages
 # The snap's linear move takes Newton steps until the next would move its map
 # by less than _MOVE_RTOL_PER_TOL times the convergence tolerance; _MOVE_STEPS
 # bounds the steps and _BACKTRACKS the halvings of one step.
@@ -190,31 +190,18 @@ def _initial_guess(
 
 
 def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
-    """Build the graph, cache the design products and build the store of starting messages:
-    N(start, I) and the vague N(0, 100 I) to nu, unit precision on each curve's starting
-    scores, and shape 1, scale 1 (unit reciprocal mean) on every non-prior chain edge."""
+    """Validate the dataset, build the basis, cache the design products and start the
+    store (``graph.MessageStore.starting``) from :func:`_initial_guess`."""
     dataset.validate()
     basis = build_basis(config.num_splines)
     design = design_matrix(dataset.times, basis)
     cache = build_likelihood_cache(design, dataset.values, dataset.offsets)
-    n, L = dataset.num_curves, config.num_eigen
     try:
-        mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
+        mean_coefs, component_coefs, score_guess = _initial_guess(cache, config.num_eigen)
     except np.linalg.LinAlgError as err:
         raise DegenerateMessageError(f"starting values: {err}") from err
     nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
-    identity = np.eye(nu_start.size)
-    prior_eta1, prior_precision = gaussian_prior_message(L)
-    store = fg.MessageStore(
-        nu_eta1=np.stack([nu_start, np.zeros(nu_start.size)]),
-        nu_precision=np.stack([identity, identity / _INIT_GAUSS_VARIANCE]),
-        zeta_eta1=score_guess,
-        zeta_precision=np.tile(prior_precision, (n, 1, 1)),
-        prior_eta1=prior_eta1,
-        prior_precision=prior_precision,
-        chains=fg.starting_chains(L, config),
-    )
-    return VmpState(config, basis, store, cache)
+    return VmpState(config, basis, fg.MessageStore.starting(nu_start, score_guess, config), cache)
 
 
 def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
@@ -225,41 +212,39 @@ def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
     are the current q(zeta) moments, which the snap hands on.  Returns
-    q(zeta)'s (eta1, precisions) after the write to the scores and its
-    (means, covariances), which are None when the scores are frozen at zero.
+    q(zeta)'s (means, covariances) after the write to the scores, or None
+    when the scores are frozen at zero.
     """
     store = state.store
     e_recip_eps = store.e_recip(0)
     store.set_nu(fg.LIKELIHOOD, likelihood_message_to_nu(state.cache, scores, e_recip_eps))
 
-    _, (nu_mean, nu_cov) = store.read_q_nu(fg.LIKELIHOOD)
-    expectations = likelihood_expectations(state.cache, nu_mean, nu_cov)
-    if state.config.freeze_scores_at_zero:
-        q_zeta, zeta_moments = store.q_zeta(), None
-    else:
+    expectations = likelihood_expectations(state.cache, *store.read_q_nu(fg.LIKELIHOOD))
+    zeta_moments = None
+    if not state.config.freeze_scores_at_zero:
         store.set_scores(likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps))
-        q_zeta, zeta_moments = store.read_q_zeta()
+        zeta_moments = store.read_q_zeta()
         scores = score_moments(*zeta_moments)
 
     store.set_source(0, likelihood_message_to_sigsq_eps(state.cache, expectations, scores))
-    return q_zeta, zeta_moments
+    return zeta_moments
 
 
 def _update_penalization_fragment(state: VmpState):
     """Write the message to nu, then the variance messages from the q(nu) it implies.
 
-    Returns that q(nu)'s (eta1, precision) and its (mean, covariance).
+    Returns that q(nu)'s (mean, covariance).
     """
     config, store = state.config, state.store
     # the mean-function and eigenfunction chains, 1 to L + 1, are in nu's block order
     e_recip = [store.e_recip(c) for c in range(1, config.num_eigen + 2)]
     message = penalization_messages(config.prior_beta_var, e_recip, config.num_splines)
     store.set_nu(fg.PENALIZATION, message)
-    q_nu, nu_moments = store.read_q_nu(fg.PENALIZATION)
+    nu_moments = store.read_q_nu(fg.PENALIZATION)
     variances = penalization_messages_to_variances(*nu_moments, config.num_splines)
     for c, to_sigsq in enumerate(variances, 1):
         store.set_source(c, to_sigsq)
-    return q_nu, nu_moments
+    return nu_moments
 
 
 def _align_component_rotation(
@@ -515,8 +500,8 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     """One full pass through the fragments in the fixed update order.
 
     ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
-    covariance) as the sweep starts.  Returns the store's ``q_snapshot`` of
-    the q(nu) and q(zeta) the sweep formed last, and their moments, after advancing
+    covariance) as the sweep starts.  Returns the store's ``q_snapshot`` and
+    the moments of the q(nu) and q(zeta) the sweep formed last, after advancing
     ``state.iterations``, which tells the snap whether this is a fit's first sweep.
     """
     n, L = state.cache.num_curves, state.config.num_eigen
@@ -524,13 +509,13 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
         scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
     else:
         scores = score_moments(*_align_component_rotation(state, *nu_moments, *zeta_moments))
-    q_zeta, zeta_moments = _update_likelihood_fragment(state, scores)
+    zeta_moments = _update_likelihood_fragment(state, scores)
     _update_iterated_fragment(state.store, 0)
-    q_nu, nu_moments = _update_penalization_fragment(state)
+    nu_moments = _update_penalization_fragment(state)
     for c in range(1, L + 2):
         _update_iterated_fragment(state.store, c)
     state.iterations += 1
-    return state.store.q_snapshot(q_nu, q_zeta), nu_moments, zeta_moments
+    return state.store.q_snapshot(), nu_moments, zeta_moments
 
 
 def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.ndarray) -> float:
@@ -579,8 +564,7 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
 
 def _read(store: fg.MessageStore):
     """The store's ``q_snapshot``, and q(nu)'s and q(zeta)'s moments for the likelihood."""
-    (q_nu, nu_moments), (q_zeta, zeta_moments) = store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta()
-    return store.q_snapshot(q_nu, q_zeta), (nu_moments, zeta_moments)
+    return store.q_snapshot(), (store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta())
 
 
 def fit_state(state: VmpState) -> VmpState:

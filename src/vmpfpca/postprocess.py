@@ -79,8 +79,8 @@ class FpcaFit:
 
 def extract(state: VmpState) -> RawSolution:
     """Read the optimal q-density moments for nu, the scores and the noise."""
-    _, (nu_mean, nu_cov) = state.store.read_q_nu(fg.LIKELIHOOD)
-    _, (zeta_means, zeta_covs) = state.store.read_q_zeta()
+    nu_mean, nu_cov = state.store.read_q_nu(fg.LIKELIHOOD)
+    zeta_means, zeta_covs = state.store.read_q_zeta()
     return RawSolution(nu_mean, nu_cov, zeta_means, zeta_covs, state.store.e_recip(0))
 
 

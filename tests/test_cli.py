@@ -555,6 +555,40 @@ class TestEval:
                 "noise_variance_estimate",
             }
 
+    def test_study_row_equals_the_row_from_json_documents(self, tmp_path, monkeypatch):
+        # the cell scores its fit on arrays; scoring the fit.json and truth.json
+        # documents of the same fit, read back from disk, gives the same row bit for bit
+        task = (0, 10, 3, FitConfig(max_iter=2000))
+        documents = []
+        original = cli.evaluate_fit_against_truth
+
+        def recording(fit_doc, truth_doc):
+            documents.append((fit_doc, truth_doc))
+            return original(fit_doc, truth_doc)
+
+        monkeypatch.setattr(cli, "evaluate_fit_against_truth", recording)
+        row = cli._study_cell(task)
+        [(fit_doc, truth_doc)] = documents
+        curves = [fit_doc[key] for key in ("grid", "mean", "eigenfunctions", "eigenvalues")]
+        assert all(isinstance(value, np.ndarray) for value in [*curves, *truth_doc.values()])
+
+        def from_json(doc, name):
+            cli._write_json(tmp_path / name, doc)
+            return cli._read_json(tmp_path / name)
+
+        monkeypatch.setattr(
+            cli,
+            "evaluate_fit_against_truth",
+            lambda fit_doc, truth_doc: original(
+                from_json(fit_doc, "fit.json"), from_json(truth_doc, "truth.json")
+            ),
+        )
+        from_documents = cli._study_cell(task)
+        assert row.keys() == from_documents.keys()
+        for key, value in row.items():
+            assert type(value) is type(from_documents[key]), key
+            assert repr(value) == repr(from_documents[key]), key
+
     def test_study_closing_line_counts_unconverged_cells(self, tmp_path, capsys):
         out = tmp_path / "study.json"
         args = ["eval", "--study", "--replicates", "2", "--n-grid", "10", "--out", str(out)]

@@ -23,7 +23,13 @@ from vmpfpca.graph import (
     stochastic_to_factor,
     variance_chains,
 )
-from vmpfpca.orchestrator import FitConfig, _sweep, convergence_metric, initialize
+from vmpfpca.orchestrator import (
+    FitConfig,
+    _initial_guess,
+    _sweep,
+    convergence_metric,
+    initialize,
+)
 from vmpfpca.simulate import SimConfig, generate
 from test_properties import derandomised
 from tests_oracle_support import zero_store
@@ -260,6 +266,39 @@ def bitwise_equal(first: fg.MessageStore, second: fg.MessageStore) -> bool:
     return True
 
 
+def snapshot_from_q(store: fg.MessageStore) -> np.ndarray:
+    """The convergence snapshot composed from ``q_nu`` and ``q_zeta``: eta1 and half the
+    precision of q(nu), each curve's eta1 and precision with its diagonal halved, then
+    the variance and auxiliary q-densities."""
+    (nu_eta1, nu_precision), (zeta_eta1, zeta_precision) = store.q_nu(), store.q_zeta()
+    n, L = zeta_eta1.shape
+    weights = np.where(np.eye(L, dtype=bool), 0.5, 1.0)
+    rows = np.concatenate([zeta_eta1, (weights * zeta_precision).reshape(n, L * L)], axis=1)
+    return np.concatenate([nu_eta1, 0.5 * nu_precision.ravel(), rows.ravel(), store.q_variances()])
+
+
+def check_starting_store(state, config):
+    """The store ``initialize`` builds holds the starting messages, slot by slot."""
+    store, n, L = state.store, state.cache.num_curves, config.num_eigen
+    dim = (L + 1) * state.cache.num_coefs
+    mean_coefs, component_coefs, score_guess = _initial_guess(state.cache, L)
+    nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
+    # the likelihood's N(start, I), then the penalization's vague N(0, 100 I)
+    assert np.array_equal(store.nu_eta1, np.stack([nu_start, np.zeros(dim)]))
+    assert np.array_equal(store.nu_precision, np.stack([np.eye(dim), np.eye(dim) / 100.0]))
+    # each curve's starting scores with unit precision, and the N(0, I) prior
+    assert np.array_equal(store.zeta_eta1, score_guess)
+    assert np.array_equal(store.zeta_precision, np.broadcast_to(np.eye(L), (n, L, L)))
+    assert np.array_equal(store.prior_eta1, np.zeros(L))
+    assert np.array_equal(store.prior_precision, np.eye(L))
+    # unit shape and scale on the swept edges, the hyper_a_* prior on the last
+    hypers = {"eps": config.hyper_a_eps, "mu": config.hyper_a_mu, "psi": config.hyper_a_psi}
+    priors = [(-1.5, -0.5 / hypers[chain.family] ** 2) for chain in variance_chains(L)]
+    assert store.chains == [[(-1.5, -0.5)] * 3 + [prior] for prior in priors]
+    assert {type(x) for chain in store.chains for pair in chain for x in pair} == {float}
+    assert bitwise_equal(store, fg.MessageStore.starting(nu_start, score_guess, config))
+
+
 @derandomised(30)
 @given(
     num_eigen=st.integers(1, 5),
@@ -267,18 +306,32 @@ def bitwise_equal(first: fg.MessageStore, second: fg.MessageStore) -> bool:
     num_splines=st.sampled_from([5, 10]),
     sweeps=st.integers(0, 4),
     seed=st.integers(0, 10_000),
+    hypers=st.sampled_from([(1e5, 1e5, 1e5), (2.0, 3.7, 0.5)]),  # hyper_a_eps, _mu, _psi
 )
-def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed):
-    # the store's vector, snapshot and node starts on a store a few sweeps into a fit
+def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed, hypers):
+    # the starting store, and the store's vector, snapshot and node starts a few sweeps into a fit
     dataset, _ = generate(SimConfig(num_curves=num_curves, seed=seed))
-    state = initialize(dataset, FitConfig(num_eigen=num_eigen, num_splines=num_splines))
-    moments = None
+    eps, mu, psi = hypers
+    config = FitConfig(
+        num_eigen=num_eigen,
+        num_splines=num_splines,
+        hyper_a_eps=eps,
+        hyper_a_mu=mu,
+        hyper_a_psi=psi,
+    )
+    state = initialize(dataset, config)
+    check_starting_store(state, config)
+    store = state.store
+    moments = (store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta())
     try:
         for _ in range(sweeps):
-            moments = sweep_moments(state, moments)
+            # the sweep's snapshot is the store's own after the sweep
+            snapshot, *moments = _sweep(state, *moments)
+            assert snapshot.tobytes() == snapshot_from_q(store).tobytes()
     except (DegenerateMessageError, np.linalg.LinAlgError):
         pass  # the layout holds for the store the failed sweep left
-    store, n, L = state.store, num_curves, num_eigen
+    n, L = num_curves, num_eigen
+    assert store.q_snapshot().tobytes() == snapshot_from_q(store).tobytes()
     # loading the store's vector back leaves every slot bitwise equal
     before, vector = copy.deepcopy(store), store.message_vector()
     store.write_messages(vector.copy())
@@ -287,7 +340,7 @@ def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed):
     # the node starts split the snapshot into q(nu), each curve's scores and each
     # chain's q(sigsq) and q(aux)
     dim = (L + 1) * (num_splines + 2)
-    snapshot = store.q_snapshot(store.q_nu(), store.q_zeta())
+    snapshot = store.q_snapshot()
     starts = store.node_starts()
     sizes = [node.size for node in np.split(snapshot, starts[1:])]
     assert sizes == [dim * (1 + dim)] + [L * (1 + L)] * n + [2] * (2 * (L + 2))
@@ -298,8 +351,8 @@ def sweep_moments(state, moments=None):
     """One sweep from the given (or freshly read) q(nu) and q(zeta) moments; returns the next."""
     if moments is None:
         moments = (
-            state.store.read_q_nu(fg.LIKELIHOOD)[1],
-            state.store.read_q_zeta()[1],
+            state.store.read_q_nu(fg.LIKELIHOOD),
+            state.store.read_q_zeta(),
         )
     _, *moments = _sweep(state, *moments)
     return moments

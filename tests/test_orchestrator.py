@@ -38,13 +38,9 @@ from tests_oracle_support import object_start_store, zero_store
 def fresh_moments(state):
     """q(nu)'s and q(zeta)'s (mean, covariance), read from the store."""
     return (
-        state.store.read_q_nu(fg.LIKELIHOOD)[1],
-        state.store.read_q_zeta()[1],
+        state.store.read_q_nu(fg.LIKELIHOOD),
+        state.store.read_q_zeta(),
     )
-
-
-def store_snapshot(store):
-    return store.q_snapshot(store.q_nu(), store.q_zeta())
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +235,9 @@ class TestFit:
 
     def test_fixed_point_under_one_more_sweep(self, converged_state):
         state = copy.deepcopy(converged_state)  # the fixture is shared
-        snapshot = store_snapshot(state.store)
+        snapshot = state.store.q_snapshot()
         after, *_ = _sweep(state, *fresh_moments(state))
-        assert np.array_equal(after, store_snapshot(state.store))
+        assert np.array_equal(after, state.store.q_snapshot())
         starts = state.store.node_starts()
         assert convergence_metric(snapshot, after, starts) < state.config.tol
 
@@ -515,7 +511,7 @@ class TestMetricOracle:
         expected = dict_convergence_metric(
             dict_q_snapshot(graph, old, num_eigen), dict_q_snapshot(graph, new, num_eigen)
         )
-        actual = convergence_metric(store_snapshot(old), store_snapshot(new), old.node_starts())
+        actual = convergence_metric(old.q_snapshot(), new.q_snapshot(), old.node_starts())
         assert actual == expected
 
 

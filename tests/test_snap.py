@@ -226,8 +226,8 @@ class TestSnapObjective:
         config = FitConfig(num_eigen=num_eigen, num_splines=num_splines, max_iter=sweeps)
         state = fit(dataset, config)
         moments = (
-            state.store.read_q_nu(fg.LIKELIHOOD)[1],
-            state.store.read_q_zeta()[1],
+            state.store.read_q_nu(fg.LIKELIHOOD),
+            state.store.read_q_zeta(),
         )
         checked_snap(dataset, state, *moments[0], *moments[1])
 
@@ -439,8 +439,8 @@ class TestLinearMove:
         state.store.set_to_node(chain.source, chain.sigsq, InvChiSqParams(-5.0, 0.25))
         state.store.set_to_node(chain.iterated, chain.sigsq, InvChiSqParams(-1.5, -0.25))
         moments = (
-            state.store.read_q_nu(fg.LIKELIHOOD)[1],
-            state.store.read_q_zeta()[1],
+            state.store.read_q_nu(fg.LIKELIHOOD),
+            state.store.read_q_zeta(),
         )
         with pytest.raises(DegenerateMessageError) as raised:
             orchestrator._align_component_rotation(state, *moments[0], *moments[1])

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Run alternating benchmark pairs between two source trees and judge each end-to-end metric.
+"""Run alternating benchmark pairs between two source trees and judge their metrics.
 
     python tools/bench_pairs.py --parent DIR --change DIR --workload NAME --seeds 41-50
-        [--seconds 50]
+        [--seconds 50] [--trace --metric NAME [--metric NAME ...]]
 
 For each seed, runs each tree's own ``perfbench/run.py --workload NAME --seed
 SEED --seconds S --trace 0``, the parent first on odd seeds and the change
@@ -18,7 +18,13 @@ quartiles, the change's wins (ties count for neither) and a verdict:
   the metric's bound, a fraction of the parent's median;
 - ``unresolved``: neither.
 
-It exits 1 if a run fails or its result lacks a metric, and 0 otherwise.
+With ``--trace`` the runs are ``--trace 1``, and the metrics judged are the
+per-layer metrics named by ``--metric``, each with its ``BENCHMARK.json``
+direction.  A per-layer metric has no bound, so its verdict is ``improved``
+or ``unresolved``.
+
+It exits 1 if a run fails or its result lacks a metric, 2 on bad arguments,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -56,24 +62,25 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
-    """``improved``, ``worse`` or ``unresolved`` for one metric's paired values (see above)."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float | None) -> str:
+    """``improved``, ``worse`` or ``unresolved`` for one metric's paired values (see above);
+    with no ``bound``, never ``worse``."""
     sign = 1.0 if better == "lower" else -1.0
     low, parent_median, high = quartiles(parent)
     change_median = statistics.median(change)
     gain = sign * (parent_median - change_median)
     if wins(parent, change, better) >= 0.9 * len(parent) and gain > high - low:
         return IMPROVED
-    if -gain > bound * abs(parent_median):
+    if bound is not None and -gain > bound * abs(parent_median):
         return WORSE
     return UNRESOLVED
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """The JSON result of one benchmark run of ``tree``."""
     command = [
         sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
     ]  # fmt: skip
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -84,8 +91,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def report(name: str, spec: dict, seeds: list[int], parent: list[float], change: list[float]):
     """Print one metric's pairs, medians, quartiles, wins and verdict."""
-    unit, better, bound = spec["unit"], spec["better"], spec["bound"]
-    print(f"{name} ({unit}, {better} is better, bound {bound:.0%})")
+    unit, better, bound = spec["unit"], spec["better"], spec.get("bound")
+    limit = "no bound" if bound is None else f"bound {bound:.0%}"
+    print(f"{name} ({unit}, {better} is better, {limit})")
     print("  seed  parent  change")
     for seed, p, c in zip(seeds, parent, change):
         print(f"  {seed}  {p:.6g}  {c:.6g}")
@@ -103,17 +111,33 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B, both included")
     parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--trace", action="store_true", help="judge per-layer metrics instead")
+    parser.add_argument(
+        "--metric", action="append", default=[], help="a per-layer metric to judge (repeatable)"
+    )
     args = parser.parse_args(argv)
+    if args.trace != bool(args.metric):
+        parser.error("--trace needs at least one --metric, and --metric needs --trace")
 
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
-    metrics = {spec["name"]: spec for spec in benchmark["end_to_end"]}
+    if args.trace:
+        per_layer = {spec["name"]: spec for spec in benchmark["per_layer"]}
+        unknown = [name for name in args.metric if name not in per_layer]
+        if unknown:
+            parser.error(f"not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
+        metrics = {name: per_layer[name] for name in args.metric}
+    else:
+        metrics = {spec["name"]: spec for spec in benchmark["end_to_end"]}
     values = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             try:
-                result = run_once(getattr(args, side), args.workload, seed, args.seconds)
+                tree = getattr(args, side)
+                result = run_once(tree, args.workload, seed, args.seconds, args.trace)
                 row = {name: result["metrics"][name]["value"] for name in metrics}
+                if None in row.values():
+                    raise ValueError(f"a metric has no value: {row}")
             except (RuntimeError, ValueError, KeyError) as err:
                 print(f"error: {side} run failed: {err!r}", file=sys.stderr)
                 return 1
