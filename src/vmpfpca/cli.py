@@ -406,6 +406,9 @@ def _one_blas_thread() -> None:
     parent's thread count, so OPENBLAS_NUM_THREADS would be read too late;
     OpenBLAS's own setter is called instead.  The parent's threads and
     environment are left alone, and other BLAS builds keep their default.
+    On 2 cores, ``eval --study --replicates 2 --n-grid 500 --workers 2`` took
+    0.48 s with the setter and 1.72 s without (medians of 6 alternating
+    pairs); on 12 cells of n = 10-100 it made no gain (0.66 against 0.62 s).
     """
     setter = _openblas_function("set_num_threads")
     if setter is not None:

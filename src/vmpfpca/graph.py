@@ -17,7 +17,6 @@ its kin; the fit never calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,19 +66,19 @@ class MessageStore:
     chains: list[list[tuple[float, float]]]
 
     @classmethod
-    def starting(cls, nu_mean: np.ndarray, score_means: np.ndarray, config) -> MessageStore:
-        """A fit's starting messages: N(``nu_mean``, I) from the likelihood to nu and the
-        vague N(0, 100 I) from the penalization; the (n, L) ``score_means``, kept as the
-        scores' likelihood rows, with unit precision, and the N(0, I) prior; shape 1,
-        scale 1 (unit reciprocal mean) on each chain's three swept edges, and on its
-        prior edge the prior of ``config.hyper_a_<family>``."""
+    def starting(cls, score_means: np.ndarray, config) -> MessageStore:
+        """A fit's starting messages: zero from the likelihood to nu, which the first sweep
+        writes before it reads q(nu), and the vague N(0, 100 I) from the penalization; the
+        (n, L) ``score_means``, kept as the scores' likelihood rows, with unit precision,
+        and the N(0, I) prior; shape 1, scale 1 (unit reciprocal mean) on each chain's
+        three swept edges, and on its prior edge the prior of ``config.hyper_a_<family>``."""
         n, L = score_means.shape
-        identity = np.eye(nu_mean.size)
+        dim = (L + 1) * (config.num_splines + 2)
         prior_eta1, prior_precision = gaussian_prior_message(L)
         hypers = [getattr(config, f"hyper_a_{chain.family}") for chain in variance_chains(L)]
         return cls(
-            nu_eta1=np.stack([nu_mean, np.zeros(nu_mean.size)]),  # likelihood, penalization
-            nu_precision=np.stack([identity, identity / 100.0]),
+            nu_eta1=np.zeros((2, dim)),  # likelihood, penalization
+            nu_precision=np.stack([np.zeros((dim, dim)), np.eye(dim) / 100.0]),
             zeta_eta1=score_means,
             zeta_precision=np.tile(prior_precision, (n, 1, 1)),
             prior_eta1=prior_eta1,
@@ -309,12 +308,8 @@ _NOISE_CHAIN = _chain("eps", LIKELIHOOD)
 SIGSQ_EPS = _NOISE_CHAIN.sigsq
 
 
-@lru_cache(maxsize=None)
 def variance_chains(num_eigen: int) -> tuple[VarianceChain, ...]:
-    """The 2 + L chains in update order: noise, mean function, then each eigenfunction.
-
-    Built once per ``num_eigen``; every sweep reads the same tuple.
-    """
+    """The 2 + L chains in update order: noise, mean function, then each eigenfunction."""
     return (
         _NOISE_CHAIN,
         _chain("mu", PENALIZATION),

@@ -14,10 +14,10 @@ directions that change no curve: it rotates the components into their
 stationary frame, moves mass between the scores and the mean function, and
 maps the scores by an L x L matrix and the eigenfunctions by its inverse,
 jointly with their smoothing chains; the last two go to the highest
-objective along their directions, from a fit's second sweep on.  Plain
-sweeps crawl along these directions; at a fixed point of the plain sweep
-every move is the identity, so the sweeps reach the same fixed point in
-fewer steps.
+objective along their directions.  It runs from a fit's second sweep on.
+Plain sweeps crawl along these directions; at a fixed point of the plain
+sweep every move is the identity, so the sweeps reach the same fixed point
+in fewer steps.
 
 What the snap cannot reach, mostly surplus components collapsing, the fit
 crosses by extrapolating the messages between sweeps (:func:`_jump`).
@@ -78,7 +78,9 @@ _BACKTRACKS = 40
 # without the radius, two took 1893 and 572 sweeps instead of 144 and 231.  A cap of
 # 20 took 3209 sweeps but 3 of 300 random fits took more than their plain fits (none
 # at 10); without the cap, dense-1-6 did not converge.  A spacing of 3 took 613 sweeps
-# on a 50-curve fit with five components (116 at 5).
+# on a 50-curve fit with five components (116 at 5).  Without the cosine test the 56
+# inputs take 3358 sweeps instead of 3454, but SimConfig(3, obs_range=(29, 33),
+# seed=9217) does not converge in 500 (78 with it, 144 plain).
 _JUMP_SPACING = 5
 _JUMP_ALIGNMENT = 0.99
 _JUMP_CAP = 10.0
@@ -163,16 +165,13 @@ class VmpState:
         return fg.fpca_factor_graph(self.config.num_eigen)
 
 
-def _initial_guess(
-    cache: LikelihoodCache, num_eigen: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic starting values from ridge fits and a coefficient-space PCA.
+def _initial_guess(cache: LikelihoodCache, num_eigen: int) -> np.ndarray:
+    """Deterministic starting score means from ridge fits and a coefficient-space PCA.
 
     All-zero starting means are an exact fixed point of the message updates
     (every score/eigenfunction cross moment vanishes identically), so the
-    start must break that symmetry; a rough PCA of per-curve ridge
-    coefficients also lands near the identified component rotation, which is
-    otherwise the slowest direction of the coordinate scheme.
+    start must break that symmetry.  The scores' frame carries no information:
+    from a fit's second sweep on, the snap rotates the components into their own.
     """
     num_coefs = cache.num_coefs
     ridge = np.eye(num_coefs)
@@ -184,9 +183,7 @@ def _initial_guess(
     eigvals = eigvals[::-1][:num_eigen]
     eigvecs = eigvecs[:, ::-1][:, :num_eigen]
     eigvals = np.maximum(eigvals, 1e-4 * max(eigvals[0], 1e-12))
-    component_coefs = eigvecs * np.sqrt(eigvals)
-    scores = residual_coefs @ (eigvecs / np.sqrt(eigvals))
-    return mean_coefs, component_coefs, scores
+    return residual_coefs @ (eigvecs / np.sqrt(eigvals))
 
 
 def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
@@ -197,11 +194,10 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     design = design_matrix(dataset.times, basis)
     cache = build_likelihood_cache(design, dataset.values, dataset.offsets)
     try:
-        mean_coefs, component_coefs, score_guess = _initial_guess(cache, config.num_eigen)
+        score_guess = _initial_guess(cache, config.num_eigen)
     except np.linalg.LinAlgError as err:
         raise DegenerateMessageError(f"starting values: {err}") from err
-    nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
-    return VmpState(config, basis, fg.MessageStore.starting(nu_start, score_guess, config), cache)
+    return VmpState(config, basis, fg.MessageStore.starting(score_guess, config), cache)
 
 
 def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
@@ -281,10 +277,7 @@ def _align_component_rotation(
        tied reparametrisation that is neither is the slow mode of dense fits.
 
     At a fixed point of the plain sweep all three are the identity, so the
-    sweeps reach the same fixed point, in fewer steps.  The translation and
-    the move optimize the model's smoothing penalty, which the N(0, 100 I)
-    starting message to nu is not, so in a fit's first sweep
-    (``state.iterations`` is 0) only the rotation runs.  The arguments are
+    sweeps reach the same fixed point, in fewer steps.  The arguments are
     the current q(nu) and q(zeta) moments; the return value is q(zeta)'s
     (means, covariances) in the new frame.  The snap writes only the
     eigenfunctions' chains: the likelihood fragment writes its messages to
@@ -307,10 +300,6 @@ def _align_component_rotation(
 
     rotation = _component_rotation(grams[1, 1:, 1:], e_recip[1:])
     zeta_means = zeta_means @ rotation
-
-    if state.iterations == 0:  # the penalization fragment has not written nu yet
-        return zeta_means, rotation.T @ zeta_covs @ rotation
-
     block_rotation = np.eye(L + 1)
     block_rotation[1:, 1:] = rotation
     grams = block_rotation.T @ grams @ block_rotation
@@ -333,7 +322,9 @@ def _component_rotation(spline_gram: np.ndarray, e_recip: list[float]) -> np.nda
     largest eigenvalue down, go to the components from the smallest E(1/sigma^2_psi) up.
 
     Each has its largest entry positive, so the rotation does not flap
-    between sweeps.  In floats: L is small.
+    between sweeps.  In floats: L is small.  Without it, the dense inputs of
+    ``tools/compare_fits.py`` took 1447 sweeps, not 1342, and the fit of
+    ``SimConfig(3, obs_range=(29, 33), seed=9217)`` none in 500 (78 with it).
     """
     _, eigvecs = np.linalg.eigh(spline_gram)
     columns = [None] * len(e_recip)
@@ -388,13 +379,15 @@ def _linear_move(state: VmpState, score_second: np.ndarray, grams: np.ndarray) -
     frame the last step reached.  Each move forms minus the Hessian
     (:func:`_move_curvature`) afresh at its first step; its inverse serves
     the move's next steps while they shrink fourfold, and is formed again
-    at the step that does not.  Where the Hessian is not negative definite,
-    the step follows the gradient.  A step halves until the objective rises, or changes by
-    round-off only.  The loop stops before a step that would move B by less
-    than a tenth of the convergence tolerance, and then writes each chain's
-    three messages at its optimum.  A move whose first step is that small,
-    or whose objective has no maximum (a component with no score mass or no
-    spline mass), keeps A = I and the chains.
+    at the step that does not (on ``tools/compare_fits.py``'s inputs, 1.85
+    curvatures a move, not 3.18).  Where the Hessian is not negative
+    definite, the step follows the gradient (stopping there took dense 2097
+    sweeps, not 1342).  A step halves until the objective rises, or changes
+    by round-off only.  The loop stops before a step that would move B by
+    less than a tenth of the convergence tolerance, and then writes each
+    chain's three messages at its optimum.  A move whose first step is that
+    small, or whose objective has no maximum (a component with no score mass
+    or no spline mass), keeps A = I and the chains.
     """
     config = state.config
     L, num_splines = config.num_eigen, config.num_splines
@@ -502,14 +495,17 @@ def _sweep(state: VmpState, nu_moments, zeta_moments):
     ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
     covariance) as the sweep starts.  Returns the store's ``q_snapshot`` and
     the moments of the q(nu) and q(zeta) the sweep formed last, after advancing
-    ``state.iterations``, which tells the snap whether this is a fit's first sweep.
+    ``state.iterations``.
     """
     n, L = state.cache.num_curves, state.config.num_eigen
     if state.config.freeze_scores_at_zero:
-        scores = score_moments(np.zeros((n, L)), np.zeros((n, L, L)))
-    else:
-        scores = score_moments(*_align_component_rotation(state, *nu_moments, *zeta_moments))
-    zeta_moments = _update_likelihood_fragment(state, scores)
+        zeta_moments = np.zeros((n, L)), np.zeros((n, L, L))
+    elif state.iterations:
+        # No snap in a fit's first sweep: the translation and the move optimize the
+        # smoothing penalty, which the vague starting message to nu is not, and the
+        # second sweep's rotation sets the frame, whatever the starting scores' frame.
+        zeta_moments = _align_component_rotation(state, *nu_moments, *zeta_moments)
+    zeta_moments = _update_likelihood_fragment(state, score_moments(*zeta_moments))
     _update_iterated_fragment(state.store, 0)
     nu_moments = _update_penalization_fragment(state)
     for c in range(1, L + 2):

@@ -243,13 +243,14 @@ class TestFit:
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize(
-        "failing_call, where", [(1, "starting values: "), (2, "iteration 1: ")],
+        "failing_call, where", [(1, "starting values: "), (2, "iteration 2: ")],
         ids=["start", "sweep"],
     )
     def test_linalg_error_is_degeneracy(
         self, sim_dir, failing_call, where, tmp_path, capsys, monkeypatch
     ):
-        # the fit's first eigh is in the starting values, its next in the snap of sweep 1
+        # the fit's first eigh is in the starting values, its next in the snap of sweep 2,
+        # since the first sweep does not snap
         calls = []
         original = np.linalg.eigh
 

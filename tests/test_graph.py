@@ -281,11 +281,10 @@ def check_starting_store(state, config):
     """The store ``initialize`` builds holds the starting messages, slot by slot."""
     store, n, L = state.store, state.cache.num_curves, config.num_eigen
     dim = (L + 1) * state.cache.num_coefs
-    mean_coefs, component_coefs, score_guess = _initial_guess(state.cache, L)
-    nu_start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
-    # the likelihood's N(start, I), then the penalization's vague N(0, 100 I)
-    assert np.array_equal(store.nu_eta1, np.stack([nu_start, np.zeros(dim)]))
-    assert np.array_equal(store.nu_precision, np.stack([np.eye(dim), np.eye(dim) / 100.0]))
+    score_guess = _initial_guess(state.cache, L)
+    # the likelihood's empty message, then the penalization's vague N(0, 100 I)
+    assert np.array_equal(store.nu_eta1, np.zeros((2, dim)))
+    assert np.array_equal(store.nu_precision, np.stack([np.zeros((dim, dim)), np.eye(dim) / 100.0]))
     # each curve's starting scores with unit precision, and the N(0, I) prior
     assert np.array_equal(store.zeta_eta1, score_guess)
     assert np.array_equal(store.zeta_precision, np.broadcast_to(np.eye(L), (n, L, L)))
@@ -296,7 +295,7 @@ def check_starting_store(state, config):
     priors = [(-1.5, -0.5 / hypers[chain.family] ** 2) for chain in variance_chains(L)]
     assert store.chains == [[(-1.5, -0.5)] * 3 + [prior] for prior in priors]
     assert {type(x) for chain in store.chains for pair in chain for x in pair} == {float}
-    assert bitwise_equal(store, fg.MessageStore.starting(nu_start, score_guess, config))
+    assert bitwise_equal(store, fg.MessageStore.starting(score_guess, config))
 
 
 @derandomised(30)

@@ -278,6 +278,33 @@ class TestFit:
         assert state.converged
 
 
+class TestFrameFreeStart:
+    # The fit is identified only up to a rotation of its components until
+    # post-processing, and the second sweep's snap rotates them into their own
+    # frame, so the starting scores' frame carries no information: rotated by
+    # a fixed random orthogonal matrix, they take the fit the same way.
+    @pytest.mark.parametrize(
+        "num_eigen, num_curves, seed", [(2, 20, 1), (3, 30, 2), (4, 40, 3), (3, 10, 4)]
+    )
+    def test_rotated_start_takes_the_same_sweeps_to_the_same_fit(
+        self, num_eigen, num_curves, seed, monkeypatch
+    ):
+        dataset, _ = generate(SimConfig(num_curves=num_curves, seed=seed))
+        config = FitConfig(num_eigen=num_eigen)
+        plain = fit(dataset, config)
+        random = np.random.default_rng(num_eigen).standard_normal((num_eigen, num_eigen))
+        rotation, _ = np.linalg.qr(random)
+        original = orchestrator._initial_guess
+        monkeypatch.setattr(
+            orchestrator, "_initial_guess", lambda cache, L: original(cache, L) @ rotation
+        )
+        rotated = fit(dataset, config)
+        assert plain.converged and rotated.converged
+        assert rotated.iterations == plain.iterations
+        expected, actual = finalize(plain).fitted, finalize(rotated).fitted
+        assert np.abs(actual - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 class TestSweepItself:
     """What every caller of ``_sweep`` gets, not only ``fit_state``."""
 
@@ -303,8 +330,8 @@ class TestSweepItself:
                 assert symmetric, f"after sweep {sweep}"
 
     def test_hand_driven_sweeps_match_fit_state(self, reference_dataset):
-        # the sweep counts itself, so the snap runs its translation and scale
-        # from the second sweep on, by hand as in fit_state
+        # the sweep counts itself, so the snap runs from the second sweep on,
+        # by hand as in fit_state
         config = FitConfig(max_iter=self.SWEEPS)
         fitted = fit(reference_dataset, config)
         state = initialize(reference_dataset, config)
@@ -392,7 +419,7 @@ class TestSweepWork:
 
         monkeypatch.setattr(orchestrator, "_align_component_rotation", checking)
         fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
-        assert checked == [True] * self.SWEEPS
+        assert checked == [True] * (self.SWEEPS - 1)  # the first sweep does not snap
 
 
 class TestSnapMoves:
@@ -411,7 +438,7 @@ class TestSnapMoves:
         monkeypatch.setattr(orchestrator, "_align_component_rotation", checking)
         state = fit(reference_dataset, FitConfig())
         assert state.converged
-        assert kept == [True] * state.iterations
+        assert kept == [True] * (state.iterations - 1)  # the first sweep does not snap
 
     def test_snap_at_aligned_state_is_near_identity(self, converged_state):
         # At a converged state the frame is aligned up to the convergence

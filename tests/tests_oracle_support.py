@@ -80,17 +80,17 @@ def object_start_store(cache, config) -> MessageStore:
     """The starting messages of a fit, written as natural-parameter objects through
     ``set_to_node`` on the package's starting values.
 
-    nu gets N(start, I) from the likelihood and N(0, 100 I) from the
-    penalization; every curve's scores get their starting values as eta1 and
-    the N(0, I) prior's eta2; every non-prior inverse chi-squared edge gets
-    (-3/2, -1/2), and each auxiliary prior (-3/2, -1/(2 A^2)).
+    nu gets an empty message (zero eta1 and eta2) from the likelihood and
+    N(0, 100 I) from the penalization; every curve's scores get their
+    starting values as eta1 and the N(0, I) prior's eta2; every non-prior
+    inverse chi-squared edge gets (-3/2, -1/2), and each auxiliary prior
+    (-3/2, -1/(2 A^2)).
     """
     n, L, num_coefs = cache.num_curves, config.num_eigen, cache.num_coefs
     dim = (L + 1) * num_coefs
     store = zero_store(n, L, num_coefs)
-    mean_coefs, component_coefs, score_guess = _initial_guess(cache, L)
-    start = np.concatenate([mean_coefs, component_coefs.T.ravel()])
-    store.set_to_node(LIKELIHOOD, NU, GaussianVecParams(start, -0.5 * vec(np.eye(dim))))
+    score_guess = _initial_guess(cache, L)
+    store.set_to_node(LIKELIHOOD, NU, GaussianVecParams(np.zeros(dim), np.zeros(dim * dim)))
     vague = GaussianVecParams(np.zeros(dim), -0.5 * vec(np.eye(dim) / 100.0))
     store.set_to_node(PENALIZATION, NU, vague)
     score_prior = gaussian_moments_to_vech(np.zeros(L), np.eye(L))
