@@ -217,7 +217,7 @@ def run_fit(
     dataset_label: str,
     rescale: tuple[float, float] | None = None,
 ) -> tuple[dict, RunManifest, FpcaFit]:
-    """Fit, post-process and package the result with its manifest."""
+    """Fit, post-process and package the result, with its curves' labels, and its manifest."""
     started = time.perf_counter()
     state = fit(dataset, config)
     result = finalize(state)
@@ -232,7 +232,7 @@ def run_fit(
         wall_clock_seconds=elapsed,
         time_rescale=rescale,
     )
-    return _fit_payload(result), manifest, result
+    return {**_fit_payload(result), "curve_ids": dataset.curve_ids}, manifest, result
 
 
 def _write_long_format_csv(path: Path, result: FpcaFit) -> None:

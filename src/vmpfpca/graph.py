@@ -5,13 +5,13 @@ table from each node (a string) to its two factors: the message a node sends
 to one factor is the stored message from the other, and its q-density is the
 sum of the two.  The store keeps the factor-to-node messages in slots whose
 layout only it knows: it builds the starting messages, snapshots its own
-q-densities, and the sweep reads and writes the messages through its methods,
-by node and role: a Gaussian message as eta1 and a precision matrix (the
-streamlined form of Wand, 2017), the n score vectors as one stacked node with
-one likelihood row per curve, an inverse chi-squared message as an (eta1,
-eta2) pair of floats.  ``get_to_node`` and ``set_to_node`` view the slots as
-the natural-parameter objects of :mod:`expfam` for ``q_natural_params`` and
-its kin; the fit never calls them.
+q-densities, inverts q(nu) and q(zeta), and the sweep reads and writes the
+messages through its methods, by node and role: a Gaussian message as eta1
+and a precision matrix (the streamlined form of Wand, 2017), the n score
+vectors as one stacked node with one likelihood row per curve, an inverse
+chi-squared message as an (eta1, eta2) pair of floats.  ``get_to_node`` and
+``set_to_node`` view the slots as the natural-parameter objects of
+:mod:`expfam` for ``q_natural_params`` and its kin; the fit never calls them.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class MessageStore:
     prior every row shares; ``chains[c]`` the (eta1, eta2) pairs of chain c
     of :func:`variance_chains` on source -> sigsq, iterated -> sigsq,
     iterated -> aux and prior -> aux.
+
+    Each q-density is inverted once per write to its node, by the store:
+    :meth:`read_q_nu` and :meth:`read_q_zeta` invert on the first read after
+    a write to the node and return the same read-only moments until the next.
     """
 
     nu_eta1: np.ndarray
@@ -86,6 +90,10 @@ class MessageStore:
             chains=[[(-1.5, -0.5)] * 3 + [igw_prior_message(hyper)] for hyper in hypers],
         )
 
+    def __post_init__(self):
+        # node -> its q-density's moments until the next write to it; not a field
+        self._moments = {}
+
     def q_nu(self) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s eta1 and precision: the sums of its two messages'."""
         return self.nu_eta1[0] + self.nu_eta1[1], self.nu_precision[0] + self.nu_precision[1]
@@ -108,22 +116,30 @@ class MessageStore:
 
     def read_q_nu(self, reader: str) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s (mean, covariance); an error names the edge (``reader``, nu)."""
-        edge = f"edge ({reader}, nu)"
-        return gaussian_precision_to_moments(*self.q_nu(), f"{edge}: q-density precision")
+        return self._read(NU, self.q_nu, f"edge ({reader}, nu)")
 
     def read_q_zeta(self) -> tuple[np.ndarray, np.ndarray]:
         """q(zeta)'s (means, covariances); an error names the edge (likelihood, zeta)."""
-        edge = "edge (likelihood, zeta)"
-        return gaussian_precision_to_moments(*self.q_zeta(), f"{edge}: q-density precision")
+        return self._read(ZETA, self.q_zeta, "edge (likelihood, zeta)")
+
+    def _read(self, node: str, q, edge: str) -> tuple[np.ndarray, np.ndarray]:
+        if node not in self._moments:
+            moments = gaussian_precision_to_moments(*q(), f"{edge}: q-density precision")
+            for array in moments:
+                array.flags.writeable = False
+            self._moments[node] = moments
+        return self._moments[node]
 
     def set_nu(self, factor: str, message) -> None:
         """Write the (eta1, precision) message from ``factor`` to nu."""
         k = (LIKELIHOOD, PENALIZATION).index(factor)
         self.nu_eta1[k], self.nu_precision[k] = message
+        self._moments.pop(NU, None)
 
     def set_scores(self, message) -> None:
         """Write the likelihood's (eta1, precisions) message to the scores, one row per curve."""
         self.zeta_eta1[...], self.zeta_precision[...] = message
+        self._moments.pop(ZETA, None)
 
     def e_recip(self, c: int, reader: str = "source", node: str = "sigsq") -> float:
         """E(1/x) of chain c's variance ("sigsq") or auxiliary ("aux"), for its ``reader`` factor
@@ -163,6 +179,7 @@ class MessageStore:
         pairs = iter(vector[start:].reshape(-1, 2).tolist())
         for chain in self.chains:
             chain[:3] = [tuple(next(pairs)) for _ in range(3)]
+        self._moments.clear()
 
     def q_snapshot(self) -> np.ndarray:
         """The q natural parameters the convergence check compares, up to their signs, node by node.
@@ -219,6 +236,7 @@ class MessageStore:
             if message.eta1.shape != eta1.shape or new_precision.shape != precision.shape:
                 raise ValueError(f"edge ({factor}, {node}) holds shape {eta1.shape}")
             eta1[...], precision[...] = message.eta1, new_precision
+            self._moments.pop(node, None)
         else:
             c, k = slot
             self.chains[c][k] = (float(message.eta1), float(message.eta2))

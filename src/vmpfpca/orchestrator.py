@@ -25,15 +25,14 @@ Convergence is still one plain sweep's change against the tolerance, so a
 fit stops at a fixed point of the plain sweep; the jumps only shorten the
 way there.
 
-q(nu) is formed and inverted once after each of the two writes to nu, and
-q(zeta) once per sweep, after the likelihood fragment writes the scores;
-the likelihood fragment's message to nu needs only the score moments, and
-the snap reuses the q(nu) and q(zeta) moments of the sweep before, since
-nothing writes nu or the scores in between.  The snap hands the moved score
-moments to the likelihood fragment and writes only the eigenfunctions'
-chains.  The convergence check compares the store's snapshots of its own
-q-densities (``MessageStore.q_snapshot``), which sum messages and invert
-nothing.
+Each q-density is inverted once per write to its node, by the store
+(``MessageStore.read_q_nu``, ``read_q_zeta``): q(nu) after each of the two
+writes to nu, q(zeta) after the likelihood fragment writes the scores, and
+both after a jump.  The likelihood fragment's message to nu needs only the
+score moments; the snap reads what the sweep before left, hands the moved
+score moments to the likelihood fragment and writes only the eigenfunctions'
+chains.  The convergence check compares the store's own snapshots
+(``MessageStore.q_snapshot``), which sum messages and invert nothing.
 """
 
 from __future__ import annotations
@@ -200,37 +199,29 @@ def initialize(dataset: FunctionalDataset, config: FitConfig) -> VmpState:
     return VmpState(config, basis, fg.MessageStore.starting(score_guess, config), cache)
 
 
-def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments):
+def _update_likelihood_fragment(state: VmpState, scores: ScoreMoments) -> None:
     """Update the likelihood messages one block at a time.
 
     Each message is computed from moments that reflect all messages written
     before it (exact coordinate ascent).  Writing the nu, score and noise
     messages simultaneously from one stale snapshot couples the bilinear
     nu/score blocks into a two-cycle instead of a fixed point.  ``scores``
-    are the current q(zeta) moments, which the snap hands on.  Returns
-    q(zeta)'s (means, covariances) after the write to the scores, or None
-    when the scores are frozen at zero.
+    are the current q(zeta) moments, which the snap hands on.
     """
     store = state.store
     e_recip_eps = store.e_recip(0)
     store.set_nu(fg.LIKELIHOOD, likelihood_message_to_nu(state.cache, scores, e_recip_eps))
 
     expectations = likelihood_expectations(state.cache, *store.read_q_nu(fg.LIKELIHOOD))
-    zeta_moments = None
     if not state.config.freeze_scores_at_zero:
         store.set_scores(likelihood_messages_to_zeta(state.cache, expectations, e_recip_eps))
-        zeta_moments = store.read_q_zeta()
-        scores = score_moments(*zeta_moments)
+        scores = score_moments(*store.read_q_zeta())
 
     store.set_source(0, likelihood_message_to_sigsq_eps(state.cache, expectations, scores))
-    return zeta_moments
 
 
-def _update_penalization_fragment(state: VmpState):
-    """Write the message to nu, then the variance messages from the q(nu) it implies.
-
-    Returns that q(nu)'s (mean, covariance).
-    """
+def _update_penalization_fragment(state: VmpState) -> None:
+    """Write the message to nu, then the variance messages from the q(nu) it implies."""
     config, store = state.config, state.store
     # the mean-function and eigenfunction chains, 1 to L + 1, are in nu's block order
     e_recip = [store.e_recip(c) for c in range(1, config.num_eigen + 2)]
@@ -240,7 +231,6 @@ def _update_penalization_fragment(state: VmpState):
     variances = penalization_messages_to_variances(*nu_moments, config.num_splines)
     for c, to_sigsq in enumerate(variances, 1):
         store.set_source(c, to_sigsq)
-    return nu_moments
 
 
 def _align_component_rotation(
@@ -278,7 +268,7 @@ def _align_component_rotation(
 
     At a fixed point of the plain sweep all three are the identity, so the
     sweeps reach the same fixed point, in fewer steps.  The arguments are
-    the current q(nu) and q(zeta) moments; the return value is q(zeta)'s
+    the store's q(nu) and q(zeta) moments; the return value is q(zeta)'s
     (means, covariances) in the new frame.  The snap writes only the
     eigenfunctions' chains: the likelihood fragment writes its messages to
     nu and to the scores from the moved moments, and the penalization
@@ -489,29 +479,26 @@ def _update_iterated_fragment(store: fg.MessageStore, c: int) -> None:
     store.set_iterated(c, *iterated_igw_messages(*e_recips))
 
 
-def _sweep(state: VmpState, nu_moments, zeta_moments):
-    """One full pass through the fragments in the fixed update order.
-
-    ``nu_moments`` and ``zeta_moments`` are q(nu)'s and q(zeta)'s (mean,
-    covariance) as the sweep starts.  Returns the store's ``q_snapshot`` and
-    the moments of the q(nu) and q(zeta) the sweep formed last, after advancing
-    ``state.iterations``.
-    """
-    n, L = state.cache.num_curves, state.config.num_eigen
+def _sweep(state: VmpState) -> np.ndarray:
+    """One full pass through the fragments in the fixed update order; returns the store's
+    ``q_snapshot`` after advancing ``state.iterations``."""
+    store, n, L = state.store, state.cache.num_curves, state.config.num_eigen
+    zeta_moments = store.read_q_zeta()  # in every mode, so a degenerate one raises here
     if state.config.freeze_scores_at_zero:
         zeta_moments = np.zeros((n, L)), np.zeros((n, L, L))
     elif state.iterations:
         # No snap in a fit's first sweep: the translation and the move optimize the
         # smoothing penalty, which the vague starting message to nu is not, and the
         # second sweep's rotation sets the frame, whatever the starting scores' frame.
+        nu_moments = store.read_q_nu(fg.LIKELIHOOD)
         zeta_moments = _align_component_rotation(state, *nu_moments, *zeta_moments)
-    zeta_moments = _update_likelihood_fragment(state, score_moments(*zeta_moments))
-    _update_iterated_fragment(state.store, 0)
-    nu_moments = _update_penalization_fragment(state)
+    _update_likelihood_fragment(state, score_moments(*zeta_moments))
+    _update_iterated_fragment(store, 0)
+    _update_penalization_fragment(state)
     for c in range(1, L + 2):
-        _update_iterated_fragment(state.store, c)
+        _update_iterated_fragment(store, c)
     state.iterations += 1
-    return state.store.q_snapshot(), nu_moments, zeta_moments
+    return store.q_snapshot()
 
 
 def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.ndarray) -> float:
@@ -539,8 +526,8 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
     times the metric is about the largest relative change the jump makes in
     any of them: the radius keeps a jump far from the fixed point, where the
     fit's path still bends, from changing a q-density by more than a tenth.
-    Returns t, the jumped store's ``q_snapshot`` and its q(nu)'s and
-    q(zeta)'s moments, or None with the store unchanged.
+    Returns t, with the jumped q(nu) and q(zeta) read into the store, or
+    None with the store unchanged.
     """
     change, last = current - old, old - older
     size, last_size = math.sqrt(change @ change), math.sqrt(last @ last)
@@ -551,16 +538,13 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
     state.store.write_messages(current + step * change)
     if state.store.q_variances_proper():
         try:
-            return step, *_read(state.store)
+            state.store.read_q_nu(fg.LIKELIHOOD)
+            state.store.read_q_zeta()
+            return step
         except DegenerateMessageError:
             pass
     state.store.write_messages(current)
     return None
-
-
-def _read(store: fg.MessageStore):
-    """The store's ``q_snapshot``, and q(nu)'s and q(zeta)'s moments for the likelihood."""
-    return store.q_snapshot(), (store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta())
 
 
 def fit_state(state: VmpState) -> VmpState:
@@ -578,15 +562,12 @@ def fit_state(state: VmpState) -> VmpState:
     :class:`DegenerateMessageError` naming the iteration.
     """
     store, starts = state.store, state.store.node_starts()
-    # read once, in the first sweep's try; each sweep, or jump, hands on what it ends with
-    previous = moments = None
+    previous = store.q_snapshot()  # the snapshot the next sweep's is compared with
     # the message vectors of the three sweeps before a try, and the sweep of the next try
     recent, next_try = [], _JUMP_SPACING
     for _ in range(state.config.max_iter):
         try:
-            if moments is None:
-                previous, moments = _read(store)
-            current, *moments = _sweep(state, *moments)
+            current = _sweep(state)
         except (DegenerateMessageError, np.linalg.LinAlgError) as err:
             raise DegenerateMessageError(f"iteration {state.iterations + 1}: {err}") from err
         metric = convergence_metric(previous, current, starts)
@@ -600,10 +581,10 @@ def fit_state(state: VmpState) -> VmpState:
         if state.iterations > next_try - 3:  # one of the three sweeps a try reads
             recent = [*recent[-2:], store.message_vector()]
         if next_try <= state.iterations < state.config.max_iter:  # a jump needs a next sweep
-            jumped = _jump(state, metric, *recent)
+            step = _jump(state, metric, *recent)
             next_try = state.iterations + _JUMP_SPACING
-            if jumped is not None:
-                step, previous, moments = jumped
+            if step is not None:
+                previous = store.q_snapshot()
                 logger.debug("iteration %d: jump of %.3g last changes", state.iterations, step)
     if not state.converged:
         logger.info(

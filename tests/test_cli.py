@@ -173,6 +173,28 @@ class TestFit:
         rerun = json.dumps(json.loads(out.read_text())["fit"])
         assert original == rerun
 
+    def test_fit_names_the_curve_of_each_score_row(self, sim_dir, tmp_path):
+        # the labels in order of first appearance, here "b" before "a"
+        with (sim_dir / "dataset.csv").open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        relabel = {"1": "b", "2": "a"}
+        path = tmp_path / "labels.csv"
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows([header, *([relabel.get(c, c), t, y] for c, t, y in rows)])
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", str(path), "--max-iter", "2000", "--out", str(out)) == 0
+        fit = json.loads(out.read_text())["fit"]
+        assert fit["curve_ids"][:3] == ["b", "a", "3"]
+        assert len(fit["curve_ids"]) == len(fit["scores"]) == len(fit["score_covariances"]) == 20
+        manifest = str(out.with_suffix(".manifest.json"))
+        rerun = tmp_path / "rerun.json"
+        assert run_cli("fit", "--from-manifest", manifest, "--out", str(rerun)) == 0
+        assert json.loads(rerun.read_text())["fit"] == fit
+        # eval reads the curves and eigenvalues and ignores the labels
+        metrics = tmp_path / "metrics.json"
+        truth = str(sim_dir / "truth.json")
+        assert run_cli("eval", "--fit", str(out), "--truth", truth, "--out", str(metrics)) == 0
+
     def test_byte_order_mark_is_read(self, fit_paths, tmp_path):
         # spreadsheet "CSV UTF-8" exports begin with one
         sim_dir, fit_path = fit_paths

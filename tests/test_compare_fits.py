@@ -131,15 +131,20 @@ def test_a_random_recording_compared_with_itself_reports_nothing_lost(
     compare_fits.record(jumped, ROOT / "src", random=3)
     compare_fits.record(plain, ROOT / "src", random=3, plain=True)
     with np.load(jumped) as arrays:
-        assert sorted(arrays) == [
-            f"random-{seed}/{field}" for seed in range(3) for field in ("converged", "iterations")
-        ]
+        fields = ("converged", "inversions", "iterations")
+        assert sorted(arrays) == [f"random-{seed}/{field}" for seed in range(3) for field in fields]
         recorded = dict(arrays)
     assert all(recorded[f"random-{seed}/converged"] for seed in range(3))
+    # the fit's q(nu) and q(zeta) inversions: at least one per write to nu, and to the scores
+    for seed in range(3):
+        ((nu, zeta),) = recorded[f"random-{seed}/inversions"]
+        sweeps = int(recorded[f"random-{seed}/iterations"])
+        assert nu >= 2 * sweeps and zeta >= sweeps
     capsys.readouterr()
 
     assert compare_fits.compare(jumped, jumped, plain) == 0
     out = capsys.readouterr().out
+    assert "0 inputs invert a different number of times" in out
     assert f"0 fits converge in {jumped} but not in {jumped}" in out
     assert f"0 fits converge in {plain} but not in {jumped}" in out
     # the jump shortens these three fits
@@ -153,3 +158,13 @@ def test_a_random_recording_compared_with_itself_reports_nothing_lost(
     sweeps = int(recorded["random-2/iterations"])
     assert compare_fits.slower_fits(recorded, doctored) == [("random-2", sweeps, sweeps + 1)]
     assert compare_fits.lost_fits(doctored, recorded) == []
+
+    # a copy that inverts q(nu) once more in one fit: listed, but no array differs
+    more = {**recorded, "random-0/inversions": recorded["random-0/inversions"] + [[1, 0]]}
+    (counts,) = recorded["random-0/inversions"].tolist()
+    expected = [("random-0", [counts], [[counts[0] + 1, counts[1]]])]
+    assert compare_fits.changed_inversions(recorded, more) == expected
+    totals = compare_fits.inversion_totals(recorded), compare_fits.inversion_totals(more)
+    assert (totals[1]["random"] - totals[0]["random"]).tolist() == [[1, 0]]
+    assert compare_fits.compare(jumped, save(tmp_path / "more.npz", more)) == 0
+    assert "1 inputs invert a different number of times\n  random-0: " in capsys.readouterr().out

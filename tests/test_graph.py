@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vmpfpca.expfam import (
     GaussianVechParams,
     InvChiSqParams,
     duplication_matrix,
+    gaussian_precision_to_moments,
     vec,
 )
 from vmpfpca.graph import (
@@ -233,9 +235,8 @@ class TestArrayStore:
     def test_q_arrays_match_q_natural_params(self):
         dataset, _ = generate(SimConfig(num_curves=7, seed=3))
         state = initialize(dataset, FitConfig(num_eigen=3))
-        moments = None
         for _ in range(3):
-            moments = sweep_moments(state, moments)
+            _sweep(state)
         graph, store = state.graph, state.store
         eta1, precision = store.q_nu()
         q = q_natural_params(graph, store, fg.NU)
@@ -321,11 +322,10 @@ def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed, hypers):
     state = initialize(dataset, config)
     check_starting_store(state, config)
     store = state.store
-    moments = (store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta())
     try:
         for _ in range(sweeps):
             # the sweep's snapshot is the store's own after the sweep
-            snapshot, *moments = _sweep(state, *moments)
+            snapshot = _sweep(state)
             assert snapshot.tobytes() == snapshot_from_q(store).tobytes()
     except (DegenerateMessageError, np.linalg.LinAlgError):
         pass  # the layout holds for the store the failed sweep left
@@ -346,24 +346,79 @@ def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed, hypers):
     assert convergence_metric(snapshot, snapshot.copy(), starts) == 0.0
 
 
-def sweep_moments(state, moments=None):
-    """One sweep from the given (or freshly read) q(nu) and q(zeta) moments; returns the next."""
-    if moments is None:
-        moments = (
-            state.store.read_q_nu(fg.LIKELIHOOD),
-            state.store.read_q_zeta(),
-        )
-    _, *moments = _sweep(state, *moments)
-    return moments
+@functools.cache
+def small_store() -> fg.MessageStore:
+    dataset, _ = generate(SimConfig(num_curves=4, seed=2))
+    return initialize(dataset, FitConfig(num_eigen=2, num_splines=5)).store
+
+
+# every write that changes q(nu) or q(zeta), and the reads; each write scales what it writes
+STORE_STEPS = st.one_of(
+    st.tuples(st.just("set_nu"), st.sampled_from([fg.LIKELIHOOD, fg.PENALIZATION])),
+    st.tuples(st.just("set_scores"), st.none()),
+    st.tuples(st.just("write_messages"), st.booleans()),  # True: restored, as a rejected jump
+    st.tuples(
+        st.just("set_to_node"),
+        st.sampled_from(
+            [(fg.LIKELIHOOD, fg.NU), (fg.PENALIZATION, fg.NU)]
+            + [(fg.LIKELIHOOD, fg.ZETA), (fg.PRIOR_ZETA, fg.ZETA)]
+        ),
+    ),
+    st.tuples(st.just("read"), st.sampled_from([fg.NU, fg.ZETA])),
+)
+
+
+def write(store: fg.MessageStore, step, scale: float) -> None:
+    """One write: the messages it names, scaled by ``scale``, eta1 shifted by 1."""
+    kind, target = step
+    if kind == "set_nu":
+        k = (fg.LIKELIHOOD, fg.PENALIZATION).index(target)
+        store.set_nu(target, (scale * store.nu_eta1[k] + 1.0, scale * store.nu_precision[k]))
+    elif kind == "set_scores":
+        store.set_scores((scale * store.zeta_eta1 + 1.0, scale * store.zeta_precision))
+    elif kind == "write_messages":
+        vector = store.message_vector()
+        store.write_messages(scale * vector)
+        if target:
+            store.write_messages(vector)
+    else:
+        message = store.get_to_node(*target)
+        store.set_to_node(*target, type(message)(scale * message.eta1 + 1.0, scale * message.eta2))
+
+
+def check_read(store: fg.MessageStore, node: str) -> None:
+    """The store's read is a fresh inversion of its q-density, bit for bit, and read-only."""
+    if node == fg.NU:
+        read, q = store.read_q_nu(fg.LIKELIHOOD), store.q_nu()
+    else:
+        read, q = store.read_q_zeta(), store.q_zeta()
+    for array, fresh in zip(read, gaussian_precision_to_moments(*q, "q-density precision")):
+        assert not array.flags.writeable
+        assert array.tobytes() == fresh.tobytes(), node
+
+
+@derandomised(200)
+@given(steps=st.lists(st.tuples(STORE_STEPS, st.sampled_from([0.5, 0.8, 1.25, 2.0])), max_size=12))
+def test_reads_are_fresh_until_the_next_write(steps):
+    # each q-density is inverted on the first read after a write to its node, by the store
+    store = copy.deepcopy(small_store())
+    for node in (fg.NU, fg.ZETA):
+        check_read(store, node)
+    for (kind, target), scale in steps:
+        if kind == "read":
+            check_read(store, target)
+        else:
+            write(store, (kind, target), scale)
+    for node in (fg.NU, fg.ZETA):
+        check_read(store, node)
 
 
 class TestFpcaEdges:
     def test_npbf_equals_q_on_every_edge_after_sweeps(self):
         dataset, _ = generate(SimConfig(num_curves=12, seed=3))
         state = initialize(dataset, FitConfig(num_eigen=3))
-        moments = None
         for _ in range(3):
-            moments = sweep_moments(state, moments)
+            _sweep(state)
         for node, factors in state.graph.items():
             q = q_natural_params(state.graph, state.store, node).as_vector()
             for factor in factors:

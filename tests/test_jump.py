@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
-from vmpfpca.expfam import DegenerateMessageError
+from vmpfpca.expfam import DegenerateMessageError, gaussian_precision_to_moments
 from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
@@ -100,25 +100,29 @@ class TestJump:
         state, current = self.swept()
         direction = np.zeros_like(current)
         direction[: state.store.nu_eta1.size] = 1e-3  # along both messages' eta1 to nu
-        jumped = orchestrator._jump(
+        step = orchestrator._jump(
             state, self.METRIC, *self.shrinking(current, direction, 0.5), current
         )
-        assert jumped is not None and jumped[0] == pytest.approx(1.0)  # 0.5 / (1 - 0.5)
+        assert step == pytest.approx(1.0)  # 0.5 / (1 - 0.5)
         moved = state.store.message_vector()
         assert np.allclose(moved, current + direction, rtol=1e-12, atol=1e-15)
         state.store.write_messages(current)
         older, old = self.shrinking(current, direction, 0.999)
-        jumped = orchestrator._jump(state, self.METRIC, older, old, current)
-        assert jumped[0] == orchestrator._JUMP_CAP
-        # the jump hands on the moments of the q-densities it wrote
-        (nu_mean, nu_cov), (zeta_means, _) = jumped[2]
-        eta1, precision = state.store.q_nu()
-        assert np.allclose(precision @ nu_mean, eta1)
+        step = orchestrator._jump(state, self.METRIC, older, old, current)
+        assert step == orchestrator._JUMP_CAP
+        # the store's next reads are fresh inversions of the q-densities the jump wrote
+        store = state.store
+        reads = (store.read_q_nu(fg.LIKELIHOOD), store.q_nu), (store.read_q_zeta(), store.q_zeta)
+        for read, q in reads:
+            fresh = gaussian_precision_to_moments(*q(), "q-density precision")
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(read, fresh))
+        eta1, precision = store.q_nu()
+        assert np.allclose(precision @ store.read_q_nu(fg.LIKELIHOOD)[0], eta1)
         # a last sweep that changed a q-density by 5% bounds the jump at twice its change
-        state.store.write_messages(current)
-        jumped = orchestrator._jump(state, 0.05, older, old, current)
-        assert jumped[0] == pytest.approx(orchestrator._JUMP_RADIUS / 0.05)
-        assert np.allclose(state.store.message_vector(), current + jumped[0] * direction)
+        store.write_messages(current)
+        step = orchestrator._jump(state, 0.05, older, old, current)
+        assert step == pytest.approx(orchestrator._JUMP_RADIUS / 0.05)
+        assert np.allclose(store.message_vector(), current + step * direction)
 
     @pytest.mark.parametrize("rho, turn", [(1.05, False), (0.5, True)], ids=["growing", "turning"])
     def test_no_jump_unless_the_changes_align_and_shrink(self, rho, turn):

@@ -236,7 +236,7 @@ class TestFit:
     def test_fixed_point_under_one_more_sweep(self, converged_state):
         state = copy.deepcopy(converged_state)  # the fixture is shared
         snapshot = state.store.q_snapshot()
-        after, *_ = _sweep(state, *fresh_moments(state))
+        after = _sweep(state)
         assert np.array_equal(after, state.store.q_snapshot())
         starts = state.store.node_starts()
         assert convergence_metric(snapshot, after, starts) < state.config.tol
@@ -255,13 +255,21 @@ class TestFit:
                 r"iteration 1: edge \(likelihood, nu\)",
             ),
             (
+                # q(zeta)'s precision -I in every row, read as the first sweep starts
+                [(fg.LIKELIHOOD, fg.ZETA)],
+                GaussianVechParams(
+                    np.zeros((36, 3)), np.tile(vec(np.eye(3)) @ duplication_matrix(3), (36, 1))
+                ),
+                r"iteration 1: edge \(likelihood, zeta\)",
+            ),
+            (
                 # a prior that cancels the scale of q(a_eps)
                 [("prior_a_eps", "a_eps")],
                 InvChiSqParams(-1.5, 0.5),
                 r"iteration 1: edge \(iterated_eps, a_eps\): .*eta2 = 0",
             ),
         ],
-        ids=["nu", "iterated"],
+        ids=["nu", "zeta", "iterated"],
     )
     def test_degenerate_message_names_edge_and_iteration(
         self, reference_dataset, edges, bad, message
@@ -320,10 +328,9 @@ class TestSweepItself:
     def test_every_stored_precision_is_exactly_symmetric(self, reference_dataset):
         # invert_spd inverts what it is given, so each message is formed symmetric
         state = initialize(reference_dataset, FitConfig())
-        moments = fresh_moments(state)
         for sweep in range(self.SWEEPS + 1):
             if sweep:
-                _, *moments = _sweep(state, *moments)
+                _sweep(state)
             store = state.store
             for precision in (store.nu_precision, store.zeta_precision, store.prior_precision):
                 symmetric = np.array_equal(precision, precision.swapaxes(-1, -2))
@@ -335,9 +342,8 @@ class TestSweepItself:
         config = FitConfig(max_iter=self.SWEEPS)
         fitted = fit(reference_dataset, config)
         state = initialize(reference_dataset, config)
-        moments = fresh_moments(state)
         for _ in range(self.SWEEPS):
-            _, *moments = _sweep(state, *moments)
+            _sweep(state)
         assert state.iterations == fitted.iterations == self.SWEEPS
         assert self.stores_equal(state.store, fitted.store)
 
@@ -346,7 +352,7 @@ class TestSnapshot:
     def test_variance_rows_are_q_of_every_variance_node(self, reference_dataset):
         state = initialize(reference_dataset, FitConfig())
         for _ in range(3):
-            snapshot, *_ = _sweep(state, *fresh_moments(state))
+            snapshot = _sweep(state)
         graph, store = state.graph, state.store
         starts = store.node_starts()
         nodes = np.split(snapshot, starts[1:])
@@ -373,16 +379,15 @@ class TestSweepWork:
 
     @staticmethod
     def count_q_reads(monkeypatch):
-        """Count the q(nu) and q(zeta) moment reads, by node."""
+        """Count the store's inversions of q(nu) and of the stacked q(zeta), by node."""
         calls = {fg.NU: 0, fg.ZETA: 0}
-        for node, name in ((fg.NU, "read_q_nu"), (fg.ZETA, "read_q_zeta")):
-            original = getattr(fg.MessageStore, name)
+        original = fg.gaussian_precision_to_moments
 
-            def counted(store, *reader, node=node, original=original):
-                calls[node] += 1
-                return original(store, *reader)
+        def counted(eta1, precision, context):
+            calls[fg.NU if eta1.ndim == 1 else fg.ZETA] += 1
+            return original(eta1, precision, context)
 
-            monkeypatch.setattr(fg.MessageStore, name, counted)
+        monkeypatch.setattr(fg, "gaussian_precision_to_moments", counted)
         return calls
 
     def test_q_nu_read_twice_and_expectations_once_per_sweep(self, reference_dataset, monkeypatch):
@@ -397,12 +402,12 @@ class TestSweepWork:
         monkeypatch.setattr(orchestrator, "likelihood_expectations", counted)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
         assert state.iterations == self.SWEEPS
-        assert reads[fg.NU] == 2 * self.SWEEPS + 1
+        assert reads[fg.NU] == 2 * self.SWEEPS  # after each of the two writes to nu
         assert len(expectations) == self.SWEEPS
 
     def test_q_zeta_read_twice_per_sweep(self, reference_dataset, monkeypatch):
-        # once when fit_state starts, then once per sweep, after the likelihood
-        # fragment writes the scores; the next sweep's snap reuses that read
+        # once when the first sweep starts, then once per sweep, after the likelihood
+        # fragment writes the scores; the next sweep's snap reads what the store kept
         reads = self.count_q_reads(monkeypatch)
         state = fit(reference_dataset, FitConfig(max_iter=self.SWEEPS))
         assert state.iterations == self.SWEEPS

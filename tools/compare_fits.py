@@ -19,27 +19,32 @@ that fits at a tight tolerance reach it:
 For each input it saves, under ``<input>/``: the sweep count, the convergence
 flag and history, every store array and the chains' floats (with their
 Python types) after ``initialize`` and after the fit, the fitted values at
-the observation points (:func:`observed_fit`), and every ``FpcaFit`` field,
-or the text of the error that ``finalize`` raised.  An input whose
-``initialize`` or ``fit_state`` raises a ValueError (such as a
-``DegenerateMessageError``) saves only that error's text, as
-``<input>/fit_error``, and the recording goes on with the next input.
+the observation points (:func:`observed_fit`), every ``FpcaFit`` field, or
+the text of the error that ``finalize`` raised, and ``inversions``: rows
+(q(nu), q(zeta)) of the inversions of the fit and of ``finalize``, counted
+as calls of ``graph.gaussian_precision_to_moments``, which ``record`` wraps
+while it runs.  An input whose ``initialize`` or ``fit_state`` raises a
+ValueError (such as a ``DegenerateMessageError``) saves only that error's
+text, as ``<input>/fit_error``, and the recording goes on with the next
+input.
 
 ``--random N`` adds N seeded random fits (:func:`random_inputs`), for which
-it saves only the sweep count and the convergence flag, or the fit error.
-``--plain`` turns the jump between sweeps off, by setting the package's
-``_JUMP_SPACING`` beyond every sweep, so that a plain recording is the
-reference for the jump's guarantee: a fit the plain sweep converges within
-``max_iter`` must still converge.
+it saves only the sweep count, the convergence flag and the fit's row of
+inversions, or the fit error.  ``--plain`` turns the jump between sweeps
+off, by setting the package's ``_JUMP_SPACING`` beyond every sweep, so that
+a plain recording is the reference for the jump's guarantee: a fit the
+plain sweep converges within ``max_iter`` must still converge.
 
 ``compare`` lists each array that is in one file only or is not bitwise
 equal, with the largest absolute difference and the largest entry, prints
 each recording's sweep total per input group (dense, study, stall, frozen),
-and exits 1 if any array differs.  It also prints, per input and per group,
-the largest relative difference in quantities that do not depend on the
-components' frame (:func:`fit_differences`), which show whether two trees
-reach the same fixed point when their arrays are not bitwise equal.  It
-lists the inputs that converge in the first recording but not in the
+and exits 1 if any array but the inversion counts differs.  It also prints,
+per input and per group, the largest relative difference in quantities that
+do not depend on the components' frame (:func:`fit_differences`), which show
+whether two trees reach the same fixed point when their arrays are not
+bitwise equal.  It prints each recording's inversion totals per group and
+lists the inputs whose counts differ, which is work, not a different fit.
+It lists the inputs that converge in the first recording but not in the
 second and, with ``--plain``, those that converge in the plain recording
 but not in the second, and those that take more sweeps in the second.
 """
@@ -56,6 +61,7 @@ import dataclasses  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -158,6 +164,27 @@ def sweep_totals(arrays) -> dict[str, int]:
     return totals
 
 
+def inversion_totals(arrays) -> dict[str, np.ndarray]:
+    """Inversions per input group: (q(nu), q(zeta)) of the fits, then of ``finalize`` where
+    the recording ran it."""
+    totals = {}
+    for key, value in arrays.items():
+        name, _, field = key.partition("/")
+        if field == "inversions":
+            group = name.split("-")[0]
+            totals[group] = totals.get(group, 0) + value
+    return totals
+
+
+def changed_inversions(a, b) -> list[tuple[str, list, list]]:
+    """(name, counts in ``a``, counts in ``b``) of each input whose inversion counts differ."""
+    return [
+        (key.split("/")[0], a[key].tolist(), b[key].tolist())
+        for key in a
+        if key.endswith("/inversions") and key in b and a[key].tolist() != b[key].tolist()
+    ]
+
+
 def lost_fits(a, b) -> list[str]:
     """The inputs that converge in recording ``a`` but not in ``b``, where a fit error counts
     as not converging."""
@@ -228,14 +255,22 @@ def record(
     out: Path, src: Path, tol: float | None = None, random: int = 0, plain: bool = False
 ) -> None:
     sys.path.insert(0, str(src))
-    from vmpfpca import orchestrator
+    from vmpfpca import graph, orchestrator
     from vmpfpca.orchestrator import FitConfig, fit_state, initialize
     from vmpfpca.postprocess import finalize
 
     if plain:
         orchestrator._JUMP_SPACING = sys.maxsize  # no sweep reaches a jump's try
+    inversions = np.zeros(2, dtype=int)  # q(nu), q(zeta), zeroed before each fit and finalize
+    invert = graph.gaussian_precision_to_moments
+
+    def counted(eta1, precision, context):
+        inversions[eta1.ndim - 1] += 1  # q(nu)'s eta1 is a vector, the stacked q(zeta)'s (n, L)
+        return invert(eta1, precision, context)
+
     arrays = {}
-    with tempfile.TemporaryDirectory() as work:
+    counting = mock.patch.object(graph, "gaussian_precision_to_moments", counted)
+    with tempfile.TemporaryDirectory() as work, counting:
         inputs = [(*item, True) for item in comparison_inputs(Path(work))]
         inputs += [(*item, False) for item in random_inputs(random)]
         for name, dataset, flags, full in inputs:
@@ -245,6 +280,7 @@ def record(
             try:
                 state = initialize(dataset, FitConfig(**flags))
                 start = store_arrays(state.store)
+                inversions[:] = 0
                 fit_state(state)
             except ValueError as err:  # a fit error: both trees must raise it alike
                 arrays[f"{name}/fit_error"] = np.array(f"{type(err).__name__}: {err}")
@@ -252,12 +288,14 @@ def record(
                 continue
             print(f"{name}: {state.iterations} sweeps, converged {state.converged}", flush=True)
             saved = dict(iterations=np.array(state.iterations), converged=np.array(state.converged))
+            counts = [inversions.copy()]  # the fit's, then finalize's
             if full:
                 saved.update({f"init/{key}": value for key, value in start.items()})
                 end = store_arrays(state.store)
                 saved.update({f"fit/{key}": value for key, value in end.items()})
                 saved.update(history=np.array(state.history))
                 saved.update(observed_fit=observed_fit(state, dataset))
+                inversions[:] = 0
                 try:
                     result = finalize(state)
                 except ValueError as err:  # a post-processing error: both trees must raise it alike
@@ -265,6 +303,8 @@ def record(
                 else:
                     for field in dataclasses.fields(result):
                         saved[f"result/{field.name}"] = np.asarray(getattr(result, field.name))
+                counts.append(inversions.copy())
+            saved.update(inversions=np.array(counts))
             arrays.update({f"{name}/{key}": value for key, value in saved.items()})
     np.savez_compressed(out, **arrays)
     print(f"wrote {len(arrays)} arrays to {out}; sweeps by group: {sweep_totals(arrays)}")
@@ -273,10 +313,12 @@ def record(
 def compare(first: Path, second: Path, plain: Path | None = None) -> int:
     with np.load(first) as a, np.load(second) as b:
         a, b = dict(a), dict(b)
-    lines = [f"only in {first}: {key}" for key in sorted(set(a) - set(b))]
-    lines += [f"only in {second}: {key}" for key in sorted(set(b) - set(a))]
+    # the inversion counts are work, not results: reported apart, below
+    keys = {key for key in [*a, *b] if not key.endswith("/inversions")}
+    lines = [f"only in {first}: {key}" for key in sorted(keys - set(b))]
+    lines += [f"only in {second}: {key}" for key in sorted(keys - set(a))]
     equal = 0
-    for key in sorted(set(a) & set(b)):
+    for key in sorted(keys & set(a) & set(b)):
         x, y = a[key], b[key]
         if x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes():
             equal += 1
@@ -289,12 +331,21 @@ def compare(first: Path, second: Path, plain: Path | None = None) -> int:
             head = [f"{v.dtype} {v.shape} {v.ravel()[:3]}" for v in (x, y)]
             lines.append(f"{key}: {head[0]} vs {head[1]}")
     print(*lines, sep="\n")
-    print(f"{equal} of {len(set(a) | set(b))} arrays bitwise equal, {len(lines)} not")
+    print(f"{equal} of {len(keys)} arrays bitwise equal, {len(lines)} not")
     print("largest relative differences in identified quantities:")
     print_fit_differences(fit_differences(a, b))
     first_sweeps, second_sweeps = sweep_totals(a), sweep_totals(b)
     for group in dict.fromkeys([*first_sweeps, *second_sweeps]):
         print(f"{group} sweeps: {first_sweeps.get(group, 0)} -> {second_sweeps.get(group, 0)}")
+    print("inversions (q(nu), q(zeta)) of the fits, then of finalize:")
+    totals = inversion_totals(a), inversion_totals(b)
+    for group in dict.fromkeys([*totals[0], *totals[1]]):
+        first_total, second_total = (np.asarray(t.get(group, [])).tolist() for t in totals)
+        print(f"  {group}: {first_total} -> {second_total}")
+    changed = changed_inversions(a, b)
+    print(f"{len(changed)} inputs invert a different number of times")
+    for name, first_counts, second_counts in changed:
+        print(f"  {name}: {first_counts} -> {second_counts}")
     lost = lost_fits(a, b)
     print(f"{len(lost)} fits converge in {first} but not in {second}", *lost, sep="\n  ")
     if plain is not None:
