@@ -56,9 +56,10 @@ class MessageStore:
     of :func:`variance_chains` on source -> sigsq, iterated -> sigsq,
     iterated -> aux and prior -> aux.
 
-    Each q-density is inverted once per write to its node, by the store:
-    :meth:`read_q_nu` and :meth:`read_q_zeta` invert on the first read after
-    a write to the node and return the same read-only moments until the next.
+    :meth:`read_q_nu` and :meth:`read_q_zeta` invert a q-density on the first
+    read after a write to its node and return the same read-only moments until
+    the next, so nu's and the scores' slots are written only through :meth:`set_nu`,
+    :meth:`set_scores`, :meth:`write_messages` and :meth:`set_to_node`.
     """
 
     nu_eta1: np.ndarray
@@ -91,8 +92,10 @@ class MessageStore:
         )
 
     def __post_init__(self):
-        # node -> its q-density's moments until the next write to it; not a field
-        self._moments = {}
+        self._moments = {}  # node -> its q-density's moments until the next write; not a field
+
+    def __getstate__(self):  # a copy or a pickle keeps no moments: its first reads invert
+        return {**self.__dict__, "_moments": {}}
 
     def q_nu(self) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s eta1 and precision: the sums of its two messages'."""
@@ -116,18 +119,17 @@ class MessageStore:
 
     def read_q_nu(self, reader: str) -> tuple[np.ndarray, np.ndarray]:
         """q(nu)'s (mean, covariance); an error names the edge (``reader``, nu)."""
-        return self._read(NU, self.q_nu, f"edge ({reader}, nu)")
+        return self._read(NU, self.q_nu, f"edge ({reader}, nu): q-density precision")
 
     def read_q_zeta(self) -> tuple[np.ndarray, np.ndarray]:
         """q(zeta)'s (means, covariances); an error names the edge (likelihood, zeta)."""
-        return self._read(ZETA, self.q_zeta, "edge (likelihood, zeta)")
+        return self._read(ZETA, self.q_zeta, "edge (likelihood, zeta): q-density precision")
 
-    def _read(self, node: str, q, edge: str) -> tuple[np.ndarray, np.ndarray]:
+    def _read(self, node: str, q, context: str) -> tuple[np.ndarray, np.ndarray]:
         if node not in self._moments:
-            moments = gaussian_precision_to_moments(*q(), f"{edge}: q-density precision")
-            for array in moments:
+            self._moments[node] = gaussian_precision_to_moments(*q(), context)
+            for array in self._moments[node]:
                 array.flags.writeable = False
-            self._moments[node] = moments
         return self._moments[node]
 
     def set_nu(self, factor: str, message) -> None:

@@ -483,16 +483,15 @@ def _sweep(state: VmpState) -> np.ndarray:
     """One full pass through the fragments in the fixed update order; returns the store's
     ``q_snapshot`` after advancing ``state.iterations``."""
     store, n, L = state.store, state.cache.num_curves, state.config.num_eigen
-    zeta_moments = store.read_q_zeta()  # in every mode, so a degenerate one raises here
+    zeta = store.read_q_zeta()  # in every mode, so a degenerate one raises here
     if state.config.freeze_scores_at_zero:
-        zeta_moments = np.zeros((n, L)), np.zeros((n, L, L))
+        zeta = np.zeros((n, L)), np.zeros((n, L, L))
     elif state.iterations:
         # No snap in a fit's first sweep: the translation and the move optimize the
         # smoothing penalty, which the vague starting message to nu is not, and the
         # second sweep's rotation sets the frame, whatever the starting scores' frame.
-        nu_moments = store.read_q_nu(fg.LIKELIHOOD)
-        zeta_moments = _align_component_rotation(state, *nu_moments, *zeta_moments)
-    _update_likelihood_fragment(state, score_moments(*zeta_moments))
+        zeta = _align_component_rotation(state, *store.read_q_nu(fg.LIKELIHOOD), *zeta)
+    _update_likelihood_fragment(state, score_moments(*zeta))
     _update_iterated_fragment(store, 0)
     _update_penalization_fragment(state)
     for c in range(1, L + 2):

@@ -190,9 +190,7 @@ def finalize(state: VmpState) -> FpcaFit:
     """Extract, evaluate on the config's grid and orthogonalize in one step."""
     raw = extract(state)
     grid, mean_curve, funcs, scores = evaluate_grid(raw, state.basis, state.config.grid_size)
-    return orthogonalize(
-        mean_curve, funcs, scores, grid, raw.noise_precision_mean, raw.zeta_covs
-    )
+    return orthogonalize(mean_curve, funcs, scores, grid, raw.noise_precision_mean, raw.zeta_covs)
 
 
 def sign_align(fit: FpcaFit, reference: np.ndarray) -> FpcaFit:

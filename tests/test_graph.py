@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -411,6 +412,20 @@ def test_reads_are_fresh_until_the_next_write(steps):
             write(store, (kind, target), scale)
     for node in (fg.NU, fg.ZETA):
         check_read(store, node)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda store: pickle.loads(pickle.dumps(store))])
+def test_a_copy_reads_afresh(duplicate):
+    # a copied store keeps none of the moments its original read, so its reads stay read-only
+    store = copy.deepcopy(small_store())
+    for node in (fg.NU, fg.ZETA):
+        check_read(store, node)
+    copied = duplicate(store)
+    for node in (fg.NU, fg.ZETA):
+        check_read(copied, node)
+    write(copied, ("set_nu", fg.LIKELIHOOD), 2.0)
+    check_read(copied, fg.NU)
+    check_read(store, fg.NU)
 
 
 class TestFpcaEdges:

@@ -16,6 +16,7 @@ from vmpfpca.expfam import (
     GaussianVechParams,
     InvChiSqParams,
     duplication_matrix,
+    gaussian_precision_to_moments,
     unvec,
     vec,
 )
@@ -36,10 +37,11 @@ from tests_oracle_support import object_start_store, zero_store
 
 
 def fresh_moments(state):
-    """q(nu)'s and q(zeta)'s (mean, covariance), read from the store."""
-    return (
-        state.store.read_q_nu(fg.LIKELIHOOD),
-        state.store.read_q_zeta(),
+    """q(nu)'s and q(zeta)'s (mean, covariance), inverted afresh from the store's messages,
+    not the moments the store keeps."""
+    store = state.store
+    return tuple(
+        gaussian_precision_to_moments(*q(), "q-density precision") for q in (store.q_nu, store.q_zeta)
     )
 
 
@@ -413,7 +415,7 @@ class TestSweepWork:
         assert state.iterations == self.SWEEPS
         assert reads[fg.ZETA] == self.SWEEPS + 1
     def test_snap_gets_current_q_nu(self, reference_dataset, monkeypatch):
-        # both q(nu) and q(zeta), as handed on, equal a fresh read of the store
+        # both q(nu) and q(zeta), as handed on, equal a fresh inversion of the store
         original = orchestrator._align_component_rotation
         checked = []
 
