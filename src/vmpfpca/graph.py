@@ -59,7 +59,7 @@ class MessageStore:
     :meth:`read_q_nu` and :meth:`read_q_zeta` invert a q-density on the first
     read after a write to its node and return the same read-only moments until
     the next, so nu's and the scores' slots are written only through :meth:`set_nu`,
-    :meth:`set_scores`, :meth:`write_messages` and :meth:`set_to_node`.
+    :meth:`set_scores` and :meth:`set_to_node`.
     """
 
     nu_eta1: np.ndarray
@@ -172,16 +172,16 @@ class MessageStore:
         arrays = (self.nu_eta1, self.nu_precision, self.zeta_eta1, self.zeta_precision)
         return np.concatenate([*(array.ravel() for array in arrays), chains])
 
-    def write_messages(self, vector: np.ndarray) -> None:
-        """Write a :meth:`message_vector` back into the store's slots, in place."""
-        start = 0
+    def with_messages(self, vector: np.ndarray) -> MessageStore:
+        """A new store holding a :meth:`message_vector` and this store's constant priors; it
+        shares no array with this store or with ``vector``, and its first reads invert."""
+        arrays, start = [], 0
         for array in (self.nu_eta1, self.nu_precision, self.zeta_eta1, self.zeta_precision):
-            array[...] = vector[start : start + array.size].reshape(array.shape)
+            arrays.append(vector[start : start + array.size].reshape(array.shape).copy())
             start += array.size
         pairs = iter(vector[start:].reshape(-1, 2).tolist())
-        for chain in self.chains:
-            chain[:3] = [tuple(next(pairs)) for _ in range(3)]
-        self._moments.clear()
+        chains = [[tuple(next(pairs)) for _ in range(3)] + chain[3:] for chain in self.chains]
+        return MessageStore(*arrays, self.prior_eta1.copy(), self.prior_precision.copy(), chains)
 
     def q_snapshot(self) -> np.ndarray:
         """The q natural parameters the convergence check compares, up to their signs, node by node.

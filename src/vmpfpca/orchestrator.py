@@ -27,12 +27,12 @@ way there.
 
 Each q-density is inverted once per write to its node, by the store
 (``MessageStore.read_q_nu``, ``read_q_zeta``): q(nu) after each of the two
-writes to nu, q(zeta) after the likelihood fragment writes the scores, and
-both after a jump.  The likelihood fragment's message to nu needs only the
-score moments; the snap reads what the sweep before left, hands the moved
-score moments to the likelihood fragment and writes only the eigenfunctions'
-chains.  The convergence check compares the store's own snapshots
-(``MessageStore.q_snapshot``), which sum messages and invert nothing.
+writes to nu, q(zeta) after the likelihood fragment writes the scores, and the
+proposal's, when a jump is kept.  The likelihood fragment's message to nu needs
+only the score moments; the snap reads what the sweep before left, hands the
+moved score moments to the likelihood fragment and writes only the
+eigenfunctions' chains.  The convergence check compares the store's own
+snapshots (``MessageStore.q_snapshot``), which sum messages and invert nothing.
 """
 
 from __future__ import annotations
@@ -511,22 +511,22 @@ def convergence_metric(previous: np.ndarray, current: np.ndarray, starts: np.nda
     return float((change / (1.0 + np.maximum.reduceat(np.abs(previous), starts))).max())
 
 
-def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, current: np.ndarray):
-    """Extrapolate the store from ``current`` along the last sweep's change, or leave it.
+def _jump(store: fg.MessageStore, metric: float, older, old, current):
+    """Propose a store extrapolated from ``current`` along the last sweep's change.
 
-    The three vectors are the store's ``message_vector`` after the last three
-    sweeps, and the store holds ``current``; ``metric`` is the last sweep's
+    The three vectors are the fit's ``message_vector`` after the last three
+    sweeps, and ``store`` holds ``current``; ``metric`` is the last sweep's
     :func:`convergence_metric`.  With the change D = current - old and rho =
     |D| / |old - older|, a jump needs cos(D, old - older) > ``_JUMP_ALIGNMENT``
-    and rho < 1; it then writes current + t D, with t the geometric series'
+    and rho < 1; it then proposes current + t D, with t the geometric series'
     limit rho / (1 - rho) capped at ``_JUMP_CAP`` and at ``_JUMP_RADIUS`` /
     metric, when q(nu), every q(zeta_i) and every variance and auxiliary
     q-density it implies is proper.  The q-densities are linear in the messages, so t
     times the metric is about the largest relative change the jump makes in
     any of them: the radius keeps a jump far from the fixed point, where the
     fit's path still bends, from changing a q-density by more than a tenth.
-    Returns t, with the jumped q(nu) and q(zeta) read into the store, or
-    None with the store unchanged.
+    Returns (t, the proposal), whose q(nu) and q(zeta) are read, or None; it
+    writes no store.
     """
     change, last = current - old, old - older
     size, last_size = math.sqrt(change @ change), math.sqrt(last @ last)
@@ -534,36 +534,35 @@ def _jump(state: VmpState, metric: float, older: np.ndarray, old: np.ndarray, cu
         return None
     rho = size / last_size
     step = min(rho / (1.0 - rho), _JUMP_CAP, _JUMP_RADIUS / metric)
-    state.store.write_messages(current + step * change)
-    if state.store.q_variances_proper():
-        try:
-            state.store.read_q_nu(fg.LIKELIHOOD)
-            state.store.read_q_zeta()
-            return step
-        except DegenerateMessageError:
-            pass
-    state.store.write_messages(current)
-    return None
+    proposal = store.with_messages(current + step * change)
+    if not proposal.q_variances_proper():
+        return None
+    try:
+        proposal.read_q_nu(fg.LIKELIHOOD)
+        proposal.read_q_zeta()
+    except DegenerateMessageError:
+        return None
+    return step, proposal
 
 
 def fit_state(state: VmpState) -> VmpState:
     """Run sweeps on a state fresh from :func:`initialize` until the convergence
     metric drops below tolerance or ``max_iter`` sweeps have run.
 
-    Between sweeps the fit tries a jump along its slow mode (:func:`_jump`)
-    once every ``_JUMP_SPACING`` sweeps.  The convergence check compares the
-    next sweep with the jumped store, so a fit stops only where one plain
-    sweep changes the q-densities by less than ``tol``, at a fixed point of
-    the plain sweep.  ``state.iterations`` and ``state.history`` count sweeps.
+    After every ``_JUMP_SPACING``-th sweep but the last, the fit tries a jump along
+    its slow mode: :func:`_jump` proposes a store, and the fit keeps either the
+    proposal or its own store.  The next sweep is compared with the store kept,
+    so a fit stops only where one plain sweep changes the q-densities by less
+    than ``tol``, at a fixed point of the plain sweep.  ``state.iterations``
+    and ``state.history`` count sweeps.
 
     A degenerate message or a ``LinAlgError`` in a sweep, such as an ``eigh``
     that does not converge on overflowed moments, raises
     :class:`DegenerateMessageError` naming the iteration.
     """
-    store, starts = state.store, state.store.node_starts()
-    previous = store.q_snapshot()  # the snapshot the next sweep's is compared with
-    # the message vectors of the three sweeps before a try, and the sweep of the next try
-    recent, next_try = [], _JUMP_SPACING
+    starts = state.store.node_starts()
+    previous = state.store.q_snapshot()  # the snapshot the next sweep's is compared with
+    recent = []  # the message vectors of the three sweeps that end at a try
     for _ in range(state.config.max_iter):
         try:
             current = _sweep(state)
@@ -577,13 +576,13 @@ def fit_state(state: VmpState) -> VmpState:
         if metric < state.config.tol:
             state.converged = True
             break
-        if state.iterations > next_try - 3:  # one of the three sweeps a try reads
-            recent = [*recent[-2:], store.message_vector()]
-        if next_try <= state.iterations < state.config.max_iter:  # a jump needs a next sweep
-            step = _jump(state, metric, *recent)
-            next_try = state.iterations + _JUMP_SPACING
-            if step is not None:
-                previous = store.q_snapshot()
+        if -state.iterations % _JUMP_SPACING < 3:  # one of the three sweeps a try reads
+            recent = [*recent[-2:], state.store.message_vector()]
+        if state.iterations % _JUMP_SPACING == 0 and state.iterations < state.config.max_iter:
+            jump = _jump(state.store, metric, *recent)
+            if jump is not None:
+                step, state.store = jump
+                previous = state.store.q_snapshot()
                 logger.debug("iteration %d: jump of %.3g last changes", state.iterations, step)
     if not state.converged:
         logger.info(

@@ -332,11 +332,16 @@ def test_store_layout(num_eigen, num_curves, num_splines, sweeps, seed, hypers):
         pass  # the layout holds for the store the failed sweep left
     n, L = num_curves, num_eigen
     assert store.q_snapshot().tobytes() == snapshot_from_q(store).tobytes()
-    # loading the store's vector back leaves every slot bitwise equal
-    before, vector = copy.deepcopy(store), store.message_vector()
-    store.write_messages(vector.copy())
-    assert bitwise_equal(store, before)
-    assert store.message_vector().tobytes() == vector.tobytes()
+    # a store built from the store's vector holds every slot bitwise, in arrays of its own
+    vector = store.message_vector()
+    built = store.with_messages(vector)
+    assert bitwise_equal(built, store)
+    assert built.message_vector().tobytes() == vector.tobytes()
+    names = [field.name for field in dataclasses.fields(fg.MessageStore) if field.name != "chains"]
+    sources = [getattr(store, name) for name in names] + [vector]
+    assert not any(np.shares_memory(getattr(built, name), b) for name in names for b in sources)
+    assert built.chains is not store.chains
+    assert not any(a is b for a, b in zip(built.chains, store.chains))
     # the node starts split the snapshot into q(nu), each curve's scores and each
     # chain's q(sigsq) and q(aux)
     dim = (L + 1) * (num_splines + 2)
@@ -357,7 +362,7 @@ def small_store() -> fg.MessageStore:
 STORE_STEPS = st.one_of(
     st.tuples(st.just("set_nu"), st.sampled_from([fg.LIKELIHOOD, fg.PENALIZATION])),
     st.tuples(st.just("set_scores"), st.none()),
-    st.tuples(st.just("write_messages"), st.booleans()),  # True: restored, as a rejected jump
+    st.tuples(st.just("propose"), st.booleans()),  # True: kept, as a jump
     st.tuples(
         st.just("set_to_node"),
         st.sampled_from(
@@ -369,22 +374,27 @@ STORE_STEPS = st.one_of(
 )
 
 
-def write(store: fg.MessageStore, step, scale: float) -> None:
-    """One write: the messages it names, scaled by ``scale``, eta1 shifted by 1."""
+def write(store: fg.MessageStore, step, scale: float) -> fg.MessageStore:
+    """One write: the messages it names, scaled by ``scale``, eta1 shifted by 1, or a proposal
+    built from the scaled message vector; returns the store the sequence goes on with."""
     kind, target = step
     if kind == "set_nu":
         k = (fg.LIKELIHOOD, fg.PENALIZATION).index(target)
         store.set_nu(target, (scale * store.nu_eta1[k] + 1.0, scale * store.nu_precision[k]))
     elif kind == "set_scores":
         store.set_scores((scale * store.zeta_eta1 + 1.0, scale * store.zeta_precision))
-    elif kind == "write_messages":
-        vector = store.message_vector()
-        store.write_messages(scale * vector)
-        if target:
-            store.write_messages(vector)
+    elif kind == "propose":
+        # the proposal's reads are fresh, and its source keeps the moments it read
+        reads = store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta()
+        proposal = store.with_messages(scale * store.message_vector())
+        for node in (fg.NU, fg.ZETA):
+            check_read(proposal, node)
+        assert store.read_q_nu(fg.LIKELIHOOD) is reads[0] and store.read_q_zeta() is reads[1]
+        return proposal if target else store
     else:
         message = store.get_to_node(*target)
         store.set_to_node(*target, type(message)(scale * message.eta1 + 1.0, scale * message.eta2))
+    return store
 
 
 def check_read(store: fg.MessageStore, node: str) -> None:
@@ -409,7 +419,7 @@ def test_reads_are_fresh_until_the_next_write(steps):
         if kind == "read":
             check_read(store, target)
         else:
-            write(store, (kind, target), scale)
+            store = write(store, (kind, target), scale)
     for node in (fg.NU, fg.ZETA):
         check_read(store, node)
 

@@ -1,10 +1,11 @@
 """The jump between sweeps: ``orchestrator.fit_state`` extrapolates the store's messages.
 
-After a try, the fit has either jumped to current + t (current - old) with
-every q-density proper, or kept the store as the last sweep left it.  The
-jump shortens the way to the fixed point of the plain sweep and does not
-move that point: with jumps disabled (a cap of 0), a fit at a tight
-tolerance ends where the default fit does.
+A try proposes a store, current + t (current - old), and the fit either
+keeps the proposal, whose every q-density is proper, or keeps its own store,
+which no try writes: its messages and its kept q-moments stay as the last
+sweep left them.  The jump shortens the way to the fixed point of the plain
+sweep and does not move that point: with jumps disabled (a cap of 0), a fit
+at a tight tolerance ends where the default fit does.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 import vmpfpca.graph as fg
 import vmpfpca.orchestrator as orchestrator
-from vmpfpca.expfam import DegenerateMessageError, gaussian_precision_to_moments
+from vmpfpca.expfam import DegenerateMessageError
 from vmpfpca.orchestrator import FitConfig, fit
 from vmpfpca.postprocess import finalize
 from vmpfpca.simulate import SimConfig, generate
+from test_graph import check_read
 from test_properties import derandomised
 from test_snap import BENCHMARK_CONFIG, benchmark_dataset
 
@@ -34,16 +36,17 @@ def proper(store) -> bool:
 
 
 def watch_jumps(monkeypatch):
-    """Patch ``_jump`` to record, per try, whether it jumped and whether the store
-    then holds proper q-densities and, after a skipped try, the last sweep's messages."""
+    """Patch ``_jump`` to record, per try, whether it proposed a store, whether the store
+    the fit keeps, the proposal or its own, is proper, and whether its own store still
+    holds the last sweep's messages."""
     tries = []
     original = orchestrator._jump
 
-    def watched(state, metric, older, old, current):
-        jumped = original(state, metric, older, old, current)
-        unchanged = np.array_equal(state.store.message_vector(), current)
-        tries.append((jumped is not None, proper(state.store), unchanged))
-        return jumped
+    def watched(store, metric, older, old, current):
+        jump = original(store, metric, older, old, current)
+        unchanged = np.array_equal(store.message_vector(), current)
+        tries.append((jump is not None, proper(store if jump is None else jump[1]), unchanged))
+        return jump
 
     monkeypatch.setattr(orchestrator, "_jump", watched)
     return tries
@@ -75,10 +78,10 @@ class TestSameFixedPoint:
 class TestJump:
     @staticmethod
     def swept(sweeps=8):
-        """A study fit after a few plain sweeps, and its message vector."""
+        """A study fit's store after a few sweeps, and its message vector."""
         dataset, _ = generate(SimConfig(num_curves=20, seed=4))
-        state = fit(dataset, FitConfig(max_iter=sweeps))
-        return state, state.store.message_vector()
+        store = fit(dataset, FitConfig(max_iter=sweeps)).store
+        return store, store.message_vector()
 
     METRIC = 1e-6  # a last sweep's metric at which the radius does not bound a jump
 
@@ -89,76 +92,97 @@ class TestJump:
         return old - direction / rho, old
 
     def test_message_vector_round_trip_is_exact(self):
-        state, vector = self.swept()
-        chains = [list(chain) for chain in state.store.chains]
-        state.store.write_messages(vector.copy())
-        assert np.array_equal(state.store.message_vector(), vector)
-        assert state.store.chains == chains
-        assert {type(x) for chain in state.store.chains for pair in chain for x in pair} == {float}
+        store, vector = self.swept()
+        built = store.with_messages(vector.copy())
+        assert np.array_equal(built.message_vector(), vector)
+        assert built.chains == store.chains
+        assert {type(x) for chain in built.chains for pair in chain for x in pair} == {float}
 
     def test_jump_is_the_capped_geometric_limit(self):
-        state, current = self.swept()
+        store, current = self.swept()
         direction = np.zeros_like(current)
-        direction[: state.store.nu_eta1.size] = 1e-3  # along both messages' eta1 to nu
-        step = orchestrator._jump(
-            state, self.METRIC, *self.shrinking(current, direction, 0.5), current
+        direction[: store.nu_eta1.size] = 1e-3  # along both messages' eta1 to nu
+        step, proposal = orchestrator._jump(
+            store, self.METRIC, *self.shrinking(current, direction, 0.5), current
         )
         assert step == pytest.approx(1.0)  # 0.5 / (1 - 0.5)
-        moved = state.store.message_vector()
-        assert np.allclose(moved, current + direction, rtol=1e-12, atol=1e-15)
-        state.store.write_messages(current)
+        assert np.allclose(proposal.message_vector(), current + direction, rtol=1e-12, atol=1e-15)
         older, old = self.shrinking(current, direction, 0.999)
-        step = orchestrator._jump(state, self.METRIC, older, old, current)
+        step, proposal = orchestrator._jump(store, self.METRIC, older, old, current)
         assert step == orchestrator._JUMP_CAP
-        # the store's next reads are fresh inversions of the q-densities the jump wrote
-        store = state.store
-        reads = (store.read_q_nu(fg.LIKELIHOOD), store.q_nu), (store.read_q_zeta(), store.q_zeta)
-        for read, q in reads:
-            fresh = gaussian_precision_to_moments(*q(), "q-density precision")
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(read, fresh))
-        eta1, precision = store.q_nu()
-        assert np.allclose(precision @ store.read_q_nu(fg.LIKELIHOOD)[0], eta1)
+        # the proposal's reads are fresh inversions of its own q-densities
+        for node in (fg.NU, fg.ZETA):
+            check_read(proposal, node)
+        eta1, precision = proposal.q_nu()
+        assert np.allclose(precision @ proposal.read_q_nu(fg.LIKELIHOOD)[0], eta1)
         # a last sweep that changed a q-density by 5% bounds the jump at twice its change
-        store.write_messages(current)
-        step = orchestrator._jump(state, 0.05, older, old, current)
+        step, proposal = orchestrator._jump(store, 0.05, older, old, current)
         assert step == pytest.approx(orchestrator._JUMP_RADIUS / 0.05)
-        assert np.allclose(store.message_vector(), current + step * direction)
+        assert np.allclose(proposal.message_vector(), current + step * direction)
 
     @pytest.mark.parametrize("rho, turn", [(1.05, False), (0.5, True)], ids=["growing", "turning"])
     def test_no_jump_unless_the_changes_align_and_shrink(self, rho, turn):
-        state, current = self.swept()
+        store, current = self.swept()
         direction = np.zeros_like(current)
         direction[:10] = 1e-3
         older, old = self.shrinking(current, direction, rho)
         if turn:  # the change before the last one points another way
             older = older.copy()
             older[10:20] -= 1e-2
-        assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(state.store.message_vector(), current)
+        assert orchestrator._jump(store, self.METRIC, older, old, current) is None
+        assert np.array_equal(store.message_vector(), current)
 
     def test_improper_q_nu_skips_the_jump(self, monkeypatch):
-        state, current = self.swept()
-        nu_size = state.store.nu_eta1.size
+        store, current = self.swept()
+        nu_size = store.nu_eta1.size
         direction = np.zeros_like(current)
         # shrink both precisions of nu by a hundredth a sweep
-        direction[nu_size : nu_size + state.store.nu_precision.size] = (
-            0.01 * current[nu_size : nu_size + state.store.nu_precision.size]
+        direction[nu_size : nu_size + store.nu_precision.size] = (
+            0.01 * current[nu_size : nu_size + store.nu_precision.size]
         )
         older, old = self.shrinking(current, -direction, 0.999)
         monkeypatch.setattr(orchestrator, "_JUMP_CAP", 1e3)  # the jump flips q(nu)'s precision
-        assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(state.store.message_vector(), current)
+        assert orchestrator._jump(store, self.METRIC, older, old, current) is None
+        assert np.array_equal(store.message_vector(), current)
         monkeypatch.setattr(orchestrator, "_JUMP_CAP", 10.0)  # 0.9 times the precision
-        assert orchestrator._jump(state, self.METRIC, older, old, current) is not None
-        assert proper(state.store)
+        jump = orchestrator._jump(store, self.METRIC, older, old, current)
+        assert jump is not None
+        assert proper(jump[1])
 
     def test_improper_variance_skips_the_jump(self):
-        state, current = self.swept()
+        store, current = self.swept()
         direction = np.zeros_like(current)
         direction[-1] = 1e8  # eta2 of the last chain's iterated message to its auxiliary node
         older, old = self.shrinking(current, direction, 0.999)
-        assert orchestrator._jump(state, self.METRIC, older, old, current) is None
-        assert np.array_equal(state.store.message_vector(), current)
+        assert orchestrator._jump(store, self.METRIC, older, old, current) is None
+        assert np.array_equal(store.message_vector(), current)
+
+    @pytest.mark.parametrize("end", ["turning", "improper-variance", "improper-q-nu", "kept"])
+    def test_a_try_leaves_the_fits_store_as_it_was(self, end, monkeypatch):
+        # however a try ends, the store it extrapolates keeps its messages bitwise and
+        # its kept q-moments: its next reads return the very arrays its last reads did
+        store, current = self.swept()
+        reads = store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta()
+        nu_precision = slice(store.nu_eta1.size, store.nu_eta1.size + store.nu_precision.size)
+        direction = np.zeros_like(current)
+        if end == "improper-variance":
+            direction[-1] = 1e8  # eta2 of the last chain's iterated message to its auxiliary node
+        elif end == "improper-q-nu":  # 999 shrinking changes flip q(nu)'s precision
+            direction[nu_precision] = -0.01 * current[nu_precision]
+            monkeypatch.setattr(orchestrator, "_JUMP_CAP", 1e3)
+        else:
+            direction[: store.nu_eta1.size] = 1e-3
+        older, old = self.shrinking(current, direction, 0.999)
+        if end == "turning":  # the change before the last one points another way
+            older[nu_precision][:10] -= 1e-2
+        jump = orchestrator._jump(store, self.METRIC, older, old, current)
+        assert (jump is not None) == (end == "kept")
+        assert store.message_vector().tobytes() == current.tobytes()
+        for read, kept in zip((store.read_q_nu(fg.LIKELIHOOD), store.read_q_zeta()), reads):
+            assert all(array is kept_array for array, kept_array in zip(read, kept))
+        if jump is not None:  # a kept proposal's reads are its own: read-only and fresh
+            for node in (fg.NU, fg.ZETA):
+                check_read(jump[1], node)
 
 
 class TestSchedule:
@@ -176,17 +200,22 @@ class TestSchedule:
         assert state.iterations == len(state.history) == len(sweeps)
 
     def test_at_most_one_try_in_each_spacing(self, monkeypatch):
-        calls = []
-        original = orchestrator._jump
+        # a try follows every _JUMP_SPACING-th sweep but the fit's last, whether the
+        # fit converges there or runs out of sweeps, and whatever the tries before kept
+        sweeps, calls = [], []
+        sweep, jump = orchestrator._sweep, orchestrator._jump
+        monkeypatch.setattr(orchestrator, "_sweep", lambda state: sweeps.append(1) or sweep(state))
         monkeypatch.setattr(
-            orchestrator,
-            "_jump",
-            lambda state, *recent: calls.append(state.iterations) or original(state, *recent),
+            orchestrator, "_jump", lambda *args: calls.append(len(sweeps)) or jump(*args)
         )
         dataset, _ = generate(SimConfig(num_curves=50, seed=0))
-        fit(dataset, FitConfig())
-        assert calls[0] == orchestrator._JUMP_SPACING
-        assert min(np.diff(calls)) >= orchestrator._JUMP_SPACING
+        spacing = orchestrator._JUMP_SPACING
+        for config in (FitConfig(), FitConfig(max_iter=4 * spacing)):
+            sweeps.clear()
+            calls.clear()
+            state = fit(dataset, config)
+            assert state.converged == (config.max_iter > 4 * spacing)
+            assert calls == list(range(spacing, state.iterations, spacing))
 
     @pytest.mark.parametrize(
         "sim, options, plain_sweeps",
@@ -236,7 +265,7 @@ class TestSchedule:
         state = fit(dataset, config)
         assert state.converged
         assert "nu" in failures
-        assert all(proper and (kept or unchanged) for kept, proper, unchanged in tries)
+        assert all(proper and unchanged for _, proper, unchanged in tries)
         assert not all(kept for kept, _, _ in tries)
 
 
@@ -268,7 +297,7 @@ def test_jumps_keep_proper_densities_and_convergence(case):
             jumped = fit(dataset, config)
         except DegenerateMessageError:
             jumped = None
-        assert all(proper and (kept or unchanged) for kept, proper, unchanged in tries)
+        assert all(proper and unchanged for _, proper, unchanged in tries)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orchestrator, "_JUMP_CAP", 0.0)
         try:

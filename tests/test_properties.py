@@ -317,6 +317,8 @@ HYPERPARAMETER = st.sampled_from(
 )
 
 
+# some extreme values collapse the scores, whose near-tied eigenvalues finalize warns of
+@pytest.mark.filterwarnings(r"ignore:score covariance has \(near-\)tied eigenvalues:RuntimeWarning")
 @derandomised(80)
 @given(st.lists(HYPERPARAMETER, min_size=4, max_size=4))
 def test_fit_exits_cleanly_on_extreme_hyperparameters(simulated_csv, values):
